@@ -1,14 +1,20 @@
 """Text circuits: actor wires updated by attribute and verb gates.
 
 A script line like ``Alice is a human`` applies a predicate to Alice's wire;
-``Alice loves Bob`` entangles two wires. Reading all updates to a wire as one
-long word string lets the string-negation machinery negate an actor: every
-word that touched the wire, directly or through an entangling verb, is a
-candidate for the negation set.
+``Alice loves Bob`` links two wires and may apply a verb effect to each name.
+Every gate updates a single factor, one state per (actor, lexicon), so a
+linked group's state stays a product and is stored per factor, never as one
+joint matrix. MAX_COMPOSITE_DIM bounds only what composed_state builds: the
+Kronecker product of one actor's own factors.
+
+Reading all updates to a wire as one long word string lets the
+string-negation machinery negate an actor: every word that touched the wire,
+directly or through a linking verb, is a candidate for the negation set.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,7 +31,7 @@ from .errors import (
 )
 from .lexicon import Lexicon, resolve_word
 from .negation import DEFAULTS, NegationConfig
-from .operators import Operator, _psd_sqrt, normalize
+from .operators import Operator, conjugate_update, normalize
 from .strings import (
     LAMBDA_DEFAULT,
     NegationMixture,
@@ -34,7 +40,7 @@ from .strings import (
     best_interpretation,
     cn_string,
     derive_weights,
-    enumerate_negation_sets,
+    size_prior,
 )
 
 MAX_COMPOSITE_DIM = 4096
@@ -226,7 +232,7 @@ def _link_closure(c: TextCircuit, name: str) -> set[str]:
 
 def contributing_words(c: TextCircuit, name: str) -> list[tuple[Actor | Gate, str]]:
     """Everything negating ``name`` may touch: its own name and gates plus, via
-    entangling verbs, the names and gates of linked actors; text order, each
+    linking verbs, the names and gates of linked actors; text order, each
     actor's name just before its first gate."""
     a = c.actor(name)
     group = _link_closure(c, a.name)
@@ -255,126 +261,91 @@ def contributing_words(c: TextCircuit, name: str) -> list[tuple[Actor | Gate, st
 # circuit semantics
 
 
-class _Cluster:
-    """A set of entangled wires sharing one joint state."""
-
-    def __init__(self, actor: Actor):
-        self.actors = {actor.name}
-        self.factors: list[tuple[str, Lexicon]] = [(actor.name, actor.lex)]
-        self.dims = [actor.lex.dim]
-        self.state = normalize(actor.lex.word_operator(actor.word), "trace").matrix
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
-
-    def factor_index(self, actor_name: str, lex: Lexicon) -> int | None:
-        for i, (owner, flex) in enumerate(self.factors):
-            if owner == actor_name and flex is lex:
-                return i
-        return None
-
-    def grow(self, actor_name: str, lex: Lexicon) -> int:
-        if self.dim * lex.dim > MAX_COMPOSITE_DIM:
-            raise TooLarge(
-                f"composite for {sorted(self.actors)} would reach dim "
-                f"{self.dim * lex.dim} > {MAX_COMPOSITE_DIM}"
-            )
-        self.state = np.kron(self.state, np.eye(lex.dim) / lex.dim)
-        self.factors.append((actor_name, lex))
-        self.dims.append(lex.dim)
-        return len(self.dims) - 1
-
-    def conjugate(self, small: np.ndarray, idx: int) -> None:
-        # sqrt commutes with lifting, so take it on the small factor
-        root = _lift(_psd_sqrt(small), self.dims, idx)
-        out = root @ self.state @ root
-        self.state = (out + out.T) / 2.0
-
-    def absorb(self, other: "_Cluster") -> None:
-        if self.dim * other.dim > MAX_COMPOSITE_DIM:
-            raise TooLarge(
-                f"joining {sorted(self.actors)} with {sorted(other.actors)} "
-                f"would reach dim {self.dim * other.dim} > {MAX_COMPOSITE_DIM}"
-            )
-        self.state = np.kron(self.state, other.state)
-        self.factors.extend(other.factors)
-        self.dims.extend(other.dims)
-        self.actors |= other.actors
-
-
-def _lift(small: np.ndarray, dims: Sequence[int], idx: int) -> np.ndarray:
-    before = int(np.prod(dims[:idx])) if idx else 1
-    after = int(np.prod(dims[idx + 1 :])) if idx + 1 < len(dims) else 1
-    return np.kron(np.eye(before), np.kron(small, np.eye(after)))
-
-
-def _trace_out(mat: np.ndarray, dims: list[int], idx: int) -> tuple[np.ndarray, list[int]]:
-    n = len(dims)
-    t = mat.reshape(*dims, *dims)
-    t = np.trace(t, axis1=idx, axis2=n + idx)
-    rest = [d for i, d in enumerate(dims) if i != idx]
-    flat = int(np.prod(rest)) if rest else 1
-    return t.reshape(flat, flat), rest
-
-
 Effects = Mapping[str, tuple[Operator | None, Operator | None]]
 
 
-def _evolve(c: TextCircuit, effects: Effects | None) -> dict[str, _Cluster]:
-    clusters = {a.name: _Cluster(a) for a in c.actors}
+class _Group:
+    """Linked wires as a product of per-(actor, lexicon) factor states.
+
+    Every gate acts on a single factor, so the joint state is the Kronecker
+    product of the factors and is never formed. Factor states are not
+    renormalized: an update that annihilates one factor zeroes every
+    marginal of the group.
+    """
+
+    def __init__(self, actor: Actor):
+        name_state = normalize(actor.lex.word_operator(actor.word), "trace")
+        self.factors: list[tuple[str, Lexicon, Operator]] = [
+            (actor.name, actor.lex, name_state)
+        ]
+
+    def update(self, owner: str, lex: Lexicon, effect: Operator) -> None:
+        """Conjugate the owner's factor on ``lex`` by ``effect``, opening the
+        factor in the maximally mixed state on first touch."""
+        for i, (o, flex, state) in enumerate(self.factors):
+            if o == owner and flex is lex:
+                self.factors[i] = (o, flex, conjugate_update(state, effect))
+                return
+        fresh = Operator(np.eye(lex.dim) / lex.dim)
+        self.factors.append((owner, lex, conjugate_update(fresh, effect)))
+
+
+def _evolve(c: TextCircuit, effects: Effects | None) -> dict[str, _Group]:
+    groups = {a.name: _Group(a) for a in c.actors}
     for g in c.gates:
         if isinstance(g, UnaryGate):
-            cl = clusters[g.actor]
-            idx = cl.factor_index(g.actor, g.lex)
-            if idx is None:
-                idx = cl.grow(g.actor, g.lex)
-            cl.conjugate(g.lex.word_operator(g.word).matrix, idx)
+            groups[g.actor].update(g.actor, g.lex, g.lex.word_operator(g.word))
+            continue
+        group, other = groups[g.subject], groups[g.object]
+        if group is not other:
+            group.factors.extend(other.factors)
+            for owner, _, _ in other.factors:
+                groups[owner] = group
+        if effects and g.verb in effects:
+            for actor_name, eff in zip((g.subject, g.object), effects[g.verb]):
+                if eff is None:
+                    continue
+                act = c.actor(actor_name)
+                if eff.dim != act.lex.dim:
+                    raise DimMismatch(
+                        f"effect for {g.verb!r} on {actor_name} has dim "
+                        f"{eff.dim}, name space has dim {act.lex.dim}"
+                    )
+                group.update(actor_name, act.lex, eff)
+    return groups
+
+
+def _marginal(group: _Group, keep: set[int]) -> np.ndarray:
+    """Partial trace of the group's product state onto the kept factors: their
+    Kronecker product times the trace of every other factor."""
+    mat = np.ones((1, 1))
+    scale = 1.0
+    for i, (_, _, state) in enumerate(group.factors):
+        if i in keep:
+            mat = np.kron(mat, state.matrix)
         else:
-            cl = clusters[g.subject]
-            other = clusters[g.object]
-            if cl is not other:
-                cl.absorb(other)
-                for member in other.actors:
-                    clusters[member] = cl
-            if effects and g.verb in effects:
-                for actor_name, eff in zip((g.subject, g.object), effects[g.verb]):
-                    if eff is None:
-                        continue
-                    act = c.actor(actor_name)
-                    if eff.dim != act.lex.dim:
-                        raise DimMismatch(
-                            f"effect for {g.verb!r} on {actor_name} has dim "
-                            f"{eff.dim}, name space has dim {act.lex.dim}"
-                        )
-                    name_idx = cl.factor_index(actor_name, act.lex)
-                    cl.conjugate(eff.matrix, name_idx)
-    return clusters
-
-
-def _marginal(cl: _Cluster, keep: set[int]) -> tuple[np.ndarray, list[tuple[str, Lexicon]]]:
-    mat, dims = cl.state, list(cl.dims)
-    factors = list(cl.factors)
-    for i in sorted(set(range(len(dims))) - keep, reverse=True):
-        mat, dims = _trace_out(mat, dims, i)
-        del factors[i]
-    return mat, factors
+            scale *= state.trace()
+    return mat * scale
 
 
 def composed_state(c: TextCircuit, name: str, effects: Effects | None = None) -> Operator:
     """The actor's evolved state on its own factors (name space first, then
     one space per attribute lexicon in first-touch order), trace-normalized.
 
-    Entangled partners are traced out.
+    Linked partners are traced out. Raises TooLarge when the actor's own
+    factors span more than MAX_COMPOSITE_DIM dimensions.
     """
     a = c.actor(name)
-    cl = _evolve(c, effects)[a.name]
-    keep = {i for i, (owner, _) in enumerate(cl.factors) if owner == a.name}
-    mat, factors = _marginal(cl, keep)
-    labels: tuple[str, ...] = ()
-    if len(factors) == 1:
-        labels = factors[0][1].leaves
-    return normalize(Operator((mat + mat.T) / 2.0, labels), "trace")
+    group = _evolve(c, effects)[a.name]
+    keep = {i for i, (owner, _, _) in enumerate(group.factors) if owner == a.name}
+    own = [lex for owner, lex, _ in group.factors if owner == a.name]
+    dim = math.prod(lex.dim for lex in own)
+    if dim > MAX_COMPOSITE_DIM:
+        raise TooLarge(
+            f"composite for {a.name} would reach dim {dim} > {MAX_COMPOSITE_DIM}"
+        )
+    labels = own[0].leaves if len(own) == 1 else ()
+    return normalize(Operator(_marginal(group, keep), labels), "trace")
 
 
 def composed_factors(
@@ -383,16 +354,15 @@ def composed_factors(
     """Per-space marginals of the actor's evolved state, trace-normalized,
     keyed by lexicon name (positional key for unnamed lexicons)."""
     a = c.actor(name)
-    cl = _evolve(c, effects)[a.name]
+    group = _evolve(c, effects)[a.name]
     out: dict[str, Operator] = {}
-    for i, (owner, lex) in enumerate(cl.factors):
+    for i, (owner, lex, _) in enumerate(group.factors):
         if owner != a.name:
             continue
-        mat, _ = _marginal(cl, {i})
         key = lex.name or f"factor{i}"
         if key in out:
             key = f"{key}@{i}"
-        out[key] = normalize(Operator((mat + mat.T) / 2.0, lex.leaves), "trace")
+        out[key] = normalize(Operator(_marginal(group, {i}), lex.leaves), "trace")
     return out
 
 
@@ -438,9 +408,7 @@ def cn_actor(
         if context is not None:
             weights = derive_weights(s, context, lambda_size, sigma, cfg)
         else:
-            prior = [lambda_size ** (len(sub) - 1) for sub in enumerate_negation_sets(len(s))]
-            total = sum(prior)
-            weights = [p / total for p in prior]
+            weights = size_prior(len(s), lambda_size)
     return cn_string(s, weights, cfg)
 
 
@@ -455,7 +423,7 @@ def rank_alternatives(
     best interpretation of "not <name>" against that actor's word sequence.
 
     Actors must be structurally parallel (same slot count, same spaces per
-    position); the negated actor must not be entangled.
+    position); the negated actor must not be linked.
     """
     negated = c.actor(name)
     if any(negated.name in pair for pair in c.links):

@@ -9,6 +9,7 @@ word by word) shaped by a size prior that favors negating few words.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -94,29 +95,31 @@ def enumerate_negation_sets(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-class _CnCache:
-    """Per-position word negations, computed on first use.
+def size_prior(n: int, lambda_size: float = LAMBDA_DEFAULT) -> tuple[float, ...]:
+    """Normalized lambda_size^(|S|-1) over the negation sets, in canonical order."""
+    prior = [lambda_size ** (len(sub) - 1) for sub in enumerate_negation_sets(n)]
+    total = sum(prior)
+    return tuple(p / total for p in prior)
 
-    A failed negation is reported against the first subset that needs it.
+
+def _negations(s: WordString, cfg: NegationConfig) -> tuple[Operator, ...]:
+    """cn_word at every position.
+
+    A failed negation is reported against the first negation set that needs
+    it: the singleton of the lowest failing position.
     """
+    out = []
+    for i, slot in enumerate(s.positions):
+        try:
+            out.append(cn_word(slot.word, slot.lex, cfg))
+        except ZeroNegation as exc:
+            raise ZeroNegation(f"negation set {{{i}}}: {exc}") from exc
+    return tuple(out)
 
-    def __init__(self, s: WordString, cfg: NegationConfig):
-        self.s = s
-        self.cfg = cfg
-        self.originals = s.originals()
-        self.done: dict[int, Operator] = {}
 
-    def states(self, subset: tuple[int, ...]) -> tuple[Operator, ...]:
-        picked = list(self.originals)
-        for i in subset:
-            if i not in self.done:
-                slot = self.s.positions[i]
-                try:
-                    self.done[i] = cn_word(slot.word, slot.lex, self.cfg)
-                except ZeroNegation as exc:
-                    raise ZeroNegation(f"negation set {set(subset)}: {exc}") from exc
-            picked[i] = self.done[i]
-        return tuple(picked)
+def _choose(subset: tuple[int, ...], kept: Sequence, negated: Sequence) -> tuple:
+    """Per-position picks for one negation set: negated inside it, kept outside."""
+    return tuple(negated[i] if i in subset else k for i, k in enumerate(kept))
 
 
 def cn_string(
@@ -132,9 +135,9 @@ def cn_string(
     total = sum(ws)
     if total <= 0:
         raise ValueError("subset weights must not all vanish")
-    cache = _CnCache(s, cfg)
+    originals, negated = s.originals(), _negations(s, cfg)
     terms = tuple(
-        MixtureTerm(subset, w / total, cache.states(subset))
+        MixtureTerm(subset, w / total, _choose(subset, originals, negated))
         for subset, w in zip(subsets, ws)
     )
     return NegationMixture(terms)
@@ -151,15 +154,11 @@ def _check_alignment(n: int, target: WordString, spaces: Sequence[tuple[str, ...
             )
 
 
-def string_score(
-    states: Sequence[Operator],
-    target: WordString,
-    sigma: float = SIGMA_DEFAULT,
-) -> float:
-    """Word-by-word overlap with ``target``, multiplied across positions."""
+def _overlaps(states: Sequence[Operator], target: WordString, sigma: float) -> list[float]:
+    """Per-position overlap of each state with the target word there."""
     if len(states) != len(target):
         raise AlignmentError(f"length mismatch: {len(states)} states vs {len(target)}")
-    score = 1.0
+    out = []
     for i, (op, slot) in enumerate(zip(states, target.positions)):
         if op.dim != slot.lex.dim:
             raise AlignmentError(
@@ -170,8 +169,17 @@ def string_score(
                 f"position {i}: state space ({', '.join(op.labels)}) "
                 f"vs slot space ({', '.join(slot.lex.leaves)})"
             )
-        score *= overlap_score(op, slot.word, slot.lex, sigma)
-    return score
+        out.append(overlap_score(op, slot.word, slot.lex, sigma))
+    return out
+
+
+def string_score(
+    states: Sequence[Operator],
+    target: WordString,
+    sigma: float = SIGMA_DEFAULT,
+) -> float:
+    """Word-by-word overlap with ``target``, multiplied across positions."""
+    return math.prod(_overlaps(states, target, sigma))
 
 
 def derive_weights(
@@ -190,10 +198,7 @@ def derive_weights(
     raw = interpretation_scores(s, context, lambda_size, sigma, cfg)
     total = sum(raw)
     if total <= 0:
-        subsets = enumerate_negation_sets(len(s))
-        prior = [lambda_size ** (len(sub) - 1) for sub in subsets]
-        total = sum(prior)
-        return tuple(p / total for p in prior)
+        return size_prior(len(s), lambda_size)
     return tuple(r / total for r in raw)
 
 
@@ -206,15 +211,21 @@ def interpretation_scores(
 ) -> list[float]:
     """Size-weighted match of every interpretation against ``context``, in
     canonical subset order (the unnormalized quantity behind derive_weights
-    and best_interpretation)."""
+    and best_interpretation).
+
+    The string score factors per position, so each position's overlap is
+    computed once for its original word and once for its negation; a
+    subset's score multiplies them left to right, as string_score would.
+    """
     if not 0.0 < lambda_size <= 1.0:
         raise ValueError(f"lambda_size must lie in (0, 1], got {lambda_size}")
     _check_alignment(len(s), context, tuple(slot.lex.leaves for slot in s.positions))
-    cache = _CnCache(s, cfg)
+    subsets = enumerate_negation_sets(len(s))
+    kept = _overlaps(s.originals(), context, sigma)
+    negated = _overlaps(_negations(s, cfg), context, sigma)
     return [
-        lambda_size ** (len(subset) - 1)
-        * string_score(cache.states(subset), context, sigma)
-        for subset in enumerate_negation_sets(len(s))
+        lambda_size ** (len(subset) - 1) * math.prod(_choose(subset, kept, negated))
+        for subset in subsets
     ]
 
 

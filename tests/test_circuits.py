@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, story_lexicons
 from convneg.circuits import (
@@ -26,7 +28,7 @@ from convneg.errors import (
 )
 from convneg.lexicon import build_lexicon
 from convneg.negation import DEFAULTS, NegationConfig
-from convneg.operators import Operator
+from convneg.operators import ZERO_TRACE_TOL, Operator
 from convneg.strings import WordString, derive_weights, enumerate_negation_sets
 from convneg.taxonomy import parse_taxonomy
 
@@ -273,7 +275,7 @@ class TestComposedState:
         with pytest.raises(TooLarge):
             composed_state(c, "W0_0")  # 9 * 9 * 9 * 9 * 9 > 4096
 
-    def test_merge_guard(self):
+    def test_link_past_old_joint_guard_returns_unit_trace_factors(self):
         big = [
             build_lexicon(
                 parse_taxonomy("".join(f"b{k}_{i}\tbroot{k}\n" for i in range(9))),
@@ -288,8 +290,12 @@ class TestComposedState:
             "B0_0 meets B1_0\n"
         )
         c = parse_script(script, (*big, verbs))
-        with pytest.raises(TooLarge):
-            composed_state(c, "B0_0")  # (9*9) * (9*9) = 6561 > 4096
+        # the linked pair spans (9*9) * (9*9) = 6561 dims; only own factors count
+        factors = composed_factors(c, "B0_0")
+        assert set(factors) == {"big0", "big1"}
+        for op in factors.values():
+            assert op.trace() == pytest.approx(1.0, abs=1e-12)
+        assert composed_state(c, "B0_0").dim == 81
 
 
 class TestCnActor:
@@ -411,3 +417,148 @@ class TestRankAlternatives:
     def test_unknown_actor(self, story):
         with pytest.raises(UnknownActor):
             rank_alternatives(story, "Eve")
+
+
+# ---------------------------------------------------------------------------
+# differential check: factored circuits against a dense joint-state reference
+
+
+def _dense_root(m):
+    lam, vecs = np.linalg.eigh(m)
+    return vecs @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ vecs.T
+
+
+def _dense_keep(state, dims, keep):
+    """Partial trace of a dense joint state onto the factors in ``keep``."""
+    n = len(dims)
+    t = state.reshape(dims + dims)
+    cols = [j + n if j in keep else j for j in range(n)]
+    m = np.einsum(t, list(range(n)) + cols, keep + [j + n for j in keep])
+    d = int(np.prod([dims[j] for j in keep]))
+    return m.reshape(d, d)
+
+
+def dense_reference(c, name, effects=None):
+    """One dense joint state per linked group: grown by Kronecker products,
+    updated by lifted conjugations, traced out at the end. Returns the
+    group's dims, the untrimmed marginal on each of ``name``'s factors keyed
+    by lexicon name, and the untrimmed marginal on all of them jointly."""
+    groups = {}
+    for a in c.actors:
+        name_op = a.lex.word_operator(a.word).matrix
+        groups[a.name] = {"factors": [(a.name, a.lex)], "state": name_op / np.trace(name_op)}
+
+    def conjugate(group, owner, lex, effect):
+        factors = group["factors"]
+        idx = next((i for i, (o, x) in enumerate(factors) if o == owner and x is lex), None)
+        if idx is None:
+            group["state"] = np.kron(group["state"], np.eye(lex.dim) / lex.dim)
+            factors.append((owner, lex))
+            idx = len(factors) - 1
+        dims = [x.dim for _, x in factors]
+        before, after = int(np.prod(dims[:idx])), int(np.prod(dims[idx + 1 :]))
+        root = np.kron(np.eye(before), np.kron(_dense_root(effect), np.eye(after)))
+        group["state"] = root @ group["state"] @ root
+
+    for g in c.gates:
+        if isinstance(g, UnaryGate):
+            conjugate(groups[g.actor], g.actor, g.lex, g.lex.word_operator(g.word).matrix)
+            continue
+        group, other = groups[g.subject], groups[g.object]
+        if group is not other:
+            group["state"] = np.kron(group["state"], other["state"])
+            group["factors"] += other["factors"]
+            for owner, _ in other["factors"]:
+                groups[owner] = group
+        for owner, eff in zip((g.subject, g.object), (effects or {}).get(g.verb, (None, None))):
+            if eff is not None:
+                conjugate(group, owner, c.actor(owner).lex, eff.matrix)
+
+    group = groups[name]
+    dims = [x.dim for _, x in group["factors"]]
+    own = [i for i, (o, _) in enumerate(group["factors"]) if o == name]
+    marginals = {group["factors"][i][1].name: _dense_keep(group["state"], dims, [i]) for i in own}
+    return dims, marginals, _dense_keep(group["state"], dims, own)
+
+
+DIFF_ACTORS = ("Ann", "Ben", "Cal")
+DIFF_WORDS = ("kind", "warm", "nice", "cold", "young", "old", "age")
+
+
+@pytest.fixture(scope="module")
+def diff_lexes():
+    return (
+        build_lexicon(parse_taxonomy("ann\tperson\nben\tperson\ncal\tperson\ndan\tperson\n"), name="names"),
+        build_lexicon(parse_taxonomy("kind\tnice\nwarm\tnice\ncold\tmean\n"), name="traits"),
+        build_lexicon(parse_taxonomy("young\tage\nold\tage\n"), name="ages"),
+        build_lexicon(parse_taxonomy("meets\tverb\nhelps\tverb\n"), name="verbs"),
+    )
+
+
+def _random_effect(rng, dim, low=0.3):
+    """Sup-normalized, non-diagonal PSD effect with spectrum in [low, 1]."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    lam = rng.uniform(low, 1.0, dim)
+    lam /= lam.max()
+    m = q @ np.diag(lam) @ q.T
+    return Operator((m + m.T) / 2.0)
+
+
+_line = st.one_of(
+    st.tuples(st.sampled_from(DIFF_ACTORS), st.sampled_from(DIFF_WORDS)).map(
+        lambda t: f"{t[0]} is {t[1]}"
+    ),
+    st.tuples(
+        st.sampled_from(DIFF_ACTORS), st.sampled_from(("meets", "helps")), st.sampled_from(DIFF_ACTORS)
+    ).map(" ".join),
+)
+
+
+class TestFactoredMatchesDense:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lines=st.lists(_line, min_size=0, max_size=6),
+        target=st.sampled_from(DIFF_ACTORS),
+        seed=st.integers(0, 2**32 - 1),
+        sides=st.lists(st.sampled_from(("subject", "object", "both")), min_size=2, max_size=2),
+        annihilate=st.booleans(),
+    )
+    def test_random_scripts(self, diff_lexes, lines, target, seed, sides, annihilate):
+        rng = np.random.default_rng(seed)
+        names_dim = diff_lexes[0].dim
+        effects = {}
+        for verb, side in zip(("meets", "helps"), sides):
+            subj = None if side == "object" else _random_effect(rng, names_dim)
+            obj = None if side == "subject" else _random_effect(rng, names_dim)
+            effects[verb] = (subj, obj)
+        script = [f"actor {a}" for a in DIFF_ACTORS] + lines
+        if annihilate:
+            # Dan's untouched pure name state lies in the kernel of this effect,
+            # so linking Dan to the target zeroes the target's whole group.
+            keep = np.ones(names_dim)
+            keep[diff_lexes[0].leaves.index("dan")] = 0.0
+            kernel = np.diag(keep)
+            m = kernel @ _random_effect(rng, names_dim).matrix @ kernel
+            effects["loves"] = (None, Operator((m + m.T) / 2.0))
+            script.append(f"{target} loves Dan")
+        lexes = diff_lexes
+        if annihilate:
+            lexes = (*diff_lexes, build_lexicon(parse_taxonomy("loves\tfeeling\n"), name="feelings"))
+        c = parse_script("\n".join(script), lexes)
+        dims, marginals, joint = dense_reference(c, target, effects)
+        assume(int(np.prod(dims)) <= 600)
+
+        if np.trace(joint) <= ZERO_TRACE_TOL:
+            with pytest.raises(ZeroOperator):
+                composed_state(c, target, effects)
+            with pytest.raises(ZeroOperator):
+                composed_factors(c, target, effects)
+            return
+        assert not annihilate
+        got = composed_factors(c, target, effects)
+        assert set(got) == set(marginals)
+        for key, m in marginals.items():
+            np.testing.assert_allclose(got[key].matrix, m / np.trace(m), atol=1e-10)
+        np.testing.assert_allclose(
+            composed_state(c, target, effects).matrix, joint / np.trace(joint), atol=1e-10
+        )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import COLORS_TSV, DRINKS_TSV, FIG1_TSV
 from convneg.errors import (
@@ -20,6 +22,7 @@ from convneg.strings import (
     cn_string,
     derive_weights,
     enumerate_negation_sets,
+    interpretation_scores,
     string_score,
 )
 from convneg.taxonomy import parse_taxonomy
@@ -281,3 +284,81 @@ class TestBestInterpretation:
         subset, score = best_interpretation(s, follow, 0.75, 0)
         assert subset == (0,)  # {0} and {1} both score 1; earliest wins
         assert score == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# differential check: factored interpretation scores against exhaustive scoring
+
+
+def exhaustive_scores(s, target, lam, sigma, cfg):
+    """lambda^(|S|-1) * string_score over every negation set, states built
+    subset by subset."""
+    raw = []
+    for subset in enumerate_negation_sets(len(s)):
+        states = tuple(
+            cn_word(slot.word, slot.lex, cfg) if i in subset else slot.lex.word_operator(slot.word)
+            for i, slot in enumerate(s.positions)
+        )
+        raw.append(lam ** (len(subset) - 1) * string_score(states, target, sigma))
+    return raw
+
+
+def _negation_fails(slot, cfg):
+    try:
+        cn_word(slot.word, slot.lex, cfg)
+    except ZeroNegation:
+        return True
+    return False
+
+
+@st.composite
+def string_pairs(draw, lexes):
+    n = draw(st.integers(1, 5))
+    picked = [draw(st.sampled_from(lexes)) for _ in range(n)]
+    words = [draw(st.sampled_from(lex.concepts)) for lex in picked]
+    if draw(st.booleans()):
+        follow = list(words)  # with sigma 0 often all-zero
+    else:
+        follow = [draw(st.sampled_from(lex.concepts)) for lex in picked]
+    s = WordString(tuple(Slot(w, lex) for w, lex in zip(words, picked)))
+    t = WordString(tuple(Slot(w, lex) for w, lex in zip(follow, picked)))
+    return s, t
+
+
+class TestFactoredScoresMatchExhaustive:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        lam=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+        sigma=st.sampled_from([0.0, 0.25, 0.5]),
+        decay=st.sampled_from([None, 0.3]),
+    )
+    def test_bitwise_equal_and_canonical_best(self, colors, drinks, fig1, data, lam, sigma, decay):
+        s, target = data.draw(string_pairs((colors, drinks, fig1)))
+        cfg = NegationConfig(decay=decay, sigma=sigma)
+        failing = [i for i, slot in enumerate(s.positions) if _negation_fails(slot, cfg)]
+        if failing:
+            # roots negate to zero; the first singleton that needs one is named
+            with pytest.raises(ZeroNegation, match=rf"negation set \{{{failing[0]}\}}"):
+                interpretation_scores(s, target, lam, sigma, cfg)
+            return
+        want = exhaustive_scores(s, target, lam, sigma, cfg)
+        got = interpretation_scores(s, target, lam, sigma, cfg)
+        assert got == want
+        k = want.index(max(want))
+        assert best_interpretation(s, target, lam, sigma, cfg) == (
+            enumerate_negation_sets(len(s))[k],
+            want[k],
+        )
+
+    def test_all_zero_and_tied_targets_covered(self, colors, drinks):
+        s = WordString.resolve(["red", "wine", "white"], [colors, drinks])
+        zero = interpretation_scores(s, s, 0.75, 0, NegationConfig(sigma=0))
+        assert zero == exhaustive_scores(s, s, 0.75, 0, NegationConfig(sigma=0))
+        assert max(zero) == 0.0
+        assert best_interpretation(s, s, 0.75, 0, NegationConfig(sigma=0)) == ((0,), 0.0)
+        top = WordString.resolve(["color", "drink", "color"], [colors, drinks])
+        tied = interpretation_scores(s, top, 1.0, 0, NegationConfig(sigma=0))
+        assert tied == exhaustive_scores(s, top, 1.0, 0, NegationConfig(sigma=0))
+        assert set(tied) == {1.0}
+        assert best_interpretation(s, top, 1.0, 0, NegationConfig(sigma=0)) == ((0,), 1.0)
