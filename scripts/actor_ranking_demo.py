@@ -7,6 +7,7 @@ actors against the negated one for a few smoothing strengths.
 from pathlib import Path
 
 from convneg import (
+    NegationConfig,
     build_lexicon,
     cn_actor,
     contribution_string,
@@ -39,7 +40,7 @@ def main() -> None:
     print()
 
     for sigma in (0.0, 0.25, 0.5):
-        ranked = rank_alternatives(circuit, NEGATED, sigma=sigma)
+        ranked = rank_alternatives(circuit, NEGATED, NegationConfig(sigma=sigma))
         row = "  ".join(
             f"{actor.name} {score:.6f}" for actor, _, score in ranked
         )

@@ -6,7 +6,14 @@ Usage: python scripts/word_alternatives_demo.py [word] [--sigma S]
 import argparse
 from pathlib import Path
 
-from convneg import NegationConfig, alternatives, build_lexicon, cn_word, load_taxonomy
+from convneg import (
+    SIGMA_DEFAULT,
+    NegationConfig,
+    alternatives,
+    build_lexicon,
+    cn_word,
+    load_taxonomy,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -15,7 +22,7 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("word", nargs="?", default="hamster")
     ap.add_argument("--taxonomy", default=str(ROOT / "fixtures" / "fig1.tsv"))
-    ap.add_argument("--sigma", type=float, default=0.5)
+    ap.add_argument("--sigma", type=float, default=SIGMA_DEFAULT)
     args = ap.parse_args()
 
     lex = build_lexicon(load_taxonomy(args.taxonomy))

@@ -10,6 +10,8 @@ Kronecker product of one actor's own factors.
 Reading all updates to a wire as one long word string lets the
 string-negation machinery negate an actor: every word that touched the wire,
 directly or through a linking verb, is a candidate for the negation set.
+cn_actor and rank_alternatives take their smoothing sigma from the
+NegationConfig, like the string functions they call.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .entailment import SIGMA_DEFAULT
 from .errors import (
     AlignmentError,
     DimMismatch,
@@ -394,19 +395,19 @@ def cn_actor(
     weights: Sequence[float] | None = None,
     context: WordString | None = None,
     lambda_size: float = LAMBDA_DEFAULT,
-    sigma: float = SIGMA_DEFAULT,
 ) -> NegationMixture:
     """Negate an actor: mixture over negation sets of its contributing words.
 
-    Weights come from an explicit vector, from a context string, or from the
-    size prior alone, in that order of preference.
+    Weights come from an explicit vector, from a context string (overlaps
+    smoothed by cfg.sigma), or from the size prior alone, in that order of
+    preference.
     """
     if weights is not None and context is not None:
         raise ValueError("pass explicit weights or a context string, not both")
     s, _ = contribution_string(c, name)
     if weights is None:
         if context is not None:
-            weights = derive_weights(s, context, lambda_size, sigma, cfg)
+            weights = derive_weights(s, context, lambda_size, cfg)
         else:
             weights = size_prior(len(s), lambda_size)
     return cn_string(s, weights, cfg)
@@ -417,10 +418,10 @@ def rank_alternatives(
     name: str,
     cfg: NegationConfig = DEFAULTS,
     lambda_size: float = LAMBDA_DEFAULT,
-    sigma: float = SIGMA_DEFAULT,
 ) -> list[tuple[Actor, tuple[int, ...], float]]:
     """Who else the speaker might have meant: every other actor scored by the
-    best interpretation of "not <name>" against that actor's word sequence.
+    best interpretation of "not <name>" against that actor's word sequence,
+    with overlaps smoothed by cfg.sigma.
 
     Actors must be structurally parallel (same slot count, same spaces per
     position); the negated actor must not be linked.
@@ -436,7 +437,7 @@ def rank_alternatives(
         if other.name == negated.name:
             continue
         target = actor_view(c, other.name).unary_string()
-        subset, score = best_interpretation(s, target, lambda_size, sigma, cfg)
+        subset, score = best_interpretation(s, target, lambda_size, cfg)
         rows.append((-score, position, other, subset))
     rows.sort(key=lambda r: (r[0], r[1]))
     return [(other, subset, -neg_score) for neg_score, _, other, subset in rows]

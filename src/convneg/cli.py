@@ -25,8 +25,14 @@ from .circuits import (
 )
 from .entailment import SIGMA_DEFAULT, loewner_k, overlap_score
 from .errors import ConvnegError
-from .lexicon import Lexicon, build_lexicon, load_lexicon, save_lexicon
-from .negation import NegationConfig, alternatives
+from .lexicon import DEFAULT_DECAY, Lexicon, build_lexicon, load_lexicon, save_lexicon
+from .negation import (
+    COMPOSITION_CHOICES,
+    DEFAULTS,
+    LOGICAL_CHOICES,
+    NegationConfig,
+    alternatives,
+)
 from .strings import (
     LAMBDA_DEFAULT,
     WordString,
@@ -124,15 +130,15 @@ def _cmd_negate_string(args, out: IO[str]) -> int:
     s = WordString.resolve(args.string.split(), lexes)
     follow = WordString.resolve(args.follow_up.split(), lexes)
     cfg = NegationConfig(sigma=args.sigma)
-    weights = derive_weights(s, follow, args.lambda_size, args.sigma, cfg)
-    raw = interpretation_scores(s, follow, args.lambda_size, args.sigma, cfg)
+    weights = derive_weights(s, follow, args.lambda_size, cfg)
+    raw = interpretation_scores(s, follow, args.lambda_size, cfg)
     labels = s.words
     rows = [
         (_subset_label(subset, labels), _fmt(w), _fmt(r))
         for subset, w, r in zip(enumerate_negation_sets(len(s)), weights, raw)
     ]
     _emit(("subset", "weight", "score"), rows, args.format, out)
-    subset, score = best_interpretation(s, follow, args.lambda_size, args.sigma, cfg)
+    subset, score = best_interpretation(s, follow, args.lambda_size, cfg)
     print(f"best {_subset_label(subset, labels)} {_fmt(score)}", file=out)
     return 0
 
@@ -159,7 +165,7 @@ def _cmd_negate_actor(args, out: IO[str]) -> int:
         rows = [
             (str(i), actor.name, _subset_label(subset, labels), _fmt(score))
             for i, (actor, subset, score) in enumerate(
-                rank_alternatives(circuit, args.actor, cfg, args.lambda_size, args.sigma),
+                rank_alternatives(circuit, args.actor, cfg, args.lambda_size),
                 start=1,
             )
         ]
@@ -168,14 +174,7 @@ def _cmd_negate_actor(args, out: IO[str]) -> int:
     context = None
     if args.context:
         context = WordString.resolve(args.context.split(), lexes)
-    mix = cn_actor(
-        circuit,
-        args.actor,
-        cfg,
-        context=context,
-        lambda_size=args.lambda_size,
-        sigma=args.sigma,
-    )
+    mix = cn_actor(circuit, args.actor, cfg, context=context, lambda_size=args.lambda_size)
     _, labels = contribution_string(circuit, args.actor)
     rows = [
         (_subset_label(term.subset, labels), _fmt(term.weight)) for term in mix.terms
@@ -210,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lb = lx_sub.add_parser("build", help="build operators from a taxonomy")
     lb.add_argument("taxonomy")
     lb.add_argument("--out", required=True)
-    lb.add_argument("--decay", type=float, default=0.5)
+    lb.add_argument("--decay", type=float, default=DEFAULT_DECAY)
     lb.set_defaults(func=_cmd_lexicon_build)
     lc = lx_sub.add_parser("check", help="load a store and re-validate it")
     lc.add_argument("store")
@@ -219,8 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     nw = sub.add_parser("negate-word", help="alternatives to a negated word")
     nw.add_argument("word")
     nw.add_argument("--taxonomy", required=True)
-    nw.add_argument("--neg", choices=("complement", "pinv"), default="complement")
-    nw.add_argument("--comp", choices=("hadamard", "conjugate"), default="hadamard")
+    nw.add_argument("--neg", choices=LOGICAL_CHOICES, default=DEFAULTS.logical)
+    nw.add_argument("--comp", choices=COMPOSITION_CHOICES, default=DEFAULTS.composition)
     nw.add_argument("--decay", type=float, default=None)
     nw.add_argument("--sigma", type=float, default=SIGMA_DEFAULT)
     nw.add_argument("--top", type=int, default=None)

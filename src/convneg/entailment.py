@@ -14,13 +14,7 @@ import numpy as np
 
 from .errors import DimMismatch, ZeroOperator
 from .lexicon import Lexicon
-from .operators import (
-    Operator,
-    ZERO_TRACE_TOL,
-    mix,
-    normalize,
-    support_projector,
-)
+from .operators import Operator, PINV_TOL, ZERO_TRACE_TOL, mix, normalize
 
 SIGMA_DEFAULT = 0.5
 SUPPORT_RESIDUAL_TOL = 1e-8
@@ -36,7 +30,10 @@ def loewner_k_raw(a: Operator, b: Operator) -> float:
     Zero when the support of A escapes the support of B (projector residual
     above 1e-8, measured relative to A's largest eigenvalue); may exceed 1
     otherwise. Exposed separately so the scale law k(cA, B) = k(A, B)/c can
-    be checked before clamping.
+    be checked before clamping. One eigendecomposition of B gives its support
+    (eigenvalues above PINV_TOL relative to the largest) and the basis that
+    restricts both operators to it; whitening by the Cholesky factor of B's
+    restriction, rounded as A's is, keeps k(A, A) = 1 at any conditioning.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"entailment between dims {a.dim} and {b.dim}")
@@ -44,15 +41,18 @@ def loewner_k_raw(a: Operator, b: Operator) -> float:
         raise ZeroOperator("graded entailment needs a nonzero left operand")
     if b.is_zero():
         return 0.0
-    comp = np.eye(b.dim) - support_projector(b).matrix
+    lam, vecs = np.linalg.eigh(b.matrix)
+    keep = lam > PINV_TOL * lam[-1]
+    kernel = vecs[:, ~keep]
+    comp = kernel @ kernel.T
     outside = comp @ a.matrix @ comp
     residual = float(np.linalg.eigvalsh((outside + outside.T) / 2)[-1])
     if residual > SUPPORT_RESIDUAL_TOL * a.max_eigenvalue():
         return 0.0
-    lam, vecs = np.linalg.eigh(b.matrix)
-    keep = lam > 1e-10
-    root_pinv = vecs[:, keep] @ np.diag(1.0 / np.sqrt(lam[keep])) @ vecs[:, keep].T
-    m = root_pinv @ a.matrix @ root_pinv
+    v = vecs[:, keep]
+    tb = v.T @ b.matrix @ v
+    chol = np.linalg.cholesky((tb + tb.T) / 2)
+    m = np.linalg.solve(chol, np.linalg.solve(chol, v.T @ a.matrix @ v).T)
     top = float(np.linalg.eigvalsh((m + m.T) / 2)[-1])
     if top <= 0.0:
         return 0.0

@@ -16,7 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvnegError, AmbiguousWord, ParseError, UnknownWord
-from .operators import Operator, identity, mix, operator_from_lines, operator_to_lines
+from .operators import (
+    LineReader,
+    Operator,
+    identity,
+    mix,
+    operator_from_lines,
+    operator_to_lines,
+)
 from .taxonomy import Taxonomy
 
 DEFAULT_DECAY = 0.5
@@ -150,60 +157,44 @@ def save_lexicon(lex: Lexicon, path: str | Path) -> None:
 
 def load_lexicon(path: str | Path, name: str = "") -> Lexicon:
     """Load a lexicon store; re-validates every operator's invariants."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = iter(text.splitlines())
-    lineno = 0
+    reader = LineReader(Path(path).read_text(encoding="utf-8").splitlines())
 
-    def next_line() -> str:
-        nonlocal lineno
-        try:
-            line = next(lines)
-        except StopIteration:
-            raise ParseError("unexpected end of lexicon file", lineno) from None
-        lineno += 1
-        return line.rstrip("\n")
-
-    if next_line() != "LEXICON v1":
-        raise ParseError("expected header 'LEXICON v1'", lineno)
-    decay_line = next_line()
+    if reader.require("lexicon file") != "LEXICON v1":
+        raise ParseError("expected header 'LEXICON v1'", reader.lineno)
+    decay_line = reader.require("lexicon file")
     if not decay_line.startswith("DECAY "):
-        raise ParseError("expected 'DECAY <real>'", lineno)
+        raise ParseError("expected 'DECAY <real>'", reader.lineno)
     try:
         decay = _check_decay(float(decay_line.split(" ", 1)[1]))
     except ValueError as exc:
-        raise ParseError(f"bad decay: {exc}", lineno) from None
-    leaves_line = next_line()
+        raise ParseError(f"bad decay: {exc}", reader.lineno) from None
+    leaves_line = reader.require("lexicon file")
     if not leaves_line.startswith("LEAVES "):
-        raise ParseError("expected 'LEAVES <comma list>'", lineno)
+        raise ParseError("expected 'LEAVES <comma list>'", reader.lineno)
     leaves = tuple(leaves_line[len("LEAVES ") :].split(","))
     if len(set(leaves)) != len(leaves) or any(not leaf for leaf in leaves):
-        raise ParseError("leaf names must be nonempty and unique", lineno)
+        raise ParseError("leaf names must be nonempty and unique", reader.lineno)
 
     concepts: list[str] = []
     word_ops: dict[str, Operator] = {}
     wc_ops: dict[str, Operator] = {}
-    while True:
-        try:
-            line = next(lines)
-        except StopIteration:
-            break
-        lineno += 1
-        line = line.rstrip("\n")
+    for line in reader:
         if not line:
             continue
         kind, _, concept = line.partition(" ")
         if kind not in ("WORD", "WC") or not concept:
-            raise ParseError(f"expected 'WORD <name>' or 'WC <name>', got {line!r}", lineno)
-        op = operator_from_lines(lines, lineno)
-        lineno += 2 + op.dim
+            raise ParseError(
+                f"expected 'WORD <name>' or 'WC <name>', got {line!r}", reader.lineno
+            )
+        op = operator_from_lines(reader)
         if op.dim != len(leaves):
             raise ParseError(
                 f"operator for {concept!r} has dim {op.dim}, leaf space has {len(leaves)}",
-                lineno,
+                reader.lineno,
             )
         target = word_ops if kind == "WORD" else wc_ops
         if concept in target:
-            raise ParseError(f"duplicate {kind} block for {concept!r}", lineno)
+            raise ParseError(f"duplicate {kind} block for {concept!r}", reader.lineno)
         target[concept] = op
         if kind == "WORD":
             concepts.append(concept)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entailment import overlap_score
+from .entailment import SIGMA_DEFAULT, overlap_score
 from .errors import NotSubnormalized, ZeroNegation
-from .lexicon import Lexicon
+from .lexicon import Lexicon, _check_decay
 from .operators import (
     Operator,
     PINV_TOL,
@@ -29,6 +29,9 @@ from .operators import (
 LOGICAL_CHOICES = ("complement", "pinv")
 COMPOSITION_CHOICES = ("hadamard", "conjugate")
 VIEW_CHOICES = ("trace", "sup")
+# complement accepts a predicate whose top eigenvalue exceeds 1 by this much
+# (rounding in sup-normalization) and clamps the negative eigenvalues it causes
+COMPLEMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,15 +39,19 @@ class NegationConfig:
     """Choice points of the negation pipeline.
 
     decay=None defers to the lexicon's stored worldly contexts; a number
-    recomputes them on the fly (requires a lexicon built from a taxonomy).
-    sigma is the predicate smoothing used when ranking alternatives.
+    recomputes them on the fly for the composition step of cn_word (requires
+    a lexicon built from a taxonomy). Scoring always smooths predicates with
+    the stored contexts, so alternatives under a decay override compose at
+    cfg.decay but smooth at the lexicon's decay.
+    sigma is the predicate smoothing used when scoring alternatives, string
+    interpretations and actors; it is the only source of sigma for them.
     """
 
     logical: str = "complement"
     composition: str = "hadamard"
     decay: float | None = None
     view: str = "trace"
-    sigma: float = 0.5
+    sigma: float = SIGMA_DEFAULT
 
     def __post_init__(self) -> None:
         if self.logical not in LOGICAL_CHOICES:
@@ -55,8 +62,8 @@ class NegationConfig:
             )
         if self.view not in VIEW_CHOICES:
             raise ValueError(f"view must be one of {VIEW_CHOICES}, got {self.view!r}")
-        if self.decay is not None and not 0.0 < self.decay < 1.0:
-            raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
+        if self.decay is not None:
+            _check_decay(self.decay)
         if self.sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
 
@@ -67,12 +74,12 @@ DEFAULTS = NegationConfig()
 def logical_not_complement(p: Operator) -> Operator:
     """I - P for a sup-normalized (or sub-normalized) predicate."""
     top = p.max_eigenvalue()
-    if top > 1.0 + 1e-9:
+    if top > 1.0 + COMPLEMENT_TOL:
         raise NotSubnormalized(f"complement needs max eigenvalue <= 1, got {top!r}")
     m = np.eye(p.dim) - p.matrix
     low = float(np.linalg.eigvalsh(m)[0])
     if low < 0.0:
-        # eigenvalues in [-1e-9, 0) from the tolerance window above; clamp
+        # eigenvalues in [-COMPLEMENT_TOL, 0) from the window above; clamp
         lam, vecs = np.linalg.eigh(m)
         m = vecs @ np.diag(np.clip(lam, 0.0, None)) @ vecs.T
         m = (m + m.T) / 2.0

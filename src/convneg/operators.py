@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,17 @@ ZERO_TRACE_TOL = 1e-12
 PINV_TOL = 1e-10
 
 
+def psd_floor(lam_max: float) -> float:
+    """Most negative eigenvalue still read as rounding of a PSD matrix.
+
+    -PSD_TOL up to unit scale, then -PSD_TOL times the largest eigenvalue:
+    an eigensolver's error grows with the matrix norm, so e.g. the
+    pseudoinverse of an ill-conditioned operator (norm 1e8) shows
+    eigenvalues of -1e-8 in its null space.
+    """
+    return -PSD_TOL * max(1.0, lam_max)
+
+
 def _as_square(matrix) -> np.ndarray:
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -45,9 +56,10 @@ class Operator:
     """Real symmetric positive semidefinite matrix with optional basis labels.
 
     Construction validates symmetry (tolerance 1e-12) and positivity:
-    eigenvalues below -1e-10 are rejected, eigenvalues in [-1e-10, 0) are
-    clamped to zero by projecting onto the PSD cone. ``labels``, when
-    non-empty, names the basis vectors and must be unique.
+    eigenvalues below ``psd_floor`` of the largest eigenvalue are rejected,
+    those between it and 0 are clamped to zero by projecting onto the PSD
+    cone. ``labels``, when non-empty, names the basis vectors and must be
+    unique.
     """
 
     matrix: np.ndarray
@@ -59,8 +71,9 @@ class Operator:
         if defect > SYMMETRY_TOL:
             raise InvalidOperator(f"matrix is not symmetric (defect {defect:.3e})")
         a = (a + a.T) / 2.0
-        lam_min = float(np.linalg.eigvalsh(a)[0])
-        if lam_min < -PSD_TOL:
+        lam = np.linalg.eigvalsh(a)
+        lam_min = float(lam[0])
+        if lam_min < psd_floor(float(lam[-1])):
             raise InvalidOperator(f"matrix is not PSD (min eigenvalue {lam_min:.3e})")
         if lam_min < 0.0:
             lam, vecs = np.linalg.eigh(a)
@@ -106,34 +119,8 @@ class Operator:
             np.all(np.abs(self.matrix - other.matrix) <= tol)
         )
 
-    def relabel(self, labels: Sequence[str]) -> "Operator":
-        return Operator(self.matrix, tuple(labels))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Operator(dim={self.dim}, trace={self.trace():.6g})"
-
-
-@dataclass(frozen=True)
-class SubsystemShape:
-    """Factorization of a composite dimension into ordered tensor factors."""
-
-    factor_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise InvalidOperator(f"factor dims must be positive, got {dims}")
-        object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.factor_dims)
-
-    def __len__(self) -> int:
-        return len(self.factor_dims)
-
-    def __iter__(self):
-        return iter(self.factor_dims)
 
 
 @dataclass(frozen=True)
@@ -145,12 +132,13 @@ class OperatorDiagnostics:
     min_eigenvalue: float
     trace: float
     labels_ok: bool
+    max_eigenvalue: float
 
     @property
     def passed(self) -> bool:
         return (
             self.symmetry_defect <= SYMMETRY_TOL
-            and self.min_eigenvalue >= -PSD_TOL
+            and self.min_eigenvalue >= psd_floor(self.max_eigenvalue)
             and self.labels_ok
         )
 
@@ -201,16 +189,16 @@ def tensor(a: Operator, b: Operator) -> Operator:
     return Operator(m, labels)
 
 
-def partial_trace(
-    a: Operator, shape: SubsystemShape | Sequence[int], keep: int
-) -> Operator:
-    """Trace out every tensor factor except ``keep``.
+def partial_trace(a: Operator, shape: Sequence[int], keep: int) -> Operator:
+    """Trace out every tensor factor except ``keep``; ``shape`` lists the
+    factor dimensions in order.
 
     Preserves the total trace. The result carries no basis labels because
     composite labels are not decomposable in general.
     """
-    dims = tuple(shape) if not isinstance(shape, SubsystemShape) else shape.factor_dims
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(int(d) for d in shape)
+    if not dims or any(d < 1 for d in dims):
+        raise InvalidOperator(f"factor dims must be positive, got {dims}")
     if math.prod(dims) != a.dim:
         raise DimMismatch(f"shape {dims} does not factor dimension {a.dim}")
     if not 0 <= keep < len(dims):
@@ -290,14 +278,18 @@ def validate(a: Operator | np.ndarray) -> OperatorDiagnostics:
         m = np.asarray(a, dtype=np.float64)
         labels = ()
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        return OperatorDiagnostics(0, float("inf"), float("-inf"), float("nan"), False)
+        return OperatorDiagnostics(
+            0, float("inf"), float("-inf"), float("nan"), False, float("nan")
+        )
     defect = float(np.max(np.abs(m - m.T)))
     sym = (m + m.T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(sym)[0])
+    lam = np.linalg.eigvalsh(sym)
     labels_ok = not labels or (
         len(labels) == m.shape[0] and len(set(labels)) == len(labels)
     )
-    return OperatorDiagnostics(m.shape[0], defect, lam_min, float(np.trace(m)), labels_ok)
+    return OperatorDiagnostics(
+        m.shape[0], defect, float(lam[0]), float(np.trace(m)), labels_ok, float(lam[-1])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,51 +306,70 @@ def operator_to_lines(a: Operator) -> list[str]:
     return lines
 
 
-def operator_from_lines(lines: Iterator[str], lineno: int = 0) -> Operator:
-    """Parse one operator block from an iterator of raw lines.
+class LineReader:
+    """Iterator over raw text lines that counts what it has consumed.
 
-    ``lineno`` is the 1-based number of the last line already consumed, used
-    only for error messages. The loader re-validates all invariants.
+    ``lineno`` is the 1-based number of the last line consumed, for error
+    messages. Iteration ends quietly at end of input; ``require`` raises
+    ParseError there instead.
     """
 
-    def next_line() -> tuple[str, int]:
-        nonlocal lineno
-        try:
-            line = next(lines)
-        except StopIteration:
-            raise ParseError("unexpected end of operator block", lineno) from None
-        lineno += 1
-        return line.rstrip("\n"), lineno
+    def __init__(self, lines: Iterable[str]):
+        self._lines = iter(lines)
+        self.lineno = 0
 
-    header, at = next_line()
+    def __iter__(self) -> "LineReader":
+        return self
+
+    def __next__(self) -> str:
+        line = next(self._lines)
+        self.lineno += 1
+        return line.rstrip("\n")
+
+    def require(self, what: str) -> str:
+        """The next line; ParseError("unexpected end of <what>") if none."""
+        try:
+            line = next(self._lines)
+        except StopIteration:
+            raise ParseError(f"unexpected end of {what}", self.lineno) from None
+        self.lineno += 1
+        return line.rstrip("\n")
+
+
+def operator_from_lines(reader: LineReader) -> Operator:
+    """Parse one operator block from ``reader``; errors name the reader's line.
+
+    The loader re-validates all invariants.
+    """
+    header = reader.require("operator block")
     parts = header.split()
     if len(parts) != 2 or parts[0] != "OPERATOR":
-        raise ParseError(f"expected 'OPERATOR <dim>', got {header!r}", at)
+        raise ParseError(f"expected 'OPERATOR <dim>', got {header!r}", reader.lineno)
     try:
         dim = int(parts[1])
     except ValueError:
-        raise ParseError(f"bad operator dimension {parts[1]!r}", at) from None
+        raise ParseError(f"bad operator dimension {parts[1]!r}", reader.lineno) from None
     if dim < 1:
-        raise ParseError(f"operator dimension must be positive, got {dim}", at)
-    label_line, at = next_line()
+        raise ParseError(f"operator dimension must be positive, got {dim}", reader.lineno)
+    label_line = reader.require("operator block")
     if not label_line.startswith("LABELS "):
-        raise ParseError(f"expected 'LABELS ...', got {label_line!r}", at)
+        raise ParseError(f"expected 'LABELS ...', got {label_line!r}", reader.lineno)
     raw = label_line[len("LABELS ") :].strip()
     labels: tuple[str, ...] = () if raw == "-" else tuple(raw.split(","))
     rows = []
     for _ in range(dim):
-        row_line, at = next_line()
+        row_line = reader.require("operator block")
         fields = row_line.split()
         if len(fields) != dim:
-            raise ParseError(f"expected {dim} entries, got {len(fields)}", at)
+            raise ParseError(f"expected {dim} entries, got {len(fields)}", reader.lineno)
         try:
             rows.append([float(x) for x in fields])
         except ValueError:
-            raise ParseError(f"bad matrix entry in {row_line!r}", at) from None
+            raise ParseError(f"bad matrix entry in {row_line!r}", reader.lineno) from None
     try:
         return Operator(np.array(rows), labels)
     except InvalidOperator as exc:
-        raise ParseError(f"invalid operator ending at this line: {exc}", at) from exc
+        raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc
 
 
 def operator_to_text(a: Operator) -> str:
@@ -366,4 +377,4 @@ def operator_to_text(a: Operator) -> str:
 
 
 def operator_from_text(text: str) -> Operator:
-    return operator_from_lines(iter(text.splitlines()))
+    return operator_from_lines(LineReader(text.splitlines()))

@@ -4,7 +4,10 @@ Negating "red wine" does not say which word the speaker rejects, so the
 negation is a weighted mixture over every non-empty negation set: subsets of
 positions whose words are replaced by their single-word negation while the
 rest stay put. Weights come from a follow-up sentence (entailment product,
-word by word) shaped by a size prior that favors negating few words.
+word by word) shaped by a size prior that favors negating few words. The
+overlaps are smoothed by the same sigma as single-word alternatives: the one
+in NegationConfig. Only string_score, which takes no config, takes sigma as
+an argument.
 """
 
 from __future__ import annotations
@@ -186,16 +189,16 @@ def derive_weights(
     s: WordString,
     context: WordString,
     lambda_size: float = LAMBDA_DEFAULT,
-    sigma: float = SIGMA_DEFAULT,
     cfg: NegationConfig = DEFAULTS,
 ) -> tuple[float, ...]:
     """Subset weights from a follow-up sentence.
 
     weight(S') is proportional to lambda_size^(|S'|-1) times the word-by-word
-    overlap of the S'-interpretation with the follow-up. When the follow-up
-    rules out every interpretation, the size prior alone decides.
+    overlap (smoothed by cfg.sigma) of the S'-interpretation with the
+    follow-up. When the follow-up rules out every interpretation, the size
+    prior alone decides.
     """
-    raw = interpretation_scores(s, context, lambda_size, sigma, cfg)
+    raw = interpretation_scores(s, context, lambda_size, cfg)
     total = sum(raw)
     if total <= 0:
         return size_prior(len(s), lambda_size)
@@ -206,7 +209,6 @@ def interpretation_scores(
     s: WordString,
     context: WordString,
     lambda_size: float = LAMBDA_DEFAULT,
-    sigma: float = SIGMA_DEFAULT,
     cfg: NegationConfig = DEFAULTS,
 ) -> list[float]:
     """Size-weighted match of every interpretation against ``context``, in
@@ -215,14 +217,15 @@ def interpretation_scores(
 
     The string score factors per position, so each position's overlap is
     computed once for its original word and once for its negation; a
-    subset's score multiplies them left to right, as string_score would.
+    subset's score multiplies them left to right, as
+    string_score(states, context, cfg.sigma) would.
     """
     if not 0.0 < lambda_size <= 1.0:
         raise ValueError(f"lambda_size must lie in (0, 1], got {lambda_size}")
     _check_alignment(len(s), context, tuple(slot.lex.leaves for slot in s.positions))
     subsets = enumerate_negation_sets(len(s))
-    kept = _overlaps(s.originals(), context, sigma)
-    negated = _overlaps(_negations(s, cfg), context, sigma)
+    kept = _overlaps(s.originals(), context, cfg.sigma)
+    negated = _overlaps(_negations(s, cfg), context, cfg.sigma)
     return [
         lambda_size ** (len(subset) - 1) * math.prod(_choose(subset, kept, negated))
         for subset in subsets
@@ -233,7 +236,6 @@ def best_interpretation(
     s: WordString,
     target: WordString,
     lambda_size: float = LAMBDA_DEFAULT,
-    sigma: float = SIGMA_DEFAULT,
     cfg: NegationConfig = DEFAULTS,
 ) -> tuple[tuple[int, ...], float]:
     """The negation set whose interpretation best matches ``target``.
@@ -241,7 +243,7 @@ def best_interpretation(
     Ties (including the all-zero case) go to the earliest subset in canonical
     order, so a fully uninformative target yields the first singleton.
     """
-    raw = interpretation_scores(s, target, lambda_size, sigma, cfg)
+    raw = interpretation_scores(s, target, lambda_size, cfg)
     subsets = enumerate_negation_sets(len(s))
     best = max(range(len(raw)), key=lambda i: (raw[i], -i))
     return subsets[best], raw[best]

@@ -266,13 +266,13 @@ def test_a2_string_negation():
     ]
     s = WordString.resolve(["red", "wine"], lexes)
     fu = WordString.resolve(["white", "wine"], lexes)
-    weights = derive_weights(s, fu, lambda_size=0.75, sigma=0.5)
+    weights = derive_weights(s, fu, lambda_size=0.75, cfg=NegationConfig(sigma=0.5))
     for w, f, e in zip(weights, frozen, exact):
         assert abs(w - f) < 1e-6
         assert abs(w - float(e)) < 1e-12
     p_red, p_wine, p_both = weights
     assert p_red > p_both > p_wine
-    subset, best = best_interpretation(s, fu, lambda_size=0.75, sigma=0.5)
+    subset, best = best_interpretation(s, fu, lambda_size=0.75, cfg=NegationConfig(sigma=0.5))
     assert subset == (0,)
     assert abs(best - 2 / 3) < 1e-12
 
@@ -322,7 +322,7 @@ def test_a3_actor_ranking():
     assert s.words == ("alice", "human", "archaeologist")
     assert labels == ("Alice", "human", "archaeologist")
     for sigma in (0.0, 0.25, 0.5):
-        rows = rank_alternatives(circuit, "Alice", NegationConfig(sigma=sigma), 0.75, sigma)
+        rows = rank_alternatives(circuit, "Alice", NegationConfig(sigma=sigma), 0.75)
         assert [a.name for a, _, _ in rows] == ["Bob", "Claire", "Daisy"]
         if sigma == 0.0:
             assert [sub for _, sub, _ in rows] == [(0, 2), (0, 2), (0, 1, 2)]
@@ -458,7 +458,7 @@ def _battery_weight_normalization(rng, lexes):
             target = WordString(
                 tuple(Slot(str(rng.choice(slot.lex.leaves)), slot.lex) for slot in s.positions)
             )
-            mixture = cn_string(s, derive_weights(s, target, 0.75, 0.5))
+            mixture = cn_string(s, derive_weights(s, target, 0.75, NegationConfig(sigma=0.5)))
         assert abs(sum(mixture.weights) - 1.0) <= 1e-12
 
 

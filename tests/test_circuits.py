@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +31,13 @@ from convneg.errors import (
 from convneg.lexicon import build_lexicon
 from convneg.negation import DEFAULTS, NegationConfig
 from convneg.operators import ZERO_TRACE_TOL, Operator
-from convneg.strings import WordString, derive_weights, enumerate_negation_sets
+from convneg.strings import (
+    WordString,
+    best_interpretation,
+    derive_weights,
+    enumerate_negation_sets,
+    interpretation_scores,
+)
 from convneg.taxonomy import parse_taxonomy
 
 LOVE_SCRIPT = "Alice is evil.\nBob is old.\nAlice loves Bob.\n"
@@ -336,9 +344,9 @@ class TestCnActor:
     def test_context_weights_match_derive_weights(self, story, lexes):
         names, kinds, roles = lexes
         context = WordString.resolve(["bob", "human", "biologist"], lexes)
-        mix = cn_actor(story, "Alice", NegationConfig(sigma=0), context=context, sigma=0)
+        mix = cn_actor(story, "Alice", NegationConfig(sigma=0), context=context)
         s = WordString.resolve(["alice", "human", "archaeologist"], lexes)
-        want = derive_weights(s, context, 0.75, 0, NegationConfig(sigma=0))
+        want = derive_weights(s, context, 0.75, NegationConfig(sigma=0))
         np.testing.assert_allclose(mix.weights, want, atol=1e-15)
 
     def test_weights_and_context_exclusive(self, story, lexes):
@@ -362,7 +370,7 @@ class TestCnActor:
 
 class TestRankAlternatives:
     def test_story_sigma_zero(self, story):
-        rows = rank_alternatives(story, "Alice", NegationConfig(sigma=0), 0.75, 0)
+        rows = rank_alternatives(story, "Alice", NegationConfig(sigma=0), 0.75)
         assert [(a.name, subset) for a, subset, _ in rows] == [
             ("Bob", (0, 2)),
             ("Claire", (0, 2)),
@@ -375,14 +383,14 @@ class TestRankAlternatives:
 
     @pytest.mark.parametrize("sigma", [0.25, 0.5])
     def test_ordering_stable_under_smoothing(self, story, sigma):
-        rows = rank_alternatives(story, "Alice", NegationConfig(sigma=sigma), 0.75, sigma)
+        rows = rank_alternatives(story, "Alice", NegationConfig(sigma=sigma), 0.75)
         assert [a.name for a, _, _ in rows] == ["Bob", "Claire", "Daisy"]
 
     def test_identical_actors_tie_in_declaration_order(self, lexes):
         c = parse_script(
             "Alice is a human.\nBob is a human.\nClaire is a human.\n", lexes
         )
-        rows = rank_alternatives(c, "Alice", NegationConfig(sigma=0), 0.75, 0)
+        rows = rank_alternatives(c, "Alice", NegationConfig(sigma=0), 0.75)
         assert [a.name for a, _, _ in rows] == ["Bob", "Claire"]
         assert rows[0][2] == pytest.approx(rows[1][2], abs=1e-15)
         # identical up to the name: negating the name alone explains the switch
@@ -394,15 +402,15 @@ class TestRankAlternatives:
         bob = "Bob is a human.\nBob is a biologist.\n"
         claire = "Claire is a human.\nClaire is a pianist.\n"
         cfg = NegationConfig(sigma=0)
-        first = rank_alternatives(parse_script(a + bob + claire, lexes), "Alice", cfg, 0.75, 0)
-        second = rank_alternatives(parse_script(a + claire + bob, lexes), "Alice", cfg, 0.75, 0)
+        first = rank_alternatives(parse_script(a + bob + claire, lexes), "Alice", cfg, 0.75)
+        second = rank_alternatives(parse_script(a + claire + bob, lexes), "Alice", cfg, 0.75)
         assert [(x.name, s, pytest.approx(v)) for x, s, v in first] == [
             (x.name, s, v) for x, s, v in second
         ]
 
     def test_single_other_actor(self, lexes):
         c = parse_script("Alice is a human.\nBob is a human.\n", lexes)
-        rows = rank_alternatives(c, "Alice", NegationConfig(sigma=0), 0.75, 0)
+        rows = rank_alternatives(c, "Alice", NegationConfig(sigma=0), 0.75)
         assert len(rows) == 1
 
     def test_entangled_actor_rejected(self, love):
@@ -417,6 +425,26 @@ class TestRankAlternatives:
     def test_unknown_actor(self, story):
         with pytest.raises(UnknownActor):
             rank_alternatives(story, "Eve")
+
+
+class TestSigmaFromConfig:
+    def test_rank_follows_cfg_sigma(self, story):
+        # README's `--rank --sigma 0` numbers, with sigma given only in the config
+        rows = rank_alternatives(story, "Alice", NegationConfig(sigma=0))
+        assert [(a.name, round(score, 6)) for a, _, score in rows] == [
+            ("Bob", 0.143182),
+            ("Claire", 0.061364),
+            ("Daisy", 0.002557),
+        ]
+
+    @pytest.mark.parametrize(
+        "fn",
+        [derive_weights, interpretation_scores, best_interpretation, cn_actor, rank_alternatives],
+    )
+    def test_no_separate_sigma_parameter(self, fn):
+        params = inspect.signature(fn).parameters
+        assert "sigma" not in params
+        assert params["cfg"].default is DEFAULTS
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import COLORS_TSV, FIG1_TSV, FIXTURES, psd_operators, rand_full_rank_psd, rand_psd
 from convneg.entailment import (
+    SUPPORT_RESIDUAL_TOL,
     loewner_k,
     loewner_k_raw,
     overlap_score,
@@ -11,7 +13,15 @@ from convneg.entailment import (
 )
 from convneg.errors import DimMismatch, UnknownWord, ZeroOperator
 from convneg.lexicon import build_lexicon
-from convneg.operators import Operator, diagonal, hadamard, identity, normalize
+from convneg.operators import (
+    EQ_TOL,
+    Operator,
+    diagonal,
+    hadamard,
+    identity,
+    normalize,
+    support_projector,
+)
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
 
@@ -58,6 +68,22 @@ class TestLoewnerK:
     @settings(deadline=None, max_examples=60)
     def test_self_entailment_hypothesis(self, a):
         assert loewner_k(a, a) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_self_entailment_ill_conditioned(self, seed):
+        # two eigenvalues just above the support cut in a random basis: B's
+        # eigenvalues alone whiten A only to ~1e-6 here
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+        m = q @ np.diag([1.0, 3e-10, 5e-10, 0.0]) @ q.T
+        a = Operator((m + m.T) / 2)
+        assert loewner_k_raw(a, a) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_self_entailment_at_any_scale(self, scale):
+        # the support cut is relative to B's largest eigenvalue, so the
+        # direction where A is 5e-8 of its top stays in B's support at any scale
+        a = diagonal([scale * 1e-3, scale * 5e-11])
+        assert loewner_k_raw(a, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_left_raises(self):
         z = Operator(np.zeros((2, 2)))
@@ -118,6 +144,67 @@ class TestLoewnerK:
             not_a = diagonal(1.0 - pa)
             not_b = diagonal(1.0 - pb)
             assert loewner_k(not_b, not_a) == pytest.approx(1.0, abs=1e-9)
+
+
+def loewner_k_raw_two_eigh(a, b):
+    """Reference: the support projector and B^{-1/2} from two separate
+    eigendecompositions of B."""
+    if b.is_zero():
+        return 0.0
+    comp = np.eye(b.dim) - support_projector(b).matrix
+    outside = comp @ a.matrix @ comp
+    residual = float(np.linalg.eigvalsh((outside + outside.T) / 2)[-1])
+    if residual > SUPPORT_RESIDUAL_TOL * a.max_eigenvalue():
+        return 0.0
+    lam, vecs = np.linalg.eigh(b.matrix)
+    keep = lam > 1e-10
+    root_pinv = vecs[:, keep] @ np.diag(1.0 / np.sqrt(lam[keep])) @ vecs[:, keep].T
+    m = root_pinv @ a.matrix @ root_pinv
+    top = float(np.linalg.eigvalsh((m + m.T) / 2)[-1])
+    if top <= 0.0:
+        return 0.0
+    return 1.0 / top
+
+
+def _rotated(spectrum, basis):
+    """basis[:, :r] diag(spectrum) basis[:, :r]^T for r = len(spectrum)."""
+    v = basis[:, : len(spectrum)]
+    m = v @ np.diag(spectrum) @ v.T
+    return Operator((m + m.T) / 2.0)
+
+
+@st.composite
+def loewner_pairs(draw):
+    """(A, B) with B of any rank and A either inside B's support or generic."""
+    dim = draw(st.integers(1, 5))
+    b_rank = draw(st.integers(1, dim))
+    a_rank = draw(st.integers(1, dim))
+    inside = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b_basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    b = _rotated(rng.uniform(0.2, 1.0, b_rank), b_basis)
+    if inside:
+        mix = b_basis[:, :b_rank] @ rng.standard_normal((b_rank, a_rank))
+        a_basis, _ = np.linalg.qr(mix)
+        a_rank = min(a_rank, b_rank)
+    else:
+        a_basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return _rotated(rng.uniform(0.2, 1.0, a_rank), a_basis), b
+
+
+class TestLoewnerOneDecomposition:
+    @given(pair=loewner_pairs())
+    @settings(deadline=None, max_examples=200)
+    def test_matches_two_decomposition_reference(self, pair):
+        a, b = pair
+        assert abs(loewner_k_raw(a, b) - loewner_k_raw_two_eigh(a, b)) <= EQ_TOL
+
+    def test_rank_deficient_b_covers_both_branches(self):
+        b = diagonal([1.0, 0.5, 0.0])
+        inside, escaping = diagonal([0.5, 0.5, 0.0]), diagonal([0.5, 0.0, 0.5])
+        assert loewner_k_raw(inside, b) == pytest.approx(1.0, abs=EQ_TOL)
+        assert loewner_k_raw_two_eigh(inside, b) == pytest.approx(1.0, abs=EQ_TOL)
+        assert loewner_k_raw(escaping, b) == loewner_k_raw_two_eigh(escaping, b) == 0.0
 
 
 class TestSmoothedPredicate:

@@ -133,6 +133,26 @@ class TestStore:
         with pytest.raises(ParseError):
             load_lexicon(path)
 
+    @pytest.mark.parametrize(
+        "damage, line",
+        [
+            # lines 25-31 hold the second WC block (rodent); line 28 is its first row
+            (lambda ls: ls[:27] + ["x 0.0 0.0 0.0"] + ls[28:], 28),
+            (lambda ls: ls[:27] + [""] + ls[28:], 28),
+            (lambda ls: ls[:26], 26),
+        ],
+        ids=["bad-entry", "blank-row", "truncated"],
+    )
+    def test_error_names_the_line(self, fig1_lex, tmp_path, damage, line):
+        path = tmp_path / "fig1.lex"
+        save_lexicon(fig1_lex, path)
+        lines = path.read_text().splitlines()
+        assert lines[24:26] == ["WC rodent", "OPERATOR 4"]
+        path.write_text("\n".join(damage(lines)) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_lexicon(path)
+        assert exc.value.line == line
+
     def test_corrupted_entry_fails_psd_validation(self, fig1_lex, tmp_path):
         path = tmp_path / "fig1.lex"
         save_lexicon(fig1_lex, path)

@@ -174,6 +174,18 @@ class TestAlternatives:
         with pytest.raises(ValueError):
             alternatives("hamster", fig1, top_k=0)
 
+    def test_decay_override_smooths_with_stored_context(self, fig1):
+        # cfg.decay recomputes the context cn_word composes with; the scoring
+        # predicate is smoothed with the stored (decay 0.5) context
+        cfg = NegationConfig(decay=0.25, sigma=0.5)
+        got = alternatives("hamster", fig1, cfg)
+        assert got[0] == ("guinea_pig", pytest.approx(0.805996, abs=1e-6))
+        at_override = build_lexicon(fig1.taxonomy, decay=0.25)
+        state = cn_word("hamster", fig1, cfg)
+        assert overlap_score(state, "guinea_pig", at_override, 0.5) == pytest.approx(
+            0.793063, abs=1e-6
+        )
+
     def test_two_leaf(self, two_leaf):
         assert alternatives("a", two_leaf, DEFAULTS, 1) == [("b", pytest.approx(1.0))]
 

@@ -12,7 +12,6 @@ from convneg.errors import (
 )
 from convneg.operators import (
     Operator,
-    SubsystemShape,
     conjugate_update,
     diagonal,
     hadamard,
@@ -70,6 +69,17 @@ class TestConstruction:
         m = np.diag([1.0, -5e-11])
         op = Operator(m)
         assert op.min_eigenvalue() >= 0.0
+
+    def test_psd_tolerance_is_absolute_up_to_unit_scale(self):
+        with pytest.raises(InvalidOperator, match="not PSD"):
+            Operator(np.diag([1.0, -5e-10]))
+        with pytest.raises(InvalidOperator, match="not PSD"):
+            Operator(np.diag([1e-3, -5e-10]))
+
+    def test_psd_tolerance_scales_with_largest_eigenvalue(self):
+        assert Operator(np.diag([1e8, -5e-3])).min_eigenvalue() >= 0.0
+        with pytest.raises(InvalidOperator, match="not PSD"):
+            Operator(np.diag([1e8, -5e-2]))
 
     def test_rejects_bad_labels(self):
         with pytest.raises(InvalidOperator):
@@ -161,7 +171,7 @@ class TestPartialTrace:
     def test_product_state_separates(self, rng):
         a = rand_psd(rng, 3)
         b = rand_psd(rng, 2)
-        reduced = partial_trace(tensor(a, b), SubsystemShape((3, 2)), keep=0)
+        reduced = partial_trace(tensor(a, b), (3, 2), keep=0)
         np.testing.assert_allclose(reduced.matrix, a.matrix * b.trace(), atol=1e-9)
 
     def test_identity_case(self):
@@ -187,6 +197,12 @@ class TestPartialTrace:
             partial_trace(identity(4), (2, 3), keep=0)
         with pytest.raises(InvalidIndex):
             partial_trace(identity(4), (2, 2), keep=2)
+
+    @pytest.mark.parametrize("dims", [(-2, -2), (4, 1, 0), ()])
+    def test_rejects_non_positive_dims(self, dims):
+        # (-2, -2) factors dimension 4 by product alone
+        with pytest.raises(InvalidOperator, match="factor dims must be positive"):
+            partial_trace(identity(4), dims, keep=0)
 
 
 class TestHadamard:
@@ -285,6 +301,21 @@ class TestPseudoinverse:
         with pytest.raises(ZeroOperator):
             pseudoinverse(diagonal([0.0, 0.0]))
 
+    def test_ill_conditioned_input(self):
+        # eigenvalues 0, 0, 3.7e-9, 3.25: the inverse has norm 2.7e8 and its
+        # rounding shows as an eigenvalue near -2e-8
+        a = Operator(np.array([
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 2.25, 0.0, 1.5],
+            [0.0, 0.0, 3.7252903e-09, 0.0],
+            [0.0, 1.5, 0.0, 1.0],
+        ]))
+        p = pseudoinverse(a)
+        assert validate(p).passed
+        assert p.max_eigenvalue() == pytest.approx(1 / 3.7252903e-09, rel=1e-9)
+        am, pm = a.matrix, p.matrix
+        np.testing.assert_allclose(am @ pm @ am, am, atol=1e-6)
+
 
 class TestSupportProjector:
     def test_projects_onto_range(self):
@@ -311,6 +342,11 @@ class TestValidate:
         diag = validate(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert not diag.passed
         assert diag.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+
+    def test_psd_tolerance_scales_with_largest_eigenvalue(self):
+        assert validate(np.diag([1e8, -5e-3])).passed
+        assert not validate(np.diag([1e8, -5e-2])).passed
+        assert not validate(np.diag([1.0, -5e-10])).passed
 
     def test_reports_symmetry_defect(self):
         diag = validate(np.array([[1.0, 0.1], [0.0, 1.0]]))

@@ -177,10 +177,20 @@ class TestStringScore:
 class TestDeriveWeights:
     def test_red_wine_against_white_wine(self, red_wine, colors, drinks):
         follow = WordString.resolve(["white", "wine"], [colors, drinks])
-        w = derive_weights(red_wine, follow, lambda_size=0.75, sigma=0.5)
+        w = derive_weights(red_wine, follow, lambda_size=0.75, cfg=NegationConfig(sigma=0.5))
         np.testing.assert_allclose(w, (12 / 17, 2 / 17, 3 / 17), atol=1e-12)
         # ordering: negate-red beats negate-both beats negate-wine
         assert w[0] > w[2] > w[1]
+
+    def test_sigma_comes_from_cfg(self, red_wine, colors, drinks):
+        # unsmoothed, "white" rules out keeping "red" and "wine" rules out
+        # negating "wine": only {red} survives
+        white_wine = WordString.resolve(["white", "wine"], [colors, drinks])
+        assert derive_weights(red_wine, white_wine, cfg=NegationConfig(sigma=0)) == (
+            1.0,
+            0.0,
+            0.0,
+        )
 
     def test_matches_exhaustive_oracle(self, red_wine, colors, drinks):
         from convneg.entailment import overlap_score
@@ -188,7 +198,7 @@ class TestDeriveWeights:
 
         follow = WordString.resolve(["rosé", "beer"], [colors, drinks])
         lam, sig = 0.6, 0.25
-        got = derive_weights(red_wine, follow, lam, sig)
+        got = derive_weights(red_wine, follow, lam, NegationConfig(sigma=sig))
         ops = {
             (0, False): colors.word_operator("red"),
             (0, True): cn_word("red", colors, DEFAULTS),
@@ -205,27 +215,27 @@ class TestDeriveWeights:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_fallback_to_size_prior(self, red_wine):
-        w = derive_weights(red_wine, red_wine, lambda_size=0.5, sigma=0)
+        w = derive_weights(red_wine, red_wine, lambda_size=0.5, cfg=NegationConfig(sigma=0))
         np.testing.assert_allclose(w, (0.4, 0.4, 0.2), atol=1e-12)
 
     def test_uninformative_follow_up_reduces_to_prior(self, red_wine, colors, drinks):
         # top concepts entail everything, so every interpretation scores 1
         follow = WordString.resolve(["color", "drink"], [colors, drinks])
-        w = derive_weights(red_wine, follow, lambda_size=0.75, sigma=0)
+        w = derive_weights(red_wine, follow, lambda_size=0.75, cfg=NegationConfig(sigma=0))
         np.testing.assert_allclose(w, (4 / 11, 4 / 11, 3 / 11), atol=1e-12)
 
     def test_single_word_weight_is_one(self, fig1):
         s = WordString.resolve(["hamster"], [fig1])
         t = WordString.resolve(["dog"], [fig1])
         for lam in (0.25, 1.0):
-            assert derive_weights(s, t, lambda_size=lam, sigma=0) == (1.0,)
+            assert derive_weights(s, t, lambda_size=lam, cfg=NegationConfig(sigma=0)) == (1.0,)
         # orthogonal target: fallback, still (1.0,)
-        assert derive_weights(s, s, lambda_size=0.5, sigma=0) == (1.0,)
+        assert derive_weights(s, s, lambda_size=0.5, cfg=NegationConfig(sigma=0)) == (1.0,)
 
     def test_size_prior_monotone_under_uniform_scores(self, colors, drinks):
         s = WordString.resolve(["red", "wine"], [colors, drinks])
         follow = WordString.resolve(["color", "drink"], [colors, drinks])
-        w = derive_weights(s, follow, lambda_size=0.75, sigma=0)
+        w = derive_weights(s, follow, lambda_size=0.75, cfg=NegationConfig(sigma=0))
         by_size = {}
         for subset, weight in zip(enumerate_negation_sets(2), w):
             by_size.setdefault(len(subset), []).append(weight)
@@ -236,8 +246,8 @@ class TestDeriveWeights:
         follow = WordString.resolve(["white", "beer"], [colors, drinks])
         swapped = WordString.resolve(["wine", "red"], [drinks, colors])
         follow_swapped = WordString.resolve(["beer", "white"], [drinks, colors])
-        w = derive_weights(s, follow, 0.75, 0.5)
-        v = derive_weights(swapped, follow_swapped, 0.75, 0.5)
+        w = derive_weights(s, follow, 0.75, NegationConfig(sigma=0.5))
+        v = derive_weights(swapped, follow_swapped, 0.75, NegationConfig(sigma=0.5))
         assert v[0] == pytest.approx(w[1], abs=1e-15)
         assert v[1] == pytest.approx(w[0], abs=1e-15)
         assert v[2] == pytest.approx(w[2], abs=1e-15)
@@ -262,26 +272,26 @@ class TestDeriveWeights:
 class TestBestInterpretation:
     def test_red_wine(self, red_wine, colors, drinks):
         follow = WordString.resolve(["white", "wine"], [colors, drinks])
-        subset, score = best_interpretation(red_wine, follow, 0.75, 0.5)
+        subset, score = best_interpretation(red_wine, follow, 0.75, NegationConfig(sigma=0.5))
         assert subset == (0,)
         assert score == pytest.approx(2 / 3, abs=1e-12)
 
     def test_string_vs_itself_falls_to_first_singleton(self, red_wine):
-        subset, score = best_interpretation(red_wine, red_wine, 0.75, 0)
+        subset, score = best_interpretation(red_wine, red_wine, 0.75, NegationConfig(sigma=0))
         assert subset == (0,)
         assert score == 0.0
 
     def test_single_word(self, fig1):
         s = WordString.resolve(["hamster"], [fig1])
         t = WordString.resolve(["guinea_pig"], [fig1])
-        subset, score = best_interpretation(s, t, 0.75, 0)
+        subset, score = best_interpretation(s, t, 0.75, NegationConfig(sigma=0))
         assert subset == (0,)
         assert score == pytest.approx(7 / 11, abs=1e-12)
 
     def test_tie_breaks_canonically(self, colors, drinks):
         s = WordString.resolve(["red", "wine"], [colors, drinks])
         follow = WordString.resolve(["color", "drink"], [colors, drinks])
-        subset, score = best_interpretation(s, follow, 0.75, 0)
+        subset, score = best_interpretation(s, follow, 0.75, NegationConfig(sigma=0))
         assert subset == (0,)  # {0} and {1} both score 1; earliest wins
         assert score == pytest.approx(1.0, abs=1e-12)
 
@@ -290,7 +300,7 @@ class TestBestInterpretation:
 # differential check: factored interpretation scores against exhaustive scoring
 
 
-def exhaustive_scores(s, target, lam, sigma, cfg):
+def exhaustive_scores(s, target, lam, cfg):
     """lambda^(|S|-1) * string_score over every negation set, states built
     subset by subset."""
     raw = []
@@ -299,7 +309,7 @@ def exhaustive_scores(s, target, lam, sigma, cfg):
             cn_word(slot.word, slot.lex, cfg) if i in subset else slot.lex.word_operator(slot.word)
             for i, slot in enumerate(s.positions)
         )
-        raw.append(lam ** (len(subset) - 1) * string_score(states, target, sigma))
+        raw.append(lam ** (len(subset) - 1) * string_score(states, target, cfg.sigma))
     return raw
 
 
@@ -340,25 +350,25 @@ class TestFactoredScoresMatchExhaustive:
         if failing:
             # roots negate to zero; the first singleton that needs one is named
             with pytest.raises(ZeroNegation, match=rf"negation set \{{{failing[0]}\}}"):
-                interpretation_scores(s, target, lam, sigma, cfg)
+                interpretation_scores(s, target, lam, cfg)
             return
-        want = exhaustive_scores(s, target, lam, sigma, cfg)
-        got = interpretation_scores(s, target, lam, sigma, cfg)
+        want = exhaustive_scores(s, target, lam, cfg)
+        got = interpretation_scores(s, target, lam, cfg)
         assert got == want
         k = want.index(max(want))
-        assert best_interpretation(s, target, lam, sigma, cfg) == (
+        assert best_interpretation(s, target, lam, cfg) == (
             enumerate_negation_sets(len(s))[k],
             want[k],
         )
 
     def test_all_zero_and_tied_targets_covered(self, colors, drinks):
         s = WordString.resolve(["red", "wine", "white"], [colors, drinks])
-        zero = interpretation_scores(s, s, 0.75, 0, NegationConfig(sigma=0))
-        assert zero == exhaustive_scores(s, s, 0.75, 0, NegationConfig(sigma=0))
+        zero = interpretation_scores(s, s, 0.75, NegationConfig(sigma=0))
+        assert zero == exhaustive_scores(s, s, 0.75, NegationConfig(sigma=0))
         assert max(zero) == 0.0
-        assert best_interpretation(s, s, 0.75, 0, NegationConfig(sigma=0)) == ((0,), 0.0)
+        assert best_interpretation(s, s, 0.75, NegationConfig(sigma=0)) == ((0,), 0.0)
         top = WordString.resolve(["color", "drink", "color"], [colors, drinks])
-        tied = interpretation_scores(s, top, 1.0, 0, NegationConfig(sigma=0))
-        assert tied == exhaustive_scores(s, top, 1.0, 0, NegationConfig(sigma=0))
+        tied = interpretation_scores(s, top, 1.0, NegationConfig(sigma=0))
+        assert tied == exhaustive_scores(s, top, 1.0, NegationConfig(sigma=0))
         assert set(tied) == {1.0}
-        assert best_interpretation(s, top, 1.0, 0, NegationConfig(sigma=0)) == ((0,), 1.0)
+        assert best_interpretation(s, top, 1.0, NegationConfig(sigma=0)) == ((0,), 1.0)
