@@ -36,8 +36,8 @@ from .negation import (
 from .strings import (
     LAMBDA_DEFAULT,
     WordString,
-    best_interpretation,
-    derive_weights,
+    _best_from_scores,
+    _weights_from_scores,
     enumerate_negation_sets,
     interpretation_scores,
 )
@@ -130,15 +130,16 @@ def _cmd_negate_string(args, out: IO[str]) -> int:
     s = WordString.resolve(args.string.split(), lexes)
     follow = WordString.resolve(args.follow_up.split(), lexes)
     cfg = NegationConfig(sigma=args.sigma)
-    weights = derive_weights(s, follow, args.lambda_size, cfg)
+    # derive_weights and best_interpretation, sharing one scoring pass
     raw = interpretation_scores(s, follow, args.lambda_size, cfg)
+    weights = _weights_from_scores(raw, len(s), args.lambda_size)
     labels = s.words
     rows = [
         (_subset_label(subset, labels), _fmt(w), _fmt(r))
         for subset, w, r in zip(enumerate_negation_sets(len(s)), weights, raw)
     ]
     _emit(("subset", "weight", "score"), rows, args.format, out)
-    subset, score = best_interpretation(s, follow, args.lambda_size, cfg)
+    subset, score = _best_from_scores(raw, len(s))
     print(f"best {_subset_label(subset, labels)} {_fmt(score)}", file=out)
     return 0
 

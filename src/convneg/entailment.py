@@ -10,14 +10,22 @@ to orthogonality.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimMismatch, ZeroOperator
 from .lexicon import Lexicon
-from .operators import Operator, PINV_TOL, ZERO_TRACE_TOL, mix, normalize
+from .operators import Operator, PINV_TOL, ZERO_TRACE_TOL, mix, normalize, trace_product
 
 SIGMA_DEFAULT = 0.5
 SUPPORT_RESIDUAL_TOL = 1e-8
+
+
+def _check_sigma(sigma: float) -> float:
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    return sigma
 
 
 def _clamp01(x: float) -> float:
@@ -70,8 +78,7 @@ def smoothed_predicate(word: str, lex: Lexicon, sigma: float = SIGMA_DEFAULT) ->
     sigma = 0 returns the word operator unchanged; otherwise the sum
     P_word + sigma * wc_word is sup-normalized back to a predicate.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    _check_sigma(sigma)
     p = lex.word_operator(word)
     if sigma == 0:
         return p
@@ -92,4 +99,4 @@ def overlap_score(
     p = smoothed_predicate(word, lex, sigma)
     if a.dim != p.dim:
         raise DimMismatch(f"state dim {a.dim} vs predicate dim {p.dim}")
-    return _clamp01(float(np.sum(a.matrix * p.matrix)) / t)
+    return _clamp01(trace_product(a, p) / t)

@@ -3,8 +3,12 @@
 The builder produces diagonal predicates in the leaf basis: a word's operator
 is the indicator over its descendant leaves (sup-normalized by construction),
 and its worldly context is the weighted mixture of hypernym indicators with
-geometrically decaying weights, closest hypernym first. Externally trained
-(non-diagonal) operators can be injected through the store format instead.
+geometrically decaying weights, closest hypernym first. Both are made from
+their diagonals (``operators.diagonal``, ``operators.mix``), so validating
+and combining them over n leaves costs O(n) per operator rather than an n×n
+eigendecomposition. Externally trained (non-diagonal) operators can be
+injected through the store format, or by replacing ``word_ops``/``wc_ops``;
+they are kept dense and every function here works on them unchanged.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .errors import ConvnegError, AmbiguousWord, ParseError, UnknownWord
 from .operators import (
     LineReader,
     Operator,
+    diagonal,
     identity,
     mix,
     operator_from_lines,
@@ -89,7 +94,7 @@ def _check_decay(decay: float) -> float:
 
 def _indicator(taxonomy: Taxonomy, word: str, leaves: tuple[str, ...]) -> Operator:
     member = set(taxonomy.descendant_leaves(word))
-    return Operator(np.diag([1.0 if leaf in member else 0.0 for leaf in leaves]), leaves)
+    return diagonal([1.0 if leaf in member else 0.0 for leaf in leaves], leaves)
 
 
 def _worldly_context(

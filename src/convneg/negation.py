@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .entailment import SIGMA_DEFAULT, overlap_score
-from .errors import NotSubnormalized, ZeroNegation
+from .entailment import SIGMA_DEFAULT, _check_sigma, overlap_score
+from .errors import ZeroNegation
 from .lexicon import Lexicon, _check_decay
 from .operators import (
     Operator,
     PINV_TOL,
     ZERO_TRACE_TOL,
+    complement,
     conjugate_update,
     hadamard,
     normalize,
@@ -29,9 +28,6 @@ from .operators import (
 LOGICAL_CHOICES = ("complement", "pinv")
 COMPOSITION_CHOICES = ("hadamard", "conjugate")
 VIEW_CHOICES = ("trace", "sup")
-# complement accepts a predicate whose top eigenvalue exceeds 1 by this much
-# (rounding in sup-normalization) and clamps the negative eigenvalues it causes
-COMPLEMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,26 +60,16 @@ class NegationConfig:
             raise ValueError(f"view must be one of {VIEW_CHOICES}, got {self.view!r}")
         if self.decay is not None:
             _check_decay(self.decay)
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        _check_sigma(self.sigma)
 
 
 DEFAULTS = NegationConfig()
 
 
 def logical_not_complement(p: Operator) -> Operator:
-    """I - P for a sup-normalized (or sub-normalized) predicate."""
-    top = p.max_eigenvalue()
-    if top > 1.0 + COMPLEMENT_TOL:
-        raise NotSubnormalized(f"complement needs max eigenvalue <= 1, got {top!r}")
-    m = np.eye(p.dim) - p.matrix
-    low = float(np.linalg.eigvalsh(m)[0])
-    if low < 0.0:
-        # eigenvalues in [-COMPLEMENT_TOL, 0) from the window above; clamp
-        lam, vecs = np.linalg.eigh(m)
-        m = vecs @ np.diag(np.clip(lam, 0.0, None)) @ vecs.T
-        m = (m + m.T) / 2.0
-    return Operator(m, p.labels)
+    """I - P for a sup-normalized (or sub-normalized) predicate
+    (``operators.complement``)."""
+    return complement(p)
 
 
 def logical_not_pinv(a: Operator, tol: float = PINV_TOL) -> Operator:

@@ -1,4 +1,17 @@
-"""Dense real symmetric PSD matrices and the algebra used by every other module.
+"""Real symmetric PSD operators and the algebra used by every other module.
+
+An operator is stored in one of two ways, chosen once at construction. A
+matrix whose off-diagonal entries are all exactly zero is kept as its
+diagonal. Every operator a taxonomy-built lexicon holds is one: indicators
+over descendant leaves and mixtures of them. Validation, the spectrum, the
+trace, ``mix``, ``hadamard``, ``normalize``, ``complement`` and
+``trace_product`` then cost O(n), and the dense ``matrix`` is built afresh on
+each read and not kept. Any other matrix, such as a store-injected or rotated operator, is
+kept dense and validated with an eigendecomposition; ``pseudoinverse``,
+``conjugate_update``, ``tensor`` and ``partial_trace`` compute densely and
+their result is stored by the same rule. Both kinds accept and reject the
+same matrices, since a diagonal matrix's eigenvalues are its entries;
+callers see no difference but speed.
 
 Operators are immutable values: each function returns a fresh instance and the
 underlying arrays are marked read-only, so they can be shared freely across
@@ -20,6 +33,7 @@ from .errors import (
     EmptyMixture,
     InvalidIndex,
     InvalidOperator,
+    NotSubnormalized,
     ParseError,
     ZeroOperator,
 )
@@ -29,6 +43,9 @@ PSD_TOL = 1e-10
 EQ_TOL = 1e-9
 ZERO_TRACE_TOL = 1e-12
 PINV_TOL = 1e-10
+# complement accepts a predicate whose top eigenvalue exceeds 1 by this much
+# (rounding in sup-normalization) and clamps the negative eigenvalues it causes
+COMPLEMENT_TOL = 1e-9
 
 
 def psd_floor(lam_max: float) -> float:
@@ -51,7 +68,56 @@ def _as_square(matrix) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+def _clamp_psd(m: np.ndarray) -> np.ndarray:
+    """Project a symmetric matrix onto the PSD cone (negative eigenvalues to 0)."""
+    lam, vecs = np.linalg.eigh(m)
+    out = vecs @ np.diag(np.clip(lam, 0.0, None)) @ vecs.T
+    return (out + out.T) / 2.0
+
+
+def _checked_diagonal(d: np.ndarray) -> np.ndarray:
+    """The dense PSD check for a diagonal matrix, in O(n).
+
+    Its eigenvalues are the entries ``d``: the same floor rejects, the same
+    window is clamped to zero. Returns ``d`` itself when nothing is clamped.
+    """
+    lam_min, lam_max = float(d.min()), float(d.max())
+    # min and max propagate NaN, and an infinite entry is one of them
+    if not (math.isfinite(lam_min) and math.isfinite(lam_max)):
+        raise InvalidOperator("matrix entries must be finite")
+    if lam_min < psd_floor(lam_max):
+        raise InvalidOperator(f"matrix is not PSD (min eigenvalue {lam_min:.3e})")
+    if lam_min < 0.0:
+        return np.maximum(d, 0.0)
+    return d
+
+
+def _checked_dense(a: np.ndarray) -> np.ndarray:
+    """Symmetry and PSD check by eigendecomposition; returns the symmetrized,
+    clamped matrix."""
+    defect = float(np.max(np.abs(a - a.T)))
+    if defect > SYMMETRY_TOL:
+        raise InvalidOperator(f"matrix is not symmetric (defect {defect:.3e})")
+    a = (a + a.T) / 2.0
+    lam = np.linalg.eigvalsh(a)
+    lam_min = float(lam[0])
+    if lam_min < psd_floor(float(lam[-1])):
+        raise InvalidOperator(f"matrix is not PSD (min eigenvalue {lam_min:.3e})")
+    if lam_min < 0.0:
+        a = _clamp_psd(a)
+    return a
+
+
+def _checked_labels(labels: Sequence[str], dim: int) -> tuple[str, ...]:
+    labels = tuple(labels)
+    if labels:
+        if len(labels) != dim:
+            raise InvalidOperator(f"{len(labels)} labels for dimension {dim}")
+        if len(set(labels)) != len(labels):
+            raise InvalidOperator("basis labels must be unique")
+    return labels
+
+
 class Operator:
     """Real symmetric positive semidefinite matrix with optional basis labels.
 
@@ -59,48 +125,60 @@ class Operator:
     eigenvalues below ``psd_floor`` of the largest eigenvalue are rejected,
     those between it and 0 are clamped to zero by projecting onto the PSD
     cone. ``labels``, when non-empty, names the basis vectors and must be
-    unique.
+    unique. A diagonal matrix is stored as its diagonal (see the module
+    docstring); ``matrix`` is always the dense, read-only matrix.
     """
 
-    matrix: np.ndarray
-    labels: tuple[str, ...] = ()
+    def __init__(self, matrix, labels: Sequence[str] = ()):
+        a = _as_square(matrix)
+        diag = np.diagonal(a)
+        if np.count_nonzero(a) == np.count_nonzero(diag):
+            checked = _checked_diagonal(diag)
+            # keep the given matrix unless clamping changed its diagonal
+            dense = a if checked is diag else None
+        else:
+            checked, dense = None, _checked_dense(a)
+        self._init(checked, dense, _checked_labels(labels, a.shape[0]))
 
-    def __post_init__(self):
-        a = _as_square(self.matrix)
-        defect = float(np.max(np.abs(a - a.T)))
-        if defect > SYMMETRY_TOL:
-            raise InvalidOperator(f"matrix is not symmetric (defect {defect:.3e})")
-        a = (a + a.T) / 2.0
-        lam = np.linalg.eigvalsh(a)
-        lam_min = float(lam[0])
-        if lam_min < psd_floor(float(lam[-1])):
-            raise InvalidOperator(f"matrix is not PSD (min eigenvalue {lam_min:.3e})")
-        if lam_min < 0.0:
-            lam, vecs = np.linalg.eigh(a)
-            a = vecs @ np.diag(np.clip(lam, 0.0, None)) @ vecs.T
-            a = (a + a.T) / 2.0
-        labels = tuple(self.labels)
-        if labels:
-            if len(labels) != a.shape[0]:
-                raise InvalidOperator(
-                    f"{len(labels)} labels for dimension {a.shape[0]}"
-                )
-            if len(set(labels)) != len(labels):
-                raise InvalidOperator("basis labels must be unique")
-        a.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
+    def _init(self, diag: np.ndarray | None, matrix: np.ndarray | None, labels) -> None:
+        for arr in (diag, matrix):
+            if arr is not None:
+                arr.setflags(write=False)
+        object.__setattr__(self, "_diag", diag)
+        object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Operator is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Operator is immutable (cannot delete {name!r})")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only. A diagonal operator builds a fresh one
+        on each read and keeps none, so reading it leaves no n x n matrix on a
+        shared operator."""
+        if self._matrix is not None:
+            return self._matrix
+        m = np.diag(self._diag)
+        m.setflags(write=False)
+        return m
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self._diag) if self._diag is not None else self._matrix.shape[0]
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix))
+        if self._diag is not None:
+            return float(self._diag.sum())
+        return float(np.trace(self._matrix))
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues."""
-        return np.linalg.eigvalsh(self.matrix)
+        if self._diag is not None:
+            return np.sort(self._diag)
+        return np.linalg.eigvalsh(self._matrix)
 
     def max_eigenvalue(self) -> float:
         return float(self.eigenvalues()[-1])
@@ -112,7 +190,7 @@ class Operator:
         return self.trace() <= tol
 
     def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).copy()
+        return _main_diagonal(self).copy()
 
     def allclose(self, other: "Operator", tol: float = EQ_TOL) -> bool:
         return self.dim == other.dim and bool(
@@ -121,6 +199,27 @@ class Operator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Operator(dim={self.dim}, trace={self.trace():.6g})"
+
+
+def _main_diagonal(a: Operator) -> np.ndarray:
+    """Read-only diagonal of ``a`` without a copy."""
+    return a._diag if a._diag is not None else np.diagonal(a._matrix)
+
+
+def _entries(a: Operator) -> np.ndarray:
+    """The diagonal of a diagonal operator, else its dense matrix."""
+    return a._diag if a._diag is not None else a._matrix
+
+
+def _from_entries(x: np.ndarray, labels: tuple[str, ...]) -> Operator:
+    """Inverse of ``_entries``: a dense operator from a fresh 2-D array, or a
+    diagonal one from a fresh 1-D array, validated in O(n). ``labels`` must
+    already fit the size."""
+    if x.ndim == 2:
+        return Operator(x, labels)
+    op = Operator.__new__(Operator)
+    op._init(_checked_diagonal(x), None, labels)
+    return op
 
 
 @dataclass(frozen=True)
@@ -149,17 +248,21 @@ def pure(index: int, dim: int) -> Operator:
         raise InvalidIndex(f"dimension must be positive, got {dim}")
     if not 0 <= index < dim:
         raise InvalidIndex(f"index {index} out of range for dimension {dim}")
-    m = np.zeros((dim, dim))
-    m[index, index] = 1.0
-    return Operator(m)
+    d = np.zeros(dim)
+    d[index] = 1.0
+    return diagonal(d)
 
 
 def identity(dim: int, labels: Sequence[str] = ()) -> Operator:
-    return Operator(np.eye(dim), tuple(labels))
+    return diagonal(np.ones(dim), labels)
 
 
 def diagonal(entries: Sequence[float], labels: Sequence[str] = ()) -> Operator:
-    return Operator(np.diag(np.asarray(entries, dtype=np.float64)), tuple(labels))
+    """The diagonal operator with these entries; O(n), no dense matrix built."""
+    d = np.array(entries, dtype=np.float64)
+    if d.ndim != 1 or d.size == 0:
+        raise InvalidOperator(f"expected a nonempty vector of entries, got shape {d.shape}")
+    return _from_entries(d, _checked_labels(labels, d.size))
 
 
 def mix(terms: Sequence[tuple[float, Operator]]) -> Operator:
@@ -171,13 +274,16 @@ def mix(terms: Sequence[tuple[float, Operator]]) -> Operator:
         raise ValueError("mixture weights must be nonnegative")
     if all(w == 0 for w in weights):
         raise EmptyMixture("all mixture weights are zero")
-    dim = terms[0][1].dim
-    acc = np.zeros((dim, dim))
-    for w, op in terms:
+    ops = [op for _, op in terms]
+    dim = ops[0].dim
+    for op in ops:
         if op.dim != dim:
             raise DimMismatch(f"mixture of dim {op.dim} operator into dim {dim}")
-        acc += w * op.matrix
-    return Operator(acc, terms[0][1].labels)
+    diag = all(op._diag is not None for op in ops)
+    acc = np.zeros(dim if diag else (dim, dim))
+    for w, op in zip(weights, ops):
+        acc += w * (op._diag if diag else op.matrix)
+    return _from_entries(acc, ops[0].labels)
 
 
 def tensor(a: Operator, b: Operator) -> Operator:
@@ -212,10 +318,45 @@ def partial_trace(a: Operator, shape: Sequence[int], keep: int) -> Operator:
 
 
 def hadamard(a: Operator, b: Operator) -> Operator:
-    """Entrywise product; PSD by the Schur product theorem."""
+    """Entrywise product; PSD by the Schur product theorem. Diagonal when
+    either factor is."""
     if a.dim != b.dim:
         raise DimMismatch(f"hadamard of dims {a.dim} and {b.dim}")
-    return Operator(a.matrix * b.matrix, a.labels or b.labels)
+    labels = a.labels or b.labels
+    if a._diag is not None or b._diag is not None:
+        return _from_entries(_main_diagonal(a) * _main_diagonal(b), labels)
+    return Operator(a.matrix * b.matrix, labels)
+
+
+def complement(p: Operator) -> Operator:
+    """I - P for a sup-normalized (or sub-normalized) predicate.
+
+    A top eigenvalue up to COMPLEMENT_TOL above 1 is accepted as rounding,
+    and the negative eigenvalues it leaves in I - P are clamped to zero.
+    """
+    top = p.max_eigenvalue()
+    if top > 1.0 + COMPLEMENT_TOL:
+        raise NotSubnormalized(f"complement needs max eigenvalue <= 1, got {top!r}")
+    if p._diag is not None:
+        return _from_entries(np.maximum(1.0 - p._diag, 0.0), p.labels)
+    m = np.eye(p.dim) - p.matrix
+    if float(np.linalg.eigvalsh(m)[0]) < 0.0:
+        m = _clamp_psd(m)
+    return Operator(m, p.labels)
+
+
+def trace_product(a: Operator, b: Operator) -> float:
+    """Tr(A·B).
+
+    O(n) when either operand is diagonal, since Tr(A·diag(b)) = sum A_ii b_i
+    for any A. That sum is correctly rounded (``math.fsum``), so it does not
+    depend on the order of the basis: leaves that tie exactly, tie in floats.
+    """
+    if a.dim != b.dim:
+        raise DimMismatch(f"trace product of dims {a.dim} and {b.dim}")
+    if a._diag is not None or b._diag is not None:
+        return math.fsum((_main_diagonal(a) * _main_diagonal(b)).tolist())
+    return float(np.sum(a.matrix * b.matrix))
 
 
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -242,12 +383,12 @@ def normalize(a: Operator, mode: str = "trace") -> Operator:
         t = a.trace()
         if t <= ZERO_TRACE_TOL:
             raise ZeroOperator("cannot trace-normalize the zero operator")
-        return Operator(a.matrix / t, a.labels)
+        return _from_entries(_entries(a) / t, a.labels)
     if mode == "sup":
         top = a.max_eigenvalue()
         if top <= ZERO_TRACE_TOL:
             raise ZeroOperator("cannot sup-normalize the zero operator")
-        return Operator(a.matrix / top, a.labels)
+        return _from_entries(_entries(a) / top, a.labels)
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
@@ -301,8 +442,7 @@ def validate(a: Operator | np.ndarray) -> OperatorDiagnostics:
 def operator_to_lines(a: Operator) -> list[str]:
     lines = [f"OPERATOR {a.dim}"]
     lines.append("LABELS " + (",".join(a.labels) if a.labels else "-"))
-    for row in a.matrix:
-        lines.append(" ".join(repr(float(x)) for x in row))
+    lines.extend(" ".join(map(repr, row)) for row in a.matrix.tolist())
     return lines
 
 

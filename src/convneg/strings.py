@@ -199,9 +199,16 @@ def derive_weights(
     prior alone decides.
     """
     raw = interpretation_scores(s, context, lambda_size, cfg)
+    return _weights_from_scores(raw, len(s), lambda_size)
+
+
+def _weights_from_scores(
+    raw: Sequence[float], n: int, lambda_size: float
+) -> tuple[float, ...]:
+    """derive_weights for an n-word string from its interpretation_scores."""
     total = sum(raw)
     if total <= 0:
-        return size_prior(len(s), lambda_size)
+        return size_prior(n, lambda_size)
     return tuple(r / total for r in raw)
 
 
@@ -243,7 +250,11 @@ def best_interpretation(
     Ties (including the all-zero case) go to the earliest subset in canonical
     order, so a fully uninformative target yields the first singleton.
     """
-    raw = interpretation_scores(s, target, lambda_size, cfg)
-    subsets = enumerate_negation_sets(len(s))
+    return _best_from_scores(interpretation_scores(s, target, lambda_size, cfg), len(s))
+
+
+def _best_from_scores(raw: Sequence[float], n: int) -> tuple[tuple[int, ...], float]:
+    """best_interpretation for an n-word string from its interpretation_scores."""
+    subsets = enumerate_negation_sets(n)
     best = max(range(len(raw)), key=lambda i: (raw[i], -i))
     return subsets[best], raw[best]

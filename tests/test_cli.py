@@ -1,7 +1,9 @@
+import warnings
 from io import StringIO
 
 import pytest
 
+import convneg.strings
 from conftest import FIXTURES
 from convneg.cli import run
 
@@ -15,6 +17,16 @@ def invoke(*argv):
     out, err = StringIO(), StringIO()
     code = run(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def readme_output(command: str) -> str:
+    """The output README shows under the example that starts ``$ convneg <command>``."""
+    lines = (FIXTURES.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith(f"$ convneg {command}"))
+    while lines[i].endswith("\\"):
+        i += 1
+    end = next(k for k in range(i + 1, len(lines)) if not lines[k] or lines[k] == "```")
+    return "\n".join(lines[i + 1 : end]) + "\n"
 
 
 class TestNegateWord:
@@ -92,6 +104,28 @@ class TestNegateString:
         ]
         assert lines[4] == "best {red} 0.666667"
 
+    def test_scores_once(self, monkeypatch):
+        """One request: 2n overlaps and n negations (n = 2), README's output."""
+        calls = {"overlap_score": 0, "cn_word": 0}
+
+        def counting(name):
+            real = getattr(convneg.strings, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(convneg.strings, name, counting(name))
+        code, out, err = invoke(
+            "negate-string", "red wine", "--follow-up", "white wine", "--taxonomies", F2
+        )
+        assert (code, err) == (0, "")
+        assert calls == {"overlap_score": 4, "cn_word": 2}
+        assert out == readme_output("negate-string")
+
     def test_misaligned_follow_up(self):
         code, _, err = invoke(
             "negate-string", "red wine", "--follow-up", "white",
@@ -109,6 +143,32 @@ class TestNegateString:
         )
         assert code == 1
         assert "AmbiguousWord" in err
+
+
+class TestNonFiniteSigma:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("negate-word", "hamster", "--taxonomy", F1, "--sigma", "nan"),
+            ("negate-word", "hamster", "--taxonomy", F1, "--sigma", "inf"),
+            ("negate-string", "red wine", "--follow-up", "white wine",
+             "--taxonomies", F2, "--sigma", "inf"),
+            ("negate-string", "red wine", "--follow-up", "white wine",
+             "--taxonomies", F2, "--sigma", "nan"),
+            ("entail", "hamster", "rodent", "--taxonomy", F1, "--sigma", "nan"),
+            ("text", "negate-actor", STORY, "Alice", "--taxonomies", F3,
+             "--rank", "--sigma", "inf"),
+        ],
+    )
+    def test_rejected_naming_sigma(self, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = invoke(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ValueError: ") and "sigma" in err
+        assert err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
 
 
 class TestEntail:

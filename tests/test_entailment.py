@@ -229,6 +229,11 @@ class TestSmoothedPredicate:
         with pytest.raises(ValueError):
             smoothed_predicate("white", colors, sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, colors, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            smoothed_predicate("white", colors, sigma=sigma)
+
     def test_unknown_word(self, colors):
         with pytest.raises(UnknownWord):
             smoothed_predicate("wine", colors, sigma=0.5)

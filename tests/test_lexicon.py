@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import convneg.lexicon
 from convneg.errors import ConvnegError, AmbiguousWord, ParseError, UnknownWord
 from convneg.lexicon import (
     build_lexicon,
@@ -8,6 +11,7 @@ from convneg.lexicon import (
     resolve_word,
     save_lexicon,
 )
+from convneg.operators import Operator, operator_to_lines
 from convneg.taxonomy import parse_taxonomy
 
 from conftest import COLORS_TSV, FIG1_TSV
@@ -118,6 +122,40 @@ class TestStore:
         for c in fig1_lex.concepts:
             assert np.array_equal(loaded.word_ops[c].matrix, fig1_lex.word_ops[c].matrix)
             assert np.array_equal(loaded.wc_ops[c].matrix, fig1_lex.wc_ops[c].matrix)
+
+    def test_writer_matches_per_entry_formatter(self, fig1_lex, tmp_path, monkeypatch):
+        """The row writer formats whole rows at once; its bytes equal the
+        per-entry formatter it replaced (kept here) on a diagonal store and
+        on a rotated, dense one."""
+
+        def per_entry_lines(a):
+            lines = [f"OPERATOR {a.dim}"]
+            lines.append("LABELS " + (",".join(a.labels) if a.labels else "-"))
+            for row in a.matrix:
+                lines.append(" ".join(repr(float(x)) for x in row))
+            return lines
+
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+
+        def rotate(op):
+            m = q @ op.matrix @ q.T
+            return Operator((m + m.T) / 2.0, op.labels)
+
+        rotated = dataclasses.replace(
+            fig1_lex,
+            word_ops={c: rotate(op) for c, op in fig1_lex.word_ops.items()},
+            wc_ops={c: rotate(op) for c, op in fig1_lex.wc_ops.items()},
+        )
+        for lex in (fig1_lex, rotated):
+            for op in [*lex.word_ops.values(), *lex.wc_ops.values()]:
+                assert operator_to_lines(op) == per_entry_lines(op)
+            new, old = tmp_path / "new.lex", tmp_path / "old.lex"
+            save_lexicon(lex, new)
+            with monkeypatch.context() as m:
+                m.setattr(convneg.lexicon, "operator_to_lines", per_entry_lines)
+                save_lexicon(lex, old)
+            assert new.read_bytes() == old.read_bytes()
 
     def test_save_is_deterministic(self, fig1_lex, tmp_path):
         p1, p2 = tmp_path / "a.lex", tmp_path / "b.lex"

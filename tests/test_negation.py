@@ -54,6 +54,11 @@ class TestNegationConfig:
         with pytest.raises(ValueError):
             NegationConfig(**kwargs)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            NegationConfig(sigma=sigma)
+
 
 class TestLogicalNotComplement:
     def test_projector(self):
