@@ -24,6 +24,7 @@ from .operators import (
     LineReader,
     Operator,
     diagonal,
+    hadamard,
     identity,
     mix,
     operator_from_lines,
@@ -92,9 +93,15 @@ def _check_decay(decay: float) -> float:
     return decay
 
 
-def _indicator(taxonomy: Taxonomy, word: str, leaves: tuple[str, ...]) -> Operator:
-    member = set(taxonomy.descendant_leaves(word))
-    return diagonal([1.0 if leaf in member else 0.0 for leaf in leaves], leaves)
+def _indicator(
+    taxonomy: Taxonomy, word: str, basis: Operator, position: dict[str, int]
+) -> Operator:
+    """Indicator over ``word``'s descendant leaves, set through the leaf
+    ``position`` map. The product with ``basis``, the labelled identity,
+    attaches the leaf labels without checking them again per concept."""
+    d = np.zeros(basis.dim)
+    d[[position[c] for c in taxonomy.descendants(word) if c in position]] = 1.0
+    return hadamard(basis, diagonal(d))
 
 
 def _worldly_context(
@@ -116,7 +123,9 @@ def build_lexicon(taxonomy: Taxonomy, decay: float = DEFAULT_DECAY, name: str = 
     """Build word and worldly-context operators for every concept."""
     decay = _check_decay(decay)
     leaves = taxonomy.leaves
-    word_ops = {c: _indicator(taxonomy, c, leaves) for c in taxonomy.order}
+    position = {leaf: i for i, leaf in enumerate(leaves)}
+    basis = identity(len(leaves), leaves)
+    word_ops = {c: _indicator(taxonomy, c, basis, position) for c in taxonomy.order}
     wc_ops = {
         c: _worldly_context(taxonomy, word_ops, c, decay, leaves)
         for c in taxonomy.order

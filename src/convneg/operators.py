@@ -2,16 +2,18 @@
 
 An operator is stored in one of two ways, chosen once at construction. A
 matrix whose off-diagonal entries are all exactly zero is kept as its
-diagonal. Every operator a taxonomy-built lexicon holds is one: indicators
-over descendant leaves and mixtures of them. Validation, the spectrum, the
-trace, ``mix``, ``hadamard``, ``normalize``, ``complement`` and
-``trace_product`` then cost O(n), and the dense ``matrix`` is built afresh on
-each read and not kept. Any other matrix, such as a store-injected or rotated operator, is
-kept dense and validated with an eigendecomposition; ``pseudoinverse``,
-``conjugate_update``, ``tensor`` and ``partial_trace`` compute densely and
-their result is stored by the same rule. Both kinds accept and reject the
-same matrices, since a diagonal matrix's eigenvalues are its entries;
-callers see no difference but speed.
+diagonal alone, whether it was given as a vector or as a matrix. Every
+operator a taxonomy-built lexicon holds is one: indicators over descendant
+leaves and mixtures of them. Validation, the spectrum, the trace, ``mix``,
+``hadamard``, ``normalize``, ``complement``, ``trace_product`` and the text
+format's writer and reader then cost O(n), and the dense ``matrix`` is built
+afresh on each read and not kept. Any other matrix, such as a store-injected
+or rotated operator, is kept dense and validated with an eigendecomposition;
+``pseudoinverse``, ``conjugate_update``, ``tensor`` and ``partial_trace``
+compute densely and their result is stored by the same rule. Both kinds
+accept and reject the same matrices, since a diagonal matrix's eigenvalues
+are its entries, and write the same text; callers see no difference but
+speed.
 
 Operators are immutable values: each function returns a fresh instance and the
 underlying arrays are marked read-only, so they can be shared freely across
@@ -133,9 +135,8 @@ class Operator:
         a = _as_square(matrix)
         diag = np.diagonal(a)
         if np.count_nonzero(a) == np.count_nonzero(diag):
-            checked = _checked_diagonal(diag)
-            # keep the given matrix unless clamping changed its diagonal
-            dense = a if checked is diag else None
+            # a copy, so the n x n array is not kept alive as its base
+            checked, dense = _checked_diagonal(diag.copy()), None
         else:
             checked, dense = None, _checked_dense(a)
         self._init(checked, dense, _checked_labels(labels, a.shape[0]))
@@ -262,7 +263,10 @@ def diagonal(entries: Sequence[float], labels: Sequence[str] = ()) -> Operator:
     d = np.array(entries, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
         raise InvalidOperator(f"expected a nonempty vector of entries, got shape {d.shape}")
-    return _from_entries(d, _checked_labels(labels, d.size))
+    # entries before labels, the order in which Operator checks diag(d)
+    op = Operator.__new__(Operator)
+    op._init(_checked_diagonal(d), None, _checked_labels(labels, d.size))
+    return op
 
 
 def mix(terms: Sequence[tuple[float, Operator]]) -> Operator:
@@ -436,13 +440,25 @@ def validate(a: Operator | np.ndarray) -> OperatorDiagnostics:
 # ---------------------------------------------------------------------------
 # Text format: line 1 "OPERATOR <dim>", line 2 "LABELS <comma list or ->",
 # then dim rows of dim space-separated entries at full (round-trip) precision.
+# A diagonal operator is written in the same n rows, but row i is cut from one
+# string of n zeros around repr(d_i), and a row that reads "0.0 " * i, one
+# token, " 0.0" * (n-1-i) is read by parsing that token alone: O(n) number
+# work per block, not n^2. Any other row is split and parsed entry by entry.
 # ---------------------------------------------------------------------------
 
 
 def operator_to_lines(a: Operator) -> list[str]:
     lines = [f"OPERATOR {a.dim}"]
     lines.append("LABELS " + (",".join(a.labels) if a.labels else "-"))
-    lines.extend(" ".join(map(repr, row)) for row in a.matrix.tolist())
+    if a._diag is None:
+        lines.extend(" ".join(map(repr, row)) for row in a._matrix.tolist())
+    else:
+        n = a.dim
+        zeros = "0.0 " * n
+        lines.extend(
+            zeros[: 4 * i] + repr(d) + zeros[4 * i + 3 : 4 * n - 1]
+            for i, d in enumerate(a._diag.tolist())
+        )
     return lines
 
 
@@ -496,9 +512,22 @@ def operator_from_lines(reader: LineReader) -> Operator:
         raise ParseError(f"expected 'LABELS ...', got {label_line!r}", reader.lineno)
     raw = label_line[len("LABELS ") :].strip()
     labels: tuple[str, ...] = () if raw == "-" else tuple(raw.split(","))
-    rows = []
-    for _ in range(dim):
+    zeros = "0.0 " * dim
+    diag: list[float] = []  # row i's diagonal entry, while every row is diagonal
+    rows: list[list[float]] | None = None  # all rows, once one is not
+    for i in range(dim):
         row_line = reader.require("operator block")
+        if rows is None:
+            tail = zeros[4 * i + 3 : 4 * dim - 1]
+            if row_line.startswith(zeros[: 4 * i]) and row_line.endswith(tail):
+                try:
+                    # float() takes no inner whitespace, so a row it accepts
+                    # here splits into i zeros, this entry and n-1-i zeros
+                    diag.append(float(row_line[4 * i : len(row_line) - len(tail)]))
+                    continue
+                except ValueError:
+                    pass  # the general path below reports it
+            rows = [[0.0] * j + [x] + [0.0] * (dim - 1 - j) for j, x in enumerate(diag)]
         fields = row_line.split()
         if len(fields) != dim:
             raise ParseError(f"expected {dim} entries, got {len(fields)}", reader.lineno)
@@ -507,6 +536,8 @@ def operator_from_lines(reader: LineReader) -> Operator:
         except ValueError:
             raise ParseError(f"bad matrix entry in {row_line!r}", reader.lineno) from None
     try:
+        if rows is None:
+            return diagonal(diag, labels)
         return Operator(np.array(rows), labels)
     except InvalidOperator as exc:
         raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc

@@ -42,8 +42,8 @@ class Taxonomy:
         if concept not in self.parents:
             raise UnknownWord(f"unknown concept {concept!r}")
 
-    def descendant_leaves(self, concept: str) -> tuple[str, ...]:
-        """Leaves reachable downward from ``concept`` (itself, if a leaf), in leaf order."""
+    def descendants(self, concept: str) -> set[str]:
+        """``concept`` and every concept reachable downward from it."""
         self.require(concept)
         seen = {concept}
         stack = [concept]
@@ -52,6 +52,11 @@ class Taxonomy:
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)
+        return seen
+
+    def descendant_leaves(self, concept: str) -> tuple[str, ...]:
+        """Leaves reachable downward from ``concept`` (itself, if a leaf), in leaf order."""
+        seen = self.descendants(concept)
         return tuple(leaf for leaf in self.leaves if leaf in seen)
 
     def hypernyms(self, concept: str) -> tuple[tuple[str, int], ...]:

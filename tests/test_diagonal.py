@@ -5,7 +5,9 @@ that representation against dense references kept here: the eigenvalue-based
 validation, the dense algebra, and the whole word-negation pipeline spelled
 out in numpy. They also check that a rotated (dense, non-diagonal) lexicon
 answers like the diagonal one, through ``dataclasses.replace`` and through a
-store round trip.
+store round trip. The indicator builder and the store's operator writer and
+reader are checked against the per-leaf and per-entry versions they replaced,
+kept here, down to error messages and line numbers on corrupted blocks.
 """
 
 import copy
@@ -18,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convneg.errors import InvalidOperator, NotSubnormalized, ZeroNegation
+import convneg.lexicon
+from convneg.errors import InvalidOperator, NotSubnormalized, ParseError, ZeroNegation
 from convneg.lexicon import build_lexicon, load_lexicon, save_lexicon
 from convneg.negation import NegationConfig, alternatives, cn_word
 from convneg.entailment import overlap_score
@@ -26,18 +29,24 @@ from convneg.operators import (
     COMPLEMENT_TOL,
     EQ_TOL,
     PINV_TOL,
+    PSD_TOL,
     ZERO_TRACE_TOL,
+    LineReader,
     Operator,
     complement,
     diagonal,
     hadamard,
     mix,
     normalize,
+    operator_from_lines,
+    operator_to_lines,
     psd_floor,
     trace_product,
     validate,
 )
-from convneg.taxonomy import parse_taxonomy
+from convneg.taxonomy import load_taxonomy, parse_taxonomy
+
+from conftest import FIXTURES
 
 CONFIGS = [
     (logical, composition)
@@ -256,6 +265,8 @@ class TestDiagonalOperator:
         # a dense diagonal matrix answers exactly like the vector constructor
         m = np.diag([0.25, 0.0, 1.0])
         for op in (Operator(m), diagonal([0.25, 0.0, 1.0])):
+            # one representation: the diagonal alone, not a view into m
+            assert op._matrix is None and op._diag.base is None
             assert op.trace() == 1.25
             assert op.max_eigenvalue() == 1.0
             np.testing.assert_array_equal(op.matrix, m)
@@ -283,13 +294,15 @@ class TestDiagonalOperator:
                     twin.labels = ()
 
     def test_reading_matrix_keeps_no_dense_copy(self, tmp_path):
-        # conjugate composition and a store save both read the dense matrix of
-        # the lexicon's own operators; none of it may stay on them
-        lex = build_lexicon(parse_taxonomy("a\tb\nc\tb\nb\tr\nd\tr\n"), decay=0.5)
+        # conjugate composition reads the dense matrix of the lexicon's own
+        # operators; none of it may stay on them, nor on the operators a store
+        # round trip gives back
+        lex = build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv"), decay=0.5)
         for logical in ("complement", "pinv"):
-            alternatives("a", lex, NegationConfig(logical, "conjugate"))
-        save_lexicon(lex, tmp_path / "fig.lex")
-        for ops in (lex.word_ops, lex.wc_ops):
+            alternatives("hamster", lex, NegationConfig(logical, "conjugate"))
+        save_lexicon(lex, tmp_path / "fig1.lex")
+        loaded = load_lexicon(tmp_path / "fig1.lex")
+        for ops in (lex.word_ops, lex.wc_ops, loaded.word_ops, loaded.wc_ops):
             for op in ops.values():
                 assert op._matrix is None
                 assert op.matrix is not op.matrix
@@ -437,3 +450,231 @@ class TestRotatedLexiconMatches:
             want = overlap_score(state, leaf, lex, sigma)
             for other in (turned, loaded):
                 assert abs(overlap_score(turned_state, leaf, other, sigma) - want) <= EQ_TOL
+
+
+# ---------------------------------------------------------------------------
+# references for the lexicon builder and the store's operator blocks
+
+
+def reference_indicator(tax, word, leaves):
+    """The per-leaf indicator: filter every leaf by descendant membership."""
+    member = set(tax.descendant_leaves(word))
+    return diagonal([1.0 if leaf in member else 0.0 for leaf in leaves], leaves)
+
+
+def reference_to_lines(a):
+    """Writer that formats every entry of the dense matrix."""
+    lines = [f"OPERATOR {a.dim}"]
+    lines.append("LABELS " + (",".join(a.labels) if a.labels else "-"))
+    lines.extend(" ".join(map(repr, row)) for row in a.matrix.tolist())
+    return lines
+
+
+def reference_from_lines(reader):
+    """Reader that splits and parses every row into a dense matrix."""
+    header = reader.require("operator block")
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "OPERATOR":
+        raise ParseError(f"expected 'OPERATOR <dim>', got {header!r}", reader.lineno)
+    try:
+        dim = int(parts[1])
+    except ValueError:
+        raise ParseError(f"bad operator dimension {parts[1]!r}", reader.lineno) from None
+    if dim < 1:
+        raise ParseError(f"operator dimension must be positive, got {dim}", reader.lineno)
+    label_line = reader.require("operator block")
+    if not label_line.startswith("LABELS "):
+        raise ParseError(f"expected 'LABELS ...', got {label_line!r}", reader.lineno)
+    raw = label_line[len("LABELS ") :].strip()
+    labels = () if raw == "-" else tuple(raw.split(","))
+    rows = []
+    for _ in range(dim):
+        row_line = reader.require("operator block")
+        fields = row_line.split()
+        if len(fields) != dim:
+            raise ParseError(f"expected {dim} entries, got {len(fields)}", reader.lineno)
+        try:
+            rows.append([float(x) for x in fields])
+        except ValueError:
+            raise ParseError(f"bad matrix entry in {row_line!r}", reader.lineno) from None
+    try:
+        return Operator(np.array(rows), labels)
+    except InvalidOperator as exc:
+        raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc
+
+
+def read_outcome(read, lines):
+    """What a block reader makes of ``lines``: the error it raises, or the
+    operator's labels, representation and exact entries, and how many lines
+    it consumed."""
+    reader = LineReader(lines)
+    try:
+        op = read(reader)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    kept = op._diag if op._diag is not None else op._matrix
+    return ("ok", reader.lineno, op.labels, op._diag is None, kept.shape, kept.tobytes())
+
+
+@st.composite
+def stored_operators(draw):
+    """Operators a store can hold: diagonal, diagonal with entries in the
+    clamp window, dense PSD, and rotated indicators; dim 1-6, with or
+    without labels."""
+    n = draw(st.integers(1, 6))
+    labels = tuple(f"x{i}" for i in range(n)) if draw(st.booleans()) else ()
+    kind = draw(st.sampled_from(["diagonal", "clamped", "dense", "rotated"]))
+    if kind in ("diagonal", "clamped"):
+        low = -PSD_TOL if kind == "clamped" else 0.0
+        entries = st.one_of(
+            st.floats(low, 1e6),
+            st.sampled_from([0.0, -0.0, 1.0, 0.5, 1 / 3, 5e-324, 1e-300, 1e300]),
+        )
+        d = draw(st.lists(entries, min_size=n, max_size=n))
+        return Operator(np.diag(d), labels) if kind == "clamped" else diagonal(d, labels)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        x = rng.standard_normal((n, n))
+        m = x @ x.T
+    else:
+        q = random_orthogonal(int(rng.integers(2**32)), n)
+        m = q @ np.diag(rng.integers(0, 2, n).astype(float)) @ q.T
+    return Operator((m + m.T) / 2.0, labels)
+
+
+CORRUPTIONS = [
+    "none",
+    "truncate",
+    "drop-entry",
+    "extra-entry",
+    "bad-diagonal",
+    "bad-off-diagonal",
+    "nan-diagonal",
+    "inf-diagonal",
+    "negative-diagonal",
+    "tiny-negative-diagonal",
+    "negative-zero-off-diagonal",
+    "integer-zero-off-diagonal",
+    "tab-separated",
+    "tab-padded-entry",
+    "separator-padded-entry",
+    "padded-row",
+    "label-count",
+    "label-count-and-negative-diagonal",
+]
+
+
+def corrupt(lines, kind, r, c, late_fallback=False):
+    """``lines`` (one operator block) with one corruption in row ``r``;
+    ``c`` picks a column (an off-diagonal one where there is one), or for
+    truncation the number of lines kept. ``late_fallback`` also writes an
+    off-diagonal "-0.0" into the last row, so a reader that took the rows
+    before it as diagonal must rebuild them."""
+    head, rows = list(lines[:2]), [line.split(" ") for line in lines[2:]]
+    n = len(rows)
+    if kind == "truncate":
+        return lines[: c % (n + 2)]
+    if late_fallback and n > 1:
+        rows[-1][0] = "-0.0"
+    col = c % n
+    off = col if col != r or n == 1 else (col + 1) % n
+    if kind == "drop-entry":
+        del rows[r][col]
+    elif kind == "extra-entry":
+        rows[r].append("0.0")
+    elif kind == "bad-diagonal":
+        rows[r][r] = "1.0.0"
+    elif kind == "bad-off-diagonal":
+        rows[r][off] = "x"
+    elif kind in ("nan-diagonal", "inf-diagonal"):
+        rows[r][r] = kind.split("-")[0]
+    elif kind == "negative-diagonal":
+        rows[r][r] = "-1.0"
+    elif kind == "label-count-and-negative-diagonal":
+        # both wrong: the entries are checked first
+        rows[r][r] = "-1.0"
+        head[1] = "LABELS " + ",".join(f"y{i}" for i in range(n + 1))
+    elif kind == "tiny-negative-diagonal":
+        rows[r][r] = "-1e-11"
+    elif kind == "negative-zero-off-diagonal":
+        rows[r][off] = "-0.0"
+    elif kind == "integer-zero-off-diagonal":
+        rows[r][off] = "0"
+    elif kind == "tab-padded-entry":
+        rows[r][r] = "\t" + rows[r][r]
+    elif kind == "separator-padded-entry":
+        # whitespace to str.split, not to float
+        rows[r][r] = "\x1f" + rows[r][r]
+    elif kind == "label-count":
+        head[1] = "LABELS " + ",".join(f"y{i}" for i in range(n + 1))
+    out = head + [" ".join(row) for row in rows]
+    if kind == "tab-separated":
+        out[2 + r] = "\t".join(rows[r])
+    elif kind == "padded-row":
+        out[2 + r] = " " + out[2 + r] + " "
+    return out
+
+
+class TestStoreBlocksMatchReference:
+    """The O(n) diagonal writer and reader against the per-entry ones."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        op=stored_operators(),
+        kind=st.sampled_from(CORRUPTIONS),
+        r=st.integers(0, 5),
+        c=st.integers(0, 7),
+        late_fallback=st.booleans(),
+    )
+    def test_written_and_read_like_reference(self, op, kind, r, c, late_fallback):
+        lines = operator_to_lines(op)
+        assert lines == reference_to_lines(op)
+        n = op.dim
+        # a following block's first line: neither reader may consume it
+        block = corrupt(lines, kind, r % n, c, late_fallback) + ["WC next"]
+        got = read_outcome(operator_from_lines, block)
+        assert got == read_outcome(reference_from_lines, block)
+        if kind == "none" and not late_fallback:
+            # the block reads back as the operator written
+            assert got[2:4] == (op.labels, op._diag is None)
+            if op._diag is not None:
+                assert got[5] == op._diag.tobytes()
+
+    def test_corruptions_of_a_store_name_the_same_line(self, tmp_path):
+        # the same corruptions in the middle of a whole fig1 store
+        lex = build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv"))
+        save_lexicon(lex, tmp_path / "fig1.lex")
+        lines = (tmp_path / "fig1.lex").read_text().splitlines()
+        start = lines.index("WC rodent") + 1
+        for kind in CORRUPTIONS:
+            for r in range(lex.dim):
+                damaged = lines[:start] + corrupt(lines[start : start + 6], kind, r, 3)
+                damaged += lines[start + 6 :] if kind != "truncate" else []
+                path = tmp_path / "damaged.lex"
+                path.write_text("\n".join(damaged) + "\n")
+                outcomes = []
+                for read in (operator_from_lines, reference_from_lines):
+                    try:
+                        with pytest.MonkeyPatch.context() as m:
+                            m.setattr(convneg.lexicon, "operator_from_lines", read)
+                            loaded = load_lexicon(path)
+                    except ParseError as exc:
+                        outcomes.append((str(exc), exc.line))
+                    else:
+                        outcomes.append(
+                            [(o._diag is None, o.matrix.tobytes()) for o in loaded.wc_ops.values()]
+                        )
+                assert outcomes[0] == outcomes[1], (kind, r)
+
+
+class TestIndicatorsMatchReference:
+    @settings(max_examples=100, deadline=None)
+    @given(tax=taxonomies(max_concepts=14))
+    def test_bitwise_equal_to_per_leaf_filter(self, tax):
+        lex = build_lexicon(tax)
+        for word in tax.order:
+            want = reference_indicator(tax, word, tax.leaves)
+            got = lex.word_ops[word]
+            assert got.labels == want.labels == tax.leaves
+            assert got._matrix is None
+            assert got._diag.tobytes() == want._diag.tobytes()

@@ -12,9 +12,9 @@ from convneg.lexicon import (
     save_lexicon,
 )
 from convneg.operators import Operator, operator_to_lines
-from convneg.taxonomy import parse_taxonomy
+from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
-from conftest import COLORS_TSV, FIG1_TSV
+from conftest import COLORS_TSV, FIG1_TSV, FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -123,10 +123,10 @@ class TestStore:
             assert np.array_equal(loaded.word_ops[c].matrix, fig1_lex.word_ops[c].matrix)
             assert np.array_equal(loaded.wc_ops[c].matrix, fig1_lex.wc_ops[c].matrix)
 
-    def test_writer_matches_per_entry_formatter(self, fig1_lex, tmp_path, monkeypatch):
-        """The row writer formats whole rows at once; its bytes equal the
-        per-entry formatter it replaced (kept here) on a diagonal store and
-        on a rotated, dense one."""
+    def test_writer_matches_per_entry_formatter(self, tmp_path, monkeypatch):
+        """The writer cuts diagonal rows from a string of zeros and formats
+        dense rows whole; its bytes equal the per-entry formatter (kept here)
+        on each fixture's diagonal store and on a rotated, dense one."""
 
         def per_entry_lines(a):
             lines = [f"OPERATOR {a.dim}"]
@@ -136,26 +136,28 @@ class TestStore:
             return lines
 
         rng = np.random.default_rng(7)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        for fixture in ("colors", "drinks", "fig1", "kinds", "names", "roles"):
+            lex = build_lexicon(load_taxonomy(FIXTURES / f"{fixture}.tsv"))
+            q, _ = np.linalg.qr(rng.standard_normal((lex.dim, lex.dim)))
 
-        def rotate(op):
-            m = q @ op.matrix @ q.T
-            return Operator((m + m.T) / 2.0, op.labels)
+            def rotate(op):
+                m = q @ op.matrix @ q.T
+                return Operator((m + m.T) / 2.0, op.labels)
 
-        rotated = dataclasses.replace(
-            fig1_lex,
-            word_ops={c: rotate(op) for c, op in fig1_lex.word_ops.items()},
-            wc_ops={c: rotate(op) for c, op in fig1_lex.wc_ops.items()},
-        )
-        for lex in (fig1_lex, rotated):
-            for op in [*lex.word_ops.values(), *lex.wc_ops.values()]:
-                assert operator_to_lines(op) == per_entry_lines(op)
-            new, old = tmp_path / "new.lex", tmp_path / "old.lex"
-            save_lexicon(lex, new)
-            with monkeypatch.context() as m:
-                m.setattr(convneg.lexicon, "operator_to_lines", per_entry_lines)
-                save_lexicon(lex, old)
-            assert new.read_bytes() == old.read_bytes()
+            rotated = dataclasses.replace(
+                lex,
+                word_ops={c: rotate(op) for c, op in lex.word_ops.items()},
+                wc_ops={c: rotate(op) for c, op in lex.wc_ops.items()},
+            )
+            for store in (lex, rotated):
+                for op in [*store.word_ops.values(), *store.wc_ops.values()]:
+                    assert operator_to_lines(op) == per_entry_lines(op)
+                new, old = tmp_path / "new.lex", tmp_path / "old.lex"
+                save_lexicon(store, new)
+                with monkeypatch.context() as m:
+                    m.setattr(convneg.lexicon, "operator_to_lines", per_entry_lines)
+                    save_lexicon(store, old)
+                assert new.read_bytes() == old.read_bytes(), fixture
 
     def test_save_is_deterministic(self, fig1_lex, tmp_path):
         p1, p2 = tmp_path / "a.lex", tmp_path / "b.lex"

@@ -88,6 +88,7 @@ def test_descendant_leaves(fig1):
     assert fig1.descendant_leaves("rodent") == ("hamster", "guinea_pig")
     assert fig1.descendant_leaves("entity") == ("hamster", "guinea_pig", "dog", "planet")
     assert fig1.descendant_leaves("hamster") == ("hamster",)
+    assert fig1.descendants("rodent") == {"rodent", "hamster", "guinea_pig"}
 
 
 def test_unknown_concept(fig1):
@@ -95,3 +96,5 @@ def test_unknown_concept(fig1):
         fig1.hypernyms("flubber")
     with pytest.raises(UnknownWord):
         fig1.descendant_leaves("flubber")
+    with pytest.raises(UnknownWord):
+        fig1.descendants("flubber")
