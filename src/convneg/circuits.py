@@ -29,6 +29,7 @@ from .errors import (
     TooLarge,
     UnknownActor,
     UnknownWord,
+    _read_text,
 )
 from .lexicon import Lexicon, resolve_word
 from .negation import DEFAULTS, NegationConfig
@@ -198,8 +199,7 @@ def parse_script(text: str, lexicons: Sequence[Lexicon]) -> TextCircuit:
 
 
 def load_script(path, lexicons: Sequence[Lexicon]) -> TextCircuit:
-    with open(path, encoding="utf-8") as fh:
-        return parse_script(fh.read(), lexicons)
+    return parse_script(_read_text(path), lexicons)
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,9 @@ def _emit(header: Sequence[str], rows: list[tuple[str, ...]], fmt: str, out: IO[
 
 def _load_one(path: str) -> Lexicon:
     p = Path(path)
-    with open(p, encoding="utf-8") as fh:
+    with open(p, "rb") as fh:
         first = fh.readline()
-    if first.startswith("LEXICON"):
+    if first.startswith(b"LEXICON"):
         return load_lexicon(p)
     return build_lexicon(load_taxonomy(p), name=p.stem)
 

@@ -1,5 +1,7 @@
 """Domain exceptions shared across the package."""
 
+from pathlib import Path
+
 
 class ConvnegError(Exception):
     """Base class for every domain error raised by this package."""
@@ -37,6 +39,17 @@ class ParseError(ConvnegError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 file's text for ``str.splitlines``; a ParseError names the
+    file and the line of its first byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(f"{str(path)!r} is not UTF-8 text ({exc.reason})", line) from None
 
 
 class CyclicTaxonomy(ConvnegError):

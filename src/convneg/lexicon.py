@@ -19,10 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvnegError, AmbiguousWord, ParseError, UnknownWord
+from .errors import ConvnegError, AmbiguousWord, ParseError, UnknownWord, _read_text
 from .operators import (
     LineReader,
     Operator,
+    _entries,
     diagonal,
     hadamard,
     identity,
@@ -161,17 +162,23 @@ def resolve_word(word: str, lexicons: Sequence[Lexicon]) -> Lexicon:
 
 def save_lexicon(lex: Lexicon, path: str | Path) -> None:
     lines = ["LEXICON v1", f"DECAY {lex.decay!r}", "LEAVES " + ",".join(lex.leaves)]
+    # sibling leaves share their hypernyms, so their contexts are equal
+    # operators: each distinct one is formatted once
+    blocks: dict[tuple, list[str]] = {}
     for concept in lex.concepts:
-        lines.append(f"WORD {concept}")
-        lines.extend(operator_to_lines(lex.word_ops[concept]))
-        lines.append(f"WC {concept}")
-        lines.extend(operator_to_lines(lex.wc_ops[concept]))
+        for kind, op in (("WORD", lex.word_ops[concept]), ("WC", lex.wc_ops[concept])):
+            entries = _entries(op)
+            key = (entries.shape, entries.tobytes(), op.labels)
+            if key not in blocks:
+                blocks[key] = operator_to_lines(op)
+            lines.append(f"{kind} {concept}")
+            lines.extend(blocks[key])
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_lexicon(path: str | Path, name: str = "") -> Lexicon:
     """Load a lexicon store; re-validates every operator's invariants."""
-    reader = LineReader(Path(path).read_text(encoding="utf-8").splitlines())
+    reader = LineReader(_read_text(path).splitlines())
 
     if reader.require("lexicon file") != "LEXICON v1":
         raise ParseError("expected header 'LEXICON v1'", reader.lineno)

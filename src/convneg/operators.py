@@ -13,7 +13,8 @@ or rotated operator, is kept dense and validated with an eigendecomposition;
 compute densely and their result is stored by the same rule. Both kinds
 accept and reject the same matrices, since a diagonal matrix's eigenvalues
 are its entries, and write the same text; callers see no difference but
-speed.
+speed. A dense matrix's text is formatted and parsed from its upper
+triangle, and each distinct block of a store is read and validated once.
 
 Operators are immutable values: each function returns a fresh instance and the
 underlying arrays are marked read-only, so they can be shared freely across
@@ -24,6 +25,7 @@ dimensions this package targets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -182,10 +184,10 @@ class Operator:
         return np.linalg.eigvalsh(self._matrix)
 
     def max_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[-1])
+        return float(self._diag.max() if self._diag is not None else self.eigenvalues()[-1])
 
     def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[0])
+        return float(self._diag.min() if self._diag is not None else self.eigenvalues()[0])
 
     def is_zero(self, tol: float = ZERO_TRACE_TOL) -> bool:
         return self.trace() <= tol
@@ -443,7 +445,12 @@ def validate(a: Operator | np.ndarray) -> OperatorDiagnostics:
 # A diagonal operator is written in the same n rows, but row i is cut from one
 # string of n zeros around repr(d_i), and a row that reads "0.0 " * i, one
 # token, " 0.0" * (n-1-i) is read by parsing that token alone: O(n) number
-# work per block, not n^2. Any other row is split and parsed entry by entry.
+# work per block, not n^2. A dense matrix is exactly symmetric: its upper
+# triangle is formatted once and mirrored, and a row whose first i tokens
+# equal, as text, the i-th tokens of the rows above takes those values and
+# parses the rest. Any other row is split and parsed entry by entry. A block
+# whose LABELS line and rows repeat one read before from the same LineReader
+# (one store) is that block's operator, neither parsed nor validated again.
 # ---------------------------------------------------------------------------
 
 
@@ -451,7 +458,11 @@ def operator_to_lines(a: Operator) -> list[str]:
     lines = [f"OPERATOR {a.dim}"]
     lines.append("LABELS " + (",".join(a.labels) if a.labels else "-"))
     if a._diag is None:
-        lines.extend(" ".join(map(repr, row)) for row in a._matrix.tolist())
+        # (m + m.T) / 2 is symmetric bit for bit: row i starts with column i
+        rows: list[list[str]] = []
+        for i, row in enumerate(a._matrix.tolist()):
+            rows.append([above[i] for above in rows] + list(map(repr, row[i:])))
+        lines.extend(map(" ".join, rows))
     else:
         n = a.dim
         zeros = "0.0 " * n
@@ -473,6 +484,8 @@ class LineReader:
     def __init__(self, lines: Iterable[str]):
         self._lines = iter(lines)
         self.lineno = 0
+        # operator_from_lines: each distinct block's operator, by its text
+        self._blocks: dict[tuple[str, ...], Operator] = {}
 
     def __iter__(self) -> "LineReader":
         return self
@@ -512,11 +525,17 @@ def operator_from_lines(reader: LineReader) -> Operator:
         raise ParseError(f"expected 'LABELS ...', got {label_line!r}", reader.lineno)
     raw = label_line[len("LABELS ") :].strip()
     labels: tuple[str, ...] = () if raw == "-" else tuple(raw.split(","))
+    text = list(itertools.islice(reader, dim))  # fewer at the end of input
+    first = reader.lineno - len(text) + 1
+    key = (label_line, *text)
+    if key in reader._blocks:
+        return reader._blocks[key]
     zeros = "0.0 " * dim
     diag: list[float] = []  # row i's diagonal entry, while every row is diagonal
     rows: list[list[float]] | None = None  # all rows, once one is not
+    tokens: list[list[str]] = []  # and their entries as text
     for i in range(dim):
-        row_line = reader.require("operator block")
+        row_line = text[i] if i < len(text) else reader.require("operator block")
         if rows is None:
             tail = zeros[4 * i + 3 : 4 * dim - 1]
             if row_line.startswith(zeros[: 4 * i]) and row_line.endswith(tail):
@@ -528,19 +547,25 @@ def operator_from_lines(reader: LineReader) -> Operator:
                 except ValueError:
                     pass  # the general path below reports it
             rows = [[0.0] * j + [x] + [0.0] * (dim - 1 - j) for j, x in enumerate(diag)]
+            tokens = [line.split() for line in text[:i]]
         fields = row_line.split()
         if len(fields) != dim:
-            raise ParseError(f"expected {dim} entries, got {len(fields)}", reader.lineno)
+            raise ParseError(f"expected {dim} entries, got {len(fields)}", first + i)
         try:
-            rows.append([float(x) for x in fields])
+            if fields[:i] == [above[i] for above in tokens]:
+                # the same text parses to the same float
+                rows.append([above[i] for above in rows] + [float(x) for x in fields[i:]])
+            else:
+                rows.append([float(x) for x in fields])
         except ValueError:
-            raise ParseError(f"bad matrix entry in {row_line!r}", reader.lineno) from None
+            raise ParseError(f"bad matrix entry in {row_line!r}", first + i) from None
+        tokens.append(fields)
     try:
-        if rows is None:
-            return diagonal(diag, labels)
-        return Operator(np.array(rows), labels)
+        op = diagonal(diag, labels) if rows is None else Operator(np.array(rows), labels)
     except InvalidOperator as exc:
         raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc
+    reader._blocks[key] = op
+    return op
 
 
 def operator_to_text(a: Operator) -> str:

@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import CyclicTaxonomy, ParseError, UnknownWord
+from .errors import CyclicTaxonomy, ParseError, UnknownWord, _read_text
 
 
 @dataclass(frozen=True)
@@ -165,4 +165,4 @@ def _reject_cycles(order, parents) -> None:
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    return parse_taxonomy(Path(path).read_text(encoding="utf-8"))
+    return parse_taxonomy(_read_text(path))

@@ -249,6 +249,45 @@ class TestTaxonomyAndLexicon:
         assert "taxonomy-backed" in err
 
 
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is a ParseError naming the file and its line,
+    for every kind of input file and every command that reads it."""
+
+    COMMANDS = {
+        "taxonomy": [
+            ["taxonomy", "validate", "BAD"],
+            ["lexicon", "build", "BAD", "--out", "OUT"],
+            ["negate-word", "a", "--taxonomy", "BAD"],
+            ["negate-string", "a", "--follow-up", "c", "--taxonomies", "BAD"],
+            ["entail", "a", "b", "--taxonomy", "BAD"],
+        ],
+        "store": [
+            ["lexicon", "check", "BAD"],
+            ["negate-word", "hamster", "--taxonomy", "BAD"],
+        ],
+        "script": [["text", "negate-actor", "BAD", "Alice", "--taxonomies", F3]],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(COMMANDS))
+    def test_error_names_file_and_line(self, kind, tmp_path):
+        bad = tmp_path / "bad"
+        if kind == "taxonomy":
+            # the bad byte starts its line
+            lines, line = [b"a\tb", b"\xffc\tb"], 2
+        elif kind == "store":
+            invoke("lexicon", "build", F1, "--out", str(tmp_path / "fig1.lex"))
+            lines, line = (tmp_path / "fig1.lex").read_bytes().split(b"\n"), 5
+            lines[4] += b"\xff"
+        else:
+            lines, line = (FIXTURES / "story.txt").read_bytes().split(b"\n"), 3
+            lines[2] = b"Bob is a \xff."
+        bad.write_bytes(b"\n".join(lines))
+        want = f"error: ParseError: line {line}: {str(bad)!r} is not UTF-8 text (invalid start byte)\n"
+        for command in self.COMMANDS[kind]:
+            argv = [{"BAD": str(bad), "OUT": str(tmp_path / "out.lex")}.get(a, a) for a in command]
+            assert invoke(*argv) == (1, "", want), command
+
+
 class TestNegateActor:
     def test_rank_table(self):
         code, out, err = invoke(

@@ -7,7 +7,8 @@ out in numpy. They also check that a rotated (dense, non-diagonal) lexicon
 answers like the diagonal one, through ``dataclasses.replace`` and through a
 store round trip. The indicator builder and the store's operator writer and
 reader are checked against the per-leaf and per-entry versions they replaced,
-kept here, down to error messages and line numbers on corrupted blocks.
+kept here, down to error messages and line numbers on corrupted blocks, also
+in stores that repeat blocks.
 """
 
 import copy
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import convneg.lexicon
 from convneg.errors import InvalidOperator, NotSubnormalized, ParseError, ZeroNegation
-from convneg.lexicon import build_lexicon, load_lexicon, save_lexicon
+from convneg.lexicon import Lexicon, build_lexicon, load_lexicon, save_lexicon
 from convneg.negation import NegationConfig, alternatives, cn_word
 from convneg.entailment import overlap_score
 from convneg.operators import (
@@ -231,6 +232,19 @@ class TestValidationMatchesDense:
             assert np.array_equal(op.matrix, want)
             assert op.min_eigenvalue() >= 0.0
             assert np.array_equal(op.eigenvalues(), np.linalg.eigvalsh(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.lists(
+            st.one_of(st.floats(-PSD_TOL, 3.0), st.sampled_from([0.0, -0.0, -PSD_TOL, 1.0])),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_extreme_eigenvalues_are_the_spectrum_ends(self, d):
+        for op in (diagonal(d), Operator(np.diag(d))):
+            assert op.max_eigenvalue() == op.eigenvalues()[-1]
+            assert op.min_eigenvalue() == op.eigenvalues()[0]
 
     def test_floor_is_the_boundary(self):
         # at unit scale the floor is -PSD_TOL; above it, it scales with the top
@@ -503,27 +517,32 @@ def reference_from_lines(reader):
         raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc
 
 
+def kept(op):
+    """An operator's labels, representation and exact entries."""
+    entries = op._diag if op._diag is not None else op._matrix
+    return (op.labels, op._diag is None, entries.shape, entries.tobytes())
+
+
 def read_outcome(read, lines):
     """What a block reader makes of ``lines``: the error it raises, or the
-    operator's labels, representation and exact entries, and how many lines
-    it consumed."""
+    operator (``kept``) and how many lines it consumed."""
     reader = LineReader(lines)
     try:
         op = read(reader)
     except ParseError as exc:
         return ("error", str(exc), exc.line)
-    kept = op._diag if op._diag is not None else op._matrix
-    return ("ok", reader.lineno, op.labels, op._diag is None, kept.shape, kept.tobytes())
+    return ("ok", reader.lineno, *kept(op))
 
 
 @st.composite
-def stored_operators(draw):
+def stored_operators(draw, n=None):
     """Operators a store can hold: diagonal, diagonal with entries in the
-    clamp window, dense PSD, and rotated indicators; dim 1-6, with or
-    without labels."""
-    n = draw(st.integers(1, 6))
+    clamp window, dense PSD, dense PSD blocks on the diagonal (exact zeros,
+    and -0.0 where a masked entry was negative), and rotated indicators; dim
+    ``n`` or 1-6, with or without labels."""
+    n = n or draw(st.integers(1, 6))
     labels = tuple(f"x{i}" for i in range(n)) if draw(st.booleans()) else ()
-    kind = draw(st.sampled_from(["diagonal", "clamped", "dense", "rotated"]))
+    kind = draw(st.sampled_from(["diagonal", "clamped", "dense", "blocks", "rotated"]))
     if kind in ("diagonal", "clamped"):
         low = -PSD_TOL if kind == "clamped" else 0.0
         entries = st.one_of(
@@ -533,13 +552,55 @@ def stored_operators(draw):
         d = draw(st.lists(entries, min_size=n, max_size=n))
         return Operator(np.diag(d), labels) if kind == "clamped" else diagonal(d, labels)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "dense":
+    if kind in ("dense", "blocks"):
         x = rng.standard_normal((n, n))
         m = x @ x.T
+        if kind == "blocks":
+            group = rng.integers(0, 2, n)
+            m = m * (group[:, None] == group[None, :])
     else:
         q = random_orthogonal(int(rng.integers(2**32)), n)
         m = q @ np.diag(rng.integers(0, 2, n).astype(float)) @ q.T
     return Operator((m + m.T) / 2.0, labels)
+
+
+@st.composite
+def stores(draw):
+    """Lexicons whose blocks repeat: one to four concepts of one dim, their
+    word and context operators drawn from up to four distinct ones. One of
+    those may be another's entries without labels, with -0.0 made 0.0, or
+    with a changed last diagonal entry (another block with the same first
+    row)."""
+    n = draw(st.integers(1, 6))
+    distinct = draw(st.lists(stored_operators(n), min_size=1, max_size=3))
+    variant = draw(st.sampled_from(["none", "unlabelled", "unsigned-zeros", "last-entry"]))
+    if variant == "unlabelled":
+        distinct.append(Operator(distinct[0].matrix))
+    elif variant == "unsigned-zeros":
+        distinct.append(Operator(distinct[0].matrix + 0.0, distinct[0].labels))
+    elif variant == "last-entry":
+        m = distinct[0].matrix.copy()
+        m[-1, -1] += 1.0
+        distinct.append(Operator(m, distinct[0].labels))
+    count = draw(st.integers(1, 4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2 * count, max_size=2 * count))
+    ops = [distinct[i] for i in picks]
+    concepts = tuple(f"c{k}" for k in range(count))
+    return Lexicon(
+        concepts=concepts,
+        leaves=tuple(f"x{i}" for i in range(n)),
+        word_ops=dict(zip(concepts, ops[::2])),
+        wc_ops=dict(zip(concepts, ops[1::2])),
+        decay=0.5,
+    )
+
+
+def respelled(token):
+    """The same number in other text: "1.0" -> "1.00", "-1e-05" -> "-01e-05"."""
+    if "e" not in token:
+        return token + "0"
+    sign = "-" if token.startswith("-") else ""
+    return sign + "0" + token[len(sign) :]
 
 
 CORRUPTIONS = [
@@ -561,6 +622,8 @@ CORRUPTIONS = [
     "padded-row",
     "label-count",
     "label-count-and-negative-diagonal",
+    "respelled-entry",
+    "sign-flipped-zero",
 ]
 
 
@@ -607,6 +670,16 @@ def corrupt(lines, kind, r, c, late_fallback=False):
         rows[r][r] = "\x1f" + rows[r][r]
     elif kind == "label-count":
         head[1] = "LABELS " + ",".join(f"y{i}" for i in range(n + 1))
+    elif kind == "respelled-entry":
+        # an entry below the diagonal where there is one: equal to its
+        # mirror in value, not in text
+        j = c % r if r else off
+        rows[r][j] = respelled(rows[r][j])
+    elif kind == "sign-flipped-zero":
+        # the first off-diagonal zero, if any: "0.0" <-> "-0.0"
+        zeros = [j for j, x in enumerate(rows[r]) if j != r and x in ("0.0", "-0.0")]
+        if zeros:
+            rows[r][zeros[0]] = "0.0" if rows[r][zeros[0]] == "-0.0" else "-0.0"
     out = head + [" ".join(row) for row in rows]
     if kind == "tab-separated":
         out[2 + r] = "\t".join(rows[r])
@@ -665,6 +738,55 @@ class TestStoreBlocksMatchReference:
                             [(o._diag is None, o.matrix.tobytes()) for o in loaded.wc_ops.values()]
                         )
                 assert outcomes[0] == outcomes[1], (kind, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lex=stores(),
+        kind=st.sampled_from(CORRUPTIONS),
+        row=st.sampled_from(["first", "middle", "last"]),
+        c=st.integers(0, 7),
+        pick=st.integers(0, 7),
+    )
+    def test_repeated_blocks_written_and_read_like_reference(
+        self, lex, kind, row, c, pick, tmp_path_factory
+    ):
+        # each distinct block is written, read and validated once per store;
+        # the bytes, and what each block reads as, are the reference's
+        path = tmp_path_factory.mktemp("store") / "repeats.lex"
+        save_lexicon(lex, path)
+        lines = path.read_text().splitlines()
+        want = ["LEXICON v1", "DECAY 0.5", "LEAVES " + ",".join(lex.leaves)]
+        for concept in lex.concepts:
+            want += [f"WORD {concept}", *reference_to_lines(lex.word_ops[concept])]
+            want += [f"WC {concept}", *reference_to_lines(lex.wc_ops[concept])]
+        assert lines == want
+        # damage one row of a block that repeats an earlier one, if any does
+        size = 2 + lex.dim
+        starts = list(range(4, len(lines), size + 1))
+        blocks = [lines[s : s + size] for s in starts]
+        repeats = [k for k, b in enumerate(blocks) if b in blocks[:k]] or range(len(blocks))
+        s = starts[repeats[pick % len(repeats)]]
+        r = {"first": 0, "middle": lex.dim // 2, "last": lex.dim - 1}[row]
+        damaged = lines[:s] + corrupt(lines[s : s + size], kind, r, c) + lines[s + size :]
+        path.write_text("\n".join(damaged) + "\n")
+        outcomes = []
+        for read in (operator_from_lines, reference_from_lines):
+            try:
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(convneg.lexicon, "operator_from_lines", read)
+                    loaded = load_lexicon(path)
+            except ParseError as exc:
+                outcomes.append((str(exc), exc.line))
+            else:
+                outcomes.append([kept(o) for o in (*loaded.word_ops.values(), *loaded.wc_ops.values())])
+        assert outcomes[0] == outcomes[1]
+
+    def test_repeated_blocks_load_as_one_operator(self, tmp_path):
+        # sibling leaves share their hypernyms, hence their context block
+        save_lexicon(build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv")), tmp_path / "fig1.lex")
+        loaded = load_lexicon(tmp_path / "fig1.lex")
+        assert loaded.wc_ops["hamster"] is loaded.wc_ops["guinea_pig"]
+        assert loaded.wc_ops["rodent"] is not loaded.wc_ops["hamster"]
 
 
 class TestIndicatorsMatchReference:
