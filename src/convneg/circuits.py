@@ -102,10 +102,6 @@ class ViewSlot:
     word: str
     lex: Lexicon
 
-    @property
-    def operator(self) -> Operator:
-        return self.lex.word_operator(self.word)
-
 
 @dataclass(frozen=True)
 class ActorView:
@@ -375,16 +371,9 @@ def contribution_string(c: TextCircuit, name: str) -> tuple[WordString, tuple[st
     """contributing_words as a WordString, plus display labels (actor names
     keep their script capitalization)."""
     entries = contributing_words(c, name)
-    slots = []
-    display = []
-    for source, word in entries:
-        if isinstance(source, Actor):
-            slots.append(Slot(word, source.lex))
-            display.append(source.name)
-        else:
-            slots.append(Slot(word, source.lex))
-            display.append(word)
-    return WordString(tuple(slots)), tuple(display)
+    slots = tuple(Slot(word, source.lex) for source, word in entries)
+    display = tuple(src.name if isinstance(src, Actor) else word for src, word in entries)
+    return WordString(slots), display
 
 
 def cn_actor(
@@ -392,25 +381,18 @@ def cn_actor(
     name: str,
     cfg: NegationConfig = DEFAULTS,
     *,
-    weights: Sequence[float] | None = None,
     context: WordString | None = None,
     lambda_size: float = LAMBDA_DEFAULT,
 ) -> NegationMixture:
     """Negate an actor: mixture over negation sets of its contributing words.
 
-    Weights come from an explicit vector, from a context string (overlaps
-    smoothed by cfg.sigma), or from the size prior alone, in that order of
-    preference.
+    Weights come from the context string when one is given (overlaps smoothed
+    by cfg.sigma), else from the size prior alone.
     """
-    if weights is not None and context is not None:
-        raise ValueError("pass explicit weights or a context string, not both")
     s, _ = contribution_string(c, name)
-    if weights is None:
-        if context is not None:
-            weights = derive_weights(s, context, lambda_size, cfg)
-        else:
-            weights = size_prior(len(s), lambda_size)
-    return cn_string(s, weights, cfg)
+    if context is None:
+        return cn_string(s, size_prior(len(s), lambda_size), cfg)
+    return cn_string(s, derive_weights(s, context, lambda_size, cfg), cfg)
 
 
 def rank_alternatives(

@@ -159,10 +159,8 @@ def _cmd_negate_actor(args, out: IO[str]) -> int:
     circuit = load_script(args.script, lexes)
     cfg = NegationConfig(sigma=args.sigma)
     if args.rank:
-        view = actor_view(circuit, args.actor)
-        labels = [args.actor] + [
-            slot.word for slot in view.slots[1:] if slot.gate is not None
-        ]
+        # the positions rank_alternatives scores: name and attributes, no verbs
+        labels = (args.actor, *actor_view(circuit, args.actor).unary_string().words[1:])
         rows = [
             (str(i), actor.name, _subset_label(subset, labels), _fmt(score))
             for i, (actor, subset, score) in enumerate(
@@ -177,9 +175,7 @@ def _cmd_negate_actor(args, out: IO[str]) -> int:
         context = WordString.resolve(args.context.split(), lexes)
     mix = cn_actor(circuit, args.actor, cfg, context=context, lambda_size=args.lambda_size)
     _, labels = contribution_string(circuit, args.actor)
-    rows = [
-        (_subset_label(term.subset, labels), _fmt(term.weight)) for term in mix.terms
-    ]
+    rows = [(_subset_label(s, labels), _fmt(w)) for s, w in zip(mix.subsets, mix.weights)]
     _emit(("subset", "weight"), rows, args.format, out)
     return 0
 

@@ -3,11 +3,13 @@
 Negating "red wine" does not say which word the speaker rejects, so the
 negation is a weighted mixture over every non-empty negation set: subsets of
 positions whose words are replaced by their single-word negation while the
-rest stay put. Weights come from a follow-up sentence (entailment product,
-word by word) shaped by a size prior that favors negating few words. The
-overlaps are smoothed by the same sigma as single-word alternatives: the one
-in NegationConfig. Only string_score, which takes no config, takes sigma as
-an argument.
+rest stay put. A NegationMixture is fixed by each position's kept and negated
+operator plus one weight per set, so it stores those and builds a term's
+states only when ``terms`` is read. Weights come from a follow-up sentence
+(entailment product, word by word) shaped by a size prior that favors
+negating few words. The overlaps are smoothed by the same sigma as
+single-word alternatives: the one in NegationConfig. Only string_score,
+which takes no config, takes sigma as an argument.
 """
 
 from __future__ import annotations
@@ -72,26 +74,43 @@ class MixtureTerm:
 
 @dataclass(frozen=True)
 class NegationMixture:
-    terms: tuple[MixtureTerm, ...]
+    """Weights over the negation sets (canonical order) plus each position's
+    kept and negated operator; a term's states are built when ``terms`` is read."""
+
+    kept: tuple[Operator, ...]
+    negated: tuple[Operator, ...]
+    weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        total = sum(t.weight for t in self.terms)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        n, m = len(self.kept), len(self.weights)
+        if len(self.negated) != n or m != _count_negation_sets(n):
+            raise ValueError(f"{n} kept, {len(self.negated)} negated operators, {m} weights")
+        total = math.fsum(self.weights)
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
 
     @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(t.weight for t in self.terms)
+    def subsets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(enumerate_negation_sets(len(self.kept)))
 
     @property
-    def subsets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(t.subset for t in self.terms)
+    def terms(self) -> tuple[MixtureTerm, ...]:
+        return tuple(
+            MixtureTerm(subset, w, _choose(subset, self.kept, self.negated))
+            for subset, w in zip(self.subsets, self.weights)
+        )
+
+
+def _count_negation_sets(n: int) -> int:
+    """2^n - 1, for a string length within the guard."""
+    if not 1 <= n <= MAX_STRING_WORDS:
+        raise TooManyWords(f"string length must lie in 1..{MAX_STRING_WORDS}, got {n}")
+    return 2**n - 1
 
 
 def enumerate_negation_sets(n: int) -> list[tuple[int, ...]]:
     """All non-empty position subsets, smallest first, lexicographic within size."""
-    if not 1 <= n <= MAX_STRING_WORDS:
-        raise TooManyWords(f"string length must lie in 1..{MAX_STRING_WORDS}, got {n}")
+    _count_negation_sets(n)
     out: list[tuple[int, ...]] = []
     for size in range(1, n + 1):
         out.extend(combinations(range(n), size))
@@ -129,21 +148,21 @@ def cn_string(
     s: WordString, weights: Sequence[float], cfg: NegationConfig = DEFAULTS
 ) -> NegationMixture:
     """The mixture over negation sets with the given per-subset weights."""
-    subsets = enumerate_negation_sets(len(s))
-    if len(weights) != len(subsets):
-        raise ValueError(f"need {len(subsets)} weights, got {len(weights)}")
+    count = _count_negation_sets(len(s))
+    if len(weights) != count:
+        raise ValueError(f"need {count} weights, got {len(weights)}")
     ws = [float(w) for w in weights]
-    if any(w < 0 for w in ws):
-        raise ValueError("subset weights must be nonnegative")
-    total = sum(ws)
+    if not all(0.0 <= w < math.inf for w in ws):
+        raise ValueError("subset weights must be finite and nonnegative")
+    try:
+        total = math.fsum(ws)
+    except OverflowError:
+        raise ValueError("subset weights sum past the float range") from None
     if total <= 0:
         raise ValueError("subset weights must not all vanish")
-    originals, negated = s.originals(), _negations(s, cfg)
-    terms = tuple(
-        MixtureTerm(subset, w / total, _choose(subset, originals, negated))
-        for subset, w in zip(subsets, ws)
+    return NegationMixture(
+        s.originals(), _negations(s, cfg), tuple(w / total for w in ws)
     )
-    return NegationMixture(terms)
 
 
 def _check_alignment(n: int, target: WordString, spaces: Sequence[tuple[str, ...]]) -> None:

@@ -349,11 +349,6 @@ class TestCnActor:
         want = derive_weights(s, context, 0.75, NegationConfig(sigma=0))
         np.testing.assert_allclose(mix.weights, want, atol=1e-15)
 
-    def test_weights_and_context_exclusive(self, story, lexes):
-        context = WordString.resolve(["bob", "human", "biologist"], lexes)
-        with pytest.raises(ValueError):
-            cn_actor(story, "Alice", weights=[1] * 7, context=context)
-
     def test_closure_blows_past_guard(self, love_lexes):
         from convneg.errors import TooManyWords
 

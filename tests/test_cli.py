@@ -1,5 +1,6 @@
 import warnings
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -326,6 +327,36 @@ class TestNegateActor:
         rows = {l.split()[0]: float(l.split()[1]) for l in out.splitlines()[1:]}
         assert max(rows, key=rows.get) == "{Alice,archaeologist}"
         assert top[0] == "{Alice}"
+
+    def test_rank_labels_skip_the_actors_verb_slots(self, tmp_path):
+        # a verb gate on Alice herself sits among her slots, but ranking
+        # scores only her name and attributes
+        script = tmp_path / "story.txt"
+        story = Path(STORY).read_text(encoding="utf-8")
+        script.write_text("Alice loves Alice.\n" + story, encoding="utf-8")
+        verbs = tmp_path / "verbs.tsv"
+        verbs.write_text("loves\tfeels\n")
+        code, out, err = invoke(
+            "text", "negate-actor", str(script), "Alice", "--taxonomies", f"{F3},{verbs}",
+            "--rank", "--sigma", "0",
+        )
+        assert (code, err) == (0, "")
+        assert out == readme_output("text negate-actor fixtures/story.txt Alice")
+
+    def test_long_actor_negates(self, tmp_path):
+        # 18 contributing words: the mixture's weights need a correctly
+        # rounded sum to pass the unit-sum check
+        lines = ["Alice is a human.", "Alice is an archaeologist."] * 9
+        script = tmp_path / "long.txt"
+        script.write_text("\n".join(lines[:17]) + "\n", encoding="utf-8")
+        code, out, err = invoke(
+            "text", "negate-actor", str(script), "Alice", "--taxonomies", F3,
+            "--lambda", "1.0", "--format", "tsv",
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 2**18 - 1
+        assert rows[0] == "{Alice}\t0.000004"  # uniform: 1 / (2^18 - 1)
 
     def test_unknown_actor(self):
         code, _, err = invoke(

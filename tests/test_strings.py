@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from convneg.errors import (
 from convneg.lexicon import build_lexicon
 from convneg.negation import NegationConfig, cn_word
 from convneg.strings import (
+    WEIGHT_SUM_TOL,
     MixtureTerm,
     NegationMixture,
     Slot,
@@ -23,6 +26,7 @@ from convneg.strings import (
     derive_weights,
     enumerate_negation_sets,
     interpretation_scores,
+    size_prior,
     string_score,
 )
 from convneg.taxonomy import parse_taxonomy
@@ -46,6 +50,9 @@ def fig1():
 @pytest.fixture(scope="module")
 def red_wine(colors, drinks):
     return WordString.resolve(["red", "wine"], [colors, drinks])
+
+
+LONG_POOL = ("red", "wine", "white", "beer", "rosé", "juice")
 
 
 def subsets_oracle(n):
@@ -127,7 +134,18 @@ class TestCnString:
         np.testing.assert_array_equal(both.states[0].matrix, cn_word("red", colors).matrix)
         np.testing.assert_array_equal(both.states[1].matrix, cn_word("wine", drinks).matrix)
 
-    @pytest.mark.parametrize("weights", [[1.0], [1, 1, 1, 1], [-1, 1, 1], [0, 0, 0]])
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0],
+            [1, 1, 1, 1],
+            [-1, 1, 1],
+            [0, 0, 0],
+            [math.nan, 1, 1],
+            [math.inf, 1, 1],
+            [1e308, 1e308, 1],
+        ],
+    )
     def test_bad_weights(self, red_wine, weights):
         with pytest.raises(ValueError):
             cn_string(red_wine, weights)
@@ -140,7 +158,30 @@ class TestCnString:
     def test_mixture_invariant(self, red_wine, colors, drinks):
         states = (colors.word_operator("red"), drinks.word_operator("wine"))
         with pytest.raises(ValueError, match="sum"):
-            NegationMixture((MixtureTerm((0,), 0.9, states),))
+            NegationMixture(states, states, (0.9, 0.0, 0.0))
+
+    def test_mixture_shape(self, red_wine):
+        states = red_wine.originals()
+        with pytest.raises(ValueError, match="1 negated operators"):
+            NegationMixture(states, states[:1], (1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="1 weights"):
+            NegationMixture(states, states, (1.0,))
+
+    # (n, lambda) pairs whose mixture weights, normalized and checked with a
+    # plain sum, drift past WEIGHT_SUM_TOL
+    @pytest.mark.parametrize("n, lam", [(17, 0.5), (18, 1.0), (19, 0.25), (20, 0.75)])
+    def test_long_strings_negate(self, colors, drinks, n, lam):
+        s = WordString.resolve([LONG_POOL[i % 6] for i in range(n)], [colors, drinks])
+        mix = cn_string(s, size_prior(n, lam))
+        assert len(mix.weights) == 2**n - 1
+        assert abs(math.fsum(mix.weights) - 1.0) <= WEIGHT_SUM_TOL
+
+    def test_long_string_with_derived_weights(self, colors, drinks):
+        n = 17
+        s = WordString.resolve([LONG_POOL[i % 6] for i in range(n)], [colors, drinks])
+        follow = WordString.resolve([LONG_POOL[(i + 2) % 6] for i in range(n)], [colors, drinks])
+        weights = derive_weights(s, follow, 0.5, NegationConfig(sigma=0.5))
+        assert abs(math.fsum(cn_string(s, weights).weights) - 1.0) <= WEIGHT_SUM_TOL
 
 
 class TestStringScore:
@@ -372,3 +413,76 @@ class TestFactoredScoresMatchExhaustive:
         assert tied == exhaustive_scores(s, top, 1.0, NegationConfig(sigma=0))
         assert set(tied) == {1.0}
         assert best_interpretation(s, top, 1.0, NegationConfig(sigma=0)) == ((0,), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# differential check: terms built on read against eagerly built terms
+
+
+def eager_terms(s, weights, cfg):
+    """cn_string's terms built up front, every state tuple materialized and
+    the weights normalized by a plain sum."""
+    originals = s.originals()
+    negated = []
+    for i, slot in enumerate(s.positions):
+        try:
+            negated.append(cn_word(slot.word, slot.lex, cfg))
+        except ZeroNegation as exc:
+            raise ZeroNegation(f"negation set {{{i}}}: {exc}") from exc
+    total = sum(float(w) for w in weights)
+    return tuple(
+        MixtureTerm(
+            subset,
+            float(w) / total,
+            tuple(negated[i] if i in subset else op for i, op in enumerate(originals)),
+        )
+        for subset, w in zip(enumerate_negation_sets(len(s)), weights)
+    )
+
+
+def fingerprint(op):
+    """An operator's labels, representation and exact entries."""
+    entries = op._diag if op._diag is not None else op._matrix
+    return (op.labels, op._diag is None, entries.shape, entries.tobytes())
+
+
+@st.composite
+def strings_and_weights(draw, lexes):
+    n = draw(st.integers(1, 6))
+    picked = [draw(st.sampled_from(lexes)) for _ in range(n)]
+    s = WordString(tuple(Slot(draw(st.sampled_from(lex.concepts)), lex) for lex in picked))
+    k = 2**n - 1
+    if draw(st.booleans()):
+        weights = [0.0] * k
+        weights[draw(st.integers(0, k - 1))] = draw(st.sampled_from([1.0, 0.3, 7.0]))
+    else:
+        value = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.integers(0, 5))
+        weights = draw(st.lists(value, min_size=k, max_size=k))
+        if not any(weights):
+            weights[draw(st.integers(0, k - 1))] = 1.0
+    return s, weights
+
+
+class TestTermsMatchEager:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), decay=st.sampled_from([None, 0.3]))
+    def test_terms_equal_eager_reference(self, colors, drinks, fig1, data, decay):
+        s, weights = data.draw(strings_and_weights((colors, drinks, fig1)))
+        cfg = NegationConfig(decay=decay)
+        try:
+            want = eager_terms(s, weights, cfg)
+        except ZeroNegation as exc:
+            # roots negate to zero: cn_string itself names the singleton
+            with pytest.raises(ZeroNegation) as caught:
+                cn_string(s, weights, cfg)
+            assert str(caught.value) == str(exc)
+            assert str(exc).startswith("negation set {")
+            return
+        mix = cn_string(s, weights, cfg)
+        got = mix.terms
+        assert mix.subsets == tuple(t.subset for t in want)
+        assert [t.subset for t in got] == [t.subset for t in want]
+        for g, w in zip(got, want):
+            assert abs(g.weight - w.weight) <= 1e-15
+            assert [fingerprint(op) for op in g.states] == [fingerprint(op) for op in w.states]
+        assert mix.weights == tuple(t.weight for t in got)
