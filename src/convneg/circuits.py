@@ -32,10 +32,9 @@ from .errors import (
     _read_text,
 )
 from .lexicon import Lexicon, resolve_word
-from .negation import DEFAULTS, NegationConfig
+from .negation import DEFAULTS, LAMBDA_DEFAULT, NegationConfig
 from .operators import Operator, conjugate_update, normalize
 from .strings import (
-    LAMBDA_DEFAULT,
     NegationMixture,
     Slot,
     WordString,

@@ -5,6 +5,9 @@ formatting) and every table in a fixed canonical order, so identical
 invocations produce byte-identical stdout. Domain failures exit 1 with
 ``error: <ErrorName>: <message>`` on stderr; usage problems exit 2.
 
+Commands that negate strings or actors import ``strings`` and ``circuits``
+when they run, so the other commands start without them.
+
 Taxonomy arguments accept either a child<TAB>parent TSV or a lexicon store
 written by ``lexicon build`` (detected by the store's header line).
 """
@@ -16,30 +19,16 @@ import sys
 from pathlib import Path
 from typing import IO, Sequence
 
-from .circuits import (
-    actor_view,
-    cn_actor,
-    contribution_string,
-    load_script,
-    rank_alternatives,
-)
 from .entailment import SIGMA_DEFAULT, loewner_k, overlap_score
 from .errors import ConvnegError
 from .lexicon import DEFAULT_DECAY, Lexicon, build_lexicon, load_lexicon, save_lexicon
 from .negation import (
     COMPOSITION_CHOICES,
     DEFAULTS,
+    LAMBDA_DEFAULT,
     LOGICAL_CHOICES,
     NegationConfig,
     alternatives,
-)
-from .strings import (
-    LAMBDA_DEFAULT,
-    WordString,
-    _best_from_scores,
-    _weights_from_scores,
-    enumerate_negation_sets,
-    interpretation_scores,
 )
 from .taxonomy import load_taxonomy
 
@@ -126,6 +115,14 @@ def _cmd_negate_word(args, out: IO[str]) -> int:
 
 
 def _cmd_negate_string(args, out: IO[str]) -> int:
+    from .strings import (
+        WordString,
+        _best_from_scores,
+        _weights_from_scores,
+        enumerate_negation_sets,
+        interpretation_scores,
+    )
+
     lexes = _load_many(args.taxonomies)
     s = WordString.resolve(args.string.split(), lexes)
     follow = WordString.resolve(args.follow_up.split(), lexes)
@@ -155,6 +152,15 @@ def _cmd_entail(args, out: IO[str]) -> int:
 
 
 def _cmd_negate_actor(args, out: IO[str]) -> int:
+    from .circuits import (
+        actor_view,
+        cn_actor,
+        contribution_string,
+        load_script,
+        rank_alternatives,
+    )
+    from .strings import WordString
+
     lexes = _load_many(args.taxonomies)
     circuit = load_script(args.script, lexes)
     cfg = NegationConfig(sigma=args.sigma)

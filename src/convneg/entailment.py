@@ -6,17 +6,36 @@ first argument as a mixture (trace-normalized) and asks what fraction of it
 is consistent with a predicate, optionally smoothed by the predicate word's
 worldly context so that near-misses grade above zero instead of collapsing
 to orthogonality.
+
+A smoothed predicate depends on the word and sigma only, so each lexicon
+keeps the ones built for the sigma last used (``Lexicon._smoothed``) and
+builds each once; an entry is checked by identity against the word and
+context operators it was built from. ``alternatives`` scores every leaf in
+one product of the state's main diagonal with the leaves' predicate
+diagonals, stacked once per lexicon, whenever the state or every predicate
+is diagonal; each score is the same correctly rounded sum as
+``trace_product``'s, so scores and exact ties do not change.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimMismatch, ZeroOperator
 from .lexicon import Lexicon
-from .operators import Operator, PINV_TOL, ZERO_TRACE_TOL, mix, normalize, trace_product
+from .operators import (
+    Operator,
+    PINV_TOL,
+    ZERO_TRACE_TOL,
+    _main_diagonal,
+    mix,
+    normalize,
+    trace_product,
+)
 
 SIGMA_DEFAULT = 0.5
 SUPPORT_RESIDUAL_TOL = 1e-8
@@ -72,17 +91,97 @@ def loewner_k(a: Operator, b: Operator) -> float:
     return _clamp01(loewner_k_raw(a, b))
 
 
+class _Smoothed:
+    """One lexicon's smoothed predicates at one sigma.
+
+    ``words`` maps a word to the word and context operators its predicate
+    was built from, and the predicate. ``stack`` holds the leaves'
+    predicates, in leaf order, and their main diagonals stacked one row per
+    leaf.
+    """
+
+    __slots__ = ("words", "stack")
+
+    def __init__(self) -> None:
+        self.words: dict[str, tuple[Operator, Operator, Operator]] = {}
+        self.stack: tuple[list[Operator], np.ndarray] | None = None
+
+
+def _memo(lex: Lexicon, sigma: float) -> _Smoothed:
+    """The lexicon's table for ``sigma``; one for another sigma replaces it."""
+    memo = lex._smoothed
+    table = memo.get(sigma)
+    if table is None:
+        memo.clear()
+        table = memo[sigma] = _Smoothed()
+    return table
+
+
+def _predicate(word: str, lex: Lexicon, sigma: float, table: _Smoothed) -> Operator:
+    p = lex.word_operator(word)
+    if sigma == 0:
+        return p
+    wc = lex.worldly_context(word)
+    hit = table.words.get(word)
+    # by identity, so an operator replaced in the lexicon is never served stale
+    if hit is not None and hit[0] is p and hit[1] is wc:
+        return hit[2]
+    pred = normalize(mix([(1.0, p), (sigma, wc)]), "sup")
+    table.words[word] = (p, wc, pred)
+    return pred
+
+
 def smoothed_predicate(word: str, lex: Lexicon, sigma: float = SIGMA_DEFAULT) -> Operator:
     """Predicate of ``word`` blended with its worldly context.
 
     sigma = 0 returns the word operator unchanged; otherwise the sum
-    P_word + sigma * wc_word is sup-normalized back to a predicate.
+    P_word + sigma * wc_word is sup-normalized back to a predicate. It is
+    built once per lexicon for the sigma last used, and then returned as is.
     """
     _check_sigma(sigma)
-    p = lex.word_operator(word)
-    if sigma == 0:
-        return p
-    return normalize(mix([(1.0, p), (sigma, lex.worldly_context(word))]), "sup")
+    return _predicate(word, lex, sigma, _memo(lex, sigma))
+
+
+def _stack(preds: list[Operator], leaves: bool, table: _Smoothed) -> np.ndarray:
+    """Main diagonals of ``preds``, one row each; kept in ``table`` when they
+    are the leaves' predicates."""
+    if leaves and table.stack is not None:
+        known, stack = table.stack
+        if all(map(operator.is_, known, preds)):
+            return stack
+    stack = np.array([_main_diagonal(p) for p in preds])
+    if leaves:
+        stack.setflags(write=False)
+        table.stack = (preds, stack)
+    return stack
+
+
+def _overlap_scores(
+    a: Operator, words: Sequence[str], lex: Lexicon, sigma: float
+) -> list[float]:
+    """``overlap_score(a, word, lex, sigma)`` for each of ``words``.
+
+    When every trace product takes ``trace_product``'s O(n) path (``a`` or
+    every predicate is diagonal), ``a``'s main diagonal multiplies the
+    predicates' stacked diagonals in one product, and each row's
+    ``math.fsum`` sums the products ``trace_product`` would. Otherwise each
+    pair goes through ``trace_product``.
+    """
+    t = a.trace()
+    if t <= ZERO_TRACE_TOL:
+        raise ZeroOperator("overlap score needs a nonzero state")
+    _check_sigma(sigma)
+    table = _memo(lex, sigma)
+    n, preds = a.dim, []
+    for word in words:
+        p = _predicate(word, lex, sigma, table)
+        if p.dim != n:
+            raise DimMismatch(f"state dim {n} vs predicate dim {p.dim}")
+        preds.append(p)
+    if a._diag is None and any(p._diag is None for p in preds):
+        return [_clamp01(trace_product(a, p) / t) for p in preds]
+    rows = (_stack(preds, words == lex.leaves, table) * _main_diagonal(a)).tolist()
+    return [_clamp01(math.fsum(row) / t) for row in rows]
 
 
 def overlap_score(
@@ -93,10 +192,4 @@ def overlap_score(
     Tr(rho_a . smoothed predicate), which lies in [0, 1] because the state is
     trace-normalized and the predicate sup-normalized.
     """
-    t = a.trace()
-    if t <= ZERO_TRACE_TOL:
-        raise ZeroOperator("overlap score needs a nonzero state")
-    p = smoothed_predicate(word, lex, sigma)
-    if a.dim != p.dim:
-        raise DimMismatch(f"state dim {a.dim} vs predicate dim {p.dim}")
-    return _clamp01(trace_product(a, p) / t)
+    return _overlap_scores(a, (word,), lex, sigma)[0]

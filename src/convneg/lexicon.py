@@ -47,6 +47,15 @@ class Lexicon:
     decay: float
     taxonomy: Taxonomy | None = field(default=None, repr=False)
     name: str = ""
+    # entailment's smoothed predicates at the last sigma used, built on
+    # demand: not compared, shown, carried over by replace, copied or pickled
+    _smoothed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_smoothed"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _smoothed={})
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .entailment import SIGMA_DEFAULT, _check_sigma, overlap_score
+from .entailment import SIGMA_DEFAULT, _check_sigma, _overlap_scores
 from .errors import ZeroNegation
 from .lexicon import Lexicon, _check_decay
 from .operators import (
@@ -28,6 +28,8 @@ from .operators import (
 LOGICAL_CHOICES = ("complement", "pinv")
 COMPOSITION_CHOICES = ("hadamard", "conjugate")
 VIEW_CHOICES = ("trace", "sup")
+# size prior of string and actor negation: lambda^(|S'|-1) for a negation set S'
+LAMBDA_DEFAULT = 0.75
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,10 @@ def alternatives(
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     state = cn_word(word, lex, cfg)
+    scores = _overlap_scores(state, lex.leaves, lex, cfg.sigma)
     scored = [
-        (overlap_score(state, leaf, lex, cfg.sigma), i, leaf)
-        for i, leaf in enumerate(lex.leaves)
+        (score, i, leaf)
+        for i, (leaf, score) in enumerate(zip(lex.leaves, scores))
         if leaf != word
     ]
     scored.sort(key=lambda t: (-t[0], t[1]))

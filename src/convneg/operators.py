@@ -5,16 +5,20 @@ matrix whose off-diagonal entries are all exactly zero is kept as its
 diagonal alone, whether it was given as a vector or as a matrix. Every
 operator a taxonomy-built lexicon holds is one: indicators over descendant
 leaves and mixtures of them. Validation, the spectrum, the trace, ``mix``,
-``hadamard``, ``normalize``, ``complement``, ``trace_product`` and the text
-format's writer and reader then cost O(n), and the dense ``matrix`` is built
-afresh on each read and not kept. Any other matrix, such as a store-injected
-or rotated operator, is kept dense and validated with an eigendecomposition;
-``pseudoinverse``, ``conjugate_update``, ``tensor`` and ``partial_trace``
-compute densely and their result is stored by the same rule. Both kinds
-accept and reject the same matrices, since a diagonal matrix's eigenvalues
-are its entries, and write the same text; callers see no difference but
-speed. A dense matrix's text is formatted and parsed from its upper
-triangle, and each distinct block of a store is read and validated once.
+``hadamard``, ``normalize``, ``complement``, ``trace_product``,
+``pseudoinverse``, ``support_projector``, ``conjugate_update`` (of a
+diagonal state by a diagonal effect) and the text format's writer and reader
+then cost O(n), and the dense ``matrix`` is built afresh on each read and not
+kept. Any other matrix, such as a store-injected or rotated operator, is kept
+dense and validated with an eigendecomposition; those three, ``tensor`` and
+``partial_trace`` compute densely on it and their result is stored by the
+same rule. Both kinds accept and reject the same matrices, since a diagonal
+matrix's eigenvalues are its entries, and give the same entries and text;
+callers see no difference but speed. (One exception: LAPACK rescales a
+matrix whose largest entry lies below about 1e-146 or above about 1e145,
+which rounds its eigenvalues, while the O(n) forms stay exact.) A dense
+matrix's text is formatted and parsed from its upper triangle, and each
+distinct block of a store is read and validated once.
 
 Operators are immutable values: each function returns a fresh instance and the
 underlying arrays are marked read-only, so they can be shared freely across
@@ -50,6 +54,9 @@ PINV_TOL = 1e-10
 # complement accepts a predicate whose top eigenvalue exceeds 1 by this much
 # (rounding in sup-normalization) and clamps the negative eigenvalues it causes
 COMPLEMENT_TOL = 1e-9
+# largest magnitude of a finite entry the text format reads: a sum of up to
+# 1e8 of them (a trace, a mixture, a symmetrization) stays below 1.8e308
+MAX_ENTRY = 1e300
 
 
 def psd_floor(lam_max: float) -> float:
@@ -374,10 +381,16 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 def conjugate_update(state: Operator, effect: Operator) -> Operator:
     """Update ``state`` by ``effect`` via sqrt(effect) @ state @ sqrt(effect).
 
-    Trace-monotone whenever the effect is sup-normalized.
+    Trace-monotone whenever the effect is sup-normalized. When both are
+    diagonal this is (sqrt(e)·s)·sqrt(e) entrywise, the dense path's
+    products in its order; adding 0.0 gives a zero the sign the dense
+    path's sums give it.
     """
     if state.dim != effect.dim:
         raise DimMismatch(f"update of dim {state.dim} state by dim {effect.dim} effect")
+    if state._diag is not None and effect._diag is not None:
+        root = np.sqrt(effect._diag)
+        return _from_entries(root * state._diag * root + 0.0, state.labels)
     s = _psd_sqrt(effect.matrix)
     out = s @ state.matrix @ s
     return Operator((out + out.T) / 2.0, state.labels)
@@ -399,19 +412,28 @@ def normalize(a: Operator, mode: str = "trace") -> Operator:
 
 
 def pseudoinverse(a: Operator, tol: float = PINV_TOL) -> Operator:
-    """Moore-Penrose pseudoinverse; eigenvalues <= tol are treated as zero."""
-    lam, vecs = np.linalg.eigh(a.matrix)
+    """Moore-Penrose pseudoinverse; eigenvalues <= tol are treated as zero.
+    For a diagonal operator, 1/d_i where d_i > tol and 0 elsewhere."""
+    if a._diag is not None:
+        lam, vecs = a._diag, None
+    else:
+        lam, vecs = np.linalg.eigh(a._matrix)
     support = lam > tol
     if not np.any(support):
         raise ZeroOperator("pseudoinverse of the (numerically) zero operator")
     inv = np.where(support, 1.0 / np.where(support, lam, 1.0), 0.0)
+    if vecs is None:
+        return _from_entries(inv, a.labels)
     out = vecs @ np.diag(inv) @ vecs.T
     return Operator((out + out.T) / 2.0, a.labels)
 
 
 def support_projector(a: Operator, tol: float = PINV_TOL) -> Operator:
-    """Orthogonal projector onto the range of ``a``."""
-    lam, vecs = np.linalg.eigh(a.matrix)
+    """Orthogonal projector onto the range of ``a``: for a diagonal operator,
+    the indicator of d_i > tol."""
+    if a._diag is not None:
+        return _from_entries((a._diag > tol).astype(np.float64), a.labels)
+    lam, vecs = np.linalg.eigh(a._matrix)
     keep = lam > tol
     out = vecs[:, keep] @ vecs[:, keep].T
     return Operator((out + out.T) / 2.0, a.labels)
@@ -448,9 +470,11 @@ def validate(a: Operator | np.ndarray) -> OperatorDiagnostics:
 # work per block, not n^2. A dense matrix is exactly symmetric: its upper
 # triangle is formatted once and mirrored, and a row whose first i tokens
 # equal, as text, the i-th tokens of the rows above takes those values and
-# parses the rest. Any other row is split and parsed entry by entry. A block
-# whose LABELS line and rows repeat one read before from the same LineReader
-# (one store) is that block's operator, neither parsed nor validated again.
+# parses the rest. Any other row is split and parsed entry by entry. A finite
+# entry above MAX_ENTRY in magnitude is refused, naming the first row with
+# one, before the block is validated. A block whose LABELS line and rows
+# repeat one read before from the same LineReader (one store) is that block's
+# operator, neither parsed nor validated again.
 # ---------------------------------------------------------------------------
 
 
@@ -560,8 +584,19 @@ def operator_from_lines(reader: LineReader) -> Operator:
         except ValueError:
             raise ParseError(f"bad matrix entry in {row_line!r}", first + i) from None
         tokens.append(fields)
+    if rows is None:
+        entries, low, high = diag, min(diag), max(diag)
+    else:
+        entries = np.array(rows)
+        low, high = entries.min(), entries.max()
+    # an extreme that is NaN fails this test too; the search skips non-finite entries
+    if not (-MAX_ENTRY <= low and high <= MAX_ENTRY):
+        magnitude = np.abs(entries).reshape(dim, -1)
+        oversized = np.flatnonzero(((magnitude > MAX_ENTRY) & (magnitude < math.inf)).any(axis=1))
+        if oversized.size:
+            raise ParseError(f"entry magnitude above {MAX_ENTRY:g}", first + int(oversized[0]))
     try:
-        op = diagonal(diag, labels) if rows is None else Operator(np.array(rows), labels)
+        op = diagonal(entries, labels) if rows is None else Operator(entries, labels)
     except InvalidOperator as exc:
         raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc
     reader._blocks[key] = op

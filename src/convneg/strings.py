@@ -22,11 +22,10 @@ from typing import Sequence
 from .entailment import SIGMA_DEFAULT, overlap_score
 from .errors import AlignmentError, TooManyWords, ZeroNegation
 from .lexicon import Lexicon, resolve_word
-from .negation import DEFAULTS, NegationConfig, cn_word
+from .negation import DEFAULTS, LAMBDA_DEFAULT, NegationConfig, cn_word
 from .operators import Operator
 
 MAX_STRING_WORDS = 20
-LAMBDA_DEFAULT = 0.75
 WEIGHT_SUM_TOL = 1e-12
 
 

@@ -1,9 +1,14 @@
+import importlib
+import os
+import subprocess
+import sys
 import warnings
 from io import StringIO
 from pathlib import Path
 
 import pytest
 
+import convneg
 import convneg.strings
 from conftest import FIXTURES
 from convneg.cli import run
@@ -240,6 +245,22 @@ class TestTaxonomyAndLexicon:
         assert code == 1
         assert "ParseError" in err
 
+    def test_oversized_store_entry_is_a_parse_error(self, tmp_path):
+        # it used to pass `lexicon check`, and khyp printed nan after a numpy
+        # overflow warning
+        store = tmp_path / "fig1.lex"
+        invoke("lexicon", "build", F1, "--out", str(store))
+        lines = store.read_text().splitlines()
+        assert lines[3] == "WORD hamster" and lines[6] == "1.0 0.0 0.0 0.0"
+        lines[6] = "1e308 0.0 0.0 0.0"
+        store.write_text("\n".join(lines) + "\n")
+        want = (1, "", "error: ParseError: line 7: entry magnitude above 1e+300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invoke("lexicon", "check", str(store)) == want
+            assert invoke("entail", "hamster", "rodent", "--taxonomy", str(store), "--measure", "khyp") == want
+            assert invoke("negate-word", "hamster", "--taxonomy", str(store)) == want
+
     def test_store_rejects_decay_override(self, tmp_path):
         store = tmp_path / "fig1.lex"
         invoke("lexicon", "build", F1, "--out", str(store))
@@ -387,3 +408,82 @@ class TestDeterminism:
         second = invoke(*argv)
         assert first == second
         assert first[0] == 0
+
+
+# the package's public names by the module its eager __init__ imported them from
+EAGER_EXPORTS = {
+    "circuits": [
+        "Actor", "ActorView", "BinaryGate", "TextCircuit", "UnaryGate", "actor_view",
+        "cn_actor", "composed_factors", "composed_state", "contributing_words",
+        "contribution_string", "load_script", "parse_script", "rank_alternatives",
+    ],
+    "entailment": [
+        "SIGMA_DEFAULT", "loewner_k", "loewner_k_raw", "overlap_score", "smoothed_predicate",
+    ],
+    "errors": [
+        "AlignmentError", "AmbiguousWord", "ConvnegError", "CyclicTaxonomy", "DimMismatch",
+        "EmptyMixture", "InvalidIndex", "InvalidOperator", "NotSubnormalized", "ParseError",
+        "TooLarge", "TooManyWords", "UnknownActor", "UnknownWord", "ZeroNegation",
+        "ZeroOperator",
+    ],
+    "lexicon": [
+        "DEFAULT_DECAY", "Lexicon", "build_lexicon", "load_lexicon", "resolve_word",
+        "save_lexicon",
+    ],
+    "negation": [
+        "DEFAULTS", "NegationConfig", "alternatives", "cn_word", "logical_not_complement",
+        "logical_not_pinv",
+    ],
+    "operators": [
+        "Operator", "conjugate_update", "diagonal", "hadamard", "identity", "mix",
+        "normalize", "partial_trace", "pseudoinverse", "pure", "support_projector",
+        "tensor", "validate",
+    ],
+    "strings": [
+        "LAMBDA_DEFAULT", "MixtureTerm", "NegationMixture", "WordString",
+        "best_interpretation", "cn_string", "derive_weights", "enumerate_negation_sets",
+        "interpretation_scores", "string_score",
+    ],
+    "taxonomy": ["Taxonomy", "load_taxonomy", "parse_taxonomy"],
+}
+
+
+class TestLazyImports:
+    def test_public_names_resolve_to_the_same_objects(self):
+        names = [n for module, ns in EAGER_EXPORTS.items() for n in (module, *ns)]
+        assert convneg.__all__ == sorted(names)
+        for module, ns in EAGER_EXPORTS.items():
+            defining = importlib.import_module(f"convneg.{module}")
+            assert getattr(convneg, module) is defining
+            for name in ns:
+                assert getattr(convneg, name) is getattr(defining, name), name
+        star: dict = {}
+        exec("from convneg import *", star)
+        assert sorted(k for k in star if k != "__builtins__") == convneg.__all__
+        assert set(convneg.__all__) <= set(dir(convneg))
+        with pytest.raises(AttributeError):
+            convneg.no_such_name
+
+    @pytest.mark.parametrize(
+        "argv, layers",
+        [
+            (["negate-word", "hamster", "--taxonomy", F1], []),
+            (["entail", "hamster", "rodent", "--taxonomy", F1, "--measure", "khyp"], []),
+            (["negate-string", "red wine", "--follow-up", "white wine", "--taxonomies", F2], ["strings"]),
+            (["text", "negate-actor", STORY, "Alice", "--taxonomies", F3], ["circuits", "strings"]),
+        ],
+        ids=["negate-word", "entail", "negate-string", "negate-actor"],
+    )
+    def test_commands_import_only_the_layers_they_use(self, argv, layers):
+        probe = (
+            "import sys, convneg.cli\n"
+            "code = convneg.cli.run(sys.argv[1:])\n"
+            "print(code, sorted(m[8:] for m in sys.modules if m in "
+            "('convneg.strings', 'convneg.circuits')))\n"
+        )
+        src = str(Path(convneg.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.stdout.splitlines()[-1] == f"0 {layers}", done.stderr

@@ -8,7 +8,10 @@ answers like the diagonal one, through ``dataclasses.replace`` and through a
 store round trip. The indicator builder and the store's operator writer and
 reader are checked against the per-leaf and per-entry versions they replaced,
 kept here, down to error messages and line numbers on corrupted blocks, also
-in stores that repeat blocks.
+in stores that repeat blocks. The O(n) pseudoinverse, conjugate update and
+support projector are checked bit for bit against the eigendecomposition, and
+``alternatives``/``overlap_score``, with their memoized smoothed predicates,
+against a per-leaf reference that rebuilds each predicate.
 """
 
 import copy
@@ -22,26 +25,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convneg.lexicon
-from convneg.errors import InvalidOperator, NotSubnormalized, ParseError, ZeroNegation
+from convneg.errors import (
+    ConvnegError,
+    InvalidOperator,
+    NotSubnormalized,
+    ParseError,
+    ZeroNegation,
+    ZeroOperator,
+)
 from convneg.lexicon import Lexicon, build_lexicon, load_lexicon, save_lexicon
 from convneg.negation import NegationConfig, alternatives, cn_word
-from convneg.entailment import overlap_score
+from convneg.entailment import overlap_score, smoothed_predicate
 from convneg.operators import (
     COMPLEMENT_TOL,
     EQ_TOL,
+    MAX_ENTRY,
     PINV_TOL,
     PSD_TOL,
     ZERO_TRACE_TOL,
     LineReader,
     Operator,
     complement,
+    conjugate_update,
     diagonal,
     hadamard,
     mix,
     normalize,
     operator_from_lines,
     operator_to_lines,
+    pseudoinverse,
     psd_floor,
+    support_projector,
     trace_product,
     validate,
 )
@@ -511,6 +525,9 @@ def reference_from_lines(reader):
             rows.append([float(x) for x in fields])
         except ValueError:
             raise ParseError(f"bad matrix entry in {row_line!r}", reader.lineno) from None
+    for i, row in enumerate(rows):
+        if any(MAX_ENTRY < abs(x) < math.inf for x in row):
+            raise ParseError(f"entry magnitude above {MAX_ENTRY:g}", reader.lineno - dim + 1 + i)
     try:
         return Operator(np.array(rows), labels)
     except InvalidOperator as exc:
@@ -624,6 +641,9 @@ CORRUPTIONS = [
     "label-count-and-negative-diagonal",
     "respelled-entry",
     "sign-flipped-zero",
+    "oversized-diagonal",
+    "oversized-off-diagonal",
+    "bound-diagonal",
 ]
 
 
@@ -657,6 +677,13 @@ def corrupt(lines, kind, r, c, late_fallback=False):
         # both wrong: the entries are checked first
         rows[r][r] = "-1.0"
         head[1] = "LABELS " + ",".join(f"y{i}" for i in range(n + 1))
+    elif kind == "oversized-diagonal":
+        rows[r][r] = "1e308"
+    elif kind == "oversized-off-diagonal":
+        # the float next to the bound, in a dense block
+        rows[r][off] = repr(-math.nextafter(MAX_ENTRY, math.inf))
+    elif kind == "bound-diagonal":
+        rows[r][r] = repr(MAX_ENTRY)
     elif kind == "tiny-negative-diagonal":
         rows[r][r] = "-1e-11"
     elif kind == "negative-zero-off-diagonal":
@@ -800,3 +827,255 @@ class TestIndicatorsMatchReference:
             assert got.labels == want.labels == tax.leaves
             assert got._matrix is None
             assert got._diag.tobytes() == want._diag.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# O(n) pseudoinverse, conjugate update and support projector
+
+
+def dense_pseudoinverse(a, tol=PINV_TOL):
+    """The eigendecomposition path, on the dense matrix."""
+    lam, vecs = np.linalg.eigh(a.matrix)
+    support = lam > tol
+    if not np.any(support):
+        raise ZeroOperator("pseudoinverse of the (numerically) zero operator")
+    inv = np.where(support, 1.0 / np.where(support, lam, 1.0), 0.0)
+    out = vecs @ np.diag(inv) @ vecs.T
+    return Operator((out + out.T) / 2.0, a.labels)
+
+
+def dense_conjugate_update(state, effect):
+    s = dense_sqrt(effect.matrix)
+    s = (s + s.T) / 2.0
+    out = s @ state.matrix @ s
+    return Operator((out + out.T) / 2.0, state.labels)
+
+
+def dense_support_projector(a, tol=PINV_TOL):
+    lam, vecs = np.linalg.eigh(a.matrix)
+    keep = lam > tol
+    out = vecs[:, keep] @ vecs[:, keep].T
+    return Operator((out + out.T) / 2.0, a.labels)
+
+
+def kept_or_error(fn, *args):
+    try:
+        return kept(fn(*args))
+    except ZeroOperator:
+        return ZeroOperator
+
+
+@st.composite
+def general_diagonals(draw, n):
+    """Diagonal operators of dim ``n``: entries at and around PINV_TOL, in
+    the clamp window, signed zeros and plain floats, or a lexicon's worldly
+    context. LAPACK rescales a matrix whose largest entry lies below about
+    1e-146 (or above about 1e145), which rounds its eigenvalues; the entries
+    stay inside that range, where the dense path is exact."""
+    labels = tuple(f"x{i}" for i in range(n)) if draw(st.booleans()) else ()
+    if draw(st.integers(0, 4)) == 0:
+        tax = draw(taxonomies())
+        lex = build_lexicon(tax, decay=draw(st.sampled_from([0.3, 0.5, 0.8])))
+        wc = lex.wc_ops[tax.order[draw(st.integers(0, len(tax.order) - 1))]]
+        d = list(wc.diagonal()[:n]) + [0.0] * (n - min(n, wc.dim))
+    else:
+        near = [PINV_TOL, math.nextafter(PINV_TOL, 0), math.nextafter(PINV_TOL, 1), 2 * PINV_TOL]
+        entries = st.one_of(
+            st.floats(0.0, 3.0).filter(lambda x: x == 0 or x > 1e-140),
+            st.sampled_from([0.0, -0.0, -PSD_TOL / 2, -PSD_TOL, 1.0, 0.5, 1e100, *near]),
+        )
+        d = draw(st.lists(entries, min_size=n, max_size=n))
+    if max(d) < 1e-140:
+        d[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, 1.0, PINV_TOL]))
+    return Operator(np.diag(d), labels) if draw(st.booleans()) else diagonal(d, labels)
+
+
+class TestDiagonalFormsMatchDense:
+    """Representation and exact entries, zero signs included, against the
+    eigendecomposition each O(n) form replaces."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7))
+    def test_pseudoinverse_and_support(self, data, n):
+        a = data.draw(general_diagonals(n))
+        assert kept_or_error(pseudoinverse, a) == kept_or_error(dense_pseudoinverse, a)
+        assert kept(support_projector(a)) == kept(dense_support_projector(a))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7))
+    def test_conjugate_update(self, data, n):
+        state = data.draw(general_diagonals(n))
+        effect = data.draw(general_diagonals(n))
+        assert kept(conjugate_update(state, effect)) == kept(dense_conjugate_update(state, effect))
+
+    def test_signed_zeros_and_the_cut(self):
+        a = diagonal([-0.0, PINV_TOL, math.nextafter(PINV_TOL, 1), 2.0])
+        assert pseudoinverse(a)._diag.tobytes() == np.array([0.0, 0.0, 1 / a._diag[2], 0.5]).tobytes()
+        assert support_projector(a)._diag.tolist() == [0.0, 0.0, 1.0, 1.0]
+        with pytest.raises(ZeroOperator):
+            pseudoinverse(diagonal([-0.0, PINV_TOL]))
+        # a state's -0.0 comes out +0.0, as the dense path's sums give it
+        out = conjugate_update(diagonal([-0.0, 1.0]), diagonal([4.0, 0.25]))
+        assert out._diag.tobytes() == np.array([0.0, 0.25]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# alternatives and overlap scores against a per-leaf reference
+
+
+def reference_predicate(word, lex, sigma):
+    """P~ rebuilt on every call: sup-normalize(P_word + sigma * wc_word)."""
+    p = lex.word_ops[word]
+    if sigma == 0:
+        return p
+    return normalize(mix([(1.0, p), (sigma, lex.wc_ops[word])]), "sup")
+
+
+def reference_overlap(state, word, lex, sigma):
+    t = state.trace()
+    return min(1.0, max(0.0, trace_product(state, reference_predicate(word, lex, sigma)) / t))
+
+
+def reference_alternatives(word, lex, cfg):
+    """One overlap per leaf, each with its predicate rebuilt, then ranked."""
+    state = cn_word(word, lex, cfg)
+    scored = [
+        (reference_overlap(state, leaf, lex, cfg.sigma), i, leaf)
+        for i, leaf in enumerate(lex.leaves)
+        if leaf != word
+    ]
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    return [(leaf, score) for score, _, leaf in scored]
+
+
+def exact_outcome(fn, *args):
+    """repr of a result, so zero signs and exact ties count, or the error."""
+    try:
+        return repr(fn(*args))
+    except ConvnegError as exc:
+        return (type(exc), str(exc))
+
+
+SIGMAS = st.one_of(
+    st.sampled_from([0.0, 1e-3, 0.5, 1.0, 2.0, 7.5]),
+    st.floats(0.0, 0.25),
+    st.floats(1.0, 10.0),
+)
+
+
+class TestAlternativesMatchPerLeafReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tax=taxonomies(),
+        pick=st.integers(0, 10**6),
+        seed=st.integers(0, 2**32 - 1),
+        sigmas=st.lists(SIGMAS, min_size=1, max_size=3),
+        decay=st.sampled_from([None, 0.3, 0.8]),
+    )
+    def test_bitwise_with_ties(self, tax, pick, seed, sigmas, decay, tmp_path_factory):
+        lex = build_lexicon(tax, decay=0.5)
+        turned = rotated(lex, random_orthogonal(seed, lex.dim))
+        # every other concept's operators rotated: dense and diagonal predicates
+        # side by side
+        half = dataclasses.replace(
+            lex,
+            **{
+                table: {c: getattr(turned if i % 2 else lex, table)[c] for i, c in enumerate(tax.order)}
+                for table in ("word_ops", "wc_ops")
+            },
+        )
+        folder = tmp_path_factory.mktemp("store")
+        save_lexicon(lex, folder / "plain.lex")
+        save_lexicon(turned, folder / "rotated.lex")
+        lexicons = [
+            lex, turned, half, load_lexicon(folder / "plain.lex"), load_lexicon(folder / "rotated.lex")
+        ]
+        word = tax.order[pick % len(tax.order)]
+        # several sigmas in turn on the same lexicons: the memo is reused,
+        # then replaced, then rebuilt
+        for sigma in [*sigmas, sigmas[0]]:
+            for other in lexicons:
+                for logical, composition in CONFIGS:
+                    cfg = NegationConfig(logical, composition, decay=decay, sigma=sigma)
+                    assert exact_outcome(alternatives, word, other, cfg) == exact_outcome(
+                        reference_alternatives, word, other, cfg
+                    )
+                try:
+                    state = cn_word(word, other, NegationConfig(sigma=sigma))
+                except ZeroNegation:
+                    continue
+                for w in other.concepts:
+                    assert exact_outcome(overlap_score, state, w, other, sigma) == exact_outcome(
+                        reference_overlap, state, w, other, sigma
+                    )
+
+    def test_exact_ties_stay_ties(self):
+        # siblings of a leaf score exactly alike and keep their leaf order
+        tax = parse_taxonomy("a\tr\nb\tr\nc\tr\nd\tr\n")
+        for sigma in (0.0, 0.5, 2.0):
+            ranked = alternatives("a", build_lexicon(tax), NegationConfig(sigma=sigma))
+            assert [leaf for leaf, _ in ranked] == ["b", "c", "d"]
+            assert len({score for _, score in ranked}) == 1
+
+
+class TestSmoothedPredicateMemo:
+    def fig1(self):
+        return build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv"))
+
+    def test_built_once_per_sigma(self):
+        lex = self.fig1()
+        first = smoothed_predicate("rodent", lex, 0.5)
+        assert smoothed_predicate("rodent", lex, 0.5) is first
+        # another sigma replaces the table: one sigma is held at a time
+        other = smoothed_predicate("rodent", lex, 2.0)
+        assert list(lex._smoothed) == [2.0]
+        again = smoothed_predicate("rodent", lex, 0.5)
+        assert again is not first and kept(again) == kept(first)
+        assert list(lex._smoothed) == [0.5]
+        assert kept(other) == kept(reference_predicate("rodent", lex, 2.0))
+        assert smoothed_predicate("rodent", lex, 0) is lex.word_ops["rodent"]
+
+    @pytest.mark.parametrize("table", ["word_ops", "wc_ops"])
+    def test_operator_replaced_in_place_is_not_served_stale(self, table):
+        lex = self.fig1()
+        cfg = NegationConfig(sigma=0.5)
+        alternatives("dog", lex, cfg)
+        overlap_score(lex.word_ops["dog"], "hamster", lex, 0.5)
+        ops = getattr(lex, table)
+        ops["hamster"] = ops["guinea_pig" if table == "word_ops" else "rodent"]
+        fresh = dataclasses.replace(lex, word_ops=dict(lex.word_ops), wc_ops=dict(lex.wc_ops))
+        assert not fresh._smoothed
+        assert repr(alternatives("dog", lex, cfg)) == repr(alternatives("dog", fresh, cfg))
+        assert overlap_score(lex.word_ops["dog"], "hamster", lex, 0.5) == overlap_score(
+            fresh.word_ops["dog"], "hamster", fresh, 0.5
+        )
+        assert kept(smoothed_predicate("hamster", lex, 0.5)) == kept(
+            reference_predicate("hamster", fresh, 0.5)
+        )
+
+    def test_alternating_sigma_answers_like_a_fresh_lexicon(self):
+        lex = self.fig1()
+        for sigma in (0.5, 0.0, 2.0, 0.5, 0.5, 0.0):
+            cfg = NegationConfig("pinv", "conjugate", sigma=sigma)
+            assert repr(alternatives("hamster", lex, cfg)) == repr(
+                alternatives("hamster", self.fig1(), cfg)
+            )
+
+    def test_memo_is_private_and_bounded(self):
+        lex = self.fig1()
+        blank, twin = pickle.dumps(lex), dataclasses.replace(lex)
+        for word in lex.concepts:
+            smoothed_predicate(word, lex, 0.5)
+        alternatives("hamster", lex, NegationConfig(sigma=0.5))
+        (table,) = lex._smoothed.values()
+        # not compared, not pickled, not carried over by replace or copy
+        assert lex == twin and not twin._smoothed
+        assert pickle.dumps(lex) == blank
+        assert not pickle.loads(blank)._smoothed and not copy.copy(lex)._smoothed
+        assert not dataclasses.replace(lex)._smoothed
+        # one n-vector per word plus the leaves' stack: no more than the
+        # lexicon's own word and context operators hold
+        held = sum(pred._diag.nbytes for _, _, pred in table.words.values())
+        held += table.stack[1].nbytes
+        own = sum(op._diag.nbytes for ops in (lex.word_ops, lex.wc_ops) for op in ops.values())
+        assert held <= own

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from convneg.lexicon import (
     resolve_word,
     save_lexicon,
 )
-from convneg.operators import Operator, operator_to_lines
+from convneg.operators import MAX_ENTRY, Operator, operator_to_lines
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
 from conftest import COLORS_TSV, FIG1_TSV, FIXTURES
@@ -192,6 +193,35 @@ class TestStore:
         with pytest.raises(ParseError) as exc:
             load_lexicon(path)
         assert exc.value.line == line
+
+    def test_entry_magnitude_is_bounded(self, fig1_lex, tmp_path):
+        # hamster's WORD block holds diag(1, 0, 0, 0) on lines 7-10
+        path = tmp_path / "fig1.lex"
+        save_lexicon(fig1_lex, path)
+        lines = path.read_text().splitlines()
+        assert lines[3] == "WORD hamster" and lines[6] == "1.0 0.0 0.0 0.0"
+
+        def load(rows):
+            damaged = list(lines)
+            for row, text in rows.items():
+                damaged[row] = text
+            path.write_text("\n".join(damaged) + "\n")
+            return load_lexicon(path)
+
+        assert load({6: f"{MAX_ENTRY!r} 0.0 0.0 0.0"}).word_ops["hamster"].max_eigenvalue() == MAX_ENTRY
+        for rows, line in [
+            ({6: "1e308 0.0 0.0 0.0"}, 7),
+            ({6: f"{math.nextafter(MAX_ENTRY, math.inf)!r} 0.0 0.0 0.0"}, 7),
+            ({8: "0.0 0.0 1.0 -1e301"}, 9),  # a dense block, off the diagonal
+            ({6: "nan 0.0 0.0 0.0", 8: "0.0 0.0 1e308 0.0"}, 9),  # NaN first
+            ({6: "inf 0.0 0.0 0.0", 9: "0.0 0.0 0.0 -1e308"}, 10),
+        ]:
+            with pytest.raises(ParseError, match="entry magnitude above 1e") as exc:
+                load(rows)
+            assert exc.value.line == line
+        # non-finite entries keep their own message
+        with pytest.raises(ParseError, match="finite"):
+            load({6: "inf 0.0 0.0 0.0"})
 
     def test_corrupted_entry_fails_psd_validation(self, fig1_lex, tmp_path):
         path = tmp_path / "fig1.lex"
