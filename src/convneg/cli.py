@@ -3,7 +3,8 @@
 Every number is printed with six decimals (Python's round-half-even float
 formatting) and every table in a fixed canonical order, so identical
 invocations produce byte-identical stdout. Domain failures exit 1 with
-``error: <ErrorName>: <message>`` on stderr; usage problems exit 2.
+``error: <ErrorName>: <message>`` on stderr; usage problems exit 2. When
+the reader of stdout leaves early (``| head``), the command exits 1 quietly.
 
 Commands that negate strings or actors import ``strings`` and ``circuits``
 when they run, so the other commands start without them.
@@ -15,6 +16,7 @@ written by ``lexicon build`` (detected by the store's header line).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import IO, Sequence
@@ -271,7 +273,14 @@ def run(argv: Sequence[str] | None = None, out: IO[str] | None = None, err: IO[s
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()  # so a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left (`| head`): no error line, and, as Python's
+        # docs advise for SIGPIPE, the exit-time flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
     except (ConvnegError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=err)
         return 1

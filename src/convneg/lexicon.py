@@ -165,7 +165,8 @@ def resolve_word(word: str, lexicons: Sequence[Lexicon]) -> Lexicon:
 # ---------------------------------------------------------------------------
 # Store format: "LEXICON v1", "DECAY <real>", "LEAVES <comma list>", then one
 # "WORD <name>" + operator block and one "WC <name>" + operator block per
-# concept. Decimal entries use full round-trip precision.
+# concept. Decimal entries use full round-trip precision. A block's LABELS
+# line reads "-" or the LEAVES list, so its basis is the store's leaf basis.
 # ---------------------------------------------------------------------------
 
 
@@ -216,12 +217,15 @@ def load_lexicon(path: str | Path, name: str = "") -> Lexicon:
             raise ParseError(
                 f"expected 'WORD <name>' or 'WC <name>', got {line!r}", reader.lineno
             )
+        labels_line = reader.lineno + 2  # this line, OPERATOR, then LABELS
         op = operator_from_lines(reader)
         if op.dim != len(leaves):
             raise ParseError(
                 f"operator for {concept!r} has dim {op.dim}, leaf space has {len(leaves)}",
                 reader.lineno,
             )
+        if op.labels and op.labels != leaves:
+            raise ParseError("LABELS must be '-' or the LEAVES list", labels_line)
         target = word_ops if kind == "WORD" else wc_ops
         if concept in target:
             raise ParseError(f"duplicate {kind} block for {concept!r}", reader.lineno)

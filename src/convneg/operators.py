@@ -10,7 +10,7 @@ leaves and mixtures of them. Validation, the spectrum, the trace, ``mix``,
 diagonal state by a diagonal effect) and the text format's writer and reader
 then cost O(n), and the dense ``matrix`` is built afresh on each read and not
 kept. Any other matrix, such as a store-injected or rotated operator, is kept
-dense and validated with an eigendecomposition; those three, ``tensor`` and
+dense and validated by its eigenvalues; those three, ``tensor`` and
 ``partial_trace`` compute densely on it and their result is stored by the
 same rule. Both kinds accept and reject the same matrices, since a diagonal
 matrix's eigenvalues are its entries, and give the same entries and text;
@@ -18,7 +18,9 @@ callers see no difference but speed. (One exception: LAPACK rescales a
 matrix whose largest entry lies below about 1e-146 or above about 1e145,
 which rounds its eigenvalues, while the O(n) forms stay exact.) A dense
 matrix's text is formatted and parsed from its upper triangle, and each
-distinct block of a store is read and validated once.
+distinct block of a store is read and validated once. Validation keeps a
+dense matrix's entries, so every store re-saves byte for byte; only a
+diagonal's entries between ``psd_floor`` and 0 become exactly 0.
 
 Operators are immutable values: each function returns a fresh instance and the
 underlying arrays are marked read-only, so they can be shared freely across
@@ -52,7 +54,7 @@ EQ_TOL = 1e-9
 ZERO_TRACE_TOL = 1e-12
 PINV_TOL = 1e-10
 # complement accepts a predicate whose top eigenvalue exceeds 1 by this much
-# (rounding in sup-normalization) and clamps the negative eigenvalues it causes
+# (rounding in sup-normalization), and clamps what it causes below psd_floor
 COMPLEMENT_TOL = 1e-9
 # largest magnitude of a finite entry the text format reads: a sum of up to
 # 1e8 of them (a trace, a mixture, a symmetrization) stays below 1.8e308
@@ -65,7 +67,8 @@ def psd_floor(lam_max: float) -> float:
     -PSD_TOL up to unit scale, then -PSD_TOL times the largest eigenvalue:
     an eigensolver's error grows with the matrix norm, so e.g. the
     pseudoinverse of an ill-conditioned operator (norm 1e8) shows
-    eigenvalues of -1e-8 in its null space.
+    eigenvalues of -1e-8 in its null space. Between this floor and 0 a
+    diagonal's entries become exactly 0; a dense matrix is kept as it is.
     """
     return -PSD_TOL * max(1.0, lam_max)
 
@@ -79,10 +82,10 @@ def _as_square(matrix) -> np.ndarray:
     return a
 
 
-def _clamp_psd(m: np.ndarray) -> np.ndarray:
-    """Project a symmetric matrix onto the PSD cone (negative eigenvalues to 0)."""
+def _spectral(m: np.ndarray, f) -> np.ndarray:
+    """V·f(Λ)·Vᵀ for the symmetric m = V·Λ·Vᵀ (``eigh``), symmetrized."""
     lam, vecs = np.linalg.eigh(m)
-    out = vecs @ np.diag(np.clip(lam, 0.0, None)) @ vecs.T
+    out = vecs @ np.diag(f(lam)) @ vecs.T
     return (out + out.T) / 2.0
 
 
@@ -104,8 +107,8 @@ def _checked_diagonal(d: np.ndarray) -> np.ndarray:
 
 
 def _checked_dense(a: np.ndarray) -> np.ndarray:
-    """Symmetry and PSD check by eigendecomposition; returns the symmetrized,
-    clamped matrix."""
+    """Symmetry and PSD check by eigenvalues; returns the symmetrized matrix,
+    entries unchanged."""
     defect = float(np.max(np.abs(a - a.T)))
     if defect > SYMMETRY_TOL:
         raise InvalidOperator(f"matrix is not symmetric (defect {defect:.3e})")
@@ -114,8 +117,6 @@ def _checked_dense(a: np.ndarray) -> np.ndarray:
     lam_min = float(lam[0])
     if lam_min < psd_floor(float(lam[-1])):
         raise InvalidOperator(f"matrix is not PSD (min eigenvalue {lam_min:.3e})")
-    if lam_min < 0.0:
-        a = _clamp_psd(a)
     return a
 
 
@@ -134,8 +135,10 @@ class Operator:
 
     Construction validates symmetry (tolerance 1e-12) and positivity:
     eigenvalues below ``psd_floor`` of the largest eigenvalue are rejected,
-    those between it and 0 are clamped to zero by projecting onto the PSD
-    cone. ``labels``, when non-empty, names the basis vectors and must be
+    those between it and 0 are read as rounding. A diagonal's entries in
+    that window become exactly 0; a dense matrix keeps its entries
+    (symmetrized as (m + m.T) / 2), so its smallest eigenvalue may stay just
+    below 0. ``labels``, when non-empty, names the basis vectors and must be
     unique. A diagonal matrix is stored as its diagonal (see the module
     docstring); ``matrix`` is always the dense, read-only matrix.
     """
@@ -344,8 +347,9 @@ def hadamard(a: Operator, b: Operator) -> Operator:
 def complement(p: Operator) -> Operator:
     """I - P for a sup-normalized (or sub-normalized) predicate.
 
-    A top eigenvalue up to COMPLEMENT_TOL above 1 is accepted as rounding,
-    and the negative eigenvalues it leaves in I - P are clamped to zero.
+    A top eigenvalue up to COMPLEMENT_TOL above 1 is accepted as rounding.
+    A diagonal I - P sets the negative entries it causes to 0; a dense one
+    is projected onto the PSD cone only if they fall below ``psd_floor``.
     """
     top = p.max_eigenvalue()
     if top > 1.0 + COMPLEMENT_TOL:
@@ -353,8 +357,9 @@ def complement(p: Operator) -> Operator:
     if p._diag is not None:
         return _from_entries(np.maximum(1.0 - p._diag, 0.0), p.labels)
     m = np.eye(p.dim) - p.matrix
-    if float(np.linalg.eigvalsh(m)[0]) < 0.0:
-        m = _clamp_psd(m)
+    lam = np.linalg.eigvalsh(m)
+    if lam[0] < psd_floor(float(lam[-1])):
+        m = _spectral(m, lambda lam: np.clip(lam, 0.0, None))
     return Operator(m, p.labels)
 
 
@@ -372,12 +377,6 @@ def trace_product(a: Operator, b: Operator) -> float:
     return float(np.sum(a.matrix * b.matrix))
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    lam, vecs = np.linalg.eigh(matrix)
-    root = vecs @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ vecs.T
-    return (root + root.T) / 2.0
-
-
 def conjugate_update(state: Operator, effect: Operator) -> Operator:
     """Update ``state`` by ``effect`` via sqrt(effect) @ state @ sqrt(effect).
 
@@ -391,7 +390,7 @@ def conjugate_update(state: Operator, effect: Operator) -> Operator:
     if state._diag is not None and effect._diag is not None:
         root = np.sqrt(effect._diag)
         return _from_entries(root * state._diag * root + 0.0, state.labels)
-    s = _psd_sqrt(effect.matrix)
+    s = _spectral(effect.matrix, lambda lam: np.sqrt(np.clip(lam, 0.0, None)))
     out = s @ state.matrix @ s
     return Operator((out + out.T) / 2.0, state.labels)
 
@@ -414,18 +413,16 @@ def normalize(a: Operator, mode: str = "trace") -> Operator:
 def pseudoinverse(a: Operator, tol: float = PINV_TOL) -> Operator:
     """Moore-Penrose pseudoinverse; eigenvalues <= tol are treated as zero.
     For a diagonal operator, 1/d_i where d_i > tol and 0 elsewhere."""
+
+    def invert(lam: np.ndarray) -> np.ndarray:
+        support = lam > tol
+        if not np.any(support):
+            raise ZeroOperator("pseudoinverse of the (numerically) zero operator")
+        return np.where(support, 1.0 / np.where(support, lam, 1.0), 0.0)
+
     if a._diag is not None:
-        lam, vecs = a._diag, None
-    else:
-        lam, vecs = np.linalg.eigh(a._matrix)
-    support = lam > tol
-    if not np.any(support):
-        raise ZeroOperator("pseudoinverse of the (numerically) zero operator")
-    inv = np.where(support, 1.0 / np.where(support, lam, 1.0), 0.0)
-    if vecs is None:
-        return _from_entries(inv, a.labels)
-    out = vecs @ np.diag(inv) @ vecs.T
-    return Operator((out + out.T) / 2.0, a.labels)
+        return _from_entries(invert(a._diag), a.labels)
+    return Operator(_spectral(a._matrix, invert), a.labels)
 
 
 def support_projector(a: Operator, tol: float = PINV_TOL) -> Operator:

@@ -116,8 +116,14 @@ def enumerate_negation_sets(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _check_lambda(lambda_size: float) -> None:
+    if not 0.0 < lambda_size <= 1.0:
+        raise ValueError(f"lambda_size must lie in (0, 1], got {lambda_size}")
+
+
 def size_prior(n: int, lambda_size: float = LAMBDA_DEFAULT) -> tuple[float, ...]:
     """Normalized lambda_size^(|S|-1) over the negation sets, in canonical order."""
+    _check_lambda(lambda_size)
     prior = [lambda_size ** (len(sub) - 1) for sub in enumerate_negation_sets(n)]
     total = sum(prior)
     return tuple(p / total for p in prior)
@@ -245,8 +251,7 @@ def interpretation_scores(
     subset's score multiplies them left to right, as
     string_score(states, context, cfg.sigma) would.
     """
-    if not 0.0 < lambda_size <= 1.0:
-        raise ValueError(f"lambda_size must lie in (0, 1], got {lambda_size}")
+    _check_lambda(lambda_size)
     _check_alignment(len(s), context, tuple(slot.lex.leaves for slot in s.positions))
     subsets = enumerate_negation_sets(len(s))
     kept = _overlaps(s.originals(), context, cfg.sigma)

@@ -117,6 +117,9 @@ class TestParseScript:
         for bad in ("actor\n", "Alice\n", "Alice is\n", "Alice loves Bob dearly\n"):
             with pytest.raises(ParseError):
                 parse_script(bad, lexes)
+        with pytest.raises(ParseError, match="cannot parse attribute line 'Alice is a human archaeologist'") as exc:
+            parse_script("actor Alice\nAlice is a human archaeologist.\n", lexes)
+        assert exc.value.line == 2
 
     def test_ambiguous_word(self, lexes):
         other = build_lexicon(parse_taxonomy("human\tandroid\nreplicant\tandroid\n"))
@@ -315,6 +318,12 @@ class TestCnActor:
         # prior at lambda 0.75: sizes (1,1,1,2,2,2,3) -> raw (1,1,1,.75,.75,.75,.5625)
         raw = [1, 1, 1, 0.75, 0.75, 0.75, 0.5625]
         np.testing.assert_allclose(mix.weights, np.array(raw) / sum(raw), atol=1e-12)
+
+    def test_lambda_outside_unit_interval(self, story):
+        context = actor_view(story, "Bob").unary_string()
+        for kwargs in ({}, {"context": context}):
+            with pytest.raises(ValueError, match=r"lambda_size must lie in \(0, 1\], got 2.0"):
+                cn_actor(story, "Alice", lambda_size=2.0, **kwargs)
 
     def test_single_slot_actor(self, lexes):
         from convneg.negation import cn_word

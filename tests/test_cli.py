@@ -177,6 +177,51 @@ class TestNonFiniteSigma:
         assert [str(w.message) for w in caught] == []
 
 
+class TestRejectedArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the size prior alone (no --rank, no --context) checks lambda too
+            (("text", "negate-actor", STORY, "Alice", "--taxonomies", F3, "--lambda", "2"),
+             "lambda_size must lie in (0, 1], got 2.0"),
+            (("text", "negate-actor", STORY, "Alice", "--taxonomies", F3, "--lambda", "0"),
+             "lambda_size must lie in (0, 1], got 0.0"),
+            (("text", "negate-actor", STORY, "Alice", "--taxonomies", F3, "--lambda", "-1"),
+             "lambda_size must lie in (0, 1], got -1.0"),
+            (("text", "negate-actor", STORY, "Alice", "--taxonomies", F3, "--lambda", "nan"),
+             "lambda_size must lie in (0, 1], got nan"),
+            (("text", "negate-actor", STORY, "Alice", "--taxonomies", F3, "--rank", "--lambda", "2"),
+             "lambda_size must lie in (0, 1], got 2.0"),
+            (("negate-string", "red wine", "--follow-up", "white wine", "--taxonomies", F2,
+              "--lambda", "2"), "lambda_size must lie in (0, 1], got 2.0"),
+            (("negate-string", "red", "--follow-up", "white", "--taxonomies", ","),
+             "no taxonomy files given"),
+        ],
+        ids=["prior-2", "prior-0", "prior-negative", "prior-nan", "rank-2", "string-2", "no-taxonomies"],
+    )
+    def test_error_line(self, argv, message):
+        code, out, err = invoke(*argv)
+        assert (code, out, err) == (1, "", f"error: ValueError: {message}\n")
+
+
+class TestClosedPipe:
+    def test_reader_leaving_is_not_an_error(self):
+        # 2^14 rows overflow the pipe after the reader has taken one line
+        words = " ".join(["red wine white beer juice"] * 3).split()[:14]
+        argv = ["negate-string", " ".join(words), "--follow-up", " ".join(words),
+                "--taxonomies", F2]
+        src = str(Path(convneg.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "convneg.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().split() == [b"subset", b"weight", b"score"]
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
+
+
 class TestEntail:
     def test_khyp_directions(self):
         code, out, _ = invoke(

@@ -392,6 +392,18 @@ class TestDiagonalOperator:
         np.testing.assert_array_equal(out.matrix, np.diag([0.0, 0.75]))
         with pytest.raises(NotSubnormalized):
             complement(diagonal([1.0 + 2 * COMPLEMENT_TOL, 0.25]))
+        # dense: a top eigenvalue in (1 + PSD_TOL, 1 + COMPLEMENT_TOL] leaves
+        # I - P below psd_floor, so it is projected onto the PSD cone; at a
+        # top of 1, I - P keeps its entries
+        q = random_orthogonal(5, 3)
+        for top in (1.0 + 2 * PSD_TOL, 1.0 + COMPLEMENT_TOL / 2, 1.0 + 0.99 * COMPLEMENT_TOL):
+            p = Operator(q @ np.diag([top, 0.25, 0.0]) @ q.T)
+            assert np.linalg.eigvalsh(np.eye(3) - p.matrix)[0] < psd_floor(1.0)
+            out = complement(p)
+            np.testing.assert_allclose(out.matrix, q @ np.diag([0.0, 0.75, 1.0]) @ q.T, atol=EQ_TOL)
+        p = Operator(q @ np.diag([1.0, 0.25, 0.0]) @ q.T)
+        m = np.eye(3) - p.matrix
+        assert np.array_equal(complement(p).matrix, (m + m.T) / 2.0)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -112,17 +112,49 @@ class TestResolveWord:
             resolve_word("dog", [a, b])
 
 
+def rotation(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def rotated(lex, q):
+    """Every operator conjugated by ``q``: dense, non-diagonal store entries."""
+
+    def rotate(op):
+        m = q @ op.matrix @ q.T
+        return Operator((m + m.T) / 2.0, op.labels)
+
+    return dataclasses.replace(
+        lex,
+        word_ops={c: rotate(op) for c, op in lex.word_ops.items()},
+        wc_ops={c: rotate(op) for c, op in lex.wc_ops.items()},
+    )
+
+
+def put(i, text):
+    """A store damage: line ``i + 1`` replaced by ``text``."""
+    return lambda ls: ls[:i] + [text] + ls[i + 1 :]
+
+
 class TestStore:
     def test_round_trip_exact(self, fig1_lex, tmp_path):
-        path = tmp_path / "fig1.lex"
-        save_lexicon(fig1_lex, path)
-        loaded = load_lexicon(path)
-        assert loaded.leaves == fig1_lex.leaves
-        assert loaded.concepts == fig1_lex.concepts
-        assert loaded.decay == fig1_lex.decay
-        for c in fig1_lex.concepts:
-            assert np.array_equal(loaded.word_ops[c].matrix, fig1_lex.word_ops[c].matrix)
-            assert np.array_equal(loaded.wc_ops[c].matrix, fig1_lex.wc_ops[c].matrix)
+        # a dense block's entries survive validation, so a rotated store
+        # re-saves byte for byte too
+        rng = np.random.default_rng(7)
+        colors = build_lexicon(parse_taxonomy(COLORS_TSV))
+        for lex in (fig1_lex, rotated(fig1_lex, rotation(rng, 4)), rotated(colors, rotation(rng, 3))):
+            path, again = tmp_path / "a.lex", tmp_path / "b.lex"
+            save_lexicon(lex, path)
+            loaded = load_lexicon(path)
+            assert loaded.leaves == lex.leaves
+            assert loaded.concepts == lex.concepts
+            assert loaded.decay == lex.decay
+            for c in lex.concepts:
+                for ops in ("word_ops", "wc_ops"):
+                    want, got = getattr(lex, ops)[c], getattr(loaded, ops)[c]
+                    assert got.matrix.tobytes() == want.matrix.tobytes()
+                    assert (got._diag is None) == (want._diag is None)
+            save_lexicon(loaded, again)
+            assert again.read_bytes() == path.read_bytes()
 
     def test_writer_matches_per_entry_formatter(self, tmp_path, monkeypatch):
         """The writer cuts diagonal rows from a string of zeros and formats
@@ -139,18 +171,7 @@ class TestStore:
         rng = np.random.default_rng(7)
         for fixture in ("colors", "drinks", "fig1", "kinds", "names", "roles"):
             lex = build_lexicon(load_taxonomy(FIXTURES / f"{fixture}.tsv"))
-            q, _ = np.linalg.qr(rng.standard_normal((lex.dim, lex.dim)))
-
-            def rotate(op):
-                m = q @ op.matrix @ q.T
-                return Operator((m + m.T) / 2.0, op.labels)
-
-            rotated = dataclasses.replace(
-                lex,
-                word_ops={c: rotate(op) for c, op in lex.word_ops.items()},
-                wc_ops={c: rotate(op) for c, op in lex.wc_ops.items()},
-            )
-            for store in (lex, rotated):
+            for store in (lex, rotated(lex, rotation(rng, lex.dim))):
                 for op in [*store.word_ops.values(), *store.wc_ops.values()]:
                     assert operator_to_lines(op) == per_entry_lines(op)
                 new, old = tmp_path / "new.lex", tmp_path / "old.lex"
@@ -175,22 +196,52 @@ class TestStore:
             load_lexicon(path)
 
     @pytest.mark.parametrize(
-        "damage, line",
+        "damage, line, message",
         [
             # lines 25-31 hold the second WC block (rodent); line 28 is its first row
-            (lambda ls: ls[:27] + ["x 0.0 0.0 0.0"] + ls[28:], 28),
-            (lambda ls: ls[:27] + [""] + ls[28:], 28),
-            (lambda ls: ls[:26], 26),
+            (lambda ls: ls[:27] + ["x 0.0 0.0 0.0"] + ls[28:], 28, "bad matrix entry"),
+            (lambda ls: ls[:27] + [""] + ls[28:], 28, "expected 4 entries, got 0"),
+            (lambda ls: ls[:26], 26, "unexpected end of operator block"),
+            (put(0, "LEXICON v2"), 1, "expected header 'LEXICON v1'"),
+            (put(1, "DECAYS 0.5"), 2, "expected 'DECAY <real>'"),
+            (put(1, "DECAY half"), 2, "bad decay: could not convert"),
+            (put(1, "DECAY 1.5"), 2, r"bad decay: decay must lie in \(0, 1\), got 1.5"),
+            (put(2, "LEAF hamster"), 3, "expected 'LEAVES <comma list>'"),
+            (put(2, "LEAVES hamster,,dog,planet"), 3, "leaf names must be nonempty and unique"),
+            (put(2, "LEAVES dog,guinea_pig,dog,planet"), 3, "leaf names must be nonempty"),
+            (put(24, "WX rodent"), 25, "expected 'WORD <name>' or 'WC <name>', got 'WX rodent'"),
+            (put(24, "WC"), 25, "expected 'WORD <name>' or 'WC <name>', got 'WC'"),
+            (put(25, "OPERATOR four"), 26, "bad operator dimension 'four'"),
+            (put(25, "OPERATOR 0"), 26, "operator dimension must be positive, got 0"),
+            (
+                lambda ls: ls[:25] + ["OPERATOR 1", "LABELS -", "1.0"] + ls[31:],
+                28,
+                "operator for 'rodent' has dim 1, leaf space has 4",
+            ),
+            # the leaves in another order: a block in another basis
+            (put(26, "LABELS planet,dog,guinea_pig,hamster"), 27, "LABELS must be '-' or the LEAVES"),
+            (put(26, "LABELS hamster,guinea_pig,dog,pluto"), 27, "LABELS must be '-' or the LEAVES"),
+            (put(24, "WC hamster"), 31, "duplicate WC block for 'hamster'"),
+            (lambda ls: ls[:3], None, "lexicon store has no WORD blocks"),
+            (lambda ls: ls + ["WC pluto", *ls[25:31]], None, "WC block without WORD block for: pluto"),
+            # blank lines between blocks are skipped, and counted
+            (lambda ls: ls[:24] + ["", ""] + ls[24:27] + ["x 0.0 0.0 0.0"] + ls[28:], 30, "bad matrix entry"),
         ],
-        ids=["bad-entry", "blank-row", "truncated"],
+        ids=[
+            "bad-entry", "blank-row", "truncated", "header", "decay-line", "decay-value",
+            "decay-range", "leaves-line", "empty-leaf", "duplicate-leaf", "block-kind",
+            "block-name", "dimension-value", "dimension-range", "dimension-vs-leaves",
+            "labels-order", "labels-names", "duplicate-block", "no-words", "orphan-wc",
+            "blank-lines",
+        ],
     )
-    def test_error_names_the_line(self, fig1_lex, tmp_path, damage, line):
+    def test_error_names_the_line(self, fig1_lex, tmp_path, damage, line, message):
         path = tmp_path / "fig1.lex"
         save_lexicon(fig1_lex, path)
         lines = path.read_text().splitlines()
-        assert lines[24:26] == ["WC rodent", "OPERATOR 4"]
+        assert lines[24:27] == ["WC rodent", "OPERATOR 4", "LABELS " + ",".join(fig1_lex.leaves)]
         path.write_text("\n".join(damage(lines)) + "\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ParseError, match=message) as exc:
             load_lexicon(path)
         assert exc.value.line == line
 

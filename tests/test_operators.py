@@ -21,6 +21,7 @@ from convneg.operators import (
     operator_from_text,
     operator_to_text,
     partial_trace,
+    psd_floor,
     pseudoinverse,
     pure,
     support_projector,
@@ -69,6 +70,16 @@ class TestConstruction:
         m = np.diag([1.0, -5e-11])
         op = Operator(m)
         assert op.min_eigenvalue() >= 0.0
+
+    def test_dense_window_keeps_entries(self, monkeypatch):
+        # eigenvalues in [psd_floor, 0) are rounding: a dense matrix is kept
+        # as (m + m.T) / 2, bit for bit, without an eigendecomposition
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        m = q @ np.diag([1.0, 0.5, -5e-11, 0.0]) @ q.T
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        op = Operator(m)
+        assert op.matrix.tobytes() == ((m + m.T) / 2.0).tobytes()
+        assert psd_floor(1.0) <= op.min_eigenvalue() < 0.0
 
     def test_psd_tolerance_is_absolute_up_to_unit_scale(self):
         with pytest.raises(InvalidOperator, match="not PSD"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -304,9 +305,21 @@ class TestDeriveWeights:
             with pytest.raises(ValueError):
                 derive_weights(red_wine, red_wine, lambda_size=lam)
 
-    def test_misaligned_context(self, red_wine, colors):
+    @pytest.mark.parametrize("lam", [0.0, -1.0, 1.5, 2.0, math.nan, math.inf])
+    def test_size_prior_checks_lambda_like_derive_weights(self, red_wine, lam):
+        message = re.escape(f"lambda_size must lie in (0, 1], got {lam}")
+        with pytest.raises(ValueError, match=message):
+            size_prior(2, lam)
+        with pytest.raises(ValueError, match=message):
+            derive_weights(red_wine, red_wine, lambda_size=lam)
+
+    def test_misaligned_context(self, red_wine, colors, drinks):
         follow = WordString.resolve(["white"], [colors])
         with pytest.raises(AlignmentError):
+            derive_weights(red_wine, follow)
+        # same length, each word in the other position's space
+        follow = WordString.resolve(["wine", "red"], [colors, drinks])
+        with pytest.raises(AlignmentError, match=r"position 0: slot spaces differ \(red, white, rosé\)"):
             derive_weights(red_wine, follow)
 
 

@@ -53,6 +53,10 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as exc:
         parse_taxonomy("a\tb\nnot an edge line\n")
     assert exc.value.line == 2
+    for bad in ("a,b\tc", "a\tb c"):
+        with pytest.raises(ParseError, match="may not contain commas or whitespace") as exc:
+            parse_taxonomy(f"a\tb\n{bad}\n")
+        assert exc.value.line == 2
 
 
 def test_comments_and_blank_lines_ignored():
