@@ -47,15 +47,16 @@ class Lexicon:
     decay: float
     taxonomy: Taxonomy | None = field(default=None, repr=False)
     name: str = ""
-    # entailment's smoothed predicates at the last sigma used, built on
-    # demand: not compared, shown, carried over by replace, copied or pickled
+    # memos built on demand, entailment's smoothed predicates and cn_word's
+    # negations: not compared, shown, carried over by replace, copied or pickled
     _smoothed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _negations: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_smoothed"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_smoothed", "_negations")}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _smoothed={})
+        self.__dict__.update(state, _smoothed={}, _negations={})
 
     @property
     def dim(self) -> int:

@@ -93,16 +93,25 @@ def _compose(neg: Operator, wc: Operator, cfg: NegationConfig) -> Operator:
 
 def cn_word(word: str, lex: Lexicon, cfg: NegationConfig = DEFAULTS) -> Operator:
     """Conversational negation of ``word``: logical negation, then worldly
-    context, normalized per cfg.view."""
-    p = normalize(lex.word_operator(word), "sup")
+    context, normalized per cfg.view. Kept per lexicon and (logical,
+    composition, view), unless cfg.decay overrides the stored context."""
+    p = lex.word_operator(word)
     wc = lex.worldly_context(word, decay=cfg.decay)
-    composed = _compose(_logical_not(p, cfg), wc, cfg)
+    table = lex._negations.setdefault((cfg.logical, cfg.composition, cfg.view), {})
+    hit = table.get(word)
+    # by identity, so an operator replaced in the lexicon is never served stale
+    if hit is not None and hit[0] is p and hit[1] is wc:
+        return hit[2]
+    composed = _compose(_logical_not(normalize(p, "sup"), cfg), wc, cfg)
     if composed.trace() <= ZERO_TRACE_TOL:
         raise ZeroNegation(
             f"negation of {word!r} is the zero operator "
             f"(logical={cfg.logical}, composition={cfg.composition})"
         )
-    return normalize(composed, cfg.view)
+    out = normalize(composed, cfg.view)
+    if wc is lex.wc_ops[word]:
+        table[word] = (p, wc, out)
+    return out
 
 
 def alternatives(

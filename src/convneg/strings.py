@@ -110,10 +110,7 @@ def _count_negation_sets(n: int) -> int:
 def enumerate_negation_sets(n: int) -> list[tuple[int, ...]]:
     """All non-empty position subsets, smallest first, lexicographic within size."""
     _count_negation_sets(n)
-    out: list[tuple[int, ...]] = []
-    for size in range(1, n + 1):
-        out.extend(combinations(range(n), size))
-    return out
+    return [subset for size in range(1, n + 1) for subset in combinations(range(n), size)]
 
 
 def _check_lambda(lambda_size: float) -> None:
@@ -124,7 +121,8 @@ def _check_lambda(lambda_size: float) -> None:
 def size_prior(n: int, lambda_size: float = LAMBDA_DEFAULT) -> tuple[float, ...]:
     """Normalized lambda_size^(|S|-1) over the negation sets, in canonical order."""
     _check_lambda(lambda_size)
-    prior = [lambda_size ** (len(sub) - 1) for sub in enumerate_negation_sets(n)]
+    _count_negation_sets(n)
+    prior = [w for k in range(1, n + 1) for w in [lambda_size ** (k - 1)] * math.comb(n, k)]
     total = sum(prior)
     return tuple(p / total for p in prior)
 
@@ -247,19 +245,32 @@ def interpretation_scores(
     and best_interpretation).
 
     The string score factors per position, so each position's overlap is
-    computed once for its original word and once for its negation; a
-    subset's score multiplies them left to right, as
-    string_score(states, context, cfg.sigma) would.
+    computed once for its original word and once for its negation, and
+    _product_tree multiplies them into every subset's score.
     """
     _check_lambda(lambda_size)
     _check_alignment(len(s), context, tuple(slot.lex.leaves for slot in s.positions))
-    subsets = enumerate_negation_sets(len(s))
     kept = _overlaps(s.originals(), context, cfg.sigma)
     negated = _overlaps(_negations(s, cfg), context, cfg.sigma)
-    return [
-        lambda_size ** (len(subset) - 1) * math.prod(_choose(subset, kept, negated))
-        for subset in subsets
-    ]
+    return _product_tree(kept, negated, lambda_size)
+
+
+def _product_tree(kept: list[float], negated: list[float], lambda_size: float) -> list[float]:
+    """lambda_size^(|S|-1) times negated[i] for i in S and kept[i] elsewhere,
+    for every negation set S in canonical order. Each tree node multiplies its
+    parent by position i's negated factor, then by its kept one, so a leaf is
+    the product string_score forms, in the same order, and the leaves come in
+    lexicographic order of their sets, which a stable sort by size keeps."""
+    leaves = [1.0]
+    for a, b in zip(negated, kept):
+        nodes = leaves * 2
+        nodes[::2] = [x * a for x in leaves]
+        nodes[1::2] = [x * b for x in leaves]
+        leaves = nodes
+    # bit n-1-i of leaf t is set when t keeps position i; the last leaf keeps all
+    order = sorted(range(len(leaves) - 1), key=int.bit_count, reverse=True)
+    prior = [lambda_size ** (len(kept) - kept_count - 1) for kept_count in range(len(kept))]
+    return [prior[t.bit_count()] * leaves[t] for t in order]
 
 
 def best_interpretation(
@@ -278,6 +289,24 @@ def best_interpretation(
 
 def _best_from_scores(raw: Sequence[float], n: int) -> tuple[tuple[int, ...], float]:
     """best_interpretation for an n-word string from its interpretation_scores."""
-    subsets = enumerate_negation_sets(n)
-    best = max(range(len(raw)), key=lambda i: (raw[i], -i))
-    return subsets[best], raw[best]
+    best = raw.index(max(raw))
+    return _negation_set(n, best), raw[best]
+
+
+def _negation_set(n: int, index: int) -> tuple[int, ...]:
+    """enumerate_negation_sets(n)[index], without listing the others."""
+    k = 1
+    while index >= math.comb(n, k):
+        index -= math.comb(n, k)
+        k += 1
+    out, i = [], 0
+    while k:
+        # the sets that hold i come before those that skip it
+        with_i = math.comb(n - i - 1, k - 1)
+        if index < with_i:
+            out.append(i)
+            k -= 1
+        else:
+            index -= with_i
+        i += 1
+    return tuple(out)

@@ -34,7 +34,14 @@ from convneg.errors import (
     ZeroOperator,
 )
 from convneg.lexicon import Lexicon, build_lexicon, load_lexicon, save_lexicon
-from convneg.negation import NegationConfig, alternatives, cn_word
+from convneg.negation import (
+    COMPOSITION_CHOICES,
+    LOGICAL_CHOICES,
+    VIEW_CHOICES,
+    NegationConfig,
+    alternatives,
+    cn_word,
+)
 from convneg.entailment import overlap_score, smoothed_predicate
 from convneg.operators import (
     COMPLEMENT_TOL,
@@ -1053,6 +1060,7 @@ class TestSmoothedPredicateMemo:
         cfg = NegationConfig(sigma=0.5)
         alternatives("dog", lex, cfg)
         overlap_score(lex.word_ops["dog"], "hamster", lex, 0.5)
+        stale = kept(cn_word("hamster", lex, cfg))
         ops = getattr(lex, table)
         ops["hamster"] = ops["guinea_pig" if table == "word_ops" else "rodent"]
         fresh = dataclasses.replace(lex, word_ops=dict(lex.word_ops), wc_ops=dict(lex.wc_ops))
@@ -1064,6 +1072,8 @@ class TestSmoothedPredicateMemo:
         assert kept(smoothed_predicate("hamster", lex, 0.5)) == kept(
             reference_predicate("hamster", fresh, 0.5)
         )
+        assert kept(cn_word("hamster", lex, cfg)) == kept(cn_word("hamster", fresh, cfg))
+        assert kept(cn_word("hamster", lex, cfg)) != stale
 
     def test_alternating_sigma_answers_like_a_fresh_lexicon(self):
         lex = self.fig1()
@@ -1091,3 +1101,69 @@ class TestSmoothedPredicateMemo:
         held += table.stack[1].nbytes
         own = sum(op._diag.nbytes for ops in (lex.word_ops, lex.wc_ops) for op in ops.values())
         assert held <= own
+
+
+EVERY_CONFIG = [
+    NegationConfig(logical, composition, view=view)
+    for logical in LOGICAL_CHOICES
+    for composition in COMPOSITION_CHOICES
+    for view in VIEW_CHOICES
+]
+
+
+def negation_or_error(word, lex, cfg):
+    try:
+        return kept(cn_word(word, lex, cfg))
+    except ZeroNegation as exc:
+        return str(exc)
+
+
+class TestNegationMemo:
+    def fig1(self):
+        return build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv"))
+
+    def test_hit_equals_a_fresh_lexicon_for_every_config(self):
+        lex = self.fig1()
+        for cfg in EVERY_CONFIG:
+            for word in lex.concepts:
+                first = negation_or_error(word, lex, cfg)
+                assert negation_or_error(word, lex, cfg) == first
+                assert first == negation_or_error(word, self.fig1(), cfg)
+        # one table per (logical, composition, view), one entry per concept
+        # that negates to a nonzero operator
+        assert len(lex._negations) == len(EVERY_CONFIG) == 8
+        for (logical, _, _), table in lex._negations.items():
+            assert len(table) == len(lex.concepts) - (logical == "complement")
+        cfg = NegationConfig(sigma=0.0)
+        assert cn_word("hamster", lex, cfg) is cn_word("hamster", lex)
+
+    def test_zero_negation_raised_on_every_call(self):
+        lex = self.fig1()
+        for _ in range(3):
+            with pytest.raises(ZeroNegation, match="'entity'"):
+                cn_word("entity", lex)
+        assert "entity" not in lex._negations[("complement", "hadamard", "trace")]
+
+    def test_decay_override_answers_like_a_fresh_lexicon(self):
+        lex = self.fig1()
+        for decay in (0.3, 0.9, None, 0.3, lex.decay, 0.9, None):
+            cfg = NegationConfig("pinv", "conjugate", decay=decay)
+            assert kept(cn_word("hamster", lex, cfg)) == kept(
+                cn_word("hamster", self.fig1(), cfg)
+            )
+        # an override's context is rebuilt on every call, so it is never kept
+        overridden = self.fig1()
+        cn_word("hamster", overridden, NegationConfig(decay=0.3))
+        assert not any(overridden._negations.values())
+
+    def test_memo_is_private(self):
+        lex = self.fig1()
+        blank, twin = pickle.dumps(lex), dataclasses.replace(lex)
+        alternatives("hamster", lex)
+        assert lex._negations
+        # not compared, shown, pickled, or carried over by replace or copy
+        assert lex == twin and not twin._negations
+        assert "_negations" not in repr(lex)
+        assert pickle.dumps(lex) == blank
+        assert not pickle.loads(blank)._negations and not copy.copy(lex)._negations
+        assert not dataclasses.replace(lex)._negations

@@ -17,11 +17,16 @@ from convneg.errors import (
 from convneg.lexicon import build_lexicon
 from convneg.negation import NegationConfig, cn_word
 from convneg.strings import (
+    MAX_STRING_WORDS,
     WEIGHT_SUM_TOL,
     MixtureTerm,
     NegationMixture,
     Slot,
     WordString,
+    _best_from_scores,
+    _choose,
+    _negation_set,
+    _product_tree,
     best_interpretation,
     cn_string,
     derive_weights,
@@ -367,6 +372,11 @@ def exhaustive_scores(s, target, lam, cfg):
     return raw
 
 
+def hexes(xs):
+    """Exact float bits, so 0.0 and -0.0 differ."""
+    return [x.hex() for x in xs]
+
+
 def _negation_fails(slot, cfg):
     try:
         cn_word(slot.word, slot.lex, cfg)
@@ -408,7 +418,7 @@ class TestFactoredScoresMatchExhaustive:
             return
         want = exhaustive_scores(s, target, lam, cfg)
         got = interpretation_scores(s, target, lam, cfg)
-        assert got == want
+        assert hexes(got) == hexes(want)
         k = want.index(max(want))
         assert best_interpretation(s, target, lam, cfg) == (
             enumerate_negation_sets(len(s))[k],
@@ -418,14 +428,66 @@ class TestFactoredScoresMatchExhaustive:
     def test_all_zero_and_tied_targets_covered(self, colors, drinks):
         s = WordString.resolve(["red", "wine", "white"], [colors, drinks])
         zero = interpretation_scores(s, s, 0.75, NegationConfig(sigma=0))
-        assert zero == exhaustive_scores(s, s, 0.75, NegationConfig(sigma=0))
+        assert hexes(zero) == hexes(exhaustive_scores(s, s, 0.75, NegationConfig(sigma=0)))
         assert max(zero) == 0.0
         assert best_interpretation(s, s, 0.75, NegationConfig(sigma=0)) == ((0,), 0.0)
         top = WordString.resolve(["color", "drink", "color"], [colors, drinks])
         tied = interpretation_scores(s, top, 1.0, NegationConfig(sigma=0))
-        assert tied == exhaustive_scores(s, top, 1.0, NegationConfig(sigma=0))
+        assert hexes(tied) == hexes(exhaustive_scores(s, top, 1.0, NegationConfig(sigma=0)))
         assert set(tied) == {1.0}
         assert best_interpretation(s, top, 1.0, NegationConfig(sigma=0)) == ((0,), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# differential check: the product tree against every subset multiplied out
+
+# overlaps on a coarse grid, so exact ties and near-ties (0.75 * 0.1 against
+# 0.075) are common; zeros make all-zero and signed-zero scores
+QUANTIZED = st.sampled_from([0.0, 0.075, 0.1, 0.25, 1 / 3, 0.5, 0.75, 1.0])
+
+
+def reference_tree(kept, negated, lam):
+    """lambda^(|S|-1) times math.prod of each negation set's picks."""
+    return [
+        lam ** (len(subset) - 1) * math.prod(_choose(subset, kept, negated))
+        for subset in enumerate_negation_sets(len(kept))
+    ]
+
+
+class TestProductTreeMatchesExhaustive:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), lam=st.sampled_from([0.25, 0.3, 0.75, 1.0]))
+    def test_bitwise_equal_with_earliest_best(self, data, lam):
+        n = data.draw(st.integers(1, 12))
+        factor = st.one_of(QUANTIZED, st.floats(0.0, 1.0))
+        kept = data.draw(st.lists(factor, min_size=n, max_size=n))
+        negated = data.draw(st.lists(factor, min_size=n, max_size=n))
+        want = reference_tree(kept, negated, lam)
+        got = _product_tree(kept, negated, lam)
+        assert hexes(got) == hexes(want)
+        k = max(range(len(want)), key=lambda i: (want[i], -i))
+        assert _best_from_scores(got, n) == (enumerate_negation_sets(n)[k], want[k])
+
+    def test_signed_zeros_kept(self):
+        got = _product_tree([-0.0, 0.5], [0.25, -0.0], 1.0)
+        assert hexes(got) == hexes(reference_tree([-0.0, 0.5], [0.25, -0.0], 1.0))
+        assert _best_from_scores([0.0, -0.0, 0.0], 2) == ((0,), 0.0)
+
+    def test_negation_set_by_index(self):
+        for n in range(1, 11):
+            subsets = enumerate_negation_sets(n)
+            assert [_negation_set(n, i) for i in range(len(subsets))] == subsets
+        n = MAX_STRING_WORDS
+        assert _negation_set(n, 0) == (0,)
+        assert _negation_set(n, n) == (0, 1)
+        assert _negation_set(n, 2**n - 2) == tuple(range(n))
+
+    @pytest.mark.parametrize("lam", [0.25, 0.3, 0.75, 1.0])
+    def test_size_prior_matches_subset_listing(self, lam):
+        for n in range(1, 13):
+            raw = [lam ** (len(subset) - 1) for subset in enumerate_negation_sets(n)]
+            total = sum(raw)
+            assert hexes(size_prior(n, lam)) == hexes([r / total for r in raw])
 
 
 # ---------------------------------------------------------------------------
