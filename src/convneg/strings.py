@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Sequence
 
 from .entailment import SIGMA_DEFAULT, overlap_score
@@ -110,7 +110,10 @@ def _count_negation_sets(n: int) -> int:
 def enumerate_negation_sets(n: int) -> list[tuple[int, ...]]:
     """All non-empty position subsets, smallest first, lexicographic within size."""
     _count_negation_sets(n)
-    return [subset for size in range(1, n + 1) for subset in combinations(range(n), size)]
+    out: list[tuple[int, ...]] = []
+    for size in range(1, n + 1):
+        out.extend(combinations(range(n), size))
+    return out
 
 
 def _check_lambda(lambda_size: float) -> None:
@@ -250,6 +253,7 @@ def interpretation_scores(
     """
     _check_lambda(lambda_size)
     _check_alignment(len(s), context, tuple(slot.lex.leaves for slot in s.positions))
+    _count_negation_sets(len(s))
     kept = _overlaps(s.originals(), context, cfg.sigma)
     negated = _overlaps(_negations(s, cfg), context, cfg.sigma)
     return _product_tree(kept, negated, lambda_size)
@@ -290,23 +294,5 @@ def best_interpretation(
 def _best_from_scores(raw: Sequence[float], n: int) -> tuple[tuple[int, ...], float]:
     """best_interpretation for an n-word string from its interpretation_scores."""
     best = raw.index(max(raw))
-    return _negation_set(n, best), raw[best]
-
-
-def _negation_set(n: int, index: int) -> tuple[int, ...]:
-    """enumerate_negation_sets(n)[index], without listing the others."""
-    k = 1
-    while index >= math.comb(n, k):
-        index -= math.comb(n, k)
-        k += 1
-    out, i = [], 0
-    while k:
-        # the sets that hold i come before those that skip it
-        with_i = math.comb(n - i - 1, k - 1)
-        if index < with_i:
-            out.append(i)
-            k -= 1
-        else:
-            index -= with_i
-        i += 1
-    return tuple(out)
+    sets = chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
+    return next(islice(sets, best, None)), raw[best]

@@ -132,6 +132,15 @@ class TestNegateString:
         assert calls == {"overlap_score": 4, "cn_word": 2}
         assert out == readme_output("negate-string")
 
+    def test_too_many_words(self):
+        words = " ".join(["red wine white beer juice"] * 5).split()[:21]
+        code, out, err = invoke(
+            "negate-string", " ".join(words), "--follow-up", " ".join(words),
+            "--taxonomies", F2,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: TooManyWords: string length must lie in 1..20, got 21\n"
+
     def test_misaligned_follow_up(self):
         code, _, err = invoke(
             "negate-string", "red wine", "--follow-up", "white",

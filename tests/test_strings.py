@@ -25,7 +25,6 @@ from convneg.strings import (
     WordString,
     _best_from_scores,
     _choose,
-    _negation_set,
     _product_tree,
     best_interpretation,
     cn_string,
@@ -188,6 +187,15 @@ class TestCnString:
         follow = WordString.resolve([LONG_POOL[(i + 2) % 6] for i in range(n)], [colors, drinks])
         weights = derive_weights(s, follow, 0.5, NegationConfig(sigma=0.5))
         assert abs(math.fsum(cn_string(s, weights).weights) - 1.0) <= WEIGHT_SUM_TOL
+
+    @pytest.mark.parametrize(
+        "score", [interpretation_scores, derive_weights, best_interpretation]
+    )
+    def test_scoring_past_the_guard_raises(self, colors, drinks, score):
+        n = MAX_STRING_WORDS + 1
+        s = WordString.resolve([LONG_POOL[i % 6] for i in range(n)], [colors, drinks])
+        with pytest.raises(TooManyWords, match=f"got {n}"):
+            score(s, s)
 
 
 class TestStringScore:
@@ -472,15 +480,6 @@ class TestProductTreeMatchesExhaustive:
         got = _product_tree([-0.0, 0.5], [0.25, -0.0], 1.0)
         assert hexes(got) == hexes(reference_tree([-0.0, 0.5], [0.25, -0.0], 1.0))
         assert _best_from_scores([0.0, -0.0, 0.0], 2) == ((0,), 0.0)
-
-    def test_negation_set_by_index(self):
-        for n in range(1, 11):
-            subsets = enumerate_negation_sets(n)
-            assert [_negation_set(n, i) for i in range(len(subsets))] == subsets
-        n = MAX_STRING_WORDS
-        assert _negation_set(n, 0) == (0,)
-        assert _negation_set(n, n) == (0, 1)
-        assert _negation_set(n, 2**n - 2) == tuple(range(n))
 
     @pytest.mark.parametrize("lam", [0.25, 0.3, 0.75, 1.0])
     def test_size_prior_matches_subset_listing(self, lam):
