@@ -3,9 +3,10 @@
 A script line like ``Alice is a human`` applies a predicate to Alice's wire;
 ``Alice loves Bob`` links two wires and may apply a verb effect to each name.
 Every gate updates a single factor, one state per (actor, lexicon), so a
-linked group's state stays a product and is stored per factor, never as one
-joint matrix. MAX_COMPOSITE_DIM bounds only what composed_state builds: the
-Kronecker product of one actor's own factors.
+linked group is a list of factor states, never one joint matrix. A marginal
+is read off the factors: composed_factors scales each factor's own entries by
+the other factors' traces, and only composed_state builds a Kronecker
+product, of one actor's own factors, bounded by MAX_COMPOSITE_DIM.
 
 Reading all updates to a wire as one long word string lets the
 string-negation machinery negate an actor: every word that touched the wire,
@@ -16,6 +17,7 @@ NegationConfig, like the string functions they call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -33,7 +35,7 @@ from .errors import (
 )
 from .lexicon import Lexicon, resolve_word
 from .negation import DEFAULTS, LAMBDA_DEFAULT, NegationConfig
-from .operators import Operator, conjugate_update, normalize
+from .operators import Operator, _entries, _from_entries, conjugate_update, identity, normalize
 from .strings import (
     NegationMixture,
     Slot,
@@ -258,44 +260,45 @@ def contributing_words(c: TextCircuit, name: str) -> list[tuple[Actor | Gate, st
 
 
 Effects = Mapping[str, tuple[Operator | None, Operator | None]]
+_Factor = tuple[str, Lexicon, Operator]  # (owner, lexicon, state)
 
 
-class _Group:
-    """Linked wires as a product of per-(actor, lexicon) factor states.
+def _update(factors: list[_Factor], owner: str, lex: Lexicon, effect: Operator) -> None:
+    """Conjugate the owner's factor on ``lex`` by ``effect``, opening the
+    factor in the maximally mixed state on first touch."""
+    for i, (o, flex, state) in enumerate(factors):
+        if o == owner and flex is lex:
+            factors[i] = (o, flex, conjugate_update(state, effect))
+            return
+    fresh = normalize(identity(lex.dim), "trace")
+    factors.append((owner, lex, conjugate_update(fresh, effect)))
 
-    Every gate acts on a single factor, so the joint state is the Kronecker
-    product of the factors and is never formed. Factor states are not
-    renormalized: an update that annihilates one factor zeroes every
+
+def _evolve(c: TextCircuit, effects: Effects | None) -> dict[str, list[_Factor]]:
+    """Each actor's linked group as a list of per-(actor, lexicon) factor
+    states, in first-touch order; linked actors share one list.
+
+    Every gate acts on a single factor, so the group's joint state is the
+    Kronecker product of the factors and is never formed. Factor states are
+    not renormalized: an update that annihilates one factor zeroes every
     marginal of the group.
     """
-
-    def __init__(self, actor: Actor):
-        name_state = normalize(actor.lex.word_operator(actor.word), "trace")
-        self.factors: list[tuple[str, Lexicon, Operator]] = [
-            (actor.name, actor.lex, name_state)
-        ]
-
-    def update(self, owner: str, lex: Lexicon, effect: Operator) -> None:
-        """Conjugate the owner's factor on ``lex`` by ``effect``, opening the
-        factor in the maximally mixed state on first touch."""
-        for i, (o, flex, state) in enumerate(self.factors):
-            if o == owner and flex is lex:
-                self.factors[i] = (o, flex, conjugate_update(state, effect))
-                return
-        fresh = Operator(np.eye(lex.dim) / lex.dim)
-        self.factors.append((owner, lex, conjugate_update(fresh, effect)))
-
-
-def _evolve(c: TextCircuit, effects: Effects | None) -> dict[str, _Group]:
-    groups = {a.name: _Group(a) for a in c.actors}
+    groups: dict[str, list[_Factor]] = {}
+    for a in c.actors:
+        name_state = normalize(a.lex.word_operator(a.word), "trace")
+        if name_state.dim != a.lex.dim:
+            raise DimMismatch(
+                f"name {a.word!r} has dim {name_state.dim}, name space has dim {a.lex.dim}"
+            )
+        groups[a.name] = [(a.name, a.lex, name_state)]
     for g in c.gates:
         if isinstance(g, UnaryGate):
-            groups[g.actor].update(g.actor, g.lex, g.lex.word_operator(g.word))
+            _update(groups[g.actor], g.actor, g.lex, g.lex.word_operator(g.word))
             continue
         group, other = groups[g.subject], groups[g.object]
         if group is not other:
-            group.factors.extend(other.factors)
-            for owner, _, _ in other.factors:
+            group.extend(other)
+            for owner, _, _ in other:
                 groups[owner] = group
         if effects and g.verb in effects:
             for actor_name, eff in zip((g.subject, g.object), effects[g.verb]):
@@ -307,21 +310,8 @@ def _evolve(c: TextCircuit, effects: Effects | None) -> dict[str, _Group]:
                         f"effect for {g.verb!r} on {actor_name} has dim "
                         f"{eff.dim}, name space has dim {act.lex.dim}"
                     )
-                group.update(actor_name, act.lex, eff)
+                _update(group, actor_name, act.lex, eff)
     return groups
-
-
-def _marginal(group: _Group, keep: set[int]) -> np.ndarray:
-    """Partial trace of the group's product state onto the kept factors: their
-    Kronecker product times the trace of every other factor."""
-    mat = np.ones((1, 1))
-    scale = 1.0
-    for i, (_, _, state) in enumerate(group.factors):
-        if i in keep:
-            mat = np.kron(mat, state.matrix)
-        else:
-            scale *= state.trace()
-    return mat * scale
 
 
 def composed_state(c: TextCircuit, name: str, effects: Effects | None = None) -> Operator:
@@ -333,32 +323,35 @@ def composed_state(c: TextCircuit, name: str, effects: Effects | None = None) ->
     """
     a = c.actor(name)
     group = _evolve(c, effects)[a.name]
-    keep = {i for i, (owner, _, _) in enumerate(group.factors) if owner == a.name}
-    own = [lex for owner, lex, _ in group.factors if owner == a.name]
-    dim = math.prod(lex.dim for lex in own)
+    own = [(lex, state) for owner, lex, state in group if owner == a.name]
+    dim = math.prod(lex.dim for lex, _ in own)
     if dim > MAX_COMPOSITE_DIM:
-        raise TooLarge(
-            f"composite for {a.name} would reach dim {dim} > {MAX_COMPOSITE_DIM}"
-        )
-    labels = own[0].leaves if len(own) == 1 else ()
-    return normalize(Operator(_marginal(group, keep), labels), "trace")
+        raise TooLarge(f"composite for {a.name} would reach dim {dim} > {MAX_COMPOSITE_DIM}")
+    labels = own[0][0].leaves if len(own) == 1 else ()
+    # partial trace: the other factors' traces multiply in group order, which fixes rounding
+    joint = functools.reduce(np.kron, [state.matrix for _, state in own])
+    scale = math.prod(state.trace() for owner, _, state in group if owner != a.name)
+    return normalize(Operator(joint * scale, labels), "trace")
 
 
 def composed_factors(
     c: TextCircuit, name: str, effects: Effects | None = None
 ) -> dict[str, Operator]:
     """Per-space marginals of the actor's evolved state, trace-normalized,
-    keyed by lexicon name (positional key for unnamed lexicons)."""
+    keyed by lexicon name (positional key for unnamed lexicons): a factor's
+    own state times the other factors' traces, multiplied in group order."""
     a = c.actor(name)
     group = _evolve(c, effects)[a.name]
+    traces = [state.trace() for _, _, state in group]
     out: dict[str, Operator] = {}
-    for i, (owner, lex, _) in enumerate(group.factors):
+    for i, (owner, lex, state) in enumerate(group):
         if owner != a.name:
             continue
         key = lex.name or f"factor{i}"
         if key in out:
             key = f"{key}@{i}"
-        out[key] = normalize(Operator(_marginal(group, {i}), lex.leaves), "trace")
+        scale = math.prod(traces[:i] + traces[i + 1 :])
+        out[key] = normalize(_from_entries(_entries(state) * scale, lex.leaves), "trace")
     return out
 
 

@@ -519,11 +519,9 @@ class LineReader:
     def require(self, what: str) -> str:
         """The next line; ParseError("unexpected end of <what>") if none."""
         try:
-            line = next(self._lines)
+            return next(self)
         except StopIteration:
             raise ParseError(f"unexpected end of {what}", self.lineno) from None
-        self.lineno += 1
-        return line.rstrip("\n")
 
 
 def operator_from_lines(reader: LineReader) -> Operator:

@@ -80,8 +80,6 @@ class Taxonomy:
 
 
 def _check_name(name: str, lineno: int) -> str:
-    if not name:
-        raise ParseError("empty concept name", lineno)
     if "," in name or any(ch.isspace() for ch in name):
         raise ParseError(f"concept name {name!r} may not contain commas or whitespace", lineno)
     return name

@@ -2,11 +2,12 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, story_lexicons
 from convneg.circuits import (
+    MAX_COMPOSITE_DIM,
     Actor,
     BinaryGate,
     UnaryGate,
@@ -22,6 +23,7 @@ from convneg.circuits import (
 from convneg.errors import (
     AlignmentError,
     AmbiguousWord,
+    ConvnegError,
     DimMismatch,
     ParseError,
     TooLarge,
@@ -30,7 +32,14 @@ from convneg.errors import (
 )
 from convneg.lexicon import build_lexicon
 from convneg.negation import DEFAULTS, NegationConfig
-from convneg.operators import ZERO_TRACE_TOL, Operator
+from convneg.operators import (
+    ZERO_TRACE_TOL,
+    Operator,
+    _entries,
+    conjugate_update,
+    diagonal,
+    normalize,
+)
 from convneg.strings import (
     WordString,
     best_interpretation,
@@ -273,6 +282,14 @@ class TestComposedState:
         with pytest.raises(DimMismatch):
             composed_state(love, "Bob", effects={"loves": (None, Operator(np.eye(3)))})
 
+    def test_name_operator_of_wrong_dim(self):
+        lexes = story_lexicons()  # fresh: an operator is replaced in place
+        lexes[0].word_ops["alice"] = diagonal([1.0, 1.0])
+        c = parse_script("Alice is a human.\n", lexes)
+        for fn in (composed_factors, composed_state):
+            with pytest.raises(DimMismatch, match="'alice' has dim 2, name space has dim 5"):
+                fn(c, "Alice")
+
     def test_unary_growth_guard(self):
         lexes = [
             build_lexicon(
@@ -452,7 +469,8 @@ class TestSigmaFromConfig:
 
 
 # ---------------------------------------------------------------------------
-# differential check: factored circuits against a dense joint-state reference
+# differential checks: factored circuits against a dense joint-state
+# reference (to rounding) and against dense marginals of the factors (bit for bit)
 
 
 def _dense_root(m):
@@ -513,6 +531,88 @@ def dense_reference(c, name, effects=None):
     return dims, marginals, _dense_keep(group["state"], dims, own)
 
 
+def kron_reference(c, name, effects=None):
+    """The circuit path that built every marginal densely: fresh factors as
+    ``Operator(np.eye(n) / n)``, marginals as a Kronecker product grown from
+    a 1x1 ones matrix times a ``scale *=`` loop over the other factors'
+    traces, then ``Operator(...)`` and ``normalize``. Returns the outcomes of
+    composed_factors and composed_state (a result or the exception raised)
+    and the dims of ``name``'s group."""
+    groups = {}
+    for a in c.actors:
+        groups[a.name] = [(a.name, a.lex, normalize(a.lex.word_operator(a.word), "trace"))]
+
+    def update(factors, owner, lex, effect):
+        for i, (o, x, state) in enumerate(factors):
+            if o == owner and x is lex:
+                factors[i] = (o, x, conjugate_update(state, effect))
+                return
+        fresh = Operator(np.eye(lex.dim) / lex.dim)
+        factors.append((owner, lex, conjugate_update(fresh, effect)))
+
+    for g in c.gates:
+        if isinstance(g, UnaryGate):
+            update(groups[g.actor], g.actor, g.lex, g.lex.word_operator(g.word))
+            continue
+        group, other = groups[g.subject], groups[g.object]
+        if group is not other:
+            group.extend(other)
+            for owner, _, _ in other:
+                groups[owner] = group
+        for owner, eff in zip((g.subject, g.object), (effects or {}).get(g.verb, (None, None))):
+            if eff is not None:
+                update(group, owner, c.actor(owner).lex, eff)
+    group = groups[name]
+
+    def marginal(keep):
+        mat, scale = np.ones((1, 1)), 1.0
+        for i, (_, _, state) in enumerate(group):
+            if i in keep:
+                mat = np.kron(mat, state.matrix)
+            else:
+                scale *= state.trace()
+        return mat * scale
+
+    def factors():
+        out = {}
+        for i, (owner, lex, _) in enumerate(group):
+            if owner == name:
+                key = lex.name or f"factor{i}"
+                key = f"{key}@{i}" if key in out else key
+                out[key] = normalize(Operator(marginal({i}), lex.leaves), "trace")
+        return out
+
+    def state():
+        keep = {i for i, (owner, _, _) in enumerate(group) if owner == name}
+        own = [lex for owner, lex, _ in group if owner == name]
+        dim = int(np.prod([lex.dim for lex in own]))
+        if dim > MAX_COMPOSITE_DIM:
+            raise TooLarge(f"composite for {name} would reach dim {dim} > {MAX_COMPOSITE_DIM}")
+        labels = own[0].leaves if len(own) == 1 else ()
+        return normalize(Operator(marginal(keep), labels), "trace")
+
+    return _outcome(factors), _outcome(state), [lex.dim for _, lex, _ in group]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ConvnegError as exc:
+        return exc
+
+
+def _bits(outcome):
+    """Everything that tells two outcomes apart: keys in order, storage
+    (diagonal or dense), exact bytes (signed zeros too) and labels, or the
+    exception's type and message."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    ops = outcome if isinstance(outcome, dict) else {None: outcome}
+    return [
+        (key, op._diag is None, _entries(op).tobytes(), op.labels) for key, op in ops.items()
+    ]
+
+
 DIFF_ACTORS = ("Ann", "Ben", "Cal")
 DIFF_WORDS = ("kind", "warm", "nice", "cold", "young", "old", "age")
 
@@ -555,6 +655,11 @@ class TestFactoredMatchesDense:
         sides=st.lists(st.sampled_from(("subject", "object", "both")), min_size=2, max_size=2),
         annihilate=st.booleans(),
     )
+    # other factors' traces whose product rounds differently when reordered
+    @example(
+        lines=["Cal helps Ben", "Ann is old", "Ben helps Ann", "Ben is warm"],
+        target="Ann", seed=3961484165, sides=["both", "both"], annihilate=False,
+    )
     def test_random_scripts(self, diff_lexes, lines, target, seed, sides, annihilate):
         rng = np.random.default_rng(seed)
         names_dim = diff_lexes[0].dim
@@ -577,8 +682,13 @@ class TestFactoredMatchesDense:
         if annihilate:
             lexes = (*diff_lexes, build_lexicon(parse_taxonomy("loves\tfeeling\n"), name="feelings"))
         c = parse_script("\n".join(script), lexes)
-        dims, marginals, joint = dense_reference(c, target, effects)
+        want_factors, want_state, dims = kron_reference(c, target, effects)
+        # before the dense reference, whose joint state grows with the group
         assume(int(np.prod(dims)) <= 600)
+        _, marginals, joint = dense_reference(c, target, effects)
+
+        assert _bits(_outcome(lambda: composed_factors(c, target, effects))) == _bits(want_factors)
+        assert _bits(_outcome(lambda: composed_state(c, target, effects))) == _bits(want_state)
 
         if np.trace(joint) <= ZERO_TRACE_TOL:
             with pytest.raises(ZeroOperator):

@@ -221,14 +221,14 @@ class TestClosedPipe:
                 "--taxonomies", F2]
         src = str(Path(convneg.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "convneg.cli", *argv],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        )
-        assert proc.stdout.readline().split() == [b"subset", b"weight", b"score"]
-        proc.stdout.close()
-        assert proc.stderr.read() == b""
-        assert proc.wait(timeout=60) == 1
+        ) as proc:
+            assert proc.stdout.readline().split() == [b"subset", b"weight", b"score"]
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 1
 
 
 class TestEntail:
