@@ -3,10 +3,11 @@
 A script line like ``Alice is a human`` applies a predicate to Alice's wire;
 ``Alice loves Bob`` links two wires and may apply a verb effect to each name.
 Every gate updates a single factor, one state per (actor, lexicon), so a
-linked group is a list of factor states, never one joint matrix. A marginal
-is read off the factors: composed_factors scales each factor's own entries by
-the other factors' traces, and only composed_state builds a Kronecker
-product, of one actor's own factors, bounded by MAX_COMPOSITE_DIM.
+linked group is a list of factor states, never one joint matrix, and only
+the gates of the actor's link closure run. A marginal is read off the
+factors: composed_factors scales each factor's own entries by the other
+factors' traces; only composed_state builds a Kronecker product, of one
+actor's own factors, bounded by MAX_COMPOSITE_DIM.
 
 Reading all updates to a wire as one long word string lets the
 string-negation machinery negate an actor: every word that touched the wire,
@@ -274,15 +275,18 @@ def _update(factors: list[_Factor], owner: str, lex: Lexicon, effect: Operator) 
     factors.append((owner, lex, conjugate_update(fresh, effect)))
 
 
-def _evolve(c: TextCircuit, effects: Effects | None) -> dict[str, list[_Factor]]:
-    """Each actor's linked group as a list of per-(actor, lexicon) factor
-    states, in first-touch order; linked actors share one list.
+def _evolve(c: TextCircuit, name: str, effects: Effects | None) -> list[_Factor]:
+    """The actor's linked group as a list of per-(actor, lexicon) factor
+    states, in first-touch order.
 
     Every gate acts on a single factor, so the group's joint state is the
     Kronecker product of the factors and is never formed. Factor states are
     not renormalized: an update that annihilates one factor zeroes every
-    marginal of the group.
+    marginal of the group. Only the gates of the actor's link closure run: a
+    binary gate that touches it has both ends in it, so none is reordered.
+    Other names and gates are only checked, as their updates would be.
     """
+    closure = _link_closure(c, name)
     groups: dict[str, list[_Factor]] = {}
     for a in c.actors:
         name_state = normalize(a.lex.word_operator(a.word), "trace")
@@ -293,10 +297,12 @@ def _evolve(c: TextCircuit, effects: Effects | None) -> dict[str, list[_Factor]]
         groups[a.name] = [(a.name, a.lex, name_state)]
     for g in c.gates:
         if isinstance(g, UnaryGate):
-            _update(groups[g.actor], g.actor, g.lex, g.lex.word_operator(g.word))
+            op = g.lex.word_operator(g.word)
+            if g.actor in closure or op.dim != g.lex.dim:  # outside, only to raise
+                _update(groups[g.actor], g.actor, g.lex, op)
             continue
         group, other = groups[g.subject], groups[g.object]
-        if group is not other:
+        if g.subject in closure and group is not other:
             group.extend(other)
             for owner, _, _ in other:
                 groups[owner] = group
@@ -310,8 +316,9 @@ def _evolve(c: TextCircuit, effects: Effects | None) -> dict[str, list[_Factor]]
                         f"effect for {g.verb!r} on {actor_name} has dim "
                         f"{eff.dim}, name space has dim {act.lex.dim}"
                     )
-                _update(group, actor_name, act.lex, eff)
-    return groups
+                if g.subject in closure:
+                    _update(group, actor_name, act.lex, eff)
+    return groups[name]
 
 
 def composed_state(c: TextCircuit, name: str, effects: Effects | None = None) -> Operator:
@@ -322,7 +329,7 @@ def composed_state(c: TextCircuit, name: str, effects: Effects | None = None) ->
     factors span more than MAX_COMPOSITE_DIM dimensions.
     """
     a = c.actor(name)
-    group = _evolve(c, effects)[a.name]
+    group = _evolve(c, a.name, effects)
     own = [(lex, state) for owner, lex, state in group if owner == a.name]
     dim = math.prod(lex.dim for lex, _ in own)
     if dim > MAX_COMPOSITE_DIM:
@@ -341,7 +348,7 @@ def composed_factors(
     keyed by lexicon name (positional key for unnamed lexicons): a factor's
     own state times the other factors' traces, multiplied in group order."""
     a = c.actor(name)
-    group = _evolve(c, effects)[a.name]
+    group = _evolve(c, a.name, effects)
     traces = [state.trace() for _, _, state in group]
     out: dict[str, Operator] = {}
     for i, (owner, lex, state) in enumerate(group):

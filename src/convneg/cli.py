@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .entailment import SIGMA_DEFAULT, loewner_k, overlap_score
-from .errors import ConvnegError
+from .errors import ConvnegError, ZeroOperator
 from .lexicon import DEFAULT_DECAY, Lexicon, build_lexicon, load_lexicon, save_lexicon
 from .negation import (
     COMPOSITION_CHOICES,
@@ -145,6 +145,8 @@ def _cmd_negate_string(args, out: IO[str]) -> int:
 
 def _cmd_entail(args, out: IO[str]) -> int:
     lex = _load_one(args.taxonomy)
+    if lex.word_operator(args.a).is_zero():  # both measures need it nonzero
+        raise ZeroOperator(f"word {args.a!r} has the zero operator")
     if args.measure == "khyp":
         value = loewner_k(lex.word_operator(args.a), lex.word_operator(args.b))
     else:

@@ -10,10 +10,12 @@ to orthogonality.
 A smoothed predicate depends on the word and sigma only, so each lexicon
 keeps the ones built for the sigma last used (``Lexicon._smoothed``) and
 builds each once; an entry is checked by identity against the word and
-context operators it was built from. ``alternatives`` scores every leaf in
-one product of the state's main diagonal with the leaves' predicate
-diagonals, stacked once per lexicon, whenever the state or every predicate
-is diagonal; each score is the same correctly rounded sum as
+context operators it was built from. Each entry also keeps every score
+``overlap_score`` computed with it, weakly keyed by state (operators hash by
+identity), so a repeated overlap is a lookup. ``alternatives`` scores
+every leaf in one product of the state's main diagonal with the leaves'
+predicate diagonals, stacked once per lexicon, whenever the state or every
+predicate is diagonal; each score is the same correctly rounded sum as
 ``trace_product``'s, so scores and exact ties do not change.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -95,15 +98,15 @@ class _Smoothed:
     """One lexicon's smoothed predicates at one sigma.
 
     ``words`` maps a word to the word and context operators its predicate
-    was built from, and the predicate. ``stack`` holds the leaves'
-    predicates, in leaf order, and their main diagonals stacked one row per
-    leaf.
+    was built from (no context at sigma 0), the predicate, and its overlaps
+    by state. ``stack`` holds the leaves' predicates, in leaf order, and their
+    main diagonals stacked one row per leaf.
     """
 
     __slots__ = ("words", "stack")
 
     def __init__(self) -> None:
-        self.words: dict[str, tuple[Operator, Operator, Operator]] = {}
+        self.words: dict[str, tuple] = {}
         self.stack: tuple[list[Operator], np.ndarray] | None = None
 
 
@@ -117,18 +120,22 @@ def _memo(lex: Lexicon, sigma: float) -> _Smoothed:
     return table
 
 
-def _predicate(word: str, lex: Lexicon, sigma: float, table: _Smoothed) -> Operator:
-    p = lex.word_operator(word)
-    if sigma == 0:
-        return p
-    wc = lex.worldly_context(word)
+def _kept(word: str, lex: Lexicon, sigma: float, table: _Smoothed) -> tuple | None:
+    """The word's entry in ``table`` while it is current; raises nothing."""
     hit = table.words.get(word)
+    wc = lex.wc_ops.get(word) if sigma else None
     # by identity, so an operator replaced in the lexicon is never served stale
-    if hit is not None and hit[0] is p and hit[1] is wc:
-        return hit[2]
-    pred = normalize(mix([(1.0, p), (sigma, wc)]), "sup")
-    table.words[word] = (p, wc, pred)
-    return pred
+    return hit if hit and hit[0] is lex.word_ops.get(word) and hit[1] is wc else None
+
+
+def _predicate(word: str, lex: Lexicon, sigma: float, table: _Smoothed) -> Operator:
+    hit = _kept(word, lex, sigma, table)
+    if hit is None:
+        p = lex.word_operator(word)
+        wc = lex.worldly_context(word) if sigma else None
+        pred = normalize(mix([(1.0, p), (sigma, wc)]), "sup") if sigma else p
+        hit = table.words[word] = (p, wc, pred, weakref.WeakKeyDictionary())
+    return hit[2]
 
 
 def smoothed_predicate(word: str, lex: Lexicon, sigma: float = SIGMA_DEFAULT) -> Operator:
@@ -192,4 +199,11 @@ def overlap_score(
     Tr(rho_a . smoothed predicate), which lies in [0, 1] because the state is
     trace-normalized and the predicate sup-normalized.
     """
-    return _overlap_scores(a, (word,), lex, sigma)[0]
+    table = lex._smoothed.get(sigma)  # only a valid sigma has one
+    hit = table and _kept(word, lex, sigma, table)
+    if hit and a in hit[3]:  # a zero state is never kept
+        return hit[3][a]
+    score = _overlap_scores(a, (word,), lex, sigma)[0]
+    # the scoring just made the word's record current
+    lex._smoothed[sigma].words[word][3][a] = score
+    return score

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .entailment import SIGMA_DEFAULT, _check_sigma, _overlap_scores
-from .errors import ZeroNegation
+from .errors import ZeroNegation, ZeroOperator
 from .lexicon import Lexicon, _check_decay
 from .operators import (
     Operator,
@@ -102,7 +102,11 @@ def cn_word(word: str, lex: Lexicon, cfg: NegationConfig = DEFAULTS) -> Operator
     # by identity, so an operator replaced in the lexicon is never served stale
     if hit is not None and hit[0] is p and hit[1] is wc:
         return hit[2]
-    composed = _compose(_logical_not(normalize(p, "sup"), cfg), wc, cfg)
+    try:
+        pred = normalize(p, "sup")
+    except ZeroOperator:
+        raise ZeroOperator(f"word {word!r} has the zero operator") from None
+    composed = _compose(_logical_not(pred, cfg), wc, cfg)
     if composed.trace() <= ZERO_TRACE_TOL:
         raise ZeroNegation(
             f"negation of {word!r} is the zero operator "

@@ -205,11 +205,6 @@ class Operator:
     def diagonal(self) -> np.ndarray:
         return _main_diagonal(self).copy()
 
-    def allclose(self, other: "Operator", tol: float = EQ_TOL) -> bool:
-        return self.dim == other.dim and bool(
-            np.all(np.abs(self.matrix - other.matrix) <= tol)
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Operator(dim={self.dim}, trace={self.trace():.6g})"
 

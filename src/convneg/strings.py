@@ -254,8 +254,9 @@ def interpretation_scores(
     _check_lambda(lambda_size)
     _check_alignment(len(s), context, tuple(slot.lex.leaves for slot in s.positions))
     _count_negation_sets(len(s))
+    negations = _negations(s, cfg)  # first: a zero word operator fails here, by name
     kept = _overlaps(s.originals(), context, cfg.sigma)
-    negated = _overlaps(_negations(s, cfg), context, cfg.sigma)
+    negated = _overlaps(negations, context, cfg.sigma)
     return _product_tree(kept, negated, lambda_size)
 
 

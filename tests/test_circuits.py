@@ -1,4 +1,7 @@
+import functools
 import inspect
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from convneg.errors import (
     AmbiguousWord,
     ConvnegError,
     DimMismatch,
+    InvalidOperator,
     ParseError,
     TooLarge,
     UnknownActor,
@@ -36,8 +40,10 @@ from convneg.operators import (
     ZERO_TRACE_TOL,
     Operator,
     _entries,
+    _from_entries,
     conjugate_update,
     diagonal,
+    identity,
     normalize,
 )
 from convneg.strings import (
@@ -704,3 +710,196 @@ class TestFactoredMatchesDense:
         np.testing.assert_allclose(
             composed_state(c, target, effects).matrix, joint / np.trace(joint), atol=1e-10
         )
+
+
+def full_evolve(c, effects):
+    """Every actor's linked group, evolved by every gate of the script: the
+    circuit path before evolution kept to the target's link closure."""
+
+    def update(factors, owner, lex, effect):
+        for i, (o, flex, state) in enumerate(factors):
+            if o == owner and flex is lex:
+                factors[i] = (o, flex, conjugate_update(state, effect))
+                return
+        fresh = normalize(identity(lex.dim), "trace")
+        factors.append((owner, lex, conjugate_update(fresh, effect)))
+
+    groups = {}
+    for a in c.actors:
+        name_state = normalize(a.lex.word_operator(a.word), "trace")
+        if name_state.dim != a.lex.dim:
+            raise DimMismatch(
+                f"name {a.word!r} has dim {name_state.dim}, name space has dim {a.lex.dim}"
+            )
+        groups[a.name] = [(a.name, a.lex, name_state)]
+    for g in c.gates:
+        if isinstance(g, UnaryGate):
+            update(groups[g.actor], g.actor, g.lex, g.lex.word_operator(g.word))
+            continue
+        group, other = groups[g.subject], groups[g.object]
+        if group is not other:
+            group.extend(other)
+            for owner, _, _ in other:
+                groups[owner] = group
+        if effects and g.verb in effects:
+            for actor_name, eff in zip((g.subject, g.object), effects[g.verb]):
+                if eff is None:
+                    continue
+                act = c.actor(actor_name)
+                if eff.dim != act.lex.dim:
+                    raise DimMismatch(
+                        f"effect for {g.verb!r} on {actor_name} has dim "
+                        f"{eff.dim}, name space has dim {act.lex.dim}"
+                    )
+                update(group, actor_name, act.lex, eff)
+    return groups
+
+
+def full_composed_state(c, name, effects=None):
+    a = c.actor(name)
+    group = full_evolve(c, effects)[a.name]
+    own = [(lex, state) for owner, lex, state in group if owner == a.name]
+    dim = math.prod(lex.dim for lex, _ in own)
+    if dim > MAX_COMPOSITE_DIM:
+        raise TooLarge(f"composite for {a.name} would reach dim {dim} > {MAX_COMPOSITE_DIM}")
+    labels = own[0][0].leaves if len(own) == 1 else ()
+    joint = functools.reduce(np.kron, [state.matrix for _, state in own])
+    scale = math.prod(state.trace() for owner, _, state in group if owner != a.name)
+    return normalize(Operator(joint * scale, labels), "trace")
+
+
+def full_composed_factors(c, name, effects=None):
+    a = c.actor(name)
+    group = full_evolve(c, effects)[a.name]
+    traces = [state.trace() for _, _, state in group]
+    out = {}
+    for i, (owner, lex, state) in enumerate(group):
+        if owner != a.name:
+            continue
+        key = lex.name or f"factor{i}"
+        if key in out:
+            key = f"{key}@{i}"
+        scale = math.prod(traces[:i] + traces[i + 1 :])
+        out[key] = normalize(_from_entries(_entries(state) * scale, lex.leaves), "trace")
+    return out
+
+
+CLOSURE_ACTORS = ("Ann", "Ben", "Cal", "Dan", "Eve")
+CLOSURE_TRAITS = ("kind", "warm", "cold", "young", "old")
+
+
+def closure_lexicons():
+    """Fresh lexicons, so a test may replace their operators."""
+    return (
+        build_lexicon(
+            parse_taxonomy("".join(f"{a.lower()}\tperson\n" for a in CLOSURE_ACTORS)), name="names"
+        ),
+        build_lexicon(parse_taxonomy("kind\tnice\nwarm\tnice\ncold\tmean\n"), name="traits"),
+        build_lexicon(parse_taxonomy("young\tage\nold\tage\n"), name="ages"),
+        build_lexicon(parse_taxonomy("meets\tverb\nhelps\tverb\n"), name="verbs"),
+    )
+
+
+_closure_line = st.one_of(
+    st.tuples(st.sampled_from(CLOSURE_ACTORS), st.sampled_from(CLOSURE_TRAITS)).map(
+        lambda t: f"{t[0]} is {t[1]}"
+    ),
+    # subject and object may be the same actor: a self-verb links nothing
+    st.tuples(
+        st.sampled_from(CLOSURE_ACTORS),
+        st.sampled_from(("meets", "helps")),
+        st.sampled_from(CLOSURE_ACTORS),
+    ).map(" ".join),
+)
+
+
+class TestClosureMatchesFullEvolution:
+    """composed_factors and composed_state evolve only the target's link
+    closure; their bits, or their error, are those of a full evolution."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        lines=st.lists(_closure_line, min_size=0, max_size=10),
+        target=st.sampled_from(CLOSURE_ACTORS),
+        seed=st.integers(0, 2**32 - 1),
+        sides=st.lists(
+            st.sampled_from(("subject", "object", "both", "none", "wrong-dim")),
+            min_size=2,
+            max_size=2,
+        ),
+        broken=st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(CLOSURE_ACTORS + CLOSURE_TRAITS), st.sampled_from(("wrong-dim", "zero"))
+            ),
+        ),
+    )
+    # disconnected groups, effects on actors outside the target's group
+    @example(
+        lines=["Ann meets Ben", "Cal helps Dan", "Dan is kind", "Eve is old", "Ben is warm"],
+        target="Ann", seed=1, sides=["both", "both"], broken=None,
+    )
+    # self-verbs
+    @example(
+        lines=["Ann meets Ann", "Ben helps Ben", "Ann is warm", "Ben meets Cal"],
+        target="Ann", seed=2, sides=["both", "subject"], broken=None,
+    )
+    # an outside actor's zero or wrong-dim name, and an outside attribute word
+    @example(lines=["Ann is kind"], target="Ann", seed=3, sides=["none", "none"], broken=("Eve", "zero"))
+    @example(
+        lines=["Ann is kind"], target="Ann", seed=4, sides=["none", "none"], broken=("Eve", "wrong-dim")
+    )
+    @example(
+        lines=["Cal is cold", "Ann is kind"], target="Ann", seed=5, sides=["none", "none"],
+        broken=("cold", "wrong-dim"),
+    )
+    @example(
+        lines=["Cal is cold", "Ann is kind"], target="Ann", seed=6, sides=["none", "none"],
+        broken=("cold", "zero"),
+    )
+    # an outside effect of the wrong dim
+    @example(
+        lines=["Cal meets Dan", "Ann is kind"], target="Ann", seed=7, sides=["wrong-dim", "none"],
+        broken=None,
+    )
+    def test_random_scripts(self, lines, target, seed, sides, broken):
+        lexes = closure_lexicons()
+        names = lexes[0]
+        rng = np.random.default_rng(seed)
+        effects = {}
+        for verb, side in zip(("meets", "helps"), sides):
+            if side == "none":
+                continue
+            dim = names.dim + (side == "wrong-dim")
+            subj = None if side == "object" else _random_effect(rng, dim)
+            obj = None if side in ("subject", "wrong-dim") else _random_effect(rng, dim)
+            effects[verb] = (subj, obj)
+        if broken is not None:
+            word, how = broken
+            lex = next(x for x in lexes if word.lower() in x)
+            n = lex.dim + (how == "wrong-dim")
+            lex.word_ops[word.lower()] = diagonal(np.zeros(n) if how == "zero" else np.ones(n))
+        script = [f"actor {a}" for a in CLOSURE_ACTORS] + lines
+        c = parse_script("\n".join(script), lexes)
+        for got, want in (
+            (composed_factors, full_composed_factors),
+            (composed_state, full_composed_state),
+        ):
+            assert _bits(_outcome(lambda: got(c, target, effects))) == _bits(
+                _outcome(lambda: want(c, target, effects))
+            )
+
+    def test_outside_overflow_leaves_the_target_alone(self):
+        # a full evolution overflows Ben's group, and so refused every actor
+        lexes = closure_lexicons()
+        effects = {"meets": (diagonal([1e300] * lexes[0].dim), None)}
+        head = "actor Ann\nactor Ben\nactor Cal\nAnn is kind\n"
+        c = parse_script(head + "Ben meets Cal\nBen meets Cal\n", lexes)
+        alone = parse_script(head, lexes)
+        assert _bits(composed_factors(c, "Ann", effects)) == _bits(composed_factors(alone, "Ann", effects))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(InvalidOperator, match="finite"):
+                full_composed_factors(c, "Ann", effects)
+            with pytest.raises(InvalidOperator, match="finite"):
+                composed_factors(c, "Ben", effects)

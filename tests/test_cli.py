@@ -315,6 +315,32 @@ class TestTaxonomyAndLexicon:
             assert invoke("entail", "hamster", "rodent", "--taxonomy", str(store), "--measure", "khyp") == want
             assert invoke("negate-word", "hamster", "--taxonomy", str(store)) == want
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("negate-word", "hamster", "--taxonomy"),
+            ("negate-word", "hamster", "--neg", "pinv", "--comp", "conjugate", "--taxonomy"),
+            ("entail", "hamster", "rodent", "--taxonomy"),
+            ("entail", "hamster", "rodent", "--measure", "khyp", "--taxonomy"),
+            ("negate-string", "hamster", "--follow-up", "rodent", "--taxonomies"),
+            ("negate-string", "dog hamster", "--follow-up", "rodent dog", "--taxonomies"),
+        ],
+    )
+    def test_zero_word_operator_is_named(self, tmp_path, argv):
+        # the store passes `lexicon check`; the errors used to name no word
+        store = tmp_path / "fig1.lex"
+        invoke("lexicon", "build", F1, "--out", str(store))
+        lines = store.read_text().splitlines()
+        assert lines[3] == "WORD hamster" and lines[6] == "1.0 0.0 0.0 0.0"
+        lines[6] = "0.0 0.0 0.0 0.0"
+        store.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invoke("lexicon", "check", str(store))[0] == 0
+            assert invoke(*argv, str(store)) == (
+                1, "", "error: ZeroOperator: word 'hamster' has the zero operator\n"
+            )
+
     def test_store_rejects_decay_override(self, tmp_path):
         store = tmp_path / "fig1.lex"
         invoke("lexicon", "build", F1, "--out", str(store))

@@ -16,6 +16,7 @@ against a per-leaf reference that rebuilds each predicate.
 
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 
@@ -1097,10 +1098,146 @@ class TestSmoothedPredicateMemo:
         assert not dataclasses.replace(lex)._smoothed
         # one n-vector per word plus the leaves' stack: no more than the
         # lexicon's own word and context operators hold
-        held = sum(pred._diag.nbytes for _, _, pred in table.words.values())
+        held = sum(rec[2]._diag.nbytes for rec in table.words.values())
         held += table.stack[1].nbytes
         own = sum(op._diag.nbytes for ops in (lex.word_ops, lex.wc_ops) for op in ops.values())
         assert held <= own
+
+
+FIG1_WORDS = ("hamster", "guinea_pig", "rodent", "dog", "animal", "planet", "entity")
+
+
+@st.composite
+def fig1_states(draw):
+    """A nonzero state on fig1's four leaves: a diagonal, or a dense matrix
+    (a random rotation of a diagonal)."""
+    d = draw(st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4).filter(lambda d: sum(d) > 1e-6))
+    if draw(st.booleans()):
+        return diagonal(d)
+    q = random_orthogonal(draw(st.integers(0, 2**32 - 1)), 4)
+    m = q @ np.diag(d) @ q.T
+    return Operator((m + m.T) / 2.0)
+
+
+def scores_kept_for(lex, sigma, word):
+    """The overlaps the lexicon keeps for ``word``'s predicate at ``sigma``."""
+    return lex._smoothed[sigma].words[word][3]
+
+
+class TestOverlapMemo:
+    """overlap_score keeps each score in the word's smoothed-predicate
+    record, weakly keyed by the state: a repeated call is a lookup."""
+
+    def fig1(self):
+        return build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        states=st.lists(fig1_states(), min_size=1, max_size=3),
+        calls=st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from(FIG1_WORDS), st.sampled_from((0.0, 0.25, 0.5))),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_kept_scores_match_a_fresh_lexicon(self, states, calls):
+        lex = self.fig1()
+        for i, word, sigma in calls:
+            a = states[i % len(states)]
+            got = overlap_score(a, word, lex, sigma)
+            want = overlap_score(a, word, self.fig1(), sigma)
+            assert float.hex(got) == float.hex(want) == float.hex(reference_overlap(a, word, lex, sigma))
+            # a repeated call returns the very float computed before
+            assert overlap_score(a, word, lex, sigma) is got
+            assert scores_kept_for(lex, sigma, word)[a] is got
+
+    @pytest.mark.parametrize("table", ["word_ops", "wc_ops"])
+    def test_operator_replaced_in_place_is_never_served_stale(self, table):
+        lex = self.fig1()
+        a = diagonal([0.4, 0.3, 0.2, 0.1])
+        before = overlap_score(a, "hamster", lex, 0.5)
+        old_scores = scores_kept_for(lex, 0.5, "hamster")
+        ops = getattr(lex, table)
+        ops["hamster"] = ops["dog" if table == "word_ops" else "animal"]
+        fresh = dataclasses.replace(lex, word_ops=dict(lex.word_ops), wc_ops=dict(lex.wc_ops))
+        after = overlap_score(a, "hamster", lex, 0.5)
+        assert float.hex(after) == float.hex(overlap_score(a, "hamster", fresh, 0.5))
+        assert after != before
+        assert overlap_score(a, "hamster", lex, 0.5) is after
+        # the rebuilt record keeps only the new score
+        new_scores = scores_kept_for(lex, 0.5, "hamster")
+        assert new_scores is not old_scores
+        assert list(new_scores.items()) == [(a, after)]
+        if table == "word_ops":
+            # sigma 0 scores against the word operator alone
+            assert float.hex(overlap_score(a, "hamster", lex, 0.0)) == float.hex(
+                overlap_score(a, "hamster", fresh, 0.0)
+            )
+
+    def test_sigma_switch_drops_the_kept_scores(self):
+        lex = self.fig1()
+        a = diagonal([0.4, 0.3, 0.2, 0.1])
+        first = overlap_score(a, "rodent", lex, 0.5)
+        assert list(scores_kept_for(lex, 0.5, "rodent").items()) == [(a, first)]
+        overlap_score(a, "rodent", lex, 0.25)
+        assert list(lex._smoothed) == [0.25]
+        again = overlap_score(a, "rodent", lex, 0.5)
+        assert again is not first and float.hex(again) == float.hex(first)
+
+    def test_zero_state_raises_on_every_call(self):
+        lex = self.fig1()
+        zero = diagonal([0.0] * 4)
+        for sigma in (0.5, 0.5, 0.0, 0.0):
+            with pytest.raises(ZeroOperator, match="nonzero state"):
+                overlap_score(zero, "rodent", lex, sigma)
+        overlap_score(diagonal([1.0, 0, 0, 0]), "rodent", lex, 0.5)
+        with pytest.raises(ZeroOperator, match="nonzero state"):
+            overlap_score(zero, "rodent", lex, 0.5)
+        assert zero not in scores_kept_for(lex, 0.5, "rodent")
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_invalid_sigma_raises_in_the_same_order(self, bad):
+        lex = self.fig1()
+        a, zero = diagonal([0.4, 0.3, 0.2, 0.1]), diagonal([0.0] * 4)
+        overlap_score(a, "rodent", lex, 0.5)
+        for _ in range(2):
+            # the state first, then sigma, then the word
+            with pytest.raises(ZeroOperator):
+                overlap_score(zero, "flubber", lex, bad)
+            for word in ("flubber", "rodent"):
+                with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+                    overlap_score(a, word, lex, bad)
+        # nothing was kept for it, and the kept table stays
+        assert list(lex._smoothed) == [0.5]
+
+    def test_a_state_nothing_else_holds_drops_out(self):
+        lex = self.fig1()
+        a = diagonal([0.4, 0.3, 0.2, 0.1])
+        b = diagonal([0.1, 0.2, 0.3, 0.4])
+        overlap_score(a, "rodent", lex, 0.5)
+        overlap_score(b, "rodent", lex, 0.5)
+        kept_scores = scores_kept_for(lex, 0.5, "rodent")
+        assert len(kept_scores) == 2
+        del a
+        gc.collect()
+        assert list(kept_scores) == [b]
+
+    def test_kept_scores_are_private(self):
+        lex = self.fig1()
+        blank, twin = pickle.dumps(lex), dataclasses.replace(lex)
+        a = diagonal([0.4, 0.3, 0.2, 0.1])
+        for word in FIG1_WORDS:
+            overlap_score(a, word, lex, 0.5)
+        # not pickled, compared, shown, replaced or copied
+        assert pickle.dumps(lex) == blank
+        assert lex == twin and repr(lex) == repr(twin)
+        for other in (
+            pickle.loads(pickle.dumps(lex)),
+            dataclasses.replace(lex),
+            copy.copy(lex),
+            copy.deepcopy(lex),
+        ):
+            assert not other._smoothed
 
 
 EVERY_CONFIG = [
