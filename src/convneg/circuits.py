@@ -36,7 +36,7 @@ from .errors import (
 )
 from .lexicon import Lexicon, resolve_word
 from .negation import DEFAULTS, LAMBDA_DEFAULT, NegationConfig
-from .operators import Operator, _entries, _from_entries, conjugate_update, identity, normalize
+from .operators import Operator, _entries, _from_entries, conjugate_update, diagonal, normalize
 from .strings import (
     NegationMixture,
     Slot,
@@ -271,7 +271,7 @@ def _update(factors: list[_Factor], owner: str, lex: Lexicon, effect: Operator) 
         if o == owner and flex is lex:
             factors[i] = (o, flex, conjugate_update(state, effect))
             return
-    fresh = normalize(identity(lex.dim), "trace")
+    fresh = diagonal(np.full(lex.dim, 1.0 / lex.dim))
     factors.append((owner, lex, conjugate_update(fresh, effect)))
 
 
@@ -289,7 +289,9 @@ def _evolve(c: TextCircuit, name: str, effects: Effects | None) -> list[_Factor]
     closure = _link_closure(c, name)
     groups: dict[str, list[_Factor]] = {}
     for a in c.actors:
-        name_state = normalize(a.lex.word_operator(a.word), "trace")
+        name_state = a.lex.word_operator(a.word)
+        if a.name in closure or name_state.is_zero():  # outside: only to raise, else kept raw
+            name_state = normalize(name_state, "trace")
         if name_state.dim != a.lex.dim:
             raise DimMismatch(
                 f"name {a.word!r} has dim {name_state.dim}, name space has dim {a.lex.dim}"

@@ -1,11 +1,11 @@
 """Graded entailment between operators.
 
 Two measures are provided. ``loewner_k`` is order-theoretic: the largest k
-with B - k*A still PSD, clamped into [0, 1]. ``overlap_score`` reads the
-first argument as a mixture (trace-normalized) and asks what fraction of it
-is consistent with a predicate, optionally smoothed by the predicate word's
-worldly context so that near-misses grade above zero instead of collapsing
-to orthogonality.
+with B - k*A still PSD, clamped into [0, 1], in O(n) on two diagonals.
+``overlap_score`` reads the first argument as a mixture (trace-normalized)
+and asks what fraction of it is consistent with a predicate, optionally
+smoothed by the predicate word's worldly context so that near-misses grade
+above zero instead of collapsing to orthogonality.
 
 A smoothed predicate depends on the word and sigma only, so each lexicon
 keeps the ones built for the sigma last used (``Lexicon._smoothed``) and
@@ -16,7 +16,9 @@ identity), so a repeated overlap is a lookup. ``alternatives`` scores
 every leaf in one product of the state's main diagonal with the leaves'
 predicate diagonals, stacked once per lexicon, whenever the state or every
 predicate is diagonal; each score is the same correctly rounded sum as
-``trace_product``'s, so scores and exact ties do not change.
+``trace_product``'s, so scores and exact ties do not change. The stack
+keeps each state's leaf scores, weakly keyed by state, so a repeated
+``alternatives`` only re-ranks; a rebuilt stack keeps none.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from .operators import (
 
 SIGMA_DEFAULT = 0.5
 SUPPORT_RESIDUAL_TOL = 1e-8
+# LAPACK's symmetric eigensolvers (dsyevd) rescale a matrix whose largest
+# entry lies outside about [1e-146, 1e146], which rounds its eigenvalues
+EIGH_UNSCALED = (1e-140, 1e140)
 
 
 def _check_sigma(sigma: float) -> float:
@@ -54,6 +59,27 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
+def _diagonal_k(a: np.ndarray, b: np.ndarray) -> float | None:
+    """``loewner_k_raw`` of diag(a) below diag(b), bit for bit, in O(n); None
+    where the dense path's eigensolver would rescale (``EIGH_UNSCALED``)."""
+    lo, hi = EIGH_UNSCALED
+    top_a, top_b = float(a.max()), float(b.max())
+    keep = b > PINV_TOL * top_b
+    residual = float(a.max(where=~keep, initial=0.0))
+    if any(0.0 < x < lo or x > hi for x in (top_a, top_b, residual)):
+        return None
+    if residual > SUPPORT_RESIDUAL_TOL * top_a:
+        return 0.0
+    root, inside = np.sqrt(b[keep]), a[keep]
+    # the dense path's two solves: OpenBLAS divides one right-hand side by
+    # the pivot and multiplies several by its reciprocal
+    m = inside / root / root if root.size == 1 else inside * (1.0 / root) * (1.0 / root)
+    top = float(m.max())
+    if 0.0 < top < lo or top > hi:
+        return None
+    return 1.0 / top if top > 0.0 else 0.0
+
+
 def loewner_k_raw(a: Operator, b: Operator) -> float:
     """Unclamped max{k >= 0 : B - k*A is PSD}.
 
@@ -64,6 +90,8 @@ def loewner_k_raw(a: Operator, b: Operator) -> float:
     (eigenvalues above PINV_TOL relative to the largest) and the basis that
     restricts both operators to it; whitening by the Cholesky factor of B's
     restriction, rounded as A's is, keeps k(A, A) = 1 at any conditioning.
+    Two diagonals take an O(n) form with the same roundings: support b_i >
+    PINV_TOL * max(b), residual max a_i off it, k = 1 / max(a_i / b_i) on it.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"entailment between dims {a.dim} and {b.dim}")
@@ -71,6 +99,10 @@ def loewner_k_raw(a: Operator, b: Operator) -> float:
         raise ZeroOperator("graded entailment needs a nonzero left operand")
     if b.is_zero():
         return 0.0
+    if a._diag is not None and b._diag is not None:
+        k = _diagonal_k(a._diag, b._diag)
+        if k is not None:
+            return k
     lam, vecs = np.linalg.eigh(b.matrix)
     keep = lam > PINV_TOL * lam[-1]
     kernel = vecs[:, ~keep]
@@ -99,15 +131,15 @@ class _Smoothed:
 
     ``words`` maps a word to the word and context operators its predicate
     was built from (no context at sigma 0), the predicate, and its overlaps
-    by state. ``stack`` holds the leaves' predicates, in leaf order, and their
-    main diagonals stacked one row per leaf.
+    by state. ``stack`` holds the leaves' predicates, in leaf order, their
+    main diagonals stacked one row per leaf, and each state's leaf scores.
     """
 
     __slots__ = ("words", "stack")
 
     def __init__(self) -> None:
         self.words: dict[str, tuple] = {}
-        self.stack: tuple[list[Operator], np.ndarray] | None = None
+        self.stack: tuple[list[Operator], np.ndarray, weakref.WeakKeyDictionary] | None = None
 
 
 def _memo(lex: Lexicon, sigma: float) -> _Smoothed:
@@ -149,29 +181,29 @@ def smoothed_predicate(word: str, lex: Lexicon, sigma: float = SIGMA_DEFAULT) ->
     return _predicate(word, lex, sigma, _memo(lex, sigma))
 
 
-def _stack(preds: list[Operator], leaves: bool, table: _Smoothed) -> np.ndarray:
-    """Main diagonals of ``preds``, one row each; kept in ``table`` when they
-    are the leaves' predicates."""
-    if leaves and table.stack is not None:
-        known, stack = table.stack
-        if all(map(operator.is_, known, preds)):
-            return stack
-    stack = np.array([_main_diagonal(p) for p in preds])
-    if leaves:
-        stack.setflags(write=False)
-        table.stack = (preds, stack)
-    return stack
+def _stack(preds: list[Operator], leaves: bool, table: _Smoothed) -> tuple:
+    """Main diagonals of ``preds``, one row each, and their scores by state;
+    kept in ``table``, and replaced together, when they are the leaves'."""
+    known = table.stack
+    if not (leaves and known and all(map(operator.is_, known[0], preds))):
+        scores = weakref.WeakKeyDictionary() if leaves else {}
+        known = (preds, np.array([_main_diagonal(p) for p in preds]), scores)
+        known[1].setflags(write=False)
+        if leaves:
+            table.stack = known
+    return known[1:]
 
 
 def _overlap_scores(
     a: Operator, words: Sequence[str], lex: Lexicon, sigma: float
-) -> list[float]:
+) -> Sequence[float]:
     """``overlap_score(a, word, lex, sigma)`` for each of ``words``.
 
     When every trace product takes ``trace_product``'s O(n) path (``a`` or
     every predicate is diagonal), ``a``'s main diagonal multiplies the
     predicates' stacked diagonals in one product, and each row's
-    ``math.fsum`` sums the products ``trace_product`` would. Otherwise each
+    ``math.fsum`` sums the products ``trace_product`` would; the leaves'
+    scores are kept per state, read only after every check. Otherwise each
     pair goes through ``trace_product``.
     """
     t = a.trace()
@@ -187,8 +219,11 @@ def _overlap_scores(
         preds.append(p)
     if a._diag is None and any(p._diag is None for p in preds):
         return [_clamp01(trace_product(a, p) / t) for p in preds]
-    rows = (_stack(preds, words == lex.leaves, table) * _main_diagonal(a)).tolist()
-    return [_clamp01(math.fsum(row) / t) for row in rows]
+    stack, kept = _stack(preds, words == lex.leaves, table)
+    if a not in kept:
+        rows = (stack * _main_diagonal(a)).tolist()
+        kept[a] = tuple([_clamp01(math.fsum(row) / t) for row in rows])
+    return kept[a]
 
 
 def overlap_score(

@@ -591,11 +591,3 @@ def operator_from_lines(reader: LineReader) -> Operator:
         raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc
     reader._blocks[key] = op
     return op
-
-
-def operator_to_text(a: Operator) -> str:
-    return "\n".join(operator_to_lines(a)) + "\n"
-
-
-def operator_from_text(text: str) -> Operator:
-    return operator_from_lines(LineReader(text.splitlines()))

@@ -10,8 +10,9 @@ reader are checked against the per-leaf and per-entry versions they replaced,
 kept here, down to error messages and line numbers on corrupted blocks, also
 in stores that repeat blocks. The O(n) pseudoinverse, conjugate update and
 support projector are checked bit for bit against the eigendecomposition, and
-``alternatives``/``overlap_score``, with their memoized smoothed predicates,
-against a per-leaf reference that rebuilds each predicate.
+``alternatives``/``overlap_score``, with their memoized smoothed predicates
+and kept leaf scores, against a per-leaf reference that rebuilds each
+predicate, and ``loewner_k`` on diagonals against its dense path.
 """
 
 import copy
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 import convneg.lexicon
 from convneg.errors import (
     ConvnegError,
+    DimMismatch,
     InvalidOperator,
     NotSubnormalized,
     ParseError,
@@ -43,7 +45,14 @@ from convneg.negation import (
     alternatives,
     cn_word,
 )
-from convneg.entailment import overlap_score, smoothed_predicate
+from convneg.entailment import (
+    SUPPORT_RESIDUAL_TOL,
+    _overlap_scores,
+    loewner_k,
+    loewner_k_raw,
+    overlap_score,
+    smoothed_predicate,
+)
 from convneg.operators import (
     COMPLEMENT_TOL,
     EQ_TOL,
@@ -57,6 +66,7 @@ from convneg.operators import (
     conjugate_update,
     diagonal,
     hadamard,
+    identity,
     mix,
     normalize,
     operator_from_lines,
@@ -1304,3 +1314,262 @@ class TestNegationMemo:
         assert pickle.dumps(lex) == blank
         assert not pickle.loads(blank)._negations and not copy.copy(lex)._negations
         assert not dataclasses.replace(lex)._negations
+
+
+def leaf_scores_kept(lex, sigma):
+    """The leaf scores the lexicon keeps by state at ``sigma``."""
+    return lex._smoothed[sigma].stack[2]
+
+
+def leaf_scores(state, lex, sigma):
+    return _overlap_scores(state, lex.leaves, lex, sigma)
+
+
+class TestLeafScoreMemo:
+    """Each state's leaf scores are kept beside the leaves' stacked
+    predicates, weakly keyed by state: a repeated alternatives call ranks
+    the kept scores."""
+
+    def fig1(self):
+        return build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(FIG1_WORDS),
+                st.integers(0, len(EVERY_CONFIG) - 1),
+                st.sampled_from((0.0, 0.25, 0.5)),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_hit_equals_a_fresh_lexicon(self, calls):
+        lex = self.fig1()
+        for word, c, sigma in calls:
+            cfg = dataclasses.replace(EVERY_CONFIG[c], sigma=sigma)
+            try:
+                state = cn_word(word, lex, cfg)
+            except ZeroNegation:
+                continue
+            got = leaf_scores(state, lex, sigma)
+            fresh = self.fig1()
+            want = leaf_scores(cn_word(word, fresh, cfg), fresh, sigma)
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
+            ref = [reference_overlap(state, leaf, lex, sigma) for leaf in lex.leaves]
+            assert list(map(float.hex, got)) == list(map(float.hex, ref))
+            # a repeated call returns the very scores computed before
+            assert leaf_scores(state, lex, sigma) is got
+            assert leaf_scores_kept(lex, sigma)[state] is got
+            assert repr(alternatives(word, lex, cfg)) == repr(reference_alternatives(word, lex, cfg))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        tax=taxonomies(),
+        picks=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, len(EVERY_CONFIG) - 1)),
+            min_size=1,
+            max_size=5,
+        ),
+        sigma=SIGMAS,
+    )
+    def test_rankings_unchanged(self, tax, picks, sigma):
+        lex = build_lexicon(tax)
+        # each query twice: the second ranks the kept scores
+        for pick, c in picks * 2:
+            word = tax.order[pick % len(tax.order)]
+            cfg = dataclasses.replace(EVERY_CONFIG[c], sigma=sigma)
+            assert exact_outcome(alternatives, word, lex, cfg) == exact_outcome(
+                reference_alternatives, word, lex, cfg
+            )
+
+    # sigma 0 scores against the word operators alone
+    @pytest.mark.parametrize("table, sigma", [("word_ops", 0.0), ("word_ops", 0.5), ("wc_ops", 0.5)])
+    def test_leaf_operator_replaced_in_place_is_never_served_stale(self, table, sigma):
+        lex = self.fig1()
+        cfg = NegationConfig(sigma=sigma)
+        before = alternatives("dog", lex, cfg)
+        state = cn_word("dog", lex, cfg)
+        old = leaf_scores_kept(lex, sigma)
+        ops = getattr(lex, table)
+        ops["hamster"] = ops["dog" if table == "word_ops" else "planet"]
+        fresh = dataclasses.replace(lex, word_ops=dict(lex.word_ops), wc_ops=dict(lex.wc_ops))
+        after = alternatives("dog", lex, cfg)
+        # dog's negation is kept as it was: only the stack check sees the change
+        assert cn_word("dog", lex, cfg) is state
+        assert repr(after) == repr(alternatives("dog", fresh, cfg))
+        assert after != before
+        # the rebuilt stack keeps only the new scores
+        new = leaf_scores_kept(lex, sigma)
+        assert new is not old and list(new) == [state]
+
+    def test_zero_state_raises_on_every_call_and_is_never_kept(self):
+        lex = self.fig1()
+        alternatives("dog", lex)
+        state, zero = cn_word("dog", lex), diagonal([0.0] * 4)
+        for _ in range(3):
+            with pytest.raises(ZeroOperator, match="nonzero state"):
+                leaf_scores(zero, lex, 0.5)
+            # the checks run before a kept score is read
+            with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+                leaf_scores(state, lex, -1.0)
+        assert zero not in leaf_scores_kept(lex, 0.5)
+        assert list(leaf_scores_kept(lex, 0.5)) == [state]
+
+    def test_a_state_nothing_else_holds_drops_out(self):
+        lex = self.fig1()
+        a = normalize(diagonal([0.4, 0.3, 0.2, 0.1]), "trace")
+        b = normalize(diagonal([0.1, 0.2, 0.3, 0.4]), "trace")
+        leaf_scores(a, lex, 0.5)
+        leaf_scores(b, lex, 0.5)
+        kept_scores = leaf_scores_kept(lex, 0.5)
+        assert len(kept_scores) == 2
+        del a
+        gc.collect()
+        assert list(kept_scores) == [b]
+
+    def test_kept_scores_are_private(self):
+        lex = self.fig1()
+        blank, twin = pickle.dumps(lex), dataclasses.replace(lex)
+        for word in ("hamster", "dog", "rodent"):
+            alternatives(word, lex)
+        assert len(leaf_scores_kept(lex, 0.5)) == 3
+        # not pickled, compared, shown, replaced or copied
+        assert pickle.dumps(lex) == blank
+        assert lex == twin and repr(lex) == repr(twin)
+        for other in (
+            pickle.loads(pickle.dumps(lex)),
+            dataclasses.replace(lex),
+            copy.copy(lex),
+            copy.deepcopy(lex),
+        ):
+            assert not other._smoothed
+
+
+# ---------------------------------------------------------------------------
+# loewner_k on diagonals against the dense path
+
+
+def dense_loewner_k_raw(a, b):
+    """``loewner_k_raw`` as every pair ran it before the O(n) form for
+    diagonals: one eigendecomposition of B, Cholesky whitening, two solves."""
+    if a.dim != b.dim:
+        raise DimMismatch(f"entailment between dims {a.dim} and {b.dim}")
+    if a.is_zero():
+        raise ZeroOperator("graded entailment needs a nonzero left operand")
+    if b.is_zero():
+        return 0.0
+    lam, vecs = np.linalg.eigh(b.matrix)
+    keep = lam > PINV_TOL * lam[-1]
+    kernel = vecs[:, ~keep]
+    comp = kernel @ kernel.T
+    outside = comp @ a.matrix @ comp
+    residual = float(np.linalg.eigvalsh((outside + outside.T) / 2)[-1])
+    if residual > SUPPORT_RESIDUAL_TOL * a.max_eigenvalue():
+        return 0.0
+    v = vecs[:, keep]
+    tb = v.T @ b.matrix @ v
+    chol = np.linalg.cholesky((tb + tb.T) / 2)
+    m = np.linalg.solve(chol, np.linalg.solve(chol, v.T @ a.matrix @ v).T)
+    top = float(np.linalg.eigvalsh((m + m.T) / 2)[-1])
+    if top <= 0.0:
+        return 0.0
+    return 1.0 / top
+
+
+def k_outcome(fn, a, b):
+    """A k as its exact float, or the error."""
+    try:
+        return float.hex(fn(a, b))
+    except (ConvnegError, np.linalg.LinAlgError, RuntimeWarning) as exc:
+        return (type(exc), str(exc))
+
+
+def assert_k_matches_dense(a, b):
+    want = k_outcome(dense_loewner_k_raw, a, b)
+    assert k_outcome(loewner_k_raw, a, b) == want
+    clamped = want if isinstance(want, tuple) else float.hex(min(1.0, float.fromhex(want)))
+    assert k_outcome(loewner_k, a, b) == clamped
+
+
+# LAPACK's eigensolvers rescale a matrix whose largest entry lies outside
+# about [1e-146, 1e146]; scales around both ends and up to MAX_ENTRY
+SCALES = (1e-12, 1e-8, 1e-3, 1.0, 1e3, 1e8, 1e130, 1e134, 1e138, 1e140, 1e142, 7e145, 1e146,
+          1.5e146, 1e150, 1e200, MAX_ENTRY)
+
+
+@st.composite
+def loewner_diagonals(draw, n):
+    """A diagonal of dim ``n`` at one scale: signed zeros, quantized ties,
+    entries at the support cut and at the residual bound, and plain floats."""
+    entries = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, -0.0, 1 / 3, 2 / 3, 1.0, PINV_TOL, 2 * PINV_TOL, SUPPORT_RESIDUAL_TOL,
+                         math.nextafter(SUPPORT_RESIDUAL_TOL, 1)]),
+    )
+    d = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    return diagonal(np.minimum(d * draw(st.sampled_from(SCALES)), MAX_ENTRY))
+
+
+class TestLoewnerDiagonalMatchesDense:
+    """The O(n) form of loewner_k_raw on two diagonals, bit for bit and
+    error for error, against the dense path it replaces."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 70))
+    def test_random_diagonals(self, data, n):
+        a, b = data.draw(loewner_diagonals(n)), data.draw(loewner_diagonals(n))
+        assert_k_matches_dense(a, b)
+        assert_k_matches_dense(b, a)
+        if not a.is_zero():
+            assert_k_matches_dense(a, a)
+
+    def test_every_ordered_pair_of_fig1_concepts(self):
+        lex = build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv"))
+        for ops in (lex.word_ops, lex.wc_ops):
+            for a in ops.values():
+                for b in ops.values():
+                    assert_k_matches_dense(a, b)
+
+    def test_one_support_direction_divides(self):
+        # one direction in B's support is divided out; several are multiplied
+        # by reciprocals, and the two round differently here
+        for pad in (0, 1, 5):
+            a = diagonal([0.3] + [0.0] * pad)
+            assert float.hex(loewner_k_raw(a, a)) == "0x1.ffffffffffffep-1"
+            assert_k_matches_dense(a, a)
+        twice = diagonal([0.3, 0.3, 0.0])
+        assert loewner_k_raw(twice, twice) == 1.0
+        assert_k_matches_dense(twice, twice)
+
+    def test_zero_operands_and_dims(self):
+        one = diagonal([1.0, 0.5, 0.0])
+        for zero in (diagonal([0.0] * 3), diagonal([1e-13, 0.0, 0.0])):
+            assert loewner_k_raw(one, zero) == 0.0
+            with pytest.raises(ZeroOperator, match="nonzero left operand"):
+                loewner_k_raw(zero, one)
+            assert_k_matches_dense(one, zero)
+            assert_k_matches_dense(zero, one)
+        with pytest.raises(DimMismatch):
+            loewner_k_raw(one, diagonal([1.0, 1.0]))
+        # B full rank: nothing lies off its support
+        full = diagonal([4.0, 4.0, 4.0])
+        assert loewner_k_raw(one, full) == 4.0 and loewner_k(one, full) == 1.0
+        assert_k_matches_dense(one, full)
+
+    def test_no_eigendecomposition_inside_the_unscaled_range(self, monkeypatch):
+        a, b = diagonal([0.5, 0.25, 0.0, 1e-9]), diagonal([1.0, 0.5, 1e-11, 0.0])
+        want = dense_loewner_k_raw(a, b)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition on the diagonal path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert float.hex(loewner_k_raw(a, b)) == float.hex(want)
+        n = 1024
+        big = diagonal(np.arange(n) % 3 == 0)
+        assert loewner_k_raw(big, identity(n)) == 1.0
+        with pytest.raises(AssertionError, match="eigendecomposition"):
+            loewner_k_raw(diagonal([1e150, 0.0, 1.0]), diagonal([1e150, 1.0, 1.0]))

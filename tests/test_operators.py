@@ -11,6 +11,7 @@ from convneg.errors import (
     ZeroOperator,
 )
 from convneg.operators import (
+    LineReader,
     Operator,
     conjugate_update,
     diagonal,
@@ -18,8 +19,8 @@ from convneg.operators import (
     identity,
     mix,
     normalize,
-    operator_from_text,
-    operator_to_text,
+    operator_from_lines,
+    operator_to_lines,
     partial_trace,
     psd_floor,
     pseudoinverse,
@@ -367,6 +368,14 @@ class TestValidate:
         diag = validate(np.array([[1.0, 0.1], [0.0, 1.0]]))
         assert diag.symmetry_defect == pytest.approx(0.1)
         assert not diag.passed
+
+
+def operator_to_text(a: Operator) -> str:
+    return "\n".join(operator_to_lines(a)) + "\n"
+
+
+def operator_from_text(text: str) -> Operator:
+    return operator_from_lines(LineReader(text.splitlines()))
 
 
 class TestTextFormat:
