@@ -88,10 +88,15 @@ def loewner_k_raw(a: Operator, b: Operator) -> float:
     otherwise. Exposed separately so the scale law k(cA, B) = k(A, B)/c can
     be checked before clamping. One eigendecomposition of B gives its support
     (eigenvalues above PINV_TOL relative to the largest) and the basis that
-    restricts both operators to it; whitening by the Cholesky factor of B's
-    restriction, rounded as A's is, keeps k(A, A) = 1 at any conditioning.
-    Two diagonals take an O(n) form with the same roundings: support b_i >
-    PINV_TOL * max(b), residual max a_i off it, k = 1 / max(a_i / b_i) on it.
+    restricts both operators to it; k is 1 over the top eigenvalue of A's
+    restriction whitened by the Cholesky factor of B's (two triangular
+    solves). k(A, A) is 1 only up to rounding: where B's support is one
+    direction the solves divide by its root twice, so
+    k(diag(0.3), diag(0.3)) is one ulp below 1. Two diagonals take an O(n)
+    form with the same roundings: support b_i > PINV_TOL * max(b), residual
+    max a_i off it, and on it k = 1 / max(a_i * (1/r_i) * (1/r_i)) with
+    r_i = sqrt(b_i), or 1 / max(a_i / r_i / r_i) when the support is one
+    direction.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"entailment between dims {a.dim} and {b.dim}")

@@ -24,8 +24,7 @@ from .operators import (
     LineReader,
     Operator,
     _entries,
-    diagonal,
-    hadamard,
+    _from_entries,
     identity,
     mix,
     operator_from_lines,
@@ -94,7 +93,7 @@ class Lexicon:
                 "decay override needs a taxonomy-backed lexicon "
                 "(this one was loaded from an operator store)"
             )
-        return _worldly_context(self.taxonomy, self.word_ops, word, decay, self.leaves)
+        return _context(self.taxonomy.hypernyms(word), self.word_ops, decay, self.leaves)
 
 
 def _check_decay(decay: float) -> float:
@@ -105,24 +104,23 @@ def _check_decay(decay: float) -> float:
 
 
 def _indicator(
-    taxonomy: Taxonomy, word: str, basis: Operator, position: dict[str, int]
+    taxonomy: Taxonomy, word: str, leaves: tuple[str, ...], position: dict[str, int]
 ) -> Operator:
     """Indicator over ``word``'s descendant leaves, set through the leaf
-    ``position`` map. The product with ``basis``, the labelled identity,
-    attaches the leaf labels without checking them again per concept."""
-    d = np.zeros(basis.dim)
+    ``position`` map; ``leaves``, already checked, labels it."""
+    d = np.zeros(len(leaves))
     d[[position[c] for c in taxonomy.descendants(word) if c in position]] = 1.0
-    return hadamard(basis, diagonal(d))
+    return _from_entries(d, leaves)
 
 
-def _worldly_context(
-    taxonomy: Taxonomy,
+def _context(
+    hyps: tuple[tuple[str, int], ...],
     word_ops: dict[str, Operator],
-    word: str,
     decay: float,
     leaves: tuple[str, ...],
 ) -> Operator:
-    hyps = taxonomy.hypernyms(word)
+    """The mixture of the ``hyps`` chain's indicators, weights decaying
+    with depth; the labelled identity for a root."""
     if not hyps:
         return identity(len(leaves), leaves)
     raw = np.array([decay ** depth for _, depth in hyps])
@@ -131,16 +129,24 @@ def _worldly_context(
 
 
 def build_lexicon(taxonomy: Taxonomy, decay: float = DEFAULT_DECAY, name: str = "") -> Lexicon:
-    """Build word and worldly-context operators for every concept."""
+    """Build word and worldly-context operators for every concept.
+
+    A concept's hypernym chain is a function of its set of parents (they are
+    the chain's depth-1 entries), so concepts with the same parents, such as
+    sibling leaves, share one context operator, built once.
+    """
     decay = _check_decay(decay)
     leaves = taxonomy.leaves
+    basis = identity(len(leaves), leaves)  # checks the leaf labels once
     position = {leaf: i for i, leaf in enumerate(leaves)}
-    basis = identity(len(leaves), leaves)
-    word_ops = {c: _indicator(taxonomy, c, basis, position) for c in taxonomy.order}
-    wc_ops = {
-        c: _worldly_context(taxonomy, word_ops, c, decay, leaves)
-        for c in taxonomy.order
-    }
+    word_ops = {c: _indicator(taxonomy, c, basis.labels, position) for c in taxonomy.order}
+    contexts: dict[frozenset[str], Operator] = {}
+    wc_ops = {}
+    for c in taxonomy.order:
+        parents = frozenset(taxonomy.parents[c])
+        if parents not in contexts:
+            contexts[parents] = _context(taxonomy.hypernyms(c), word_ops, decay, leaves)
+        wc_ops[c] = contexts[parents]
     return Lexicon(
         concepts=taxonomy.order,
         leaves=leaves,
@@ -174,14 +180,16 @@ def resolve_word(word: str, lexicons: Sequence[Lexicon]) -> Lexicon:
 def save_lexicon(lex: Lexicon, path: str | Path) -> None:
     lines = ["LEXICON v1", f"DECAY {lex.decay!r}", "LEAVES " + ",".join(lex.leaves)]
     # sibling leaves share their hypernyms, so their contexts are equal
-    # operators: each distinct one is formatted once
+    # operators: each distinct one is formatted once, all from one set of
+    # diagonal row frames
     blocks: dict[tuple, list[str]] = {}
+    frames: dict = {}
     for concept in lex.concepts:
         for kind, op in (("WORD", lex.word_ops[concept]), ("WC", lex.wc_ops[concept])):
             entries = _entries(op)
             key = (entries.shape, entries.tobytes(), op.labels)
             if key not in blocks:
-                blocks[key] = operator_to_lines(op)
+                blocks[key] = operator_to_lines(op, frames)
             lines.append(f"{kind} {concept}")
             lines.extend(blocks[key])
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -31,7 +31,6 @@ dimensions this package targets.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -456,21 +455,28 @@ def validate(a: Operator | np.ndarray) -> OperatorDiagnostics:
 # ---------------------------------------------------------------------------
 # Text format: line 1 "OPERATOR <dim>", line 2 "LABELS <comma list or ->",
 # then dim rows of dim space-separated entries at full (round-trip) precision.
-# A diagonal operator is written in the same n rows, but row i is cut from one
-# string of n zeros around repr(d_i), and a row that reads "0.0 " * i, one
-# token, " 0.0" * (n-1-i) is read by parsing that token alone: O(n) number
-# work per block, not n^2. A dense matrix is exactly symmetric: its upper
-# triangle is formatted once and mirrored, and a row whose first i tokens
-# equal, as text, the i-th tokens of the rows above takes those values and
-# parses the rest. Any other row is split and parsed entry by entry. A finite
-# entry above MAX_ENTRY in magnitude is refused, naming the first row with
-# one, before the block is validated. A block whose LABELS line and rows
-# repeat one read before from the same LineReader (one store) is that block's
-# operator, neither parsed nor validated again.
+# A diagonal operator is written in the same n rows: row i is repr(d_i) between
+# "0.0 " * i and " 0.0" * (n-1-i), zeros cut once per dim for all the blocks
+# one writer (one store) formats. A row that reads that way is read by
+# parsing that token alone: O(n) number work per block, not n^2. A dense
+# matrix is exactly symmetric: its upper triangle is formatted once and
+# mirrored, and a row whose first i tokens equal, as text, the i-th tokens of
+# the rows above takes those values and parses the rest. Any other row is
+# split and parsed entry by entry. A finite entry above MAX_ENTRY in magnitude
+# is refused, naming the first row with one, before the block is validated.
+# One LineReader (one store) reads each distinct thing once: a block whose
+# LABELS line and rows repeat an earlier one is that block's operator, neither
+# parsed nor validated again; a diagonal row read before at the same position
+# of a block of the same dim is its entry, not matched again; a LABELS line is
+# parsed and checked once per dim.
 # ---------------------------------------------------------------------------
 
 
-def operator_to_lines(a: Operator) -> list[str]:
+def operator_to_lines(a: Operator, frames: dict | None = None) -> list[str]:
+    """The block's text lines. ``frames`` keeps the zeros before and after
+    each diagonal row's entry, by dim; a writer of many blocks passes the
+    same dict to each, so they are cut once. They are O(n^2) text, so none
+    is kept between calls without one."""
     lines = [f"OPERATOR {a.dim}"]
     lines.append("LABELS " + (",".join(a.labels) if a.labels else "-"))
     if a._diag is None:
@@ -480,43 +486,83 @@ def operator_to_lines(a: Operator) -> list[str]:
             rows.append([above[i] for above in rows] + list(map(repr, row[i:])))
         lines.extend(map(" ".join, rows))
     else:
-        n = a.dim
-        zeros = "0.0 " * n
-        lines.extend(
-            zeros[: 4 * i] + repr(d) + zeros[4 * i + 3 : 4 * n - 1]
-            for i, d in enumerate(a._diag.tolist())
-        )
+        n, frames = a.dim, {} if frames is None else frames
+        if n not in frames:
+            zeros = "0.0 " * n
+            frames[n] = (
+                [zeros[: 4 * i] for i in range(n)],
+                [zeros[4 * i + 3 : 4 * n - 1] for i in range(n)],
+            )
+        before, after = frames[n]
+        lines.extend(map("".join, zip(before, map(repr, a._diag.tolist()), after)))
     return lines
 
 
 class LineReader:
-    """Iterator over raw text lines that counts what it has consumed.
+    """Reader over a text's lines, as ``str.splitlines`` gives them, that
+    counts what it has consumed.
 
     ``lineno`` is the 1-based number of the last line consumed, for error
     messages. Iteration ends quietly at end of input; ``require`` raises
-    ParseError there instead.
+    ParseError there instead. ``operator_from_lines`` keeps on the reader
+    what it has read from it (see the text format above).
     """
 
     def __init__(self, lines: Iterable[str]):
-        self._lines = iter(lines)
+        self._lines = list(lines)
         self.lineno = 0
-        # operator_from_lines: each distinct block's operator, by its text
+        # operator_from_lines: each distinct block's operator by its text,
+        # each LABELS line's checked labels by (line, dim), and per dim and
+        # position each diagonal row's entry by the row's text
         self._blocks: dict[tuple[str, ...], Operator] = {}
+        self._labels: dict[tuple[str, int], tuple[str, ...]] = {}
+        self._rows: dict[int, list[dict[str, float]]] = {}
 
     def __iter__(self) -> "LineReader":
         return self
 
     def __next__(self) -> str:
-        line = next(self._lines)
+        if self.lineno == len(self._lines):
+            raise StopIteration
         self.lineno += 1
-        return line.rstrip("\n")
+        return self._lines[self.lineno - 1]
+
+    def take(self, count: int) -> list[str]:
+        """The next ``count`` lines, fewer at the end of input."""
+        lines = self._lines[self.lineno : self.lineno + count]
+        self.lineno += len(lines)
+        return lines
 
     def require(self, what: str) -> str:
         """The next line; ParseError("unexpected end of <what>") if none."""
+        if self.lineno == len(self._lines):
+            raise ParseError(f"unexpected end of {what}", self.lineno)
+        return next(self)
+
+
+def _dense_rows(
+    reader: LineReader, dim: int, text: list[str], diag: list[float], first: int
+) -> list[list[float]]:
+    """All rows of a block whose first ``len(diag)`` rows are diagonal with
+    these entries; the rest of ``text`` (line ``first`` on) is split and
+    parsed, and a row missing at the end of input raises."""
+    rows = [[0.0] * j + [x] + [0.0] * (dim - 1 - j) for j, x in enumerate(diag)]
+    tokens = [line.split() for line in text[: len(diag)]]  # entries as text
+    for i in range(len(diag), dim):
+        row_line = text[i] if i < len(text) else reader.require("operator block")
+        fields = row_line.split()
+        if len(fields) != dim:
+            raise ParseError(f"expected {dim} entries, got {len(fields)}", first + i)
         try:
-            return next(self)
-        except StopIteration:
-            raise ParseError(f"unexpected end of {what}", self.lineno) from None
+            if fields[:i] == [above[i] for above in tokens]:
+                # the same text parses to the same float
+                rows.append([above[i] for above in rows] + [float(x) for x in fields[i:]])
+            else:
+                rows.append([float(x) for x in fields])
+        except ValueError:
+            raise ParseError(f"bad matrix entry in {row_line!r}", first + i) from None
+        tokens.append(fields)
+    return rows
 
 
 def operator_from_lines(reader: LineReader) -> Operator:
@@ -537,43 +583,38 @@ def operator_from_lines(reader: LineReader) -> Operator:
     label_line = reader.require("operator block")
     if not label_line.startswith("LABELS "):
         raise ParseError(f"expected 'LABELS ...', got {label_line!r}", reader.lineno)
-    raw = label_line[len("LABELS ") :].strip()
-    labels: tuple[str, ...] = () if raw == "-" else tuple(raw.split(","))
-    text = list(itertools.islice(reader, dim))  # fewer at the end of input
+    text = reader.take(dim)
     first = reader.lineno - len(text) + 1
     key = (label_line, *text)
-    if key in reader._blocks:
-        return reader._blocks[key]
-    zeros = "0.0 " * dim
-    diag: list[float] = []  # row i's diagonal entry, while every row is diagonal
-    rows: list[list[float]] | None = None  # all rows, once one is not
-    tokens: list[list[str]] = []  # and their entries as text
-    for i in range(dim):
-        row_line = text[i] if i < len(text) else reader.require("operator block")
-        if rows is None:
+    op = reader._blocks.get(key)
+    if op is not None:
+        return op
+    if len(text) < dim:
+        # raises, at the first faulty row or at the end of input; a row a
+        # diagonal reading accepts is never faulty
+        _dense_rows(reader, dim, text, [], first)
+    seen = reader._rows.get(dim)
+    if seen is None:
+        seen = reader._rows[dim] = [{} for _ in text]
+    diag = list(map(dict.get, seen, text))  # None where not read before
+    rows: list[list[float]] | None = None  # all rows, once one is not diagonal
+    if None in diag:
+        # O(dim) text, not frames: the rows of a corrupt block need not be long
+        zeros = "0.0 " * dim
+        for i in [i for i, x in enumerate(diag) if x is None]:
+            row_line = text[i]
             tail = zeros[4 * i + 3 : 4 * dim - 1]
             if row_line.startswith(zeros[: 4 * i]) and row_line.endswith(tail):
                 try:
                     # float() takes no inner whitespace, so a row it accepts
                     # here splits into i zeros, this entry and n-1-i zeros
-                    diag.append(float(row_line[4 * i : len(row_line) - len(tail)]))
+                    x = float(row_line[4 * i : len(row_line) - len(tail)])
+                    diag[i] = seen[i][row_line] = x
                     continue
                 except ValueError:
-                    pass  # the general path below reports it
-            rows = [[0.0] * j + [x] + [0.0] * (dim - 1 - j) for j, x in enumerate(diag)]
-            tokens = [line.split() for line in text[:i]]
-        fields = row_line.split()
-        if len(fields) != dim:
-            raise ParseError(f"expected {dim} entries, got {len(fields)}", first + i)
-        try:
-            if fields[:i] == [above[i] for above in tokens]:
-                # the same text parses to the same float
-                rows.append([above[i] for above in rows] + [float(x) for x in fields[i:]])
-            else:
-                rows.append([float(x) for x in fields])
-        except ValueError:
-            raise ParseError(f"bad matrix entry in {row_line!r}", first + i) from None
-        tokens.append(fields)
+                    pass  # the general path reports it
+            rows = _dense_rows(reader, dim, text, diag[:i], first)
+            break
     if rows is None:
         entries, low, high = diag, min(diag), max(diag)
     else:
@@ -585,8 +626,16 @@ def operator_from_lines(reader: LineReader) -> Operator:
         oversized = np.flatnonzero(((magnitude > MAX_ENTRY) & (magnitude < math.inf)).any(axis=1))
         if oversized.size:
             raise ParseError(f"entry magnitude above {MAX_ENTRY:g}", first + int(oversized[0]))
+    labels = reader._labels.get((label_line, dim))
     try:
-        op = diagonal(entries, labels) if rows is None else Operator(entries, labels)
+        if labels is not None:
+            op = _from_entries(np.asarray(entries), labels)
+        else:
+            # a new LABELS line: checked after the entries, as Operator checks them
+            raw = label_line[len("LABELS ") :].strip()
+            raw_labels = () if raw == "-" else raw.split(",")
+            op = diagonal(entries, raw_labels) if rows is None else Operator(entries, raw_labels)
+            reader._labels[label_line, dim] = op.labels
     except InvalidOperator as exc:
         raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc
     reader._blocks[key] = op

@@ -8,7 +8,8 @@ answers like the diagonal one, through ``dataclasses.replace`` and through a
 store round trip. The indicator builder and the store's operator writer and
 reader are checked against the per-leaf and per-entry versions they replaced,
 kept here, down to error messages and line numbers on corrupted blocks, also
-in stores that repeat blocks. The O(n) pseudoinverse, conjugate update and
+in stores that repeat blocks or rows, and the shared worldly contexts against
+a per-concept mixture. The O(n) pseudoinverse, conjugate update and
 support projector are checked bit for bit against the eigendecomposition, and
 ``alternatives``/``overlap_score``, with their memoized smoothed predicates
 and kept leaf scores, against a per-leaf reference that rebuilds each
@@ -642,6 +643,27 @@ def stores(draw):
     )
 
 
+@st.composite
+def row_sharing_stores(draw):
+    """Diagonal stores whose distinct blocks share rows: two to eight blocks
+    of one dim with entries from 0.0, -0.0, 1.0 and 0.5, so the all-zero row
+    recurs at every position and "1.0 at i" at position i, with or without
+    labels."""
+    n = draw(st.integers(1, 6))
+    labels = tuple(f"x{i}" for i in range(n)) if draw(st.booleans()) else ()
+    entries = st.lists(st.sampled_from([0.0, 0.0, -0.0, 1.0, 1.0, 0.5]), min_size=n, max_size=n)
+    count = draw(st.integers(1, 4))
+    ops = [diagonal(draw(entries), labels) for _ in range(2 * count)]
+    concepts = tuple(f"c{k}" for k in range(count))
+    return Lexicon(
+        concepts=concepts,
+        leaves=tuple(f"x{i}" for i in range(n)),
+        word_ops=dict(zip(concepts, ops[::2])),
+        wc_ops=dict(zip(concepts, ops[1::2])),
+        decay=0.5,
+    )
+
+
 def respelled(token):
     """The same number in other text: "1.0" -> "1.00", "-1e-05" -> "-01e-05"."""
     if "e" not in token:
@@ -838,6 +860,83 @@ class TestStoreBlocksMatchReference:
                 outcomes.append([kept(o) for o in (*loaded.word_ops.values(), *loaded.wc_ops.values())])
         assert outcomes[0] == outcomes[1]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lex=row_sharing_stores(),
+        kind=st.sampled_from(CORRUPTIONS + ["earlier-row", "moved-row"]),
+        r=st.integers(0, 5),
+        c=st.integers(0, 7),
+        pick=st.integers(0, 7),
+    )
+    def test_repeated_rows_read_like_reference(self, lex, kind, r, c, pick, tmp_path_factory):
+        # a diagonal row read before at the same position is its entry, not
+        # matched again; at another position, or damaged, it is read afresh
+        path = tmp_path_factory.mktemp("store") / "rows.lex"
+        save_lexicon(lex, path)
+        lines = path.read_text().splitlines()
+        size = 2 + lex.dim
+        starts = list(range(4, len(lines), size + 1))
+        rows = [lines[s + 2 : s + size] for s in starts]
+        # damage a block each of whose rows was read before at its position,
+        # if there is one
+        known, repeats = set(), []
+        for k, block in enumerate(rows):
+            if k and known.issuperset(enumerate(block)):
+                repeats.append(k)
+            known.update(enumerate(block))
+        candidates = repeats or range(len(starts))
+        k = candidates[pick % len(candidates)]
+        s, r = starts[k], r % lex.dim
+        if kind in ("earlier-row", "moved-row"):
+            # a row of an earlier block (of the first: its own), put at its
+            # own position or at another one
+            earlier = rows[pick % k if k else 0]
+            source = r if kind == "earlier-row" else (r + 1 + c) % lex.dim
+            damaged = list(lines)
+            damaged[s + 2 + r] = earlier[source]
+        else:
+            damaged = lines[:s] + corrupt(lines[s : s + size], kind, r, c) + lines[s + size :]
+        path.write_text("\n".join(damaged) + "\n")
+        outcomes = []
+        for read in (operator_from_lines, reference_from_lines):
+            try:
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(convneg.lexicon, "operator_from_lines", read)
+                    loaded = load_lexicon(path)
+            except ParseError as exc:
+                outcomes.append((str(exc), exc.line))
+            else:
+                outcomes.append([kept(o) for o in (*loaded.word_ops.values(), *loaded.wc_ops.values())])
+        assert outcomes[0] == outcomes[1]
+
+    def test_rows_of_every_kind_recur_across_blocks(self, tmp_path):
+        # the all-zero row at every position, "1.0 at i" and "-0.0 at i" at
+        # position i, each read from the row memo after its first reading
+        n = 3
+        ops = [diagonal(d) for d in ([1, 0, 0], [0, 0, 0], [1, -0.0, 1], [0, 1, -0.0])]
+        lex = Lexicon(
+            concepts=("a", "b"),
+            leaves=("x", "y", "z"),
+            word_ops={"a": ops[0], "b": ops[2]},
+            wc_ops={"a": ops[1], "b": ops[3]},
+            decay=0.5,
+        )
+        save_lexicon(lex, tmp_path / "rows.lex")
+        lines = (tmp_path / "rows.lex").read_text().splitlines()
+        loaded = load_lexicon(tmp_path / "rows.lex")
+        for concept in lex.concepts:
+            for ops_of in ("word_ops", "wc_ops"):
+                assert kept(getattr(loaded, ops_of)[concept]) == kept(getattr(lex, ops_of)[concept])
+        reader = LineReader(lines[3:])
+        for _ in range(4):
+            next(reader)
+            operator_from_lines(reader)
+        zero = "0.0 0.0 0.0"
+        assert [zero in memo for memo in reader._rows[n]] == [True] * n
+        assert reader._rows[n][0]["1.0 0.0 0.0"] == 1.0
+        assert math.copysign(1.0, reader._rows[n][1]["0.0 -0.0 0.0"]) == -1.0
+        assert list(reader._labels) == [("LABELS -", n)]
+
     def test_repeated_blocks_load_as_one_operator(self, tmp_path):
         # sibling leaves share their hypernyms, hence their context block
         save_lexicon(build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv")), tmp_path / "fig1.lex")
@@ -857,6 +956,47 @@ class TestIndicatorsMatchReference:
             assert got.labels == want.labels == tax.leaves
             assert got._matrix is None
             assert got._diag.tobytes() == want._diag.tobytes()
+
+
+def reference_context(tax, word_ops, word, decay, leaves):
+    """The worldly context built per concept, from its own hypernym chain."""
+    hyps = tax.hypernyms(word)
+    if not hyps:
+        return identity(len(leaves), leaves)
+    raw = np.array([decay ** depth for _, depth in hyps])
+    weights = raw / raw.sum()
+    return mix([(w, word_ops[h]) for w, (h, _) in zip(weights, hyps)])
+
+
+class TestSharedContexts:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tax=taxonomies(max_concepts=14),
+        decay=st.sampled_from([0.5, 0.3, 0.9]),
+        other=st.sampled_from([0.25, 0.7]),
+    )
+    def test_one_operator_per_chain_bitwise_per_concept(self, tax, decay, other):
+        lex = build_lexicon(tax, decay=decay)
+        shared = {}
+        for c in tax.order:
+            wc = lex.wc_ops[c]
+            assert kept(wc) == kept(reference_context(tax, lex.word_ops, c, decay, tax.leaves))
+            # concepts with one hypernym chain, i.e. the same parents, such as
+            # siblings, hold one operator; other chains hold others
+            assert shared.setdefault(tax.hypernyms(c), wc) is wc
+            assert shared.setdefault(frozenset(tax.parents[c]), wc) is wc
+            # a decay override is still computed per concept
+            assert lex.worldly_context(c, decay=decay) is wc
+            want = reference_context(tax, lex.word_ops, c, other, tax.leaves)
+            assert kept(lex.worldly_context(c, decay=other)) == kept(want)
+        chains = {tax.hypernyms(c) for c in tax.order}
+        assert len({id(op) for op in lex.wc_ops.values()}) == len(chains)
+
+    def test_siblings_share_one_context(self):
+        lex = build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv"))
+        assert lex.wc_ops["hamster"] is lex.wc_ops["guinea_pig"]
+        assert lex.wc_ops["rodent"] is lex.wc_ops["dog"]
+        assert lex.wc_ops["hamster"] is not lex.wc_ops["rodent"]
 
 
 # ---------------------------------------------------------------------------

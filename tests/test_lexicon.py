@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -135,7 +136,56 @@ def put(i, text):
     return lambda ls: ls[:i] + [text] + ls[i + 1 :]
 
 
+# SHA-256 of the stores ``golden_stores`` writes, recorded from the writer
+# that sliced each diagonal row from a fresh string of zeros and built one
+# worldly context per concept
+GOLDEN_STORES = {
+    "colors": "e44346411a05c66ea62655784edb06900ff470807fbdf52b888f958978717a7f",
+    "drinks": "7b4a9188b60749a2779d099f8d8c79c5748e5c73b57a91986cdf337dac71fea7",
+    "fig1": "12ee3a60db0b8de1cecc58f7e6b2a3f65300552e76311719f815d5c97b4084fd",
+    "fig1-turned": "5e3d9dfbc8125dd857134f711b2aad2eaef110cc395c3cea4115ae7046596b94",
+    "kinds": "b331fd69793df1344afdbbe81bba4909481caca4470105662762e46ecc826d72",
+    "names": "3dc958fe72cd3d5de0b81f0374d39e3bfa3a7ed497e946649f13dcc4226b3520",
+    "roles": "dd5b27747c59ca9ffdc4cf53bed13bd1352fcb8081a7281bfb429c00990858f1",
+}
+HADAMARD4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+
+
+def golden_stores():
+    """A store built from every fixture, and fig1's turned by the orthogonal
+    H/2 (H the 4x4 Hadamard matrix): its dense entries are sums of d_k/4 and
+    -d_k/4 by ``math.fsum``, so their bits do not depend on the BLAS."""
+    stores = {f.stem: build_lexicon(load_taxonomy(f)) for f in sorted(FIXTURES.glob("*.tsv"))}
+    fig1 = stores["fig1"]
+
+    def turn(op):
+        d, h = op.diagonal().tolist(), HADAMARD4
+        m = [
+            [math.fsum(0.25 * h[i][k] * h[j][k] * d[k] for k in range(4)) for j in range(4)]
+            for i in range(4)
+        ]
+        return Operator(np.array(m), fig1.leaves)
+
+    stores["fig1-turned"] = dataclasses.replace(
+        fig1,
+        word_ops={c: turn(op) for c, op in fig1.word_ops.items()},
+        wc_ops={c: turn(op) for c, op in fig1.wc_ops.items()},
+    )
+    return stores
+
+
 class TestStore:
+    def test_golden_bytes(self, tmp_path):
+        stores = golden_stores()
+        assert sorted(stores) == sorted(GOLDEN_STORES)
+        assert any(op._diag is None for op in stores["fig1-turned"].wc_ops.values())
+        for name, lex in stores.items():
+            path, again = tmp_path / f"{name}.lex", tmp_path / "again.lex"
+            save_lexicon(lex, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_STORES[name], name
+            save_lexicon(load_lexicon(path), again)
+            assert again.read_bytes() == path.read_bytes(), name
+
     def test_round_trip_exact(self, fig1_lex, tmp_path):
         # a dense block's entries survive validation, so a rotated store
         # re-saves byte for byte too
@@ -157,11 +207,12 @@ class TestStore:
             assert again.read_bytes() == path.read_bytes()
 
     def test_writer_matches_per_entry_formatter(self, tmp_path, monkeypatch):
-        """The writer cuts diagonal rows from a string of zeros and formats
-        dense rows whole; its bytes equal the per-entry formatter (kept here)
-        on each fixture's diagonal store and on a rotated, dense one."""
+        """The writer puts each diagonal entry between zeros cut once per dim
+        and formats dense rows whole; its bytes equal the per-entry formatter
+        (kept here) on each fixture's diagonal store and on a rotated, dense
+        one."""
 
-        def per_entry_lines(a):
+        def per_entry_lines(a, frames=None):
             lines = [f"OPERATOR {a.dim}"]
             lines.append("LABELS " + (",".join(a.labels) if a.labels else "-"))
             for row in a.matrix:
