@@ -18,7 +18,8 @@ predicate diagonals, stacked once per lexicon, whenever the state or every
 predicate is diagonal; each score is the same correctly rounded sum as
 ``trace_product``'s, so scores and exact ties do not change. The stack
 keeps each state's leaf scores, weakly keyed by state, so a repeated
-``alternatives`` only re-ranks; a rebuilt stack keeps none.
+``alternatives`` only re-ranks; the stack is checked against the word and
+context operators it was built from in one identity pass per table.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,20 +132,30 @@ def loewner_k(a: Operator, b: Operator) -> float:
     return _clamp01(loewner_k_raw(a, b))
 
 
+class _LeafStack(NamedTuple):
+    """The leaves' predicates: the word and context operators each was built
+    from, whether all are diagonal, their stacked diagonals, scores by state."""
+
+    word_ops: tuple[Operator, ...]
+    contexts: tuple[Operator | None, ...]
+    diagonal: bool
+    diags: np.ndarray
+    scores: weakref.WeakKeyDictionary
+
+
 class _Smoothed:
     """One lexicon's smoothed predicates at one sigma.
 
     ``words`` maps a word to the word and context operators its predicate
     was built from (no context at sigma 0), the predicate, and its overlaps
-    by state. ``stack`` holds the leaves' predicates, in leaf order, their
-    main diagonals stacked one row per leaf, and each state's leaf scores.
+    by state. ``stack`` is the leaves' ``_LeafStack``.
     """
 
     __slots__ = ("words", "stack")
 
     def __init__(self) -> None:
         self.words: dict[str, tuple] = {}
-        self.stack: tuple[list[Operator], np.ndarray, weakref.WeakKeyDictionary] | None = None
+        self.stack: _LeafStack | None = None
 
 
 def _memo(lex: Lexicon, sigma: float) -> _Smoothed:
@@ -165,14 +176,15 @@ def _kept(word: str, lex: Lexicon, sigma: float, table: _Smoothed) -> tuple | No
     return hit if hit and hit[0] is lex.word_ops.get(word) and hit[1] is wc else None
 
 
-def _predicate(word: str, lex: Lexicon, sigma: float, table: _Smoothed) -> Operator:
+def _record(word: str, lex: Lexicon, sigma: float, table: _Smoothed) -> tuple:
+    """The word's current entry in ``table``, built if it has none."""
     hit = _kept(word, lex, sigma, table)
     if hit is None:
         p = lex.word_operator(word)
         wc = lex.worldly_context(word) if sigma else None
         pred = normalize(mix([(1.0, p), (sigma, wc)]), "sup") if sigma else p
         hit = table.words[word] = (p, wc, pred, weakref.WeakKeyDictionary())
-    return hit[2]
+    return hit
 
 
 def smoothed_predicate(word: str, lex: Lexicon, sigma: float = SIGMA_DEFAULT) -> Operator:
@@ -183,20 +195,7 @@ def smoothed_predicate(word: str, lex: Lexicon, sigma: float = SIGMA_DEFAULT) ->
     built once per lexicon for the sigma last used, and then returned as is.
     """
     _check_sigma(sigma)
-    return _predicate(word, lex, sigma, _memo(lex, sigma))
-
-
-def _stack(preds: list[Operator], leaves: bool, table: _Smoothed) -> tuple:
-    """Main diagonals of ``preds``, one row each, and their scores by state;
-    kept in ``table``, and replaced together, when they are the leaves'."""
-    known = table.stack
-    if not (leaves and known and all(map(operator.is_, known[0], preds))):
-        scores = weakref.WeakKeyDictionary() if leaves else {}
-        known = (preds, np.array([_main_diagonal(p) for p in preds]), scores)
-        known[1].setflags(write=False)
-        if leaves:
-            table.stack = known
-    return known[1:]
+    return _record(word, lex, sigma, _memo(lex, sigma))[2]
 
 
 def _overlap_scores(
@@ -208,25 +207,43 @@ def _overlap_scores(
     every predicate is diagonal), ``a``'s main diagonal multiplies the
     predicates' stacked diagonals in one product, and each row's
     ``math.fsum`` sums the products ``trace_product`` would; the leaves'
-    scores are kept per state, read only after every check. Otherwise each
-    pair goes through ``trace_product``.
+    stack and scores are kept, read after every check, a stale stack rebuilt
+    leaf by leaf. Otherwise each pair goes through ``trace_product``.
     """
     t = a.trace()
     if t <= ZERO_TRACE_TOL:
         raise ZeroOperator("overlap score needs a nonzero state")
     _check_sigma(sigma)
     table = _memo(lex, sigma)
-    n, preds = a.dim, []
-    for word in words:
-        p = _predicate(word, lex, sigma, table)
-        if p.dim != n:
-            raise DimMismatch(f"state dim {n} vs predicate dim {p.dim}")
-        preds.append(p)
-    if a._diag is None and any(p._diag is None for p in preds):
-        return [_clamp01(trace_product(a, p) / t) for p in preds]
-    stack, kept = _stack(preds, words == lex.leaves, table)
+    leaves, stack = words == lex.leaves, table.stack
+    # the leaves' stack serves only what the per-leaf path would give
+    if not (
+        leaves
+        and stack
+        and a.dim == stack.diags.shape[1]
+        and (stack.diagonal or a._diag is not None)
+        and all(map(operator.is_, stack.word_ops, map(lex.word_ops.get, words)))
+        and (not sigma or all(map(operator.is_, stack.contexts, map(lex.wc_ops.get, words))))
+    ):
+        records = []
+        for word in words:
+            rec = _record(word, lex, sigma, table)
+            if rec[2].dim != a.dim:
+                raise DimMismatch(f"state dim {a.dim} vs predicate dim {rec[2].dim}")
+            records.append(rec)
+        ops, contexts, preds, _ = zip(*records)
+        diagonal = all(p._diag is not None for p in preds)
+        if a._diag is None and not diagonal:
+            return [_clamp01(trace_product(a, p) / t) for p in preds]
+        diags = np.array([_main_diagonal(p) for p in preds])
+        diags.setflags(write=False)
+        kept = weakref.WeakKeyDictionary() if leaves else {}
+        stack = _LeafStack(ops, contexts, diagonal, diags, kept)
+        if leaves:
+            table.stack = stack
+    kept = stack.scores
     if a not in kept:
-        rows = (stack * _main_diagonal(a)).tolist()
+        rows = (stack.diags * _main_diagonal(a)).tolist()
         kept[a] = tuple([_clamp01(math.fsum(row) / t) for row in rows])
     return kept[a]
 

@@ -103,14 +103,21 @@ def _check_decay(decay: float) -> float:
     return decay
 
 
-def _indicator(
-    taxonomy: Taxonomy, word: str, leaves: tuple[str, ...], position: dict[str, int]
-) -> Operator:
-    """Indicator over ``word``'s descendant leaves, set through the leaf
-    ``position`` map; ``leaves``, already checked, labels it."""
-    d = np.zeros(len(leaves))
-    d[[position[c] for c in taxonomy.descendants(word) if c in position]] = 1.0
-    return _from_entries(d, leaves)
+def _indicators(taxonomy: Taxonomy, leaves: tuple[str, ...]) -> dict[str, Operator]:
+    """Each concept's indicator over its descendant leaves, labelled by the
+    checked ``leaves``. One bottom-up pass builds each concept's leaf set
+    once, as the union of its children's, after all of theirs."""
+    below = {leaf: {i} for i, leaf in enumerate(leaves)}
+    pending = {c: len(taxonomy.children[c]) for c in taxonomy.order}
+    done = list(leaves)
+    for c in done:  # grows as each concept's last child is done
+        for parent in taxonomy.parents[c]:
+            pending[parent] -= 1
+            if not pending[parent]:
+                below[parent] = set().union(*map(below.get, taxonomy.children[parent]))
+                done.append(parent)
+    rows = {c: np.bincount(list(below[c]), minlength=len(leaves)) * 1.0 for c in taxonomy.order}
+    return {c: _from_entries(row, leaves) for c, row in rows.items()}
 
 
 def _context(
@@ -138,8 +145,7 @@ def build_lexicon(taxonomy: Taxonomy, decay: float = DEFAULT_DECAY, name: str = 
     decay = _check_decay(decay)
     leaves = taxonomy.leaves
     basis = identity(len(leaves), leaves)  # checks the leaf labels once
-    position = {leaf: i for i, leaf in enumerate(leaves)}
-    word_ops = {c: _indicator(taxonomy, c, basis.labels, position) for c in taxonomy.order}
+    word_ops = _indicators(taxonomy, basis.labels)
     contexts: dict[frozenset[str], Operator] = {}
     wc_ops = {}
     for c in taxonomy.order:
@@ -195,9 +201,19 @@ def save_lexicon(lex: Lexicon, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _split_lines(text: str) -> list[str]:
+    """``text.splitlines()``, by ``str.split`` if every line break is LF."""
+    if not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+        return text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def load_lexicon(path: str | Path, name: str = "") -> Lexicon:
     """Load a lexicon store; re-validates every operator's invariants."""
-    reader = LineReader(_read_text(path).splitlines())
+    reader = LineReader(_split_lines(_read_text(path)))
 
     if reader.require("lexicon file") != "LEXICON v1":
         raise ParseError("expected header 'LEXICON v1'", reader.lineno)

@@ -133,11 +133,7 @@ def alternatives(
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     state = cn_word(word, lex, cfg)
     scores = _overlap_scores(state, lex.leaves, lex, cfg.sigma)
-    scored = [
-        (score, i, leaf)
-        for i, (leaf, score) in enumerate(zip(lex.leaves, scores))
-        if leaf != word
-    ]
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    ranked = [(leaf, score) for score, _, leaf in scored]
+    # a stable sort, so equal scores keep leaf order under reverse=True too
+    order, leaves = sorted(range(len(scores)), key=scores.__getitem__, reverse=True), lex.leaves
+    ranked = [(leaves[i], scores[i]) for i in order if leaves[i] != word]
     return ranked if top_k is None else ranked[:top_k]

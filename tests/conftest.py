@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,33 @@ def story_lexicons():
         build_lexicon(load_taxonomy(FIXTURES / f"{n}.tsv"), name=n)
         for n in ("names", "kinds", "roles")
     )
+
+
+HADAMARD4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+
+
+def golden_stores():
+    """A store built from every fixture, and fig1's turned by the orthogonal
+    H/2 (H the 4x4 Hadamard matrix): its dense entries are sums of d_k/4 and
+    -d_k/4 by ``math.fsum``, so their bits do not depend on the BLAS."""
+    stores = {f.stem: build_lexicon(load_taxonomy(f)) for f in sorted(FIXTURES.glob("*.tsv"))}
+    fig1 = stores["fig1"]
+
+    def turn(op):
+        d, h = op.diagonal().tolist(), HADAMARD4
+        m = [
+            [math.fsum(0.25 * h[i][k] * h[j][k] * d[k] for k in range(4)) for j in range(4)]
+            for i in range(4)
+        ]
+        return Operator(np.array(m), fig1.leaves)
+
+    stores["fig1-turned"] = dataclasses.replace(
+        fig1,
+        word_ops={c: turn(op) for c, op in fig1.word_ops.items()},
+        wc_ops={c: turn(op) for c, op in fig1.wc_ops.items()},
+    )
+    return stores
+
 
 FIG1_TSV = """\
 # four-leaf hierarchy used throughout the tests

@@ -21,6 +21,7 @@ import dataclasses
 import gc
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,12 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convneg.lexicon
+import convneg.negation
 from convneg.errors import (
     ConvnegError,
     DimMismatch,
     InvalidOperator,
     NotSubnormalized,
     ParseError,
+    UnknownWord,
     ZeroNegation,
     ZeroOperator,
 )
@@ -1095,10 +1098,10 @@ class TestDiagonalFormsMatchDense:
 
 def reference_predicate(word, lex, sigma):
     """P~ rebuilt on every call: sup-normalize(P_word + sigma * wc_word)."""
-    p = lex.word_ops[word]
+    p = lex.word_operator(word)
     if sigma == 0:
         return p
-    return normalize(mix([(1.0, p), (sigma, lex.wc_ops[word])]), "sup")
+    return normalize(mix([(1.0, p), (sigma, lex.worldly_context(word))]), "sup")
 
 
 def reference_overlap(state, word, lex, sigma):
@@ -1249,7 +1252,7 @@ class TestSmoothedPredicateMemo:
         # one n-vector per word plus the leaves' stack: no more than the
         # lexicon's own word and context operators hold
         held = sum(rec[2]._diag.nbytes for rec in table.words.values())
-        held += table.stack[1].nbytes
+        held += table.stack.diags.nbytes
         own = sum(op._diag.nbytes for ops in (lex.word_ops, lex.wc_ops) for op in ops.values())
         assert held <= own
 
@@ -1458,7 +1461,7 @@ class TestNegationMemo:
 
 def leaf_scores_kept(lex, sigma):
     """The leaf scores the lexicon keeps by state at ``sigma``."""
-    return lex._smoothed[sigma].stack[2]
+    return lex._smoothed[sigma].stack.scores
 
 
 def leaf_scores(state, lex, sigma):
@@ -1585,6 +1588,199 @@ class TestLeafScoreMemo:
             copy.deepcopy(lex),
         ):
             assert not other._smoothed
+
+
+FIG1_LEAVES = ("hamster", "guinea_pig", "dog", "planet")
+# one step on a fig1 lexicon: an edit (replace a leaf's word or context
+# operator with another concept's, restore it, delete its word operator,
+# switch sigma, or none), then a query
+EDITS = st.one_of(
+    st.tuples(st.just("replace"), st.sampled_from(["word_ops", "wc_ops"]),
+              st.sampled_from(FIG1_LEAVES), st.sampled_from(FIG1_WORDS)),
+    st.tuples(st.just("restore"), st.sampled_from(["word_ops", "wc_ops"]),
+              st.sampled_from(FIG1_LEAVES)),
+    st.tuples(st.just("delete"), st.sampled_from(FIG1_LEAVES)),
+    st.tuples(st.just("sigma"), st.sampled_from((0.0, 0.25, 0.5))),
+    st.tuples(st.just("none")),
+)
+QUERIES = st.one_of(
+    st.tuples(st.just("alternatives"), st.sampled_from(FIG1_WORDS),
+              st.integers(0, len(EVERY_CONFIG) - 1)),
+    st.tuples(st.just("overlap"), st.sampled_from(FIG1_WORDS), st.sampled_from(FIG1_LEAVES)),
+)
+
+
+def ranked_outcome(word, lex, cfg, top_k=None):
+    """``alternatives`` and its per-leaf reference, each by ``exact_outcome``."""
+    want = exact_outcome(reference_alternatives, word, lex, cfg)
+    if top_k is not None and not isinstance(want, tuple):
+        want = repr(reference_alternatives(word, lex, cfg)[:top_k])
+    return exact_outcome(alternatives, word, lex, cfg, top_k), want
+
+
+class TestLeafStackCheck:
+    """The kept leaf stack is checked in one pass against the operators it
+    was built from; whatever it serves, and every error, matches the
+    per-leaf reference."""
+
+    def fig1(self):
+        return build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(st.tuples(EDITS, QUERIES), min_size=1, max_size=30))
+    def test_any_edit_sequence_matches_the_reference(self, steps):
+        lex, sigma = self.fig1(), 0.5
+        own = {table: dict(getattr(lex, table)) for table in ("word_ops", "wc_ops")}
+        for edit, query in steps:
+            if edit[0] == "replace":
+                _, table, leaf, source = edit
+                getattr(lex, table)[leaf] = own[table][source]
+            elif edit[0] == "restore":
+                _, table, leaf = edit
+                getattr(lex, table)[leaf] = own[table][leaf]
+            elif edit[0] == "delete":
+                lex.word_ops.pop(edit[1], None)
+            elif edit[0] == "sigma":
+                sigma = edit[1]
+            if query[0] == "alternatives":
+                _, word, c = query
+                got, want = ranked_outcome(word, lex, dataclasses.replace(EVERY_CONFIG[c], sigma=sigma))
+                assert got == want, (edit, query)
+            else:
+                _, word, leaf = query
+                try:
+                    state = normalize(lex.word_operator(word), "trace")
+                except ConvnegError:
+                    continue
+                assert exact_outcome(overlap_score, state, leaf, lex, sigma) == exact_outcome(
+                    reference_overlap, state, leaf, lex, sigma
+                ), (edit, query)
+
+    # sigma 0 scores against the word operators alone
+    @pytest.mark.parametrize("table, sigma", [("word_ops", 0.0), ("word_ops", 0.5), ("wc_ops", 0.5)])
+    @pytest.mark.parametrize("scorer", ["alternatives", "overlap"])
+    def test_replaced_scored_and_restored(self, table, sigma, scorer):
+        lex = self.fig1()
+        cfg = NegationConfig(sigma=sigma)
+        ops = getattr(lex, table)
+        own = ops["hamster"]
+        ranked = alternatives("dog", lex, cfg)
+        kept_stack = lex._smoothed[sigma].stack
+        ops["hamster"] = ops["dog" if table == "word_ops" else "planet"]
+        if scorer == "alternatives":
+            got, want = ranked_outcome("dog", lex, cfg)
+            assert got == want != repr(ranked)
+        else:
+            # only the leaf's own record is rebuilt; the stack keeps the old operator
+            state = cn_word("dog", lex, cfg)
+            assert float.hex(overlap_score(state, "hamster", lex, sigma)) == float.hex(
+                reference_overlap(state, "hamster", lex, sigma)
+            )
+            assert lex._smoothed[sigma].stack is kept_stack
+        ops["hamster"] = own
+        for _ in range(2):
+            got, want = ranked_outcome("dog", lex, cfg)
+            assert got == want == repr(ranked)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_deleted_leaf_raises_on_every_call(self, sigma):
+        lex = self.fig1()
+        cfg = NegationConfig(sigma=sigma)
+        ranked = alternatives("dog", lex, cfg)
+        own = lex.word_ops.pop("guinea_pig")
+        for _ in range(3):
+            with pytest.raises(UnknownWord, match="'guinea_pig'"):
+                alternatives("dog", lex, cfg)
+            got, want = ranked_outcome("dog", lex, cfg)
+            assert got == want
+        lex.word_ops["guinea_pig"] = own
+        assert repr(alternatives("dog", lex, cfg)) == repr(ranked)
+
+    def test_wrong_dim_state_raises_on_every_call(self):
+        lex = self.fig1()
+        alternatives("dog", lex)
+        state = cn_word("dog", lex)
+        for a in (diagonal([0.5, 0.3, 0.2]), Operator(np.full((5, 5), 0.2))):
+            for _ in range(2):
+                with pytest.raises(DimMismatch, match=f"state dim {a.dim} vs predicate dim 4"):
+                    leaf_scores(a, lex, 0.5)
+        assert list(leaf_scores_kept(lex, 0.5)) == [state]
+
+    def test_dense_state_against_diagonal_predicates_uses_the_stack(self):
+        lex = self.fig1()
+        q = random_orthogonal(11, 4)
+        m = q @ np.diag([0.4, 0.3, 0.2, 0.1]) @ q.T
+        a = Operator((m + m.T) / 2.0)
+        for sigma in (0.0, 0.5):
+            got = leaf_scores(a, lex, sigma)
+            want = [reference_overlap(a, leaf, lex, sigma) for leaf in lex.leaves]
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
+            assert leaf_scores_kept(lex, sigma)[a] is got
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_dense_predicates_take_the_per_pair_path(self, sigma, tmp_path):
+        lex = self.fig1()
+        turned = rotated(lex, random_orthogonal(5, 4))
+        save_lexicon(turned, tmp_path / "turned.lex")
+        # hamster's operators alone rotated: one dense predicate in the stack
+        half = dataclasses.replace(
+            lex,
+            word_ops={**lex.word_ops, "hamster": turned.word_ops["hamster"]},
+            wc_ops={**lex.wc_ops, "hamster": turned.wc_ops["hamster"]},
+        )
+        for other in (turned, load_lexicon(tmp_path / "turned.lex"), half):
+            # a diagonal state builds the stack, a dense predicate among its rows
+            a = diagonal([0.4, 0.3, 0.2, 0.1])
+            got = leaf_scores(a, other, sigma)
+            want = [reference_overlap(a, leaf, other, sigma) for leaf in other.leaves]
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
+            stack = other._smoothed[sigma].stack
+            assert not stack.diagonal and stack.scores[a] is got
+            # and a dense state still goes pair by pair, kept nowhere
+            for cfg in EVERY_CONFIG:
+                cfg = dataclasses.replace(cfg, sigma=sigma)
+                for word in ("dog", "rodent"):
+                    for _ in range(2):
+                        got, want = ranked_outcome(word, other, cfg)
+                        assert got == want
+            assert other._smoothed[sigma].stack is stack
+            assert all(s._diag is not None for s in stack.scores)
+
+    def test_sigma_switch_rebuilds_the_stack(self):
+        lex = self.fig1()
+        for sigma in (0.5, 0.0, 0.25, 0.5, 0.5, 0.0):
+            cfg = NegationConfig("pinv", "conjugate", sigma=sigma)
+            got, want = ranked_outcome("hamster", lex, cfg)
+            assert got == want
+            assert list(lex._smoothed) == [sigma]
+            assert list(lex._smoothed[sigma].stack.scores) == [cn_word("hamster", lex, cfg)]
+
+    @pytest.mark.parametrize("top_k", [None, 1, 2, 4])
+    def test_exact_ties_keep_leaf_order(self, top_k):
+        # a star's leaves tie exactly against any other leaf's negation
+        lex = build_lexicon(parse_taxonomy("a\tr\nb\tr\nc\tr\nd\tr\ne\tr\n"))
+        for sigma in (0.0, 0.5):
+            for word in ("a", "c", "r"):
+                for _ in range(2):
+                    got, want = ranked_outcome(word, lex, NegationConfig(sigma=sigma), top_k)
+                    assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scores=st.lists(st.sampled_from([0.0, -0.0, 1 / 3, 0.25, 0.5, 1.0]), min_size=5, max_size=5),
+        pick=st.integers(0, 5),
+        top_k=st.one_of(st.none(), st.integers(1, 6)),
+    )
+    def test_signed_zeros_and_ties_rank_as_the_index_key(self, scores, pick, top_k):
+        # the ranking alone, on planted scores: -0.0 == 0.0 ties
+        lex = build_lexicon(parse_taxonomy("a\tr\nb\tr\nc\tr\nd\tr\ne\tr\n"))
+        word = ("a", "b", "c", "d", "e", "r")[pick]
+        scored = [(s, i, leaf) for i, (leaf, s) in enumerate(zip(lex.leaves, scores)) if leaf != word]
+        scored.sort(key=lambda t: (-t[0], t[1]))
+        want = [(leaf, s) for s, _, leaf in scored][:top_k]
+        with mock.patch.object(convneg.negation, "_overlap_scores", lambda *args: tuple(scores)):
+            # pinv, so that the root's negation is not zero
+            assert repr(alternatives(word, lex, NegationConfig("pinv"), top_k)) == repr(want)
 
 
 # ---------------------------------------------------------------------------

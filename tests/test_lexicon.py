@@ -1,13 +1,17 @@
 import dataclasses
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convneg.lexicon
 from convneg.errors import ConvnegError, AmbiguousWord, ParseError, UnknownWord
 from convneg.lexicon import (
+    _split_lines,
     build_lexicon,
     load_lexicon,
     resolve_word,
@@ -16,7 +20,7 @@ from convneg.lexicon import (
 from convneg.operators import MAX_ENTRY, Operator, operator_to_lines
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
-from conftest import COLORS_TSV, FIG1_TSV, FIXTURES
+from conftest import COLORS_TSV, FIG1_TSV, FIXTURES, golden_stores
 
 
 @pytest.fixture(scope="module")
@@ -148,30 +152,6 @@ GOLDEN_STORES = {
     "names": "3dc958fe72cd3d5de0b81f0374d39e3bfa3a7ed497e946649f13dcc4226b3520",
     "roles": "dd5b27747c59ca9ffdc4cf53bed13bd1352fcb8081a7281bfb429c00990858f1",
 }
-HADAMARD4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
-
-
-def golden_stores():
-    """A store built from every fixture, and fig1's turned by the orthogonal
-    H/2 (H the 4x4 Hadamard matrix): its dense entries are sums of d_k/4 and
-    -d_k/4 by ``math.fsum``, so their bits do not depend on the BLAS."""
-    stores = {f.stem: build_lexicon(load_taxonomy(f)) for f in sorted(FIXTURES.glob("*.tsv"))}
-    fig1 = stores["fig1"]
-
-    def turn(op):
-        d, h = op.diagonal().tolist(), HADAMARD4
-        m = [
-            [math.fsum(0.25 * h[i][k] * h[j][k] * d[k] for k in range(4)) for j in range(4)]
-            for i in range(4)
-        ]
-        return Operator(np.array(m), fig1.leaves)
-
-    stores["fig1-turned"] = dataclasses.replace(
-        fig1,
-        word_ops={c: turn(op) for c, op in fig1.word_ops.items()},
-        wc_ops={c: turn(op) for c, op in fig1.wc_ops.items()},
-    )
-    return stores
 
 
 class TestStore:
@@ -366,3 +346,58 @@ class TestStore:
             fig1_lex.worldly_context("hamster").matrix,
             atol=0,
         )
+
+
+# every line boundary str.splitlines knows
+LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+TEXTS = st.lists(
+    st.one_of(st.sampled_from(LINE_BREAKS), st.text("ab \té", max_size=3)), max_size=12
+).map("".join)
+
+
+def load_outcome(path):
+    """A loaded store's words and operator entries, or its ParseError."""
+    try:
+        lex = load_lexicon(path)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return lex.concepts, lex.leaves, lex.decay, [
+        (c, lex.word_ops[c].matrix.tobytes(), lex.wc_ops[c].matrix.tobytes()) for c in lex.concepts
+    ]
+
+
+class TestSplitLines:
+    """The store reader splits an ASCII text that breaks lines only at LF
+    with one ``str.split``; lines and line numbers match ``splitlines``."""
+
+    @settings(max_examples=300)
+    @given(text=TEXTS)
+    def test_same_lines_as_splitlines(self, text):
+        assert _split_lines(text) == text.splitlines()
+        assert _split_lines(text + "\n") == (text + "\n").splitlines()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), uniform=st.booleans(), final=st.booleans())
+    def test_store_reads_as_with_splitlines(self, data, uniform, final, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("split")
+        save_lexicon(build_lexicon(parse_taxonomy(FIG1_TSV)), folder / "fig1.lex")
+        lines = (folder / "fig1.lex").read_text(encoding="utf-8").split("\n")[:-1]
+        # damage: a line replaced, blanked or cut, or the store truncated
+        i = data.draw(st.integers(0, len(lines) - 1))
+        damage = data.draw(st.sampled_from(["none", "blank", "junk", "rosé", "cut"]))
+        if damage == "cut":
+            lines = lines[:i]
+        elif damage != "none":
+            lines[i] = {"blank": "", "junk": "WORD", "rosé": lines[i] + " rosé"}[damage]
+        kinds = ["\n"] if uniform else sorted(data.draw(st.sets(st.sampled_from(LINE_BREAKS), min_size=1)))
+        breaks = data.draw(st.lists(st.sampled_from(kinds), min_size=len(lines), max_size=len(lines)))
+        text = "".join(line + br for line, br in zip(lines, breaks))
+        path = folder / "store.lex"
+        path.write_bytes((text if final else text[: -len(breaks[-1])] if breaks else text).encode())
+        got = load_outcome(path)
+        with mock.patch.object(convneg.lexicon, "_split_lines", str.splitlines):
+            assert got == load_outcome(path)
+
+    def test_empty_store(self, tmp_path):
+        (tmp_path / "empty.lex").write_bytes(b"")
+        assert load_outcome(tmp_path / "empty.lex") == ("line 0: unexpected end of lexicon file", 0)

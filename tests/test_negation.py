@@ -1,14 +1,18 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from conftest import FIG1_TSV, FIXTURES, rand_full_rank_psd
+from conftest import FIG1_TSV, FIXTURES, golden_stores, rand_full_rank_psd
 from convneg.entailment import overlap_score
 from convneg.errors import NotSubnormalized, ZeroNegation
 from convneg.lexicon import build_lexicon
 from convneg.negation import (
+    COMPOSITION_CHOICES,
     DEFAULTS,
+    LOGICAL_CHOICES,
+    VIEW_CHOICES,
     NegationConfig,
     alternatives,
     cn_word,
@@ -226,3 +230,53 @@ class TestAlternatives:
                 assert [w for w, _ in alternatives("hamster", scaled, cfg)] == [
                     w for w, _ in alternatives("hamster", fig1, cfg)
                 ]
+
+
+GOLDEN_CONFIGS = [
+    NegationConfig(logical, composition, decay=decay, view=view, sigma=sigma)
+    for sigma in (0.0, 0.25, 0.5)
+    for logical in LOGICAL_CHOICES
+    for composition in COMPOSITION_CHOICES
+    for view in VIEW_CHOICES
+    for decay in (None, 0.3)
+]
+# SHA-256 of ``golden_rankings`` per lexicon of ``golden_stores``, recorded
+# from the ranking that sorted (-score, leaf index) keys and checked every
+# leaf's smoothed predicate on every call. fig1-turned negates dense
+# operators, whose pseudoinverse and conjugate update take LAPACK's
+# eigensolver: its digest is tied to the numpy/BLAS build (CI prints it).
+GOLDEN_RANKINGS = {
+    "colors": "70225269818999e146552ee8a1b3277ef35e6d57454e832b167b4319c75ec472",
+    "drinks": "84dfede7ec81344f8a235eec5c8cde917864af84c3f4cca223853be90a7f13cc",
+    "fig1": "05afdc58e88bf8710121e0ce23fa1fa26ea3fd6e4597ad4efba55c6181dfa7e5",
+    "fig1-turned": "6f91c2cfa0f13bc073fa371bf019cbaa295ac22fd895556116a3b32c2e9c6dc8",
+    "kinds": "ea254999ca5fc6d8dac9a9ccaf1a8d937c7be818851283505b0c9b7668634dcd",
+    "names": "35b158e1cca0dfaefa158bea4b8a1e527fb2740c3827b979be15d05cfe2d1969",
+    "roles": "d034cc61201501fbe94ffaa5096aaafebef277f990f36102b94e9d0124ea80b2",
+}
+
+
+def golden_rankings(lex):
+    """Every concept's full ranking under every ``GOLDEN_CONFIGS`` entry,
+    scores by ``float.hex``, one line per call, or the ZeroNegation."""
+    lines = []
+    for cfg in GOLDEN_CONFIGS:
+        for word in lex.concepts:
+            try:
+                got = " ".join(f"{leaf}={score.hex()}" for leaf, score in alternatives(word, lex, cfg))
+            except ZeroNegation:
+                got = "ZeroNegation"
+            lines.append(f"{cfg} {word}: {got}\n")
+    return "".join(lines)
+
+
+class TestGoldenRankings:
+    def test_golden_rankings(self):
+        stores = golden_stores()
+        assert sorted(stores) == sorted(GOLDEN_RANKINGS)
+        for name, lex in stores.items():
+            first = golden_rankings(lex)
+            # the second pass ranks the kept negations and leaf scores
+            assert golden_rankings(lex) == first, name
+            digest = hashlib.sha256(first.encode()).hexdigest()
+            assert digest == GOLDEN_RANKINGS[name], name
