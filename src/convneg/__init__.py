@@ -27,7 +27,6 @@ _EXPORTS = {
             "actor_view",
             "cn_actor",
             "composed_factors",
-            "composed_state",
             "contributing_words",
             "contribution_string",
             "load_script",

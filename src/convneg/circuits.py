@@ -6,8 +6,7 @@ Every gate updates a single factor, one state per (actor, lexicon), so a
 linked group is a list of factor states, never one joint matrix, and only
 the gates of the actor's link closure run. A marginal is read off the
 factors: composed_factors scales each factor's own entries by the other
-factors' traces; only composed_state builds a Kronecker product, of one
-actor's own factors, bounded by MAX_COMPOSITE_DIM.
+factors' traces, so no joint or composite matrix is ever built.
 
 Reading all updates to a wire as one long word string lets the
 string-negation machinery negate an actor: every word that touched the wire,
@@ -18,7 +17,6 @@ NegationConfig, like the string functions they call.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -29,7 +27,6 @@ from .errors import (
     AlignmentError,
     DimMismatch,
     ParseError,
-    TooLarge,
     UnknownActor,
     UnknownWord,
     _read_text,
@@ -46,8 +43,6 @@ from .strings import (
     derive_weights,
     size_prior,
 )
-
-MAX_COMPOSITE_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -284,7 +279,7 @@ def _evolve(c: TextCircuit, name: str, effects: Effects | None) -> list[_Factor]
     not renormalized: an update that annihilates one factor zeroes every
     marginal of the group. Only the gates of the actor's link closure run: a
     binary gate that touches it has both ends in it, so none is reordered.
-    Other names and gates are only checked, as their updates would be.
+    Other names and effects are only checked, as their updates would be.
     """
     closure = _link_closure(c, name)
     groups: dict[str, list[_Factor]] = {}
@@ -292,16 +287,11 @@ def _evolve(c: TextCircuit, name: str, effects: Effects | None) -> list[_Factor]
         name_state = a.lex.word_operator(a.word)
         if a.name in closure or name_state.is_zero():  # outside: only to raise, else kept raw
             name_state = normalize(name_state, "trace")
-        if name_state.dim != a.lex.dim:
-            raise DimMismatch(
-                f"name {a.word!r} has dim {name_state.dim}, name space has dim {a.lex.dim}"
-            )
         groups[a.name] = [(a.name, a.lex, name_state)]
     for g in c.gates:
         if isinstance(g, UnaryGate):
-            op = g.lex.word_operator(g.word)
-            if g.actor in closure or op.dim != g.lex.dim:  # outside, only to raise
-                _update(groups[g.actor], g.actor, g.lex, op)
+            if g.actor in closure:
+                _update(groups[g.actor], g.actor, g.lex, g.lex.word_operator(g.word))
             continue
         group, other = groups[g.subject], groups[g.object]
         if g.subject in closure and group is not other:
@@ -321,26 +311,6 @@ def _evolve(c: TextCircuit, name: str, effects: Effects | None) -> list[_Factor]
                 if g.subject in closure:
                     _update(group, actor_name, act.lex, eff)
     return groups[name]
-
-
-def composed_state(c: TextCircuit, name: str, effects: Effects | None = None) -> Operator:
-    """The actor's evolved state on its own factors (name space first, then
-    one space per attribute lexicon in first-touch order), trace-normalized.
-
-    Linked partners are traced out. Raises TooLarge when the actor's own
-    factors span more than MAX_COMPOSITE_DIM dimensions.
-    """
-    a = c.actor(name)
-    group = _evolve(c, a.name, effects)
-    own = [(lex, state) for owner, lex, state in group if owner == a.name]
-    dim = math.prod(lex.dim for lex, _ in own)
-    if dim > MAX_COMPOSITE_DIM:
-        raise TooLarge(f"composite for {a.name} would reach dim {dim} > {MAX_COMPOSITE_DIM}")
-    labels = own[0][0].leaves if len(own) == 1 else ()
-    # partial trace: the other factors' traces multiply in group order, which fixes rounding
-    joint = functools.reduce(np.kron, [state.matrix for _, state in own])
-    scale = math.prod(state.trace() for owner, _, state in group if owner != a.name)
-    return normalize(Operator(joint * scale, labels), "trace")
 
 
 def composed_factors(

@@ -7,10 +7,9 @@ and asks what fraction of it is consistent with a predicate, optionally
 smoothed by the predicate word's worldly context so that near-misses grade
 above zero instead of collapsing to orthogonality.
 
-A smoothed predicate depends on the word and sigma only, so each lexicon
-keeps the ones built for the sigma last used (``Lexicon._smoothed``) and
-builds each once; an entry is checked by identity against the word and
-context operators it was built from. Each entry also keeps every score
+A smoothed predicate depends on the word and sigma only, and a lexicon is
+read-only, so each lexicon keeps the ones built for the sigma last used
+(``Lexicon._smoothed``) and builds each once. Each also keeps every score
 ``overlap_score`` computed with it, weakly keyed by state (operators hash by
 identity), so a repeated overlap is a lookup. ``alternatives`` scores
 every leaf in one product of the state's main diagonal with the leaves'
@@ -18,14 +17,12 @@ predicate diagonals, stacked once per lexicon, whenever the state or every
 predicate is diagonal; each score is the same correctly rounded sum as
 ``trace_product``'s, so scores and exact ties do not change. The stack
 keeps each state's leaf scores, weakly keyed by state, so a repeated
-``alternatives`` only re-ranks; the stack is checked against the word and
-context operators it was built from in one identity pass per table.
+``alternatives`` only re-ranks.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import weakref
 from typing import NamedTuple, Sequence
 
@@ -133,11 +130,8 @@ def loewner_k(a: Operator, b: Operator) -> float:
 
 
 class _LeafStack(NamedTuple):
-    """The leaves' predicates: the word and context operators each was built
-    from, whether all are diagonal, their stacked diagonals, scores by state."""
+    """The leaves' predicates: whether all are diagonal, stacked diagonals, scores by state."""
 
-    word_ops: tuple[Operator, ...]
-    contexts: tuple[Operator | None, ...]
     diagonal: bool
     diags: np.ndarray
     scores: weakref.WeakKeyDictionary
@@ -146,9 +140,8 @@ class _LeafStack(NamedTuple):
 class _Smoothed:
     """One lexicon's smoothed predicates at one sigma.
 
-    ``words`` maps a word to the word and context operators its predicate
-    was built from (no context at sigma 0), the predicate, and its overlaps
-    by state. ``stack`` is the leaves' ``_LeafStack``.
+    ``words`` maps a word to its predicate and its overlaps by state.
+    ``stack`` is the leaves' ``_LeafStack``.
     """
 
     __slots__ = ("words", "stack")
@@ -168,22 +161,14 @@ def _memo(lex: Lexicon, sigma: float) -> _Smoothed:
     return table
 
 
-def _kept(word: str, lex: Lexicon, sigma: float, table: _Smoothed) -> tuple | None:
-    """The word's entry in ``table`` while it is current; raises nothing."""
-    hit = table.words.get(word)
-    wc = lex.wc_ops.get(word) if sigma else None
-    # by identity, so an operator replaced in the lexicon is never served stale
-    return hit if hit and hit[0] is lex.word_ops.get(word) and hit[1] is wc else None
-
-
 def _record(word: str, lex: Lexicon, sigma: float, table: _Smoothed) -> tuple:
-    """The word's current entry in ``table``, built if it has none."""
-    hit = _kept(word, lex, sigma, table)
+    """The word's entry in ``table``, built if it has none."""
+    hit = table.words.get(word)
     if hit is None:
-        p = lex.word_operator(word)
-        wc = lex.worldly_context(word) if sigma else None
-        pred = normalize(mix([(1.0, p), (sigma, wc)]), "sup") if sigma else p
-        hit = table.words[word] = (p, wc, pred, weakref.WeakKeyDictionary())
+        pred = p = lex.word_operator(word)
+        if sigma:
+            pred = normalize(mix([(1.0, p), (sigma, lex.worldly_context(word))]), "sup")
+        hit = table.words[word] = (pred, weakref.WeakKeyDictionary())
     return hit
 
 
@@ -195,7 +180,7 @@ def smoothed_predicate(word: str, lex: Lexicon, sigma: float = SIGMA_DEFAULT) ->
     built once per lexicon for the sigma last used, and then returned as is.
     """
     _check_sigma(sigma)
-    return _record(word, lex, sigma, _memo(lex, sigma))[2]
+    return _record(word, lex, sigma, _memo(lex, sigma))[0]
 
 
 def _overlap_scores(
@@ -207,8 +192,8 @@ def _overlap_scores(
     every predicate is diagonal), ``a``'s main diagonal multiplies the
     predicates' stacked diagonals in one product, and each row's
     ``math.fsum`` sums the products ``trace_product`` would; the leaves'
-    stack and scores are kept, read after every check, a stale stack rebuilt
-    leaf by leaf. Otherwise each pair goes through ``trace_product``.
+    stack and scores are kept, read after the checks. Otherwise each pair
+    goes through ``trace_product``.
     """
     t = a.trace()
     if t <= ZERO_TRACE_TOL:
@@ -216,29 +201,18 @@ def _overlap_scores(
     _check_sigma(sigma)
     table = _memo(lex, sigma)
     leaves, stack = words == lex.leaves, table.stack
-    # the leaves' stack serves only what the per-leaf path would give
-    if not (
-        leaves
-        and stack
-        and a.dim == stack.diags.shape[1]
-        and (stack.diagonal or a._diag is not None)
-        and all(map(operator.is_, stack.word_ops, map(lex.word_ops.get, words)))
-        and (not sigma or all(map(operator.is_, stack.contexts, map(lex.wc_ops.get, words))))
-    ):
-        records = []
-        for word in words:
-            rec = _record(word, lex, sigma, table)
-            if rec[2].dim != a.dim:
-                raise DimMismatch(f"state dim {a.dim} vs predicate dim {rec[2].dim}")
-            records.append(rec)
-        ops, contexts, preds, _ = zip(*records)
+    # a kept stack's leaves are words of the lexicon: none raises UnknownWord
+    fresh = not (leaves and stack and (stack.diagonal or a._diag is not None))
+    preds = [_record(word, lex, sigma, table)[0] for word in words] if fresh else ()
+    if a.dim != lex.dim:
+        raise DimMismatch(f"state dim {a.dim} vs predicate dim {lex.dim}")
+    if fresh:
         diagonal = all(p._diag is not None for p in preds)
         if a._diag is None and not diagonal:
             return [_clamp01(trace_product(a, p) / t) for p in preds]
         diags = np.array([_main_diagonal(p) for p in preds])
         diags.setflags(write=False)
-        kept = weakref.WeakKeyDictionary() if leaves else {}
-        stack = _LeafStack(ops, contexts, diagonal, diags, kept)
+        stack = _LeafStack(diagonal, diags, weakref.WeakKeyDictionary() if leaves else {})
         if leaves:
             table.stack = stack
     kept = stack.scores
@@ -257,10 +231,10 @@ def overlap_score(
     trace-normalized and the predicate sup-normalized.
     """
     table = lex._smoothed.get(sigma)  # only a valid sigma has one
-    hit = table and _kept(word, lex, sigma, table)
-    if hit and a in hit[3]:  # a zero state is never kept
-        return hit[3][a]
+    hit = table and table.words.get(word)
+    if hit and a in hit[1]:  # a zero state is never kept
+        return hit[1][a]
     score = _overlap_scores(a, (word,), lex, sigma)[0]
-    # the scoring just made the word's record current
-    lex._smoothed[sigma].words[word][3][a] = score
+    # the scoring just built the word's record
+    lex._smoothed[sigma].words[word][1][a] = score
     return score

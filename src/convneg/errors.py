@@ -81,4 +81,4 @@ class AlignmentError(ConvnegError):
 
 
 class TooLarge(ConvnegError):
-    """Composite state would exceed the dimension guard."""
+    """Composite state would exceed a dimension guard; no function here raises it."""

@@ -7,19 +7,28 @@ geometrically decaying weights, closest hypernym first. Both are made from
 their diagonals (``operators.diagonal``, ``operators.mix``), so validating
 and combining them over n leaves costs O(n) per operator rather than an n×n
 eigendecomposition. Externally trained (non-diagonal) operators can be
-injected through the store format, or by replacing ``word_ops``/``wc_ops``;
-they are kept dense and every function here works on them unchanged.
+injected through the store format, or through ``dataclasses.replace``; they
+are kept dense and every function here works on them unchanged. A lexicon's
+maps are read-only copies, checked once when it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConvnegError, AmbiguousWord, ParseError, UnknownWord, _read_text
+from .errors import (
+    AmbiguousWord,
+    ConvnegError,
+    DimMismatch,
+    ParseError,
+    UnknownWord,
+    _read_text,
+)
 from .operators import (
     LineReader,
     Operator,
@@ -41,8 +50,8 @@ class Lexicon:
 
     concepts: tuple[str, ...]
     leaves: tuple[str, ...]
-    word_ops: dict[str, Operator] = field(repr=False)
-    wc_ops: dict[str, Operator] = field(repr=False)
+    word_ops: Mapping[str, Operator] = field(repr=False)
+    wc_ops: Mapping[str, Operator] = field(repr=False)
     decay: float
     taxonomy: Taxonomy | None = field(default=None, repr=False)
     name: str = ""
@@ -51,11 +60,30 @@ class Lexicon:
     _smoothed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _negations: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        words = set(self.concepts)
+        for table in ("word_ops", "wc_ops"):
+            ops = MappingProxyType(dict(getattr(self, table)))
+            object.__setattr__(self, table, ops)
+            for word in self.concepts:
+                if word not in ops:
+                    raise UnknownWord(f"concept {word!r} has no entry in {table}")
+            for word, op in ops.items():
+                if word not in words:
+                    raise UnknownWord(f"{table} entry {word!r} is not a concept")
+                if op.dim != self.dim:
+                    raise DimMismatch(
+                        f"{table} operator for {word!r} has dim {op.dim}, leaf space has {self.dim}"
+                    )
+
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in ("_smoothed", "_negations")}
+        state = {k: v for k, v in self.__dict__.items() if k not in ("_smoothed", "_negations")}
+        return {**state, "word_ops": dict(self.word_ops), "wc_ops": dict(self.wc_ops)}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state, _smoothed={}, _negations={})
+        for table in ("word_ops", "wc_ops"):
+            self.__dict__[table] = MappingProxyType(state[table])
 
     @property
     def dim(self) -> int:

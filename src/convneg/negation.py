@@ -97,11 +97,10 @@ def cn_word(word: str, lex: Lexicon, cfg: NegationConfig = DEFAULTS) -> Operator
     composition, view), unless cfg.decay overrides the stored context."""
     p = lex.word_operator(word)
     wc = lex.worldly_context(word, decay=cfg.decay)
+    stored = wc is lex.wc_ops[word]  # an overriding decay's context is built anew
     table = lex._negations.setdefault((cfg.logical, cfg.composition, cfg.view), {})
-    hit = table.get(word)
-    # by identity, so an operator replaced in the lexicon is never served stale
-    if hit is not None and hit[0] is p and hit[1] is wc:
-        return hit[2]
+    if stored and word in table:
+        return table[word]
     try:
         pred = normalize(p, "sup")
     except ZeroOperator:
@@ -113,8 +112,8 @@ def cn_word(word: str, lex: Lexicon, cfg: NegationConfig = DEFAULTS) -> Operator
             f"(logical={cfg.logical}, composition={cfg.composition})"
         )
     out = normalize(composed, cfg.view)
-    if wc is lex.wc_ops[word]:
-        table[word] = (p, wc, out)
+    if stored:
+        table[word] = out
     return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import math
@@ -10,14 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, story_lexicons
 from convneg.circuits import (
-    MAX_COMPOSITE_DIM,
     Actor,
     BinaryGate,
     UnaryGate,
     actor_view,
     cn_actor,
     composed_factors,
-    composed_state,
     contributing_words,
     load_script,
     parse_script,
@@ -30,7 +29,6 @@ from convneg.errors import (
     DimMismatch,
     InvalidOperator,
     ParseError,
-    TooLarge,
     UnknownActor,
     ZeroOperator,
 )
@@ -231,7 +229,7 @@ class TestContributingWords:
 class TestComposedState:
     def test_no_gates_gives_name_state(self, lexes):
         c = parse_script("actor Dave\n", lexes)
-        out = composed_state(c, "Dave")
+        (out,) = composed_factors(c, "Dave").values()
         np.testing.assert_array_equal(out.matrix, np.diag([0, 0, 0, 1.0, 0]))
         assert out.labels == lexes[0].leaves
 
@@ -246,31 +244,29 @@ class TestComposedState:
         )
 
     def test_story_alice_composite_is_product(self, story):
-        out = composed_state(story, "Alice")
-        assert out.dim == 60
-        assert out.trace() == pytest.approx(1.0, abs=1e-12)
+        factors = composed_factors(story, "Alice")
+        out = functools.reduce(np.kron, [op.matrix for op in factors.values()])
+        assert out.shape == (60, 60)
         want = np.zeros((60, 60))
         want[0, 0] = 1.0  # pure alice ⊗ human ⊗ archaeologist
-        np.testing.assert_allclose(out.matrix, want, atol=1e-12)
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_same_space_updates_reuse_the_factor(self, lexes):
         c = parse_script("Alice is a human.\nAlice is a human.\n", lexes)
-        out = composed_state(c, "Alice")
-        assert out.dim == 15  # names ⊗ kinds, not names ⊗ kinds ⊗ kinds
+        out = composed_factors(c, "Alice")
+        assert list(out) == ["names", "kinds"]  # not names, kinds, kinds@2
 
     def test_contradictory_updates_collapse(self, lexes):
         c = parse_script("Alice is a human.\nAlice is a dog.\n", lexes)
         with pytest.raises(ZeroOperator):
-            composed_state(c, "Alice")
+            composed_factors(c, "Alice")
 
     def test_entangled_partner_traced_out(self, love):
-        out = composed_state(love, "Alice", effects=None)
-        factors = composed_factors(love, "Alice")
-        assert set(factors) == {"names", "traits"}
+        factors = composed_factors(love, "Alice", effects=None)
+        assert set(factors) == {"names", "traits"}  # Bob's wires are gone
         np.testing.assert_allclose(
             factors["traits"].matrix, np.diag([1.0, 0, 0, 0]), atol=1e-12
         )
-        assert out.dim == 20  # Bob's wires are gone
 
     def test_effect_rotates_object_name(self, love, lexes):
         v = np.zeros(5)
@@ -282,19 +278,17 @@ class TestComposedState:
     def test_effect_orthogonal_to_object_collapses(self, love):
         eff = Operator(np.diag([1.0, 0, 0, 0, 0]))  # alice only; bob is index 1
         with pytest.raises(ZeroOperator):
-            composed_state(love, "Bob", effects={"loves": (None, eff)})
+            composed_factors(love, "Bob", effects={"loves": (None, eff)})
 
     def test_effect_dim_mismatch(self, love):
         with pytest.raises(DimMismatch):
-            composed_state(love, "Bob", effects={"loves": (None, Operator(np.eye(3)))})
+            composed_factors(love, "Bob", effects={"loves": (None, Operator(np.eye(3)))})
 
-    def test_name_operator_of_wrong_dim(self):
-        lexes = story_lexicons()  # fresh: an operator is replaced in place
-        lexes[0].word_ops["alice"] = diagonal([1.0, 1.0])
-        c = parse_script("Alice is a human.\n", lexes)
-        for fn in (composed_factors, composed_state):
-            with pytest.raises(DimMismatch, match="'alice' has dim 2, name space has dim 5"):
-                fn(c, "Alice")
+    def test_name_operator_of_wrong_dim(self, lexes):
+        # the lexicon refuses it, so no circuit can hold one
+        names = lexes[0]
+        with pytest.raises(DimMismatch, match="'alice' has dim 2, leaf space has 5"):
+            dataclasses.replace(names, word_ops={**names.word_ops, "alice": diagonal([1.0, 1.0])})
 
     def test_unary_growth_guard(self):
         lexes = [
@@ -306,8 +300,13 @@ class TestComposedState:
         ]
         lines = ["actor W0_0"] + [f"W0_0 is w{k}_1" for k in range(1, 5)]
         c = parse_script("\n".join(lines), lexes)
-        with pytest.raises(TooLarge):
-            composed_state(c, "W0_0")  # 9 * 9 * 9 * 9 * 9 > 4096
+        # 9 * 9 * 9 * 9 * 9 dims in all, read as one 9-dim marginal per space
+        factors = composed_factors(c, "W0_0")
+        assert list(factors) == [f"space{k}" for k in range(5)]
+        for k, op in enumerate(factors.values()):
+            want = np.zeros(9)
+            want[0 if k == 0 else 1] = 1.0
+            np.testing.assert_array_equal(op.matrix, np.diag(want))
 
     def test_link_past_old_joint_guard_returns_unit_trace_factors(self):
         big = [
@@ -329,7 +328,6 @@ class TestComposedState:
         assert set(factors) == {"big0", "big1"}
         for op in factors.values():
             assert op.trace() == pytest.approx(1.0, abs=1e-12)
-        assert composed_state(c, "B0_0").dim == 81
 
 
 class TestCnActor:
@@ -541,9 +539,9 @@ def kron_reference(c, name, effects=None):
     """The circuit path that built every marginal densely: fresh factors as
     ``Operator(np.eye(n) / n)``, marginals as a Kronecker product grown from
     a 1x1 ones matrix times a ``scale *=`` loop over the other factors'
-    traces, then ``Operator(...)`` and ``normalize``. Returns the outcomes of
-    composed_factors and composed_state (a result or the exception raised)
-    and the dims of ``name``'s group."""
+    traces, then ``Operator(...)`` and ``normalize``. Returns the outcome of
+    composed_factors (a result or the exception raised) and the dims of
+    ``name``'s group."""
     groups = {}
     for a in c.actors:
         groups[a.name] = [(a.name, a.lex, normalize(a.lex.word_operator(a.word), "trace"))]
@@ -588,16 +586,7 @@ def kron_reference(c, name, effects=None):
                 out[key] = normalize(Operator(marginal({i}), lex.leaves), "trace")
         return out
 
-    def state():
-        keep = {i for i, (owner, _, _) in enumerate(group) if owner == name}
-        own = [lex for owner, lex, _ in group if owner == name]
-        dim = int(np.prod([lex.dim for lex in own]))
-        if dim > MAX_COMPOSITE_DIM:
-            raise TooLarge(f"composite for {name} would reach dim {dim} > {MAX_COMPOSITE_DIM}")
-        labels = own[0].leaves if len(own) == 1 else ()
-        return normalize(Operator(marginal(keep), labels), "trace")
-
-    return _outcome(factors), _outcome(state), [lex.dim for _, lex, _ in group]
+    return _outcome(factors), [lex.dim for _, lex, _ in group]
 
 
 def _outcome(fn):
@@ -688,17 +677,14 @@ class TestFactoredMatchesDense:
         if annihilate:
             lexes = (*diff_lexes, build_lexicon(parse_taxonomy("loves\tfeeling\n"), name="feelings"))
         c = parse_script("\n".join(script), lexes)
-        want_factors, want_state, dims = kron_reference(c, target, effects)
+        want_factors, dims = kron_reference(c, target, effects)
         # before the dense reference, whose joint state grows with the group
         assume(int(np.prod(dims)) <= 600)
         _, marginals, joint = dense_reference(c, target, effects)
 
         assert _bits(_outcome(lambda: composed_factors(c, target, effects))) == _bits(want_factors)
-        assert _bits(_outcome(lambda: composed_state(c, target, effects))) == _bits(want_state)
 
         if np.trace(joint) <= ZERO_TRACE_TOL:
-            with pytest.raises(ZeroOperator):
-                composed_state(c, target, effects)
             with pytest.raises(ZeroOperator):
                 composed_factors(c, target, effects)
             return
@@ -707,9 +693,6 @@ class TestFactoredMatchesDense:
         assert set(got) == set(marginals)
         for key, m in marginals.items():
             np.testing.assert_allclose(got[key].matrix, m / np.trace(m), atol=1e-10)
-        np.testing.assert_allclose(
-            composed_state(c, target, effects).matrix, joint / np.trace(joint), atol=1e-10
-        )
 
 
 def full_evolve(c, effects):
@@ -726,12 +709,7 @@ def full_evolve(c, effects):
 
     groups = {}
     for a in c.actors:
-        name_state = normalize(a.lex.word_operator(a.word), "trace")
-        if name_state.dim != a.lex.dim:
-            raise DimMismatch(
-                f"name {a.word!r} has dim {name_state.dim}, name space has dim {a.lex.dim}"
-            )
-        groups[a.name] = [(a.name, a.lex, name_state)]
+        groups[a.name] = [(a.name, a.lex, normalize(a.lex.word_operator(a.word), "trace"))]
     for g in c.gates:
         if isinstance(g, UnaryGate):
             update(groups[g.actor], g.actor, g.lex, g.lex.word_operator(g.word))
@@ -755,19 +733,6 @@ def full_evolve(c, effects):
     return groups
 
 
-def full_composed_state(c, name, effects=None):
-    a = c.actor(name)
-    group = full_evolve(c, effects)[a.name]
-    own = [(lex, state) for owner, lex, state in group if owner == a.name]
-    dim = math.prod(lex.dim for lex, _ in own)
-    if dim > MAX_COMPOSITE_DIM:
-        raise TooLarge(f"composite for {a.name} would reach dim {dim} > {MAX_COMPOSITE_DIM}")
-    labels = own[0][0].leaves if len(own) == 1 else ()
-    joint = functools.reduce(np.kron, [state.matrix for _, state in own])
-    scale = math.prod(state.trace() for owner, _, state in group if owner != a.name)
-    return normalize(Operator(joint * scale, labels), "trace")
-
-
 def full_composed_factors(c, name, effects=None):
     a = c.actor(name)
     group = full_evolve(c, effects)[a.name]
@@ -789,7 +754,6 @@ CLOSURE_TRAITS = ("kind", "warm", "cold", "young", "old")
 
 
 def closure_lexicons():
-    """Fresh lexicons, so a test may replace their operators."""
     return (
         build_lexicon(
             parse_taxonomy("".join(f"{a.lower()}\tperson\n" for a in CLOSURE_ACTORS)), name="names"
@@ -814,8 +778,8 @@ _closure_line = st.one_of(
 
 
 class TestClosureMatchesFullEvolution:
-    """composed_factors and composed_state evolve only the target's link
-    closure; their bits, or their error, are those of a full evolution."""
+    """composed_factors evolves only the target's link closure; its bits, or
+    its error, are those of a full evolution."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -875,19 +839,21 @@ class TestClosureMatchesFullEvolution:
             obj = None if side in ("subject", "wrong-dim") else _random_effect(rng, dim)
             effects[verb] = (subj, obj)
         if broken is not None:
-            word, how = broken
-            lex = next(x for x in lexes if word.lower() in x)
-            n = lex.dim + (how == "wrong-dim")
-            lex.word_ops[word.lower()] = diagonal(np.zeros(n) if how == "zero" else np.ones(n))
+            word, how = broken[0].lower(), broken[1]
+            i = next(i for i, x in enumerate(lexes) if word in x)
+            n = lexes[i].dim + (how == "wrong-dim")
+            ops = {**lexes[i].word_ops, word: diagonal(np.zeros(n) if how == "zero" else np.ones(n))}
+            if how == "wrong-dim":
+                # the lexicon refuses it, so no script can hold one
+                with pytest.raises(DimMismatch, match=f"'{word}' has dim {n}, leaf space has {n - 1}"):
+                    dataclasses.replace(lexes[i], word_ops=ops)
+            else:
+                lexes = (*lexes[:i], dataclasses.replace(lexes[i], word_ops=ops), *lexes[i + 1 :])
         script = [f"actor {a}" for a in CLOSURE_ACTORS] + lines
         c = parse_script("\n".join(script), lexes)
-        for got, want in (
-            (composed_factors, full_composed_factors),
-            (composed_state, full_composed_state),
-        ):
-            assert _bits(_outcome(lambda: got(c, target, effects))) == _bits(
-                _outcome(lambda: want(c, target, effects))
-            )
+        assert _bits(_outcome(lambda: composed_factors(c, target, effects))) == _bits(
+            _outcome(lambda: full_composed_factors(c, target, effects))
+        )
 
     def test_outside_overflow_leaves_the_target_alone(self):
         # a full evolution overflows Ben's group, and so refused every actor

@@ -494,8 +494,8 @@ class TestDeterminism:
 EAGER_EXPORTS = {
     "circuits": [
         "Actor", "ActorView", "BinaryGate", "TextCircuit", "UnaryGate", "actor_view",
-        "cn_actor", "composed_factors", "composed_state", "contributing_words",
-        "contribution_string", "load_script", "parse_script", "rank_alternatives",
+        "cn_actor", "composed_factors", "contributing_words", "contribution_string",
+        "load_script", "parse_script", "rank_alternatives",
     ],
     "entailment": [
         "SIGMA_DEFAULT", "loewner_k", "loewner_k_raw", "overlap_score", "smoothed_predicate",

@@ -1210,24 +1210,29 @@ class TestSmoothedPredicateMemo:
 
     @pytest.mark.parametrize("table", ["word_ops", "wc_ops"])
     def test_operator_replaced_in_place_is_not_served_stale(self, table):
+        # the maps are read-only: a changed operator means a new lexicon,
+        # which answers like the per-leaf reference; the old one keeps its answers
         lex = self.fig1()
         cfg = NegationConfig(sigma=0.5)
-        alternatives("dog", lex, cfg)
-        overlap_score(lex.word_ops["dog"], "hamster", lex, 0.5)
+        ranked = alternatives("dog", lex, cfg)
+        score = overlap_score(lex.word_ops["dog"], "hamster", lex, 0.5)
         stale = kept(cn_word("hamster", lex, cfg))
-        ops = getattr(lex, table)
-        ops["hamster"] = ops["guinea_pig" if table == "word_ops" else "rodent"]
-        fresh = dataclasses.replace(lex, word_ops=dict(lex.word_ops), wc_ops=dict(lex.wc_ops))
-        assert not fresh._smoothed
-        assert repr(alternatives("dog", lex, cfg)) == repr(alternatives("dog", fresh, cfg))
-        assert overlap_score(lex.word_ops["dog"], "hamster", lex, 0.5) == overlap_score(
-            fresh.word_ops["dog"], "hamster", fresh, 0.5
+        changed = with_operator(lex, table, "hamster", "guinea_pig" if table == "word_ops" else "rodent")
+        assert not changed._smoothed and not changed._negations
+        assert exact_outcome(alternatives, "dog", changed, cfg) == exact_outcome(
+            reference_alternatives, "dog", changed, cfg
         )
-        assert kept(smoothed_predicate("hamster", lex, 0.5)) == kept(
-            reference_predicate("hamster", fresh, 0.5)
+        state = changed.word_ops["dog"]
+        assert float.hex(overlap_score(state, "hamster", changed, 0.5)) == float.hex(
+            reference_overlap(state, "hamster", changed, 0.5)
         )
-        assert kept(cn_word("hamster", lex, cfg)) == kept(cn_word("hamster", fresh, cfg))
-        assert kept(cn_word("hamster", lex, cfg)) != stale
+        assert kept(smoothed_predicate("hamster", changed, 0.5)) == kept(
+            reference_predicate("hamster", changed, 0.5)
+        )
+        assert kept(cn_word("hamster", changed, cfg)) != stale
+        assert repr(alternatives("dog", lex, cfg)) == repr(ranked)
+        assert overlap_score(lex.word_ops["dog"], "hamster", lex, 0.5) is score
+        assert kept(cn_word("hamster", lex, cfg)) == stale
 
     def test_alternating_sigma_answers_like_a_fresh_lexicon(self):
         lex = self.fig1()
@@ -1251,7 +1256,7 @@ class TestSmoothedPredicateMemo:
         assert not dataclasses.replace(lex)._smoothed
         # one n-vector per word plus the leaves' stack: no more than the
         # lexicon's own word and context operators hold
-        held = sum(rec[2]._diag.nbytes for rec in table.words.values())
+        held = sum(pred._diag.nbytes for pred, _ in table.words.values())
         held += table.stack.diags.nbytes
         own = sum(op._diag.nbytes for ops in (lex.word_ops, lex.wc_ops) for op in ops.values())
         assert held <= own
@@ -1274,7 +1279,13 @@ def fig1_states(draw):
 
 def scores_kept_for(lex, sigma, word):
     """The overlaps the lexicon keeps for ``word``'s predicate at ``sigma``."""
-    return lex._smoothed[sigma].words[word][3]
+    return lex._smoothed[sigma].words[word][1]
+
+
+def with_operator(lex, table, word, source):
+    """A new lexicon: ``lex`` with ``word``'s entry in ``table`` taken from ``source``."""
+    ops = getattr(lex, table)
+    return dataclasses.replace(lex, **{table: {**ops, word: ops[source]}})
 
 
 class TestOverlapMemo:
@@ -1306,25 +1317,22 @@ class TestOverlapMemo:
 
     @pytest.mark.parametrize("table", ["word_ops", "wc_ops"])
     def test_operator_replaced_in_place_is_never_served_stale(self, table):
+        # a changed operator means a new lexicon, with records of its own
         lex = self.fig1()
         a = diagonal([0.4, 0.3, 0.2, 0.1])
         before = overlap_score(a, "hamster", lex, 0.5)
-        old_scores = scores_kept_for(lex, 0.5, "hamster")
-        ops = getattr(lex, table)
-        ops["hamster"] = ops["dog" if table == "word_ops" else "animal"]
-        fresh = dataclasses.replace(lex, word_ops=dict(lex.word_ops), wc_ops=dict(lex.wc_ops))
-        after = overlap_score(a, "hamster", lex, 0.5)
-        assert float.hex(after) == float.hex(overlap_score(a, "hamster", fresh, 0.5))
+        changed = with_operator(lex, table, "hamster", "dog" if table == "word_ops" else "animal")
+        after = overlap_score(a, "hamster", changed, 0.5)
+        assert float.hex(after) == float.hex(reference_overlap(a, "hamster", changed, 0.5))
         assert after != before
-        assert overlap_score(a, "hamster", lex, 0.5) is after
-        # the rebuilt record keeps only the new score
-        new_scores = scores_kept_for(lex, 0.5, "hamster")
-        assert new_scores is not old_scores
-        assert list(new_scores.items()) == [(a, after)]
+        assert overlap_score(a, "hamster", changed, 0.5) is after
+        assert list(scores_kept_for(changed, 0.5, "hamster").items()) == [(a, after)]
+        assert overlap_score(a, "hamster", lex, 0.5) is before
+        assert list(scores_kept_for(lex, 0.5, "hamster").items()) == [(a, before)]
         if table == "word_ops":
             # sigma 0 scores against the word operator alone
-            assert float.hex(overlap_score(a, "hamster", lex, 0.0)) == float.hex(
-                overlap_score(a, "hamster", fresh, 0.0)
+            assert float.hex(overlap_score(a, "hamster", changed, 0.0)) == float.hex(
+                reference_overlap(a, "hamster", changed, 0.0)
             )
 
     def test_sigma_switch_drops_the_kept_scores(self):
@@ -1530,22 +1538,19 @@ class TestLeafScoreMemo:
     # sigma 0 scores against the word operators alone
     @pytest.mark.parametrize("table, sigma", [("word_ops", 0.0), ("word_ops", 0.5), ("wc_ops", 0.5)])
     def test_leaf_operator_replaced_in_place_is_never_served_stale(self, table, sigma):
+        # a changed leaf operator means a new lexicon, with a stack of its own
         lex = self.fig1()
         cfg = NegationConfig(sigma=sigma)
         before = alternatives("dog", lex, cfg)
         state = cn_word("dog", lex, cfg)
-        old = leaf_scores_kept(lex, sigma)
-        ops = getattr(lex, table)
-        ops["hamster"] = ops["dog" if table == "word_ops" else "planet"]
-        fresh = dataclasses.replace(lex, word_ops=dict(lex.word_ops), wc_ops=dict(lex.wc_ops))
-        after = alternatives("dog", lex, cfg)
-        # dog's negation is kept as it was: only the stack check sees the change
-        assert cn_word("dog", lex, cfg) is state
-        assert repr(after) == repr(alternatives("dog", fresh, cfg))
+        changed = with_operator(lex, table, "hamster", "dog" if table == "word_ops" else "planet")
+        after = alternatives("dog", changed, cfg)
+        assert repr(after) == repr(reference_alternatives("dog", changed, cfg))
         assert after != before
-        # the rebuilt stack keeps only the new scores
-        new = leaf_scores_kept(lex, sigma)
-        assert new is not old and list(new) == [state]
+        assert list(leaf_scores_kept(changed, sigma)) == [cn_word("dog", changed, cfg)]
+        # the old lexicon keeps its stack, its scores and its ranking
+        assert list(leaf_scores_kept(lex, sigma)) == [state]
+        assert repr(alternatives("dog", lex, cfg)) == repr(before)
 
     def test_zero_state_raises_on_every_call_and_is_never_kept(self):
         lex = self.fig1()
@@ -1591,9 +1596,9 @@ class TestLeafScoreMemo:
 
 
 FIG1_LEAVES = ("hamster", "guinea_pig", "dog", "planet")
-# one step on a fig1 lexicon: an edit (replace a leaf's word or context
-# operator with another concept's, restore it, delete its word operator,
-# switch sigma, or none), then a query
+# one step on a fig1 lexicon: an edit (a new lexicon with a leaf's word or
+# context operator replaced by another concept's, restored, or the leaf
+# deleted as a word; or a sigma switch; or none), then a query
 EDITS = st.one_of(
     st.tuples(st.just("replace"), st.sampled_from(["word_ops", "wc_ops"]),
               st.sampled_from(FIG1_LEAVES), st.sampled_from(FIG1_WORDS)),
@@ -1619,9 +1624,8 @@ def ranked_outcome(word, lex, cfg, top_k=None):
 
 
 class TestLeafStackCheck:
-    """The kept leaf stack is checked in one pass against the operators it
-    was built from; whatever it serves, and every error, matches the
-    per-leaf reference."""
+    """Whatever the kept leaf stack serves, and every error, matches the
+    per-leaf reference, on each lexicon built by ``dataclasses.replace``."""
 
     def fig1(self):
         return build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv"))
@@ -1629,17 +1633,24 @@ class TestLeafStackCheck:
     @settings(max_examples=300, deadline=None)
     @given(steps=st.lists(st.tuples(EDITS, QUERIES), min_size=1, max_size=30))
     def test_any_edit_sequence_matches_the_reference(self, steps):
-        lex, sigma = self.fig1(), 0.5
-        own = {table: dict(getattr(lex, table)) for table in ("word_ops", "wc_ops")}
+        base, sigma = self.fig1(), 0.5
+        lex, ops, deleted = base, {t: dict(getattr(base, t)) for t in ("word_ops", "wc_ops")}, set()
         for edit, query in steps:
-            if edit[0] == "replace":
-                _, table, leaf, source = edit
-                getattr(lex, table)[leaf] = own[table][source]
-            elif edit[0] == "restore":
-                _, table, leaf = edit
-                getattr(lex, table)[leaf] = own[table][leaf]
-            elif edit[0] == "delete":
-                lex.word_ops.pop(edit[1], None)
+            if edit[0] in ("replace", "restore", "delete"):
+                if edit[0] == "replace":
+                    _, table, leaf, source = edit
+                    ops[table][leaf] = getattr(base, table)[source]
+                elif edit[0] == "restore":
+                    _, table, leaf = edit
+                    ops[table][leaf] = getattr(base, table)[leaf]
+                    deleted.discard(leaf)
+                else:
+                    deleted.add(edit[1])
+                lex = dataclasses.replace(
+                    base,
+                    concepts=tuple(c for c in base.concepts if c not in deleted),
+                    **{t: {c: op for c, op in m.items() if c not in deleted} for t, m in ops.items()},
+                )
             elif edit[0] == "sigma":
                 sigma = edit[1]
             if query[0] == "alternatives":
@@ -1662,38 +1673,39 @@ class TestLeafStackCheck:
     def test_replaced_scored_and_restored(self, table, sigma, scorer):
         lex = self.fig1()
         cfg = NegationConfig(sigma=sigma)
-        ops = getattr(lex, table)
-        own = ops["hamster"]
         ranked = alternatives("dog", lex, cfg)
         kept_stack = lex._smoothed[sigma].stack
-        ops["hamster"] = ops["dog" if table == "word_ops" else "planet"]
+        changed = with_operator(lex, table, "hamster", "dog" if table == "word_ops" else "planet")
         if scorer == "alternatives":
-            got, want = ranked_outcome("dog", lex, cfg)
+            got, want = ranked_outcome("dog", changed, cfg)
             assert got == want != repr(ranked)
         else:
-            # only the leaf's own record is rebuilt; the stack keeps the old operator
-            state = cn_word("dog", lex, cfg)
-            assert float.hex(overlap_score(state, "hamster", lex, sigma)) == float.hex(
-                reference_overlap(state, "hamster", lex, sigma)
+            # only the leaf's own record is built, no stack
+            state = cn_word("dog", changed, cfg)
+            assert float.hex(overlap_score(state, "hamster", changed, sigma)) == float.hex(
+                reference_overlap(state, "hamster", changed, sigma)
             )
-            assert lex._smoothed[sigma].stack is kept_stack
-        ops["hamster"] = own
+            assert changed._smoothed[sigma].stack is None
+        # the original lexicon still serves its own stack
         for _ in range(2):
             got, want = ranked_outcome("dog", lex, cfg)
             assert got == want == repr(ranked)
+        assert lex._smoothed[sigma].stack is kept_stack
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_deleted_leaf_raises_on_every_call(self, sigma):
         lex = self.fig1()
         cfg = NegationConfig(sigma=sigma)
         ranked = alternatives("dog", lex, cfg)
-        own = lex.word_ops.pop("guinea_pig")
+        # guinea_pig stays a leaf but is no word of the new lexicon
+        kept_ops = {t: {c: op for c, op in getattr(lex, t).items() if c != "guinea_pig"}
+                    for t in ("word_ops", "wc_ops")}
+        without = dataclasses.replace(lex, concepts=tuple(kept_ops["word_ops"]), **kept_ops)
         for _ in range(3):
             with pytest.raises(UnknownWord, match="'guinea_pig'"):
-                alternatives("dog", lex, cfg)
-            got, want = ranked_outcome("dog", lex, cfg)
+                alternatives("dog", without, cfg)
+            got, want = ranked_outcome("dog", without, cfg)
             assert got == want
-        lex.word_ops["guinea_pig"] = own
         assert repr(alternatives("dog", lex, cfg)) == repr(ranked)
 
     def test_wrong_dim_state_raises_on_every_call(self):

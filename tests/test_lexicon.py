@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
+from types import MappingProxyType
 from unittest import mock
 
 import numpy as np
@@ -9,15 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convneg.lexicon
-from convneg.errors import ConvnegError, AmbiguousWord, ParseError, UnknownWord
+from convneg.errors import ConvnegError, AmbiguousWord, DimMismatch, ParseError, UnknownWord
 from convneg.lexicon import (
+    Lexicon,
     _split_lines,
     build_lexicon,
     load_lexicon,
     resolve_word,
     save_lexicon,
 )
-from convneg.operators import MAX_ENTRY, Operator, operator_to_lines
+from convneg.operators import MAX_ENTRY, Operator, _entries, diagonal, operator_to_lines
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
 from conftest import COLORS_TSV, FIG1_TSV, FIXTURES, golden_stores
@@ -115,6 +119,85 @@ class TestResolveWord:
         b = build_lexicon(parse_taxonomy("dog\ty\nfox\ty\n"), name="b")
         with pytest.raises(AmbiguousWord):
             resolve_word("dog", [a, b])
+
+
+TABLES = ("word_ops", "wc_ops")
+
+
+def with_table(lex, table, ops):
+    """``lex``'s constructor arguments with ``table`` set to ``ops``."""
+    args = {f.name: getattr(lex, f.name) for f in dataclasses.fields(lex) if f.init}
+    return {**args, table: ops}
+
+
+def refused(lex, table, ops, error, message):
+    """Both ways of building a lexicon with ``table`` set to ``ops`` raise."""
+    for build in (lambda: Lexicon(**with_table(lex, table, ops)),
+                  lambda: dataclasses.replace(lex, **{table: ops})):
+        with pytest.raises(error, match=message) as caught:
+            build()
+        assert isinstance(caught.value, ConvnegError)
+
+
+class TestReadOnlyLexicon:
+    """Both maps are read-only copies, checked once when the lexicon is
+    built; a changed operator means a new lexicon, built with
+    ``dataclasses.replace``."""
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_missing_entry_is_refused(self, fig1_lex, table):
+        # so worldly_context never meets a word without a context
+        ops = {c: op for c, op in getattr(fig1_lex, table).items() if c != "dog"}
+        refused(fig1_lex, table, ops, UnknownWord, f"concept 'dog' has no entry in {table}")
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_extra_entry_is_refused(self, fig1_lex, table):
+        ops = {**getattr(fig1_lex, table), "pluto": fig1_lex.word_ops["planet"]}
+        refused(fig1_lex, table, ops, UnknownWord, f"{table} entry 'pluto' is not a concept")
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_wrong_dim_operator_is_refused(self, fig1_lex, table):
+        ops = {**getattr(fig1_lex, table), "dog": diagonal([1.0, 0.0])}
+        message = f"{table} operator for 'dog' has dim 2, leaf space has 4"
+        refused(fig1_lex, table, ops, DimMismatch, message)
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_maps_cannot_be_changed(self, fig1_lex, table):
+        ops = getattr(fig1_lex, table)
+        own = dict(ops)
+        with pytest.raises((TypeError, AttributeError)):
+            ops["dog"] = ops["planet"]
+        with pytest.raises((TypeError, AttributeError)):
+            ops.pop("dog")
+        with pytest.raises((TypeError, AttributeError)):
+            del ops["dog"]
+        # the lexicon holds its own copy of the map it was given
+        given = dict(own)
+        lex = Lexicon(**with_table(fig1_lex, table, given))
+        given["dog"] = own["planet"]
+        del given["hamster"]
+        assert dict(getattr(lex, table)) == own == dict(ops)
+
+    def test_pickle_and_copies_keep_equal_read_only_maps(self):
+        lex = build_lexicon(parse_taxonomy(FIG1_TSV), decay=0.5, name="fig1")
+        for twin in (pickle.loads(pickle.dumps(lex)), copy.copy(lex), copy.deepcopy(lex)):
+            assert (twin.concepts, twin.leaves, twin.decay, twin.name) == (
+                lex.concepts, lex.leaves, lex.decay, lex.name
+            )
+            for table in TABLES:
+                ops = getattr(twin, table)
+                assert type(ops) is MappingProxyType
+                assert list(ops) == list(getattr(lex, table))
+                for c, op in ops.items():
+                    want = getattr(lex, table)[c]
+                    assert op.labels == want.labels
+                    assert _entries(op).tobytes() == _entries(want).tobytes()
+                with pytest.raises((TypeError, AttributeError)):
+                    ops["dog"] = ops["planet"]
+            # siblings still share one context operator
+            assert twin.wc_ops["hamster"] is twin.wc_ops["guinea_pig"]
+            assert not twin._smoothed and not twin._negations
+        assert copy.copy(lex) == lex
 
 
 def rotation(rng, n):
