@@ -99,7 +99,6 @@ _EXPORTS = {
             "derive_weights",
             "enumerate_negation_sets",
             "interpretation_scores",
-            "string_score",
         ),
         "taxonomy": ("Taxonomy", "load_taxonomy", "parse_taxonomy"),
     }.items()

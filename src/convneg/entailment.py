@@ -15,9 +15,9 @@ identity), so a repeated overlap is a lookup. ``alternatives`` scores
 every leaf in one product of the state's main diagonal with the leaves'
 predicate diagonals, stacked once per lexicon, whenever the state or every
 predicate is diagonal; each score is the same correctly rounded sum as
-``trace_product``'s, so scores and exact ties do not change. The stack
-keeps each state's leaf scores, weakly keyed by state, so a repeated
-``alternatives`` only re-ranks.
+``trace_product``'s (``_fsum_rows`` proves most from a long double sum),
+so scores and exact ties do not change. The stack keeps each state's leaf
+scores, weakly keyed by state, so a repeated ``alternatives`` only re-ranks.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ SUPPORT_RESIDUAL_TOL = 1e-8
 # LAPACK's symmetric eigensolvers (dsyevd) rescale a matrix whose largest
 # entry lies outside about [1e-146, 1e146], which rounds its eigenvalues
 EIGH_UNSCALED = (1e-140, 1e140)
+_WIDE = np.finfo(np.longdouble).nmant == 63  # x87 80-bit: leaf scores summed wide
+_BLOCK, _CHUNK = 64, 64
 
 
 def _check_sigma(sigma: float) -> float:
@@ -183,6 +185,41 @@ def smoothed_predicate(word: str, lex: Lexicon, sigma: float = SIGMA_DEFAULT) ->
     return _record(word, lex, sigma, _memo(lex, sigma))[0]
 
 
+def _fsum_rows(diags: np.ndarray, v: np.ndarray) -> list[float]:
+    """``[math.fsum(row) for row in (diags * v).tolist()]``, bit for bit and
+    with the same errors, formed ``_BLOCK`` rows at a time.
+
+    With x87 long double (u = 2**-64) a row x is summed in it over chunks of
+    ``_CHUNK`` columns, then over the m chunk sums: each x_i meets
+    k = (min(n, _CHUNK) - 1) + (m - 1) roundings, so in any order the wide
+    sum w is within gamma_k * sum|x_i| <= 2*k*u * S of the exact sum s
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2),
+    S being sum|x_i| in float64 (within gamma'_n of it, u' = 2**-53, n < 2**50)
+    and 2*k*u*S rounded down at most once. With d = w rounded to float64,
+    w - d is exact (Sterbenz), and a positive d's rounding interval reaches
+    (d - nextafter(d, 0)) / 2 both ways at least. Where |w - d| + 2*k*u*S is
+    less, d is s correctly rounded, as fsum gives it, and S < 2**1023 keeps
+    fsum's partial sums finite. Other rows (a zero, negative or non-finite d
+    fails the test by itself) and all rows on other long doubles take fsum.
+    """
+    if not _WIDE:
+        return [math.fsum(row) for row in (diags * v).tolist()]
+    starts = np.arange(0, diags.shape[1], _CHUNK)
+    margin = np.longdouble(2 * (min(diags.shape[1], _CHUNK) + len(starts) - 2)) * 2.0**-64
+    sums: list[float] = []
+    for i in range(0, len(diags), _BLOCK):
+        block = diags[i : i + _BLOCK] * v
+        with np.errstate(invalid="ignore", over="ignore"):
+            wide = np.add.reduceat(block, starts, axis=1, dtype=np.longdouble).sum(axis=1)
+            d, mags = wide.astype(np.float64), np.abs(block).sum(axis=1)
+            half = (d - np.nextafter(d, 0)).astype(np.longdouble) / 2
+            ok = (mags < 2.0**1023) & (np.abs(wide - d) + margin * mags < half)
+        sums += d.tolist()
+        for j in np.flatnonzero(~ok).tolist():
+            sums[i + j] = math.fsum(block[j].tolist())
+    return sums
+
+
 def _overlap_scores(
     a: Operator, words: Sequence[str], lex: Lexicon, sigma: float
 ) -> Sequence[float]:
@@ -190,10 +227,10 @@ def _overlap_scores(
 
     When every trace product takes ``trace_product``'s O(n) path (``a`` or
     every predicate is diagonal), ``a``'s main diagonal multiplies the
-    predicates' stacked diagonals in one product, and each row's
-    ``math.fsum`` sums the products ``trace_product`` would; the leaves'
-    stack and scores are kept, read after the checks. Otherwise each pair
-    goes through ``trace_product``.
+    predicates' stacked diagonals in one product, and each row sums the
+    products ``trace_product`` would, correctly rounded (``_fsum_rows`` for
+    the leaves, whose stack and scores are kept, read after the checks).
+    Otherwise each pair goes through ``trace_product``.
     """
     t = a.trace()
     if t <= ZERO_TRACE_TOL:
@@ -217,8 +254,9 @@ def _overlap_scores(
             table.stack = stack
     kept = stack.scores
     if a not in kept:
-        rows = (stack.diags * _main_diagonal(a)).tolist()
-        kept[a] = tuple([_clamp01(math.fsum(row) / t) for row in rows])
+        v = _main_diagonal(a)
+        sums = _fsum_rows(stack.diags, v) if leaves else map(math.fsum, (stack.diags * v).tolist())
+        kept[a] = tuple([_clamp01(s / t) for s in sums])
     return kept[a]
 
 

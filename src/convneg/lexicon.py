@@ -33,7 +33,6 @@ from .operators import (
     LineReader,
     Operator,
     _entries,
-    _from_entries,
     identity,
     mix,
     operator_from_lines,
@@ -144,8 +143,10 @@ def _indicators(taxonomy: Taxonomy, leaves: tuple[str, ...]) -> dict[str, Operat
             if not pending[parent]:
                 below[parent] = set().union(*map(below.get, taxonomy.children[parent]))
                 done.append(parent)
-    rows = {c: np.bincount(list(below[c]), minlength=len(leaves)) * 1.0 for c in taxonomy.order}
-    return {c: _from_entries(row, leaves) for c, row in rows.items()}
+    ops = {c: Operator.__new__(Operator) for c in taxonomy.order}
+    for c, op in ops.items():  # as ``diagonal`` does: a 0/1 row needs no check
+        op._init(np.bincount(list(below[c]), minlength=len(leaves)) * 1.0, None, leaves)
+    return ops
 
 
 def _context(
@@ -255,9 +256,9 @@ def load_lexicon(path: str | Path, name: str = "") -> Lexicon:
     leaves_line = reader.require("lexicon file")
     if not leaves_line.startswith("LEAVES "):
         raise ParseError("expected 'LEAVES <comma list>'", reader.lineno)
-    leaves = tuple(leaves_line[len("LEAVES ") :].split(","))
+    leaves, leaves_lineno = tuple(leaves_line[len("LEAVES ") :].split(",")), reader.lineno
     if len(set(leaves)) != len(leaves) or any(not leaf for leaf in leaves):
-        raise ParseError("leaf names must be nonempty and unique", reader.lineno)
+        raise ParseError("leaf names must be nonempty and unique", leaves_lineno)
 
     concepts: list[str] = []
     word_ops: dict[str, Operator] = {}
@@ -294,6 +295,9 @@ def load_lexicon(path: str | Path, name: str = "") -> Lexicon:
     orphans = [c for c in wc_ops if c not in word_ops]
     if orphans:
         raise ParseError(f"WC block without WORD block for: {', '.join(orphans)}")
+    unnamed = [leaf for leaf in leaves if leaf not in word_ops]
+    if 0 < len(unnamed) < len(leaves):
+        raise ParseError(f"leaf without a WORD block: {', '.join(unnamed)}", leaves_lineno)
 
     return Lexicon(
         concepts=tuple(concepts),

@@ -93,14 +93,15 @@ def _compose(neg: Operator, wc: Operator, cfg: NegationConfig) -> Operator:
 
 def cn_word(word: str, lex: Lexicon, cfg: NegationConfig = DEFAULTS) -> Operator:
     """Conversational negation of ``word``: logical negation, then worldly
-    context, normalized per cfg.view. Kept per lexicon and (logical,
-    composition, view), unless cfg.decay overrides the stored context."""
-    p = lex.word_operator(word)
-    wc = lex.worldly_context(word, decay=cfg.decay)
-    stored = wc is lex.wc_ops[word]  # an overriding decay's context is built anew
-    table = lex._negations.setdefault((cfg.logical, cfg.composition, cfg.view), {})
-    if stored and word in table:
+    context, normalized per cfg.view. Kept per lexicon in one table per
+    (logical, composition, view, decay), the lexicon's decay keyed as None,
+    of at most one operator per concept; a ZeroNegation is never kept."""
+    decay = None if cfg.decay == lex.decay else cfg.decay
+    table = lex._negations.setdefault((cfg.logical, cfg.composition, cfg.view, decay), {})
+    if word in table:
         return table[word]
+    p = lex.word_operator(word)
+    wc = lex.worldly_context(word, decay=decay)
     try:
         pred = normalize(p, "sup")
     except ZeroOperator:
@@ -111,9 +112,7 @@ def cn_word(word: str, lex: Lexicon, cfg: NegationConfig = DEFAULTS) -> Operator
             f"negation of {word!r} is the zero operator "
             f"(logical={cfg.logical}, composition={cfg.composition})"
         )
-    out = normalize(composed, cfg.view)
-    if stored:
-        table[word] = out
+    out = table[word] = normalize(composed, cfg.view)
     return out
 
 

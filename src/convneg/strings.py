@@ -8,8 +8,7 @@ operator plus one weight per set, so it stores those and builds a term's
 states only when ``terms`` is read. Weights come from a follow-up sentence
 (entailment product, word by word) shaped by a size prior that favors
 negating few words. The overlaps are smoothed by the same sigma as
-single-word alternatives: the one in NegationConfig. Only string_score,
-which takes no config, takes sigma as an argument.
+single-word alternatives: the one in NegationConfig.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Sequence
 
-from .entailment import SIGMA_DEFAULT, overlap_score
+from .entailment import overlap_score
 from .errors import AlignmentError, TooManyWords, ZeroNegation
 from .lexicon import Lexicon, resolve_word
 from .negation import DEFAULTS, LAMBDA_DEFAULT, NegationConfig, cn_word
@@ -201,15 +200,6 @@ def _overlaps(states: Sequence[Operator], target: WordString, sigma: float) -> l
     return out
 
 
-def string_score(
-    states: Sequence[Operator],
-    target: WordString,
-    sigma: float = SIGMA_DEFAULT,
-) -> float:
-    """Word-by-word overlap with ``target``, multiplied across positions."""
-    return math.prod(_overlaps(states, target, sigma))
-
-
 def derive_weights(
     s: WordString,
     context: WordString,
@@ -264,7 +254,7 @@ def _product_tree(kept: list[float], negated: list[float], lambda_size: float) -
     """lambda_size^(|S|-1) times negated[i] for i in S and kept[i] elsewhere,
     for every negation set S in canonical order. Each tree node multiplies its
     parent by position i's negated factor, then by its kept one, so a leaf is
-    the product string_score forms, in the same order, and the leaves come in
+    the product of the positions' overlaps in position order, and the leaves come in
     lexicographic order of their sets, which a stable sort by size keeps."""
     leaves = [1.0]
     for a, b in zip(negated, kept):

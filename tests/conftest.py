@@ -98,3 +98,14 @@ def psd_operators(draw, min_dim: int = 1, max_dim: int = 5, nonzero: bool = True
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def without_blocks(text, concept):
+    """A store's text with the WORD and WC blocks of ``concept`` removed."""
+    out, skip = [], False
+    for line in text.splitlines():
+        if line.startswith(("WORD ", "WC ")):
+            skip = line.split(" ", 1)[1] == concept
+        if not skip:
+            out.append(line)
+    return "\n".join(out) + "\n"

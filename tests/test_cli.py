@@ -10,7 +10,7 @@ import pytest
 
 import convneg
 import convneg.strings
-from conftest import FIXTURES
+from conftest import FIXTURES, without_blocks
 from convneg.cli import run
 
 F1 = str(FIXTURES / "fig1.tsv")
@@ -341,6 +341,15 @@ class TestTaxonomyAndLexicon:
                 1, "", "error: ZeroOperator: word 'hamster' has the zero operator\n"
             )
 
+    def test_leaf_without_word_block_is_a_parse_error(self, tmp_path):
+        # it used to pass `lexicon check`, then negate-word failed on the leaf
+        store = tmp_path / "noplanet.lex"
+        invoke("lexicon", "build", F1, "--out", str(store))
+        store.write_text(without_blocks(store.read_text(), "planet"))
+        want = (1, "", "error: ParseError: line 3: leaf without a WORD block: planet\n")
+        assert invoke("lexicon", "check", str(store)) == want
+        assert invoke("negate-word", "hamster", "--taxonomy", str(store)) == want
+
     def test_store_rejects_decay_override(self, tmp_path):
         store = tmp_path / "fig1.lex"
         invoke("lexicon", "build", F1, "--out", str(store))
@@ -522,7 +531,7 @@ EAGER_EXPORTS = {
     "strings": [
         "LAMBDA_DEFAULT", "MixtureTerm", "NegationMixture", "WordString",
         "best_interpretation", "cn_string", "derive_weights", "enumerate_negation_sets",
-        "interpretation_scores", "string_score",
+        "interpretation_scores",
     ],
     "taxonomy": ["Taxonomy", "load_taxonomy", "parse_taxonomy"],
 }

@@ -13,7 +13,8 @@ a per-concept mixture. The O(n) pseudoinverse, conjugate update and
 support projector are checked bit for bit against the eigendecomposition, and
 ``alternatives``/``overlap_score``, with their memoized smoothed predicates
 and kept leaf scores, against a per-leaf reference that rebuilds each
-predicate, and ``loewner_k`` on diagonals against its dense path.
+predicate, the long double leaf-score sums against ``math.fsum`` row by row,
+and ``loewner_k`` on diagonals against its dense path.
 """
 
 import copy
@@ -51,6 +52,8 @@ from convneg.negation import (
 )
 from convneg.entailment import (
     SUPPORT_RESIDUAL_TOL,
+    _WIDE,
+    _fsum_rows,
     _overlap_scores,
     loewner_k,
     loewner_k_raw,
@@ -959,6 +962,8 @@ class TestIndicatorsMatchReference:
             assert got.labels == want.labels == tax.leaves
             assert got._matrix is None
             assert got._diag.tobytes() == want._diag.tobytes()
+            # built without validation: the same dtype and read-only array
+            assert got._diag.dtype == want._diag.dtype and not got._diag.flags.writeable
 
 
 def reference_context(tax, word_ops, word, decay, leaves):
@@ -1427,20 +1432,26 @@ class TestNegationMemo:
                 first = negation_or_error(word, lex, cfg)
                 assert negation_or_error(word, lex, cfg) == first
                 assert first == negation_or_error(word, self.fig1(), cfg)
-        # one table per (logical, composition, view), one entry per concept
-        # that negates to a nonzero operator
-        assert len(lex._negations) == len(EVERY_CONFIG) == 8
-        for (logical, _, _), table in lex._negations.items():
+        # one table per (logical, composition, view, decay), the lexicon's
+        # own decay keyed as None, one entry per concept that negates to a
+        # nonzero operator
+        assert sorted(lex._negations) == sorted(
+            (c.logical, c.composition, c.view, None) for c in EVERY_CONFIG
+        )
+        for (logical, _, _, _), table in lex._negations.items():
             assert len(table) == len(lex.concepts) - (logical == "complement")
         cfg = NegationConfig(sigma=0.0)
         assert cn_word("hamster", lex, cfg) is cn_word("hamster", lex)
 
     def test_zero_negation_raised_on_every_call(self):
         lex = self.fig1()
-        for _ in range(3):
+        for decay in (None, 0.3, None, 0.3):
             with pytest.raises(ZeroNegation, match="'entity'"):
-                cn_word("entity", lex)
-        assert "entity" not in lex._negations[("complement", "hadamard", "trace")]
+                cn_word("entity", lex, NegationConfig(decay=decay))
+        assert lex._negations == {
+            ("complement", "hadamard", "trace", None): {},
+            ("complement", "hadamard", "trace", 0.3): {},
+        }
 
     def test_decay_override_answers_like_a_fresh_lexicon(self):
         lex = self.fig1()
@@ -1449,10 +1460,18 @@ class TestNegationMemo:
             assert kept(cn_word("hamster", lex, cfg)) == kept(
                 cn_word("hamster", self.fig1(), cfg)
             )
-        # an override's context is rebuilt on every call, so it is never kept
-        overridden = self.fig1()
-        cn_word("hamster", overridden, NegationConfig(decay=0.3))
-        assert not any(overridden._negations.values())
+        # one table per decay; the lexicon's own decay shares the None table
+        assert sorted(lex._negations, key=repr) == [
+            ("pinv", "conjugate", "trace", 0.3),
+            ("pinv", "conjugate", "trace", 0.9),
+            ("pinv", "conjugate", "trace", None),
+        ]
+        for decay in (0.3, 0.9, None, lex.decay):
+            cfg = NegationConfig("pinv", "conjugate", decay=decay)
+            key = ("pinv", "conjugate", "trace", None if decay == lex.decay else decay)
+            assert cn_word("hamster", lex, cfg) is lex._negations[key]["hamster"]
+        own = NegationConfig("pinv", "conjugate", decay=lex.decay)
+        assert cn_word("hamster", lex, own) is cn_word("hamster", lex, dataclasses.replace(own, decay=None))
 
     def test_memo_is_private(self):
         lex = self.fig1()
@@ -1621,6 +1640,140 @@ def ranked_outcome(word, lex, cfg, top_k=None):
     if top_k is not None and not isinstance(want, tuple):
         want = repr(reference_alternatives(word, lex, cfg)[:top_k])
     return exact_outcome(alternatives, word, lex, cfg, top_k), want
+
+
+def kary_taxonomy(n_leaves, k=4):
+    """A complete k-ary tree with ``n_leaves`` leaves, a power of k."""
+    lines, level = [], ["r"]
+    while len(level) < n_leaves:
+        level = [f"{parent}.{i}" for parent in level for i in range(k)]
+        lines += [f"{c}\t{c.rsplit('.', 1)[0]}" for c in level]
+    return parse_taxonomy("\n".join(lines) + "\n")
+
+
+def fsum_rows_or_error(x, v):
+    try:
+        return [s.hex() for s in _fsum_rows(x, v)]
+    except OverflowError:
+        return OverflowError
+
+
+def reference_rows_or_error(x, v):
+    try:
+        return [math.fsum(row).hex() for row in (x * v).tolist()]
+    except OverflowError:
+        return OverflowError
+
+
+ROW_KINDS = ("zeros", "subnormal", "signed", "positive", "range", "overflow", "tie", "tie_cancel")
+
+
+def hard_row(rng, kind, n):
+    """One row of ``kind``: signed zeros, subnormals, signed entries over 120
+    binades, scorer-like entries in [0, 1), 1e-300...1e300 magnitudes, near-
+    overflow entries, or rows whose sum sits at a + ulp/2 +- 2**-k (spread over
+    n - 1 equal entries, or at an exact midpoint with a pair +-B beside it)."""
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0], n)
+    if kind == "subnormal":
+        return rng.integers(-(2**20), 2**20, n) * 5e-324
+    if kind == "signed":
+        return rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n))
+    if kind == "positive":
+        return rng.random(n)
+    if kind == "range":
+        return rng.choice([-1.0, 1.0], n) * rng.random(n) * 10.0 ** rng.uniform(-300, 300, n)
+    if kind == "overflow":
+        row = np.zeros(n)
+        row[rng.integers(0, n, 3)] = rng.choice([-1.0, 1.0], 3) * rng.uniform(0.3, 1.0, 3) * 1.7e308
+        return row
+    a = float(rng.uniform(1.0, 2.0) if rng.random() < 0.7 else 1.0) * 2.0 ** int(rng.integers(-40, 40))
+    if rng.random() < 0.5:
+        a = -a
+    half = (math.nextafter(abs(a), math.inf) - abs(a)) / 2
+    if rng.random() < 0.5:  # a power of two's gap below is the smaller one
+        half = (abs(a) - math.nextafter(abs(a), 0)) / 2
+    off = half * (rng.choice([-1.0, 1.0]) + rng.choice([-1.0, 1.0]) * 2.0 ** -int(rng.integers(1, 70)))
+    if kind == "tie" or n < 4:
+        row = np.full(n, off / max(n - 1, 1))
+        row[0] = a
+    else:
+        row = np.zeros(n)
+        big = abs(a) * 2.0 ** int(rng.integers(-3, 12))
+        row[:4] = a, off, big, -big
+    return rng.permutation(row)
+
+
+class TestCertifiedRowSums:
+    """``_fsum_rows`` gives ``math.fsum``'s bits and errors on every row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from((1, 2, 63, 64, 65, 4096)),
+        count=st.sampled_from((1, 2, 5, 257, 300)),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        scaled=st.booleans(),
+    )
+    def test_bitwise_equal_to_fsum(self, n, count, kinds, seed, scaled):
+        rng = np.random.default_rng(seed)
+        x = np.array([hard_row(rng, kinds[i % len(kinds)], n) for i in range(count)])
+        # a scaled row's products are not the constructed ones, nor can they overflow
+        v = rng.random(n) + 0.5 if scaled and "overflow" not in kinds else np.ones(n)
+        assert fsum_rows_or_error(x, v) == reference_rows_or_error(x, v)
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 4096])
+    def test_near_ties(self, n):
+        # rows built to sit within a few rounding errors of a float's
+        # rounding boundary: a wrong bound or interval shows here
+        rng = np.random.default_rng(n)
+        for kind in ("tie", "tie_cancel") * (8 if n == 4096 else 200):
+            x = np.array([hard_row(rng, kind, n) for _ in range(4 if n == 4096 else 40)])
+            v = np.ones(n)
+            assert fsum_rows_or_error(x, v) == reference_rows_or_error(x, v)
+
+    def test_overflow_is_kept(self):
+        x = np.array([[1.0, 2.0], [1e308, 1e308]])
+        with pytest.raises(OverflowError):
+            _fsum_rows(x, np.ones(2))
+        # finite sums whose partial sums overflow in fsum; in the second,
+        # the float64 sum of magnitudes loses the four ulp(max)/4 entries
+        # added to max and stays finite
+        with pytest.raises(OverflowError):
+            _fsum_rows(np.array([[1e308, 1e308, -1e308]]), np.ones(3))
+        row = np.zeros(40)
+        row[::8] = np.finfo(float).max, 2.0**969, 2.0**969, -(2.0**969), -(2.0**969)
+        with pytest.raises(OverflowError):
+            math.fsum(row.tolist())
+        with pytest.raises(OverflowError):
+            _fsum_rows(row[None], np.ones(40))
+
+    def tree_states(self, lex):
+        words = (lex.leaves[5], lex.leaves[700], "r.0", "r.1.2", "r.3.3.1")
+        for word in words:
+            for cfg in (NegationConfig(), NegationConfig("pinv", "conjugate")):
+                yield cn_word(word, lex, cfg)
+
+    def test_tree_of_1024_leaves(self):
+        lex = build_lexicon(kary_taxonomy(1024))
+        for sigma in (0.0, 0.5):
+            alternatives(lex.leaves[0], lex, NegationConfig(sigma=sigma))
+            diags = lex._smoothed[sigma].stack.diags
+            for state in self.tree_states(lex):
+                v = state._diag
+                assert fsum_rows_or_error(diags, v) == reference_rows_or_error(diags, v)
+
+    @pytest.mark.skipif(not _WIDE, reason="the wide sum needs x87 80-bit long double")
+    def test_few_rows_fall_back(self):
+        # a sum that always fell back to math.fsum would pass every test above
+        lex = build_lexicon(kary_taxonomy(1024))
+        alternatives(lex.leaves[0], lex)
+        diags = lex._smoothed[0.5].stack.diags
+        states = list(self.tree_states(lex))
+        with mock.patch("math.fsum", wraps=math.fsum) as fsum:
+            for state in states:
+                _fsum_rows(diags, state._diag)
+        assert fsum.call_count < 0.25 * len(states) * len(diags)
 
 
 class TestLeafStackCheck:

@@ -24,7 +24,7 @@ from convneg.lexicon import (
 from convneg.operators import MAX_ENTRY, Operator, _entries, diagonal, operator_to_lines
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
-from conftest import COLORS_TSV, FIG1_TSV, FIXTURES, golden_stores
+from conftest import COLORS_TSV, FIG1_TSV, FIXTURES, golden_stores, without_blocks
 
 
 @pytest.fixture(scope="module")
@@ -415,6 +415,22 @@ class TestStore:
         path.write_text(text)
         with pytest.raises(ParseError, match="missing WC"):
             load_lexicon(path)
+
+    def test_leaf_without_word_block(self, fig1_lex, tmp_path):
+        # it used to load, and every negate-word on it raised UnknownWord
+        path = tmp_path / "noplanet.lex"
+        save_lexicon(fig1_lex, path)
+        path.write_text(without_blocks(path.read_text(), "planet"))
+        with pytest.raises(ParseError, match="^line 3: leaf without a WORD block: planet$") as exc:
+            load_lexicon(path)
+        assert exc.value.line == 3
+
+    def test_bare_leaf_labels_still_load(self, tmp_path):
+        # no leaf is a word: the leaves only label the basis
+        text = "LEXICON v1\nDECAY 0.5\nLEAVES l0\nWORD a\nOPERATOR 1\nLABELS -\n1.0\n"
+        path = tmp_path / "bare.lex"
+        path.write_text(text + text.split("\n", 3)[3].replace("WORD", "WC"))
+        assert load_lexicon(path).leaves == ("l0",)
 
     def test_loaded_lexicon_has_no_taxonomy(self, fig1_lex, tmp_path):
         path = tmp_path / "fig1.lex"

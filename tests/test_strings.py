@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COLORS_TSV, DRINKS_TSV, FIG1_TSV
+from convneg.entailment import SIGMA_DEFAULT
 from convneg.errors import (
     AlignmentError,
     AmbiguousWord,
@@ -25,6 +26,7 @@ from convneg.strings import (
     WordString,
     _best_from_scores,
     _choose,
+    _overlaps,
     _product_tree,
     best_interpretation,
     cn_string,
@@ -32,9 +34,14 @@ from convneg.strings import (
     enumerate_negation_sets,
     interpretation_scores,
     size_prior,
-    string_score,
 )
 from convneg.taxonomy import parse_taxonomy
+
+
+def string_score(states, target, sigma=SIGMA_DEFAULT):
+    """Word-by-word overlap of ``states`` with ``target``, multiplied across
+    positions: the score every interpretation's weight is built from."""
+    return math.prod(_overlaps(states, target, sigma))
 
 
 @pytest.fixture(scope="module")
