@@ -7,28 +7,25 @@ and asks what fraction of it is consistent with a predicate, optionally
 smoothed by the predicate word's worldly context so that near-misses grade
 above zero instead of collapsing to orthogonality.
 
-A smoothed predicate depends on the word and sigma only, and a lexicon is
-read-only, so each lexicon keeps the ones built for the sigma last used
-(``Lexicon._smoothed``) and builds each once. Each also keeps every score
-``overlap_score`` computed with it, weakly keyed by state (operators hash by
-identity), so a repeated overlap is a lookup. ``alternatives`` scores
-every leaf in one product of the state's main diagonal with the leaves'
-predicate diagonals, stacked once per lexicon, whenever the state or every
-predicate is diagonal; each score is the same correctly rounded sum as
-``trace_product``'s (``_fsum_rows`` proves most from a long double sum),
-so scores and exact ties do not change. The stack keeps each state's leaf
-scores, weakly keyed by state, so a repeated ``alternatives`` only re-ranks.
+A lexicon is read-only, so it keeps the smoothed predicates built for the
+sigma last used (``Lexicon._smoothed``), each with every ``overlap_score``
+computed with it, weakly keyed by state (operators hash by identity). When
+every leaf predicate is diagonal, ``alternatives`` stacks their diagonals
+once and scores all leaves in one product with the state's main diagonal;
+``_fsum_rows`` gives each row ``trace_product``'s correctly rounded sum, so
+scores and exact ties do not change, and each state's leaf scores are kept.
+Dense leaf predicates are scored one by one and nothing is kept.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, ZeroOperator
+from .errors import DimMismatch, UnknownWord, ZeroOperator
 from .lexicon import Lexicon
 from .operators import (
     Operator,
@@ -131,26 +128,20 @@ def loewner_k(a: Operator, b: Operator) -> float:
     return _clamp01(loewner_k_raw(a, b))
 
 
-class _LeafStack(NamedTuple):
-    """The leaves' predicates: whether all are diagonal, stacked diagonals, scores by state."""
-
-    diagonal: bool
-    diags: np.ndarray
-    scores: weakref.WeakKeyDictionary
-
-
 class _Smoothed:
     """One lexicon's smoothed predicates at one sigma.
 
     ``words`` maps a word to its predicate and its overlaps by state.
-    ``stack`` is the leaves' ``_LeafStack``.
+    ``diags`` stacks the leaves' predicate diagonals, once all are diagonal,
+    and ``scores`` keeps each state's leaf scores against them.
     """
 
-    __slots__ = ("words", "stack")
+    __slots__ = ("words", "diags", "scores")
 
     def __init__(self) -> None:
         self.words: dict[str, tuple] = {}
-        self.stack: _LeafStack | None = None
+        self.diags: np.ndarray | None = None
+        self.scores = weakref.WeakKeyDictionary()
 
 
 def _memo(lex: Lexicon, sigma: float) -> _Smoothed:
@@ -199,8 +190,10 @@ def _fsum_rows(diags: np.ndarray, v: np.ndarray) -> list[float]:
     w - d is exact (Sterbenz), and a positive d's rounding interval reaches
     (d - nextafter(d, 0)) / 2 both ways at least. Where |w - d| + 2*k*u*S is
     less, d is s correctly rounded, as fsum gives it, and S < 2**1023 keeps
-    fsum's partial sums finite. Other rows (a zero, negative or non-finite d
-    fails the test by itself) and all rows on other long doubles take fsum.
+    fsum's partial sums finite. A row with S = 0 holds only signed zeros,
+    which fsum sums to +0.0, as d + 0.0 is. Other rows (a zero, negative or
+    non-finite d fails the test by itself) and all rows on other long
+    doubles take fsum.
     """
     if not _WIDE:
         return [math.fsum(row) for row in (diags * v).tolist()]
@@ -211,52 +204,46 @@ def _fsum_rows(diags: np.ndarray, v: np.ndarray) -> list[float]:
         block = diags[i : i + _BLOCK] * v
         with np.errstate(invalid="ignore", over="ignore"):
             wide = np.add.reduceat(block, starts, axis=1, dtype=np.longdouble).sum(axis=1)
-            d, mags = wide.astype(np.float64), np.abs(block).sum(axis=1)
+            d, mags = wide.astype(np.float64) + 0.0, np.abs(block).sum(axis=1)
             half = (d - np.nextafter(d, 0)).astype(np.longdouble) / 2
-            ok = (mags < 2.0**1023) & (np.abs(wide - d) + margin * mags < half)
+            ok = (mags < 2.0**1023) & (np.abs(wide - d) + margin * mags < half) | (mags == 0)
         sums += d.tolist()
         for j in np.flatnonzero(~ok).tolist():
             sums[i + j] = math.fsum(block[j].tolist())
     return sums
 
 
-def _overlap_scores(
-    a: Operator, words: Sequence[str], lex: Lexicon, sigma: float
-) -> Sequence[float]:
-    """``overlap_score(a, word, lex, sigma)`` for each of ``words``.
+def _leaf_scores(a: Operator, lex: Lexicon, sigma: float) -> Sequence[float]:
+    """``overlap_score(a, leaf, lex, sigma)`` for each leaf of ``lex``.
 
-    When every trace product takes ``trace_product``'s O(n) path (``a`` or
-    every predicate is diagonal), ``a``'s main diagonal multiplies the
-    predicates' stacked diagonals in one product, and each row sums the
-    products ``trace_product`` would, correctly rounded (``_fsum_rows`` for
-    the leaves, whose stack and scores are kept, read after the checks).
-    Otherwise each pair goes through ``trace_product``.
+    Once every leaf predicate is diagonal their diagonals are stacked, and
+    ``_fsum_rows`` sums each row of the stack times ``a``'s main diagonal as
+    ``trace_product`` would; the scores are kept by state and read after the
+    checks. Otherwise each leaf goes through ``trace_product``.
     """
     t = a.trace()
     if t <= ZERO_TRACE_TOL:
         raise ZeroOperator("overlap score needs a nonzero state")
     _check_sigma(sigma)
     table = _memo(lex, sigma)
-    leaves, stack = words == lex.leaves, table.stack
-    # a kept stack's leaves are words of the lexicon: none raises UnknownWord
-    fresh = not (leaves and stack and (stack.diagonal or a._diag is not None))
-    preds = [_record(word, lex, sigma, table)[0] for word in words] if fresh else ()
+    if table.diags is None:  # a stack's leaves are words: none raises UnknownWord
+        if not any(map(lex.__contains__, lex.leaves)):
+            where = f"lexicon {lex.name!r}" if lex.name else "the lexicon"
+            raise UnknownWord(
+                f"no leaf of {where} is a word: its leaves are bare basis labels, "
+                "so there are no alternatives to rank"
+            )
+        preds = [_record(leaf, lex, sigma, table)[0] for leaf in lex.leaves]
     if a.dim != lex.dim:
         raise DimMismatch(f"state dim {a.dim} vs predicate dim {lex.dim}")
-    if fresh:
-        diagonal = all(p._diag is not None for p in preds)
-        if a._diag is None and not diagonal:
+    if table.diags is None:
+        if not all(p._diag is not None for p in preds):
             return [_clamp01(trace_product(a, p) / t) for p in preds]
-        diags = np.array([_main_diagonal(p) for p in preds])
-        diags.setflags(write=False)
-        stack = _LeafStack(diagonal, diags, weakref.WeakKeyDictionary() if leaves else {})
-        if leaves:
-            table.stack = stack
-    kept = stack.scores
+        table.diags = np.array([p._diag for p in preds])
+        table.diags.setflags(write=False)
+    kept = table.scores
     if a not in kept:
-        v = _main_diagonal(a)
-        sums = _fsum_rows(stack.diags, v) if leaves else map(math.fsum, (stack.diags * v).tolist())
-        kept[a] = tuple([_clamp01(s / t) for s in sums])
+        kept[a] = tuple([_clamp01(s / t) for s in _fsum_rows(table.diags, _main_diagonal(a))])
     return kept[a]
 
 
@@ -266,13 +253,19 @@ def overlap_score(
     """Probability that the mixture ``a`` is consistent with ``word``.
 
     Tr(rho_a . smoothed predicate), which lies in [0, 1] because the state is
-    trace-normalized and the predicate sup-normalized.
+    trace-normalized and the predicate sup-normalized. Kept with the word's
+    predicate, weakly keyed by ``a``.
     """
     table = lex._smoothed.get(sigma)  # only a valid sigma has one
     hit = table and table.words.get(word)
     if hit and a in hit[1]:  # a zero state is never kept
         return hit[1][a]
-    score = _overlap_scores(a, (word,), lex, sigma)[0]
-    # the scoring just built the word's record
-    lex._smoothed[sigma].words[word][1][a] = score
+    t = a.trace()
+    if t <= ZERO_TRACE_TOL:
+        raise ZeroOperator("overlap score needs a nonzero state")
+    _check_sigma(sigma)
+    pred, kept = _record(word, lex, sigma, _memo(lex, sigma))
+    if a.dim != lex.dim:
+        raise DimMismatch(f"state dim {a.dim} vs predicate dim {lex.dim}")
+    score = kept[a] = _clamp01(trace_product(a, pred) / t)
     return score

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .entailment import SIGMA_DEFAULT, _check_sigma, _overlap_scores
+from .entailment import SIGMA_DEFAULT, _check_sigma, _leaf_scores
 from .errors import ZeroNegation, ZeroOperator
 from .lexicon import Lexicon, _check_decay
 from .operators import (
     Operator,
-    PINV_TOL,
     ZERO_TRACE_TOL,
     complement,
     conjugate_update,
@@ -74,9 +73,10 @@ def logical_not_complement(p: Operator) -> Operator:
     return complement(p)
 
 
-def logical_not_pinv(a: Operator, tol: float = PINV_TOL) -> Operator:
-    """Sup-normalized Moore-Penrose pseudoinverse: inverts on support only."""
-    return normalize(pseudoinverse(a, tol), "sup")
+def logical_not_pinv(a: Operator) -> Operator:
+    """Sup-normalized Moore-Penrose pseudoinverse: inverts on support only
+    (eigenvalues above ``PINV_TOL``)."""
+    return normalize(pseudoinverse(a), "sup")
 
 
 def _logical_not(p: Operator, cfg: NegationConfig) -> Operator:
@@ -130,7 +130,7 @@ def alternatives(
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     state = cn_word(word, lex, cfg)
-    scores = _overlap_scores(state, lex.leaves, lex, cfg.sigma)
+    scores = _leaf_scores(state, lex, cfg.sigma)
     # a stable sort, so equal scores keep leaf order under reverse=True too
     order, leaves = sorted(range(len(scores)), key=scores.__getitem__, reverse=True), lex.leaves
     ranked = [(leaves[i], scores[i]) for i in order if leaves[i] != word]

@@ -198,8 +198,8 @@ class Operator:
     def min_eigenvalue(self) -> float:
         return float(self._diag.min() if self._diag is not None else self.eigenvalues()[0])
 
-    def is_zero(self, tol: float = ZERO_TRACE_TOL) -> bool:
-        return self.trace() <= tol
+    def is_zero(self) -> bool:
+        return self.trace() <= ZERO_TRACE_TOL
 
     def diagonal(self) -> np.ndarray:
         return _main_diagonal(self).copy()
@@ -404,12 +404,12 @@ def normalize(a: Operator, mode: str = "trace") -> Operator:
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
-def pseudoinverse(a: Operator, tol: float = PINV_TOL) -> Operator:
-    """Moore-Penrose pseudoinverse; eigenvalues <= tol are treated as zero.
-    For a diagonal operator, 1/d_i where d_i > tol and 0 elsewhere."""
+def pseudoinverse(a: Operator) -> Operator:
+    """Moore-Penrose pseudoinverse; eigenvalues <= PINV_TOL are treated as
+    zero. For a diagonal operator, 1/d_i where d_i > PINV_TOL, else 0."""
 
     def invert(lam: np.ndarray) -> np.ndarray:
-        support = lam > tol
+        support = lam > PINV_TOL
         if not np.any(support):
             raise ZeroOperator("pseudoinverse of the (numerically) zero operator")
         return np.where(support, 1.0 / np.where(support, lam, 1.0), 0.0)
@@ -419,13 +419,13 @@ def pseudoinverse(a: Operator, tol: float = PINV_TOL) -> Operator:
     return Operator(_spectral(a._matrix, invert), a.labels)
 
 
-def support_projector(a: Operator, tol: float = PINV_TOL) -> Operator:
-    """Orthogonal projector onto the range of ``a``: for a diagonal operator,
-    the indicator of d_i > tol."""
+def support_projector(a: Operator) -> Operator:
+    """Orthogonal projector onto the range of ``a`` (eigenvalues above
+    PINV_TOL): for a diagonal operator, the indicator of d_i > PINV_TOL."""
     if a._diag is not None:
-        return _from_entries((a._diag > tol).astype(np.float64), a.labels)
+        return _from_entries((a._diag > PINV_TOL).astype(np.float64), a.labels)
     lam, vecs = np.linalg.eigh(a._matrix)
-    keep = lam > tol
+    keep = lam > PINV_TOL
     out = vecs[:, keep] @ vecs[:, keep].T
     return Operator((out + out.T) / 2.0, a.labels)
 

@@ -290,6 +290,24 @@ class TestTaxonomyAndLexicon:
         assert code == 1
         assert "ValueError" in err
 
+    def test_store_with_bare_leaves(self, tmp_path):
+        from convneg.lexicon import Lexicon, save_lexicon
+        from convneg.operators import diagonal, identity
+
+        # no leaf is a word: entail answers, negate-word says why it cannot
+        ops = {"x": diagonal([1.0, 0.5, 0.0]), "y": diagonal([0.0, 1.0, 1.0])}
+        lex = Lexicon(("x", "y"), ("l0", "l1", "l2"), ops, dict.fromkeys(ops, identity(3)), 0.5)
+        store = str(tmp_path / "bare.lex")
+        save_lexicon(lex, store)
+        assert invoke("lexicon", "check", store) == (0, "ok: 2 concepts, dim 3, decay 0.5\n", "")
+        assert invoke("entail", "x", "y", "--taxonomy", store)[0] == 0
+        code, out, err = invoke("negate-word", "x", "--taxonomy", store)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: UnknownWord: no leaf of lexicon 'bare' is a word: its leaves are "
+            "bare basis labels, so there are no alternatives to rank\n"
+        )
+
     def test_corrupted_store(self, tmp_path):
         store = tmp_path / "fig1.lex"
         invoke("lexicon", "build", F1, "--out", str(store))

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convneg.entailment
 import convneg.lexicon
 import convneg.negation
 from convneg.errors import (
@@ -54,7 +55,7 @@ from convneg.entailment import (
     SUPPORT_RESIDUAL_TOL,
     _WIDE,
     _fsum_rows,
-    _overlap_scores,
+    _leaf_scores,
     loewner_k,
     loewner_k_raw,
     overlap_score,
@@ -1115,8 +1116,15 @@ def reference_overlap(state, word, lex, sigma):
 
 
 def reference_alternatives(word, lex, cfg):
-    """One overlap per leaf, each with its predicate rebuilt, then ranked."""
+    """One overlap per leaf, each with its predicate rebuilt, then ranked;
+    a lexicon without word leaves raises before any leaf is named."""
     state = cn_word(word, lex, cfg)
+    if not any(leaf in lex for leaf in lex.leaves):
+        where = f"lexicon {lex.name!r}" if lex.name else "the lexicon"
+        raise UnknownWord(
+            f"no leaf of {where} is a word: its leaves are bare basis labels, "
+            "so there are no alternatives to rank"
+        )
     scored = [
         (reference_overlap(state, leaf, lex, cfg.sigma), i, leaf)
         for i, leaf in enumerate(lex.leaves)
@@ -1262,7 +1270,7 @@ class TestSmoothedPredicateMemo:
         # one n-vector per word plus the leaves' stack: no more than the
         # lexicon's own word and context operators hold
         held = sum(pred._diag.nbytes for pred, _ in table.words.values())
-        held += table.stack.diags.nbytes
+        held += table.diags.nbytes
         own = sum(op._diag.nbytes for ops in (lex.word_ops, lex.wc_ops) for op in ops.values())
         assert held <= own
 
@@ -1488,11 +1496,11 @@ class TestNegationMemo:
 
 def leaf_scores_kept(lex, sigma):
     """The leaf scores the lexicon keeps by state at ``sigma``."""
-    return lex._smoothed[sigma].stack.scores
+    return lex._smoothed[sigma].scores
 
 
 def leaf_scores(state, lex, sigma):
-    return _overlap_scores(state, lex.leaves, lex, sigma)
+    return _leaf_scores(state, lex, sigma)
 
 
 class TestLeafScoreMemo:
@@ -1758,7 +1766,7 @@ class TestCertifiedRowSums:
         lex = build_lexicon(kary_taxonomy(1024))
         for sigma in (0.0, 0.5):
             alternatives(lex.leaves[0], lex, NegationConfig(sigma=sigma))
-            diags = lex._smoothed[sigma].stack.diags
+            diags = lex._smoothed[sigma].diags
             for state in self.tree_states(lex):
                 v = state._diag
                 assert fsum_rows_or_error(diags, v) == reference_rows_or_error(diags, v)
@@ -1768,12 +1776,59 @@ class TestCertifiedRowSums:
         # a sum that always fell back to math.fsum would pass every test above
         lex = build_lexicon(kary_taxonomy(1024))
         alternatives(lex.leaves[0], lex)
-        diags = lex._smoothed[0.5].stack.diags
+        diags = lex._smoothed[0.5].diags
         states = list(self.tree_states(lex))
         with mock.patch("math.fsum", wraps=math.fsum) as fsum:
             for state in states:
                 _fsum_rows(diags, state._diag)
         assert fsum.call_count < 0.25 * len(states) * len(diags)
+
+    @pytest.mark.skipif(not _WIDE, reason="the wide sum needs x87 80-bit long double")
+    def test_zero_rows_are_certified(self):
+        # at sigma 0 a leaf's predicate is its word operator alone, so rows
+        # outside a state's support are zero rows: +0.0 without math.fsum
+        lex = build_lexicon(kary_taxonomy(1024))
+        alternatives(lex.leaves[0], lex, NegationConfig(sigma=0.0))
+        diags = lex._smoothed[0.0].diags
+        rows = [(np.array([[-0.0, 0.0], [-0.0, -0.0]]), np.ones(2))]
+        for state in self.tree_states(lex):
+            rows.append((diags[~(diags * state._diag).any(axis=1)], state._diag))
+        assert sum(len(x) for x, _ in rows) > len(rows)
+        with mock.patch("math.fsum", wraps=math.fsum) as fsum:
+            sums = [s.hex() for x, v in rows for s in _fsum_rows(x, v)]
+        assert fsum.call_count == 0
+        assert set(sums) == {"0x0.0p+0"}
+
+
+class TestFsumOnlySum:
+    """``_fsum_rows`` where numpy's long double is not x87's: math.fsum alone."""
+
+    def test_rows_match_fsum(self):
+        rng = np.random.default_rng(17)
+        with mock.patch.object(convneg.entailment, "_WIDE", False):
+            for kind in ROW_KINDS:
+                for n in (1, 63, 64, 65, 300):
+                    x = np.array([hard_row(rng, kind, n) for _ in range(5)])
+                    v = np.ones(n)
+                    assert fsum_rows_or_error(x, v) == reference_rows_or_error(x, v), kind
+
+    def rankings(self, lex, sigma):
+        out = []
+        for word in lex.concepts:
+            try:
+                ranked = alternatives(word, lex, NegationConfig(sigma=sigma))
+                out.append([(leaf, score.hex()) for leaf, score in ranked])
+            except ZeroNegation:
+                out.append("ZeroNegation")
+        return out
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_alternatives_unchanged(self, sigma):
+        fixtures = [load_taxonomy(f) for f in sorted(FIXTURES.glob("*.tsv"))]
+        for tax in [kary_taxonomy(64), *fixtures]:
+            want = self.rankings(build_lexicon(tax), sigma)
+            with mock.patch.object(convneg.entailment, "_WIDE", False):
+                assert self.rankings(build_lexicon(tax), sigma) == want
 
 
 class TestLeafStackCheck:
@@ -1827,7 +1882,7 @@ class TestLeafStackCheck:
         lex = self.fig1()
         cfg = NegationConfig(sigma=sigma)
         ranked = alternatives("dog", lex, cfg)
-        kept_stack = lex._smoothed[sigma].stack
+        kept_stack = lex._smoothed[sigma].diags
         changed = with_operator(lex, table, "hamster", "dog" if table == "word_ops" else "planet")
         if scorer == "alternatives":
             got, want = ranked_outcome("dog", changed, cfg)
@@ -1838,12 +1893,12 @@ class TestLeafStackCheck:
             assert float.hex(overlap_score(state, "hamster", changed, sigma)) == float.hex(
                 reference_overlap(state, "hamster", changed, sigma)
             )
-            assert changed._smoothed[sigma].stack is None
+            assert changed._smoothed[sigma].diags is None
         # the original lexicon still serves its own stack
         for _ in range(2):
             got, want = ranked_outcome("dog", lex, cfg)
             assert got == want == repr(ranked)
-        assert lex._smoothed[sigma].stack is kept_stack
+        assert lex._smoothed[sigma].diags is kept_stack
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_deleted_leaf_raises_on_every_call(self, sigma):
@@ -1860,6 +1915,27 @@ class TestLeafStackCheck:
             got, want = ranked_outcome("dog", without, cfg)
             assert got == want
         assert repr(alternatives("dog", lex, cfg)) == repr(ranked)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_bare_leaves_raise_on_every_call(self, dense):
+        # no leaf is a word: the error says so rather than naming 'l0'
+        ops = [diagonal([1.0, 0.5, 0.0]), diagonal([0.0, 1.0, 1.0]), identity(3)]
+        if dense:
+            q = random_orthogonal(3, 3)
+            ops = [Operator((m + m.T) / 2.0) for m in (q @ op.matrix @ q.T for op in ops)]
+        lex = Lexicon(
+            concepts=("x", "y"),
+            leaves=("l0", "l1", "l2"),
+            word_ops={"x": ops[0], "y": ops[1]},
+            wc_ops={"x": ops[2], "y": ops[2]},
+            decay=0.5,
+            name="bare",
+        )
+        for sigma in (0.0, 0.5):
+            for _ in range(2):
+                with pytest.raises(UnknownWord, match="no leaf of lexicon 'bare' is a word: its leaves are bare basis labels"):
+                    alternatives("x", lex, NegationConfig(sigma=sigma))
+            assert lex._smoothed[sigma].diags is None
 
     def test_wrong_dim_state_raises_on_every_call(self):
         lex = self.fig1()
@@ -1887,29 +1963,28 @@ class TestLeafStackCheck:
         lex = self.fig1()
         turned = rotated(lex, random_orthogonal(5, 4))
         save_lexicon(turned, tmp_path / "turned.lex")
-        # hamster's operators alone rotated: one dense predicate in the stack
+        # hamster's operators alone rotated: one dense leaf predicate
         half = dataclasses.replace(
             lex,
             word_ops={**lex.word_ops, "hamster": turned.word_ops["hamster"]},
             wc_ops={**lex.wc_ops, "hamster": turned.wc_ops["hamster"]},
         )
         for other in (turned, load_lexicon(tmp_path / "turned.lex"), half):
-            # a diagonal state builds the stack, a dense predicate among its rows
+            # with any dense leaf predicate, a diagonal state and a dense one
+            # both go leaf by leaf, and nothing is stacked or kept
             a = diagonal([0.4, 0.3, 0.2, 0.1])
-            got = leaf_scores(a, other, sigma)
-            want = [reference_overlap(a, leaf, other, sigma) for leaf in other.leaves]
-            assert list(map(float.hex, got)) == list(map(float.hex, want))
-            stack = other._smoothed[sigma].stack
-            assert not stack.diagonal and stack.scores[a] is got
-            # and a dense state still goes pair by pair, kept nowhere
+            for _ in range(2):
+                got = leaf_scores(a, other, sigma)
+                want = [reference_overlap(a, leaf, other, sigma) for leaf in other.leaves]
+                assert list(map(float.hex, got)) == list(map(float.hex, want))
             for cfg in EVERY_CONFIG:
                 cfg = dataclasses.replace(cfg, sigma=sigma)
                 for word in ("dog", "rodent"):
                     for _ in range(2):
                         got, want = ranked_outcome(word, other, cfg)
                         assert got == want
-            assert other._smoothed[sigma].stack is stack
-            assert all(s._diag is not None for s in stack.scores)
+            table = other._smoothed[sigma]
+            assert table.diags is None and not table.scores
 
     def test_sigma_switch_rebuilds_the_stack(self):
         lex = self.fig1()
@@ -1918,7 +1993,7 @@ class TestLeafStackCheck:
             got, want = ranked_outcome("hamster", lex, cfg)
             assert got == want
             assert list(lex._smoothed) == [sigma]
-            assert list(lex._smoothed[sigma].stack.scores) == [cn_word("hamster", lex, cfg)]
+            assert list(lex._smoothed[sigma].scores) == [cn_word("hamster", lex, cfg)]
 
     @pytest.mark.parametrize("top_k", [None, 1, 2, 4])
     def test_exact_ties_keep_leaf_order(self, top_k):
@@ -1943,7 +2018,7 @@ class TestLeafStackCheck:
         scored = [(s, i, leaf) for i, (leaf, s) in enumerate(zip(lex.leaves, scores)) if leaf != word]
         scored.sort(key=lambda t: (-t[0], t[1]))
         want = [(leaf, s) for s, _, leaf in scored][:top_k]
-        with mock.patch.object(convneg.negation, "_overlap_scores", lambda *args: tuple(scores)):
+        with mock.patch.object(convneg.negation, "_leaf_scores", lambda *args: tuple(scores)):
             # pinv, so that the root's negation is not zero
             assert repr(alternatives(word, lex, NegationConfig("pinv"), top_k)) == repr(want)
 
