@@ -386,11 +386,11 @@ def rank_alternatives(
         )
     s = actor_view(c, negated.name).unary_string()
     rows = []
-    for position, other in enumerate(c.actors):
+    for other in c.actors:
         if other.name == negated.name:
             continue
         target = actor_view(c, other.name).unary_string()
         subset, score = best_interpretation(s, target, lambda_size, cfg)
-        rows.append((-score, position, other, subset))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return [(other, subset, -neg_score) for neg_score, _, other, subset in rows]
+        rows.append((other, subset, score))
+    # a stable sort, so equal scores keep declaration order under reverse=True too
+    return sorted(rows, key=lambda r: r[2], reverse=True)

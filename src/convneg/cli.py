@@ -59,7 +59,8 @@ def _load_one(path: str) -> Lexicon:
     p = Path(path)
     with open(p, "rb") as fh:
         first = fh.readline()
-    if first.startswith(b"LEXICON"):
+    # a store's header has no tab, and a taxonomy's edge line always has one
+    if first.startswith(b"LEXICON") and b"\t" not in first:
         return load_lexicon(p)
     return build_lexicon(load_taxonomy(p), name=p.stem)
 

@@ -1,11 +1,12 @@
 """Lexicons: word operators and worldly contexts over a taxonomy's leaf space.
 
 The builder produces diagonal predicates in the leaf basis: a word's operator
-is the indicator over its descendant leaves (sup-normalized by construction),
-and its worldly context is the weighted mixture of hypernym indicators with
-geometrically decaying weights, closest hypernym first. Both are made from
-their diagonals (``operators.diagonal``, ``operators.mix``), so validating
-and combining them over n leaves costs O(n) per operator rather than an n×n
+is the indicator over its descendant leaves (sup-normalized by construction;
+all are built in one walk of ``Taxonomy.bottom_up``), and its worldly context
+is the weighted mixture of hypernym indicators with geometrically decaying
+weights, closest hypernym first. Both are made from their diagonals
+(``operators.diagonal``, ``operators.mix``), so validating and combining
+them over n leaves costs O(n) per operator rather than an n×n
 eigendecomposition. Externally trained (non-diagonal) operators can be
 injected through the store format, or through ``dataclasses.replace``; they
 are kept dense and every function here works on them unchanged. A lexicon's
@@ -132,17 +133,12 @@ def _check_decay(decay: float) -> float:
 
 def _indicators(taxonomy: Taxonomy, leaves: tuple[str, ...]) -> dict[str, Operator]:
     """Each concept's indicator over its descendant leaves, labelled by the
-    checked ``leaves``. One bottom-up pass builds each concept's leaf set
-    once, as the union of its children's, after all of theirs."""
+    checked ``leaves``. One pass over ``taxonomy.bottom_up`` builds each
+    concept's leaf set once, as the union of its children's, after theirs."""
     below = {leaf: {i} for i, leaf in enumerate(leaves)}
-    pending = {c: len(taxonomy.children[c]) for c in taxonomy.order}
-    done = list(leaves)
-    for c in done:  # grows as each concept's last child is done
-        for parent in taxonomy.parents[c]:
-            pending[parent] -= 1
-            if not pending[parent]:
-                below[parent] = set().union(*map(below.get, taxonomy.children[parent]))
-                done.append(parent)
+    for c in taxonomy.bottom_up:
+        if c not in below:
+            below[c] = set().union(*map(below.get, taxonomy.children[c]))
     ops = {c: Operator.__new__(Operator) for c in taxonomy.order}
     for c, op in ops.items():  # as ``diagonal`` does: a 0/1 row needs no check
         op._init(np.bincount(list(below[c]), minlength=len(leaves)) * 1.0, None, leaves)

@@ -24,8 +24,6 @@ from .operators import (
     pseudoinverse,
 )
 
-LOGICAL_CHOICES = ("complement", "pinv")
-COMPOSITION_CHOICES = ("hadamard", "conjugate")
 VIEW_CHOICES = ("trace", "sup")
 # size prior of string and actor negation: lambda^(|S'|-1) for a negation set S'
 LAMBDA_DEFAULT = 0.75
@@ -64,9 +62,6 @@ class NegationConfig:
         _check_sigma(self.sigma)
 
 
-DEFAULTS = NegationConfig()
-
-
 def logical_not_complement(p: Operator) -> Operator:
     """I - P for a sup-normalized (or sub-normalized) predicate
     (``operators.complement``)."""
@@ -79,16 +74,12 @@ def logical_not_pinv(a: Operator) -> Operator:
     return normalize(pseudoinverse(a), "sup")
 
 
-def _logical_not(p: Operator, cfg: NegationConfig) -> Operator:
-    if cfg.logical == "complement":
-        return logical_not_complement(p)
-    return logical_not_pinv(p)
-
-
-def _compose(neg: Operator, wc: Operator, cfg: NegationConfig) -> Operator:
-    if cfg.composition == "hadamard":
-        return hadamard(neg, wc)
-    return conjugate_update(neg, wc)
+# the negation pipeline's choices by name; NegationConfig checks names against these
+_LOGICAL = {"complement": logical_not_complement, "pinv": logical_not_pinv}
+_COMPOSITION = {"hadamard": hadamard, "conjugate": conjugate_update}
+LOGICAL_CHOICES = tuple(_LOGICAL)
+COMPOSITION_CHOICES = tuple(_COMPOSITION)
+DEFAULTS = NegationConfig()
 
 
 def cn_word(word: str, lex: Lexicon, cfg: NegationConfig = DEFAULTS) -> Operator:
@@ -106,7 +97,7 @@ def cn_word(word: str, lex: Lexicon, cfg: NegationConfig = DEFAULTS) -> Operator
         pred = normalize(p, "sup")
     except ZeroOperator:
         raise ZeroOperator(f"word {word!r} has the zero operator") from None
-    composed = _compose(_logical_not(pred, cfg), wc, cfg)
+    composed = _COMPOSITION[cfg.composition](_LOGICAL[cfg.logical](pred), wc)
     if composed.trace() <= ZERO_TRACE_TOL:
         raise ZeroNegation(
             f"negation of {word!r} is the zero operator "

@@ -457,18 +457,18 @@ def validate(a: Operator | np.ndarray) -> OperatorDiagnostics:
 # then dim rows of dim space-separated entries at full (round-trip) precision.
 # A diagonal operator is written in the same n rows: row i is repr(d_i) between
 # "0.0 " * i and " 0.0" * (n-1-i), zeros cut once per dim for all the blocks
-# one writer (one store) formats. A row that reads that way is read by
-# parsing that token alone: O(n) number work per block, not n^2. A dense
-# matrix is exactly symmetric: its upper triangle is formatted once and
-# mirrored, and a row whose first i tokens equal, as text, the i-th tokens of
-# the rows above takes those values and parses the rest. Any other row is
-# split and parsed entry by entry. A finite entry above MAX_ENTRY in magnitude
-# is refused, naming the first row with one, before the block is validated.
-# One LineReader (one store) reads each distinct thing once: a block whose
-# LABELS line and rows repeat an earlier one is that block's operator, neither
-# parsed nor validated again; a diagonal row read before at the same position
-# of a block of the same dim is its entry, not matched again; a LABELS line is
-# parsed and checked once per dim.
+# one writer (one store) formats. A block whose every row reads that way is
+# read by parsing each row's one token: O(n) number work per block, not n^2.
+# Any other block is split and parsed from its first row. A dense matrix is
+# exactly symmetric: its upper triangle is formatted once and mirrored, and a
+# row whose first i tokens equal, as text, the i-th tokens of the rows above
+# takes those values and parses the rest. A finite entry above MAX_ENTRY in
+# magnitude is refused, naming the first row with one, before the block is
+# validated. One LineReader (one store) reads each distinct thing once: a
+# block whose dim, LABELS line and rows repeat an earlier one is that block's
+# operator, neither parsed nor validated again; a diagonal row read before at
+# the same position of a block of the same dim is its entry, not matched
+# again; a LABELS line is parsed and checked once per dim.
 # ---------------------------------------------------------------------------
 
 
@@ -540,15 +540,37 @@ class LineReader:
         return next(self)
 
 
-def _dense_rows(
-    reader: LineReader, dim: int, text: list[str], diag: list[float], first: int
-) -> list[list[float]]:
-    """All rows of a block whose first ``len(diag)`` rows are diagonal with
-    these entries; the rest of ``text`` (line ``first`` on) is split and
-    parsed, and a row missing at the end of input raises."""
-    rows = [[0.0] * j + [x] + [0.0] * (dim - 1 - j) for j, x in enumerate(diag)]
-    tokens = [line.split() for line in text[: len(diag)]]  # entries as text
-    for i in range(len(diag), dim):
+def _diagonal_rows(reader: LineReader, dim: int, text: list[str]) -> list[float] | None:
+    """The entries of a full block whose every row reads as diagonal, each
+    row read before at its position taken from the reader's memo; None at
+    the first row that does not."""
+    seen = reader._rows.get(dim)
+    if seen is None:
+        seen = reader._rows[dim] = [{} for _ in text]
+    diag = list(map(dict.get, seen, text))  # None where not read before
+    if None in diag:
+        # O(dim) text, not frames: the rows of a corrupt block need not be long
+        zeros = "0.0 " * dim
+        for i in [i for i, x in enumerate(diag) if x is None]:
+            row_line, tail = text[i], zeros[4 * i + 3 : 4 * dim - 1]
+            if not (row_line.startswith(zeros[: 4 * i]) and row_line.endswith(tail)):
+                return None
+            try:
+                # float() takes no inner whitespace, so a row it accepts
+                # here splits into i zeros, this entry and n-1-i zeros
+                diag[i] = seen[i][row_line] = float(row_line[4 * i : len(row_line) - len(tail)])
+            except ValueError:
+                return None  # the general path reports it
+    return diag
+
+
+def _dense_rows(reader: LineReader, dim: int, text: list[str], first: int) -> list[list[float]]:
+    """All rows of a block: ``text`` (line ``first`` on) split and parsed, a
+    row whose first i entries repeat the rows above taking their values; a
+    row missing at the end of input raises."""
+    rows: list[list[float]] = []
+    tokens: list[list[str]] = []  # entries as text
+    for i in range(dim):
         row_line = text[i] if i < len(text) else reader.require("operator block")
         fields = row_line.split()
         if len(fields) != dim:
@@ -585,41 +607,16 @@ def operator_from_lines(reader: LineReader) -> Operator:
         raise ParseError(f"expected 'LABELS ...', got {label_line!r}", reader.lineno)
     text = reader.take(dim)
     first = reader.lineno - len(text) + 1
-    key = (label_line, *text)
+    key = (dim, label_line, *text)
     op = reader._blocks.get(key)
     if op is not None:
         return op
-    if len(text) < dim:
-        # raises, at the first faulty row or at the end of input; a row a
-        # diagonal reading accepts is never faulty
-        _dense_rows(reader, dim, text, [], first)
-    seen = reader._rows.get(dim)
-    if seen is None:
-        seen = reader._rows[dim] = [{} for _ in text]
-    diag = list(map(dict.get, seen, text))  # None where not read before
-    rows: list[list[float]] | None = None  # all rows, once one is not diagonal
-    if None in diag:
-        # O(dim) text, not frames: the rows of a corrupt block need not be long
-        zeros = "0.0 " * dim
-        for i in [i for i, x in enumerate(diag) if x is None]:
-            row_line = text[i]
-            tail = zeros[4 * i + 3 : 4 * dim - 1]
-            if row_line.startswith(zeros[: 4 * i]) and row_line.endswith(tail):
-                try:
-                    # float() takes no inner whitespace, so a row it accepts
-                    # here splits into i zeros, this entry and n-1-i zeros
-                    x = float(row_line[4 * i : len(row_line) - len(tail)])
-                    diag[i] = seen[i][row_line] = x
-                    continue
-                except ValueError:
-                    pass  # the general path reports it
-            rows = _dense_rows(reader, dim, text, diag[:i], first)
-            break
-    if rows is None:
-        entries, low, high = diag, min(diag), max(diag)
-    else:
-        entries = np.array(rows)
+    diag = _diagonal_rows(reader, dim, text) if len(text) == dim else None
+    if diag is None:  # raises at the first faulty row or at the end of input
+        entries = np.array(_dense_rows(reader, dim, text, first))
         low, high = entries.min(), entries.max()
+    else:
+        entries, low, high = diag, min(diag), max(diag)
     # an extreme that is NaN fails this test too; the search skips non-finite entries
     if not (-MAX_ENTRY <= low and high <= MAX_ENTRY):
         magnitude = np.abs(entries).reshape(dim, -1)
@@ -634,7 +631,7 @@ def operator_from_lines(reader: LineReader) -> Operator:
             # a new LABELS line: checked after the entries, as Operator checks them
             raw = label_line[len("LABELS ") :].strip()
             raw_labels = () if raw == "-" else raw.split(",")
-            op = diagonal(entries, raw_labels) if rows is None else Operator(entries, raw_labels)
+            op = Operator(entries, raw_labels) if diag is None else diagonal(entries, raw_labels)
             reader._labels[label_line, dim] = op.labels
     except InvalidOperator as exc:
         raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc

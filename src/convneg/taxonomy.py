@@ -3,6 +3,12 @@
 File format: UTF-8, one ``child<TAB>parent`` edge per line, ``#`` comments and
 blank lines ignored. Concept ordering (and hence leaf ordering and every
 number built on top of it) is fixed by first appearance in the file.
+
+One pass of Kahn's topological sort both orders the concepts for bottom-up
+walks (``Taxonomy.bottom_up``) and rejects a cycle. The CyclicTaxonomy
+message names the cycle reached from the first concept in file order that is
+on or below a cycle by following, each time, its first parent in file order
+that is too: the cycle a depth-first search of the parents meets first.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ class Taxonomy:
     edges: tuple[tuple[str, str], ...]
     parents: dict[str, tuple[str, ...]] = field(repr=False)
     children: dict[str, tuple[str, ...]] = field(repr=False)
+    # every concept, each after all its children: the reverse of a
+    # topological order of the edges
+    bottom_up: tuple[str, ...] = field(compare=False, repr=False)
 
     @property
     def concepts(self) -> frozenset[str]:
@@ -124,42 +133,31 @@ def parse_taxonomy(text: str) -> Taxonomy:
         parents[child].append(parent)
         children[parent].append(child)
 
-    _reject_cycles(order, parents)
+    # Kahn's pass: each concept is placed once all its parents are
+    pending = {c: len(parents[c]) for c in order}
+    top_down = [c for c in order if not pending[c]]
+    for c in top_down:  # grows as each concept's last parent is placed
+        for child in children[c]:
+            pending[child] -= 1
+            if not pending[child]:
+                top_down.append(child)
+    if len(top_down) < len(order):
+        # a concept left over has a parent left over, so this walk (see the
+        # module docstring) ends in a cycle
+        step: dict[str, int] = {}  # the walk so far, each concept's step
+        c = next(c for c in order if pending[c])
+        while c not in step:
+            step[c] = len(step)
+            c = next(p for p in parents[c] if pending[p])
+        raise CyclicTaxonomy("cycle: " + " -> ".join([*list(step)[step[c] :], c]))
 
     return Taxonomy(
         order=tuple(order),
         edges=tuple(edges),
         parents={c: tuple(v) for c, v in parents.items()},
         children={c: tuple(v) for c, v in children.items()},
+        bottom_up=tuple(reversed(top_down)),
     )
-
-
-def _reject_cycles(order, parents) -> None:
-    # iterative DFS over child->parent edges; a back edge closes a cycle
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {c: WHITE for c in order}
-    for start in order:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        path = [start]
-        color[start] = GREY
-        while stack:
-            node, i = stack[-1]
-            if i < len(parents[node]):
-                stack[-1] = (node, i + 1)
-                nxt = parents[node][i]
-                if color[nxt] == GREY:
-                    cycle = path[path.index(nxt):] + [nxt]
-                    raise CyclicTaxonomy("cycle: " + " -> ".join(cycle))
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
-            else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import convneg.circuits as circuits
 from conftest import FIXTURES, story_lexicons
 from convneg.circuits import (
     Actor,
@@ -450,6 +451,64 @@ class TestRankAlternatives:
     def test_unknown_actor(self, story):
         with pytest.raises(UnknownActor):
             rank_alternatives(story, "Eve")
+
+
+def reference_rank(c, name, cfg, lambda_size):
+    """The ranking by the ``(-score, position)`` key, scores negated back."""
+    s = actor_view(c, name).unary_string()
+    rows = []
+    for position, other in enumerate(c.actors):
+        if other.name != name:
+            target = actor_view(c, other.name).unary_string()
+            subset, score = circuits.best_interpretation(s, target, lambda_size, cfg)
+            rows.append((-score, position, other, subset))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return [(other, subset, -neg_score) for neg_score, _, other, subset in rows]
+
+
+class TestRankMatchesIndexKey:
+    """One stable sort by score, descending, ranks as the (-score, position) key."""
+
+    SCRIPTS = [
+        "Alice is a human.\nBob is a human.\nClaire is a human.\n",
+        "Alice is a human.\nAlice is an archaeologist.\nBob is a human.\n"
+        "Bob is a biologist.\nClaire is a human.\nClaire is an archaeologist.\n"
+        "Dave is a human.\nDave is a biologist.\n",
+    ]
+
+    @staticmethod
+    def bits(rows):
+        return [(a.name, subset, score.hex()) for a, subset, score in rows]
+
+    @pytest.mark.parametrize("sigma", [0, 0.5])
+    @pytest.mark.parametrize("script", range(len(SCRIPTS)))
+    def test_scripts_with_tied_scores(self, lexes, script, sigma):
+        c = parse_script(self.SCRIPTS[script], lexes)
+        cfg = NegationConfig(sigma=sigma)
+        got = rank_alternatives(c, "Alice", cfg, 0.75)
+        want = reference_rank(c, "Alice", cfg, 0.75)
+        assert self.bits(got) == self.bits(want)
+        assert len({score for _, _, score in got}) < len(got)  # some scores tie
+
+    @pytest.mark.parametrize(
+        "scores",
+        [(0.0, 0.3, -0.0, 0.3), (5e-324, 0.0, 5e-324, -0.0), (0.1, 0.1, 0.1, 0.1)],
+        ids=["signed-zeros", "subnormal", "all-tied"],
+    )
+    def test_scripted_zero_and_tied_scores(self, lexes, scores, monkeypatch):
+        names = ["Alice", "Bob", "Claire", "Dave", "Daisy"]
+        c = parse_script("".join(f"{n} is a human.\n" for n in names), lexes)
+        outcomes = []
+        for rank in (rank_alternatives, reference_rank):
+            by_call = iter(scores)  # the other actors in declaration order
+            monkeypatch.setattr(
+                circuits, "best_interpretation", lambda *args: ((0,), next(by_call))
+            )
+            outcomes.append(self.bits(rank(c, "Alice", DEFAULTS, 0.75)))
+        assert outcomes[0] == outcomes[1]
+        # ties keep declaration order and each score's sign
+        ranked = sorted(zip(names[1:], scores), key=lambda r: -r[1])
+        assert outcomes[0] == [(n, (0,), score.hex()) for n, score in ranked]
 
 
 class TestSigmaFromConfig:

@@ -263,6 +263,20 @@ class TestTaxonomyAndLexicon:
         assert code == 1
         assert "CyclicTaxonomy" in err and "a -> b -> a" in err
 
+    def test_taxonomy_whose_first_concept_starts_with_lexicon(self, tmp_path):
+        # its first line starts like a store header but holds a tab: a TSV
+        tsv = tmp_path / "it.tsv"
+        tsv.write_text("LEXICON_ENTRY\tword\nhamster\tword\n")
+        assert invoke("taxonomy", "validate", str(tsv)) == (
+            0, "ok: 3 concepts, 2 leaves, 1 roots, 2 edges\n", ""
+        )
+        store = str(tmp_path / "it.lex")
+        assert invoke("lexicon", "build", str(tsv), "--out", store)[0] == 0
+        direct = invoke("negate-word", "hamster", "--taxonomy", str(tsv), "--sigma", "0")
+        assert direct[0] == 0 and direct[1].splitlines()[1].split()[1] == "LEXICON_ENTRY"
+        assert invoke("negate-word", "hamster", "--taxonomy", store, "--sigma", "0") == direct
+        assert invoke("entail", "hamster", "word", "--taxonomy", str(tsv)) == (0, "1.000000\n", "")
+
     def test_missing_file(self):
         code, _, err = invoke("taxonomy", "validate", "/nonexistent/f.tsv")
         assert code == 1

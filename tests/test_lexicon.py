@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import tracemalloc
 from types import MappingProxyType
 from unittest import mock
 
@@ -21,7 +22,15 @@ from convneg.lexicon import (
     resolve_word,
     save_lexicon,
 )
-from convneg.operators import MAX_ENTRY, Operator, _entries, diagonal, operator_to_lines
+from convneg.operators import (
+    MAX_ENTRY,
+    LineReader,
+    Operator,
+    _entries,
+    diagonal,
+    operator_from_lines,
+    operator_to_lines,
+)
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
 from conftest import COLORS_TSV, FIG1_TSV, FIXTURES, golden_stores, without_blocks
@@ -358,6 +367,39 @@ class TestStore:
         with pytest.raises(ParseError, match=message) as exc:
             load_lexicon(path)
         assert exc.value.line == line
+
+    def test_claimed_dim_allocates_nothing_before_its_rows(self):
+        # a header claiming 2,000,000 rows over two: the first row's entry
+        # count is refused, and nothing sized by the claim is allocated
+        reader = LineReader(["OPERATOR 2000000", "LABELS -", "1.0 0.0", "0.0 1.0"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="expected 2000000 entries, got 2") as exc:
+                operator_from_lines(reader)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.line == 3
+        assert peak < 1 << 20
+        assert reader._rows == {}
+
+    def test_truncated_block_is_not_an_earlier_block(self, tmp_path):
+        # the last block claims dim 5 but ends after the three rows of an
+        # earlier dim-3 block: it is short, not that block again
+        rows = ["1.0 0.0 0.0", "0.0 0.0 0.0", "0.0 0.0 0.0"]
+        path = tmp_path / "short.lex"
+        path.write_text(
+            "\n".join(
+                ["LEXICON v1", "DECAY 0.5", "LEAVES l0,l1,l2", "WORD a", "OPERATOR 3", "LABELS -"]
+                + rows
+                + ["WC a", "OPERATOR 5", "LABELS -"]
+                + rows
+            )
+            + "\n"
+        )
+        with pytest.raises(ParseError, match="expected 5 entries, got 3") as exc:
+            load_lexicon(path)
+        assert exc.value.line == 13
 
     def test_entry_magnitude_is_bounded(self, fig1_lex, tmp_path):
         # hamster's WORD block holds diag(1, 0, 0, 0) on lines 7-10

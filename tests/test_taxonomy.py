@@ -1,4 +1,8 @@
+import warnings
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convneg.errors import CyclicTaxonomy, ParseError, UnknownWord
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
@@ -103,3 +107,85 @@ def test_unknown_concept(fig1):
         fig1.descendant_leaves("flubber")
     with pytest.raises(UnknownWord):
         fig1.descendants("flubber")
+
+
+# ---------------------------------------------------------------------------
+# the Kahn pass against the colouring depth-first search it replaced
+
+
+def reference_cycle(edges):
+    """The CyclicTaxonomy message of the depth-first search over each
+    concept's parents in file order, or None for an acyclic edge list."""
+    order, parents = [], {}
+    for child, parent in edges:
+        for c in (child, parent):
+            if c not in parents:
+                order.append(c)
+                parents[c] = []
+        if parent not in parents[child]:
+            parents[child].append(parent)
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {c: WHITE for c in order}
+    for start in order:
+        if color[start] != WHITE:
+            continue
+        stack = [(start, 0)]
+        path = [start]
+        color[start] = GREY
+        while stack:
+            node, i = stack[-1]
+            if i < len(parents[node]):
+                stack[-1] = (node, i + 1)
+                nxt = parents[node][i]
+                if color[nxt] == GREY:
+                    return "cycle: " + " -> ".join(path[path.index(nxt) :] + [nxt])
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    stack.append((nxt, 0))
+                    path.append(nxt)
+            else:
+                color[node] = BLACK
+                stack.pop()
+                path.pop()
+    return None
+
+
+NAMES = "abcdefghi"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)), min_size=1, max_size=14
+    )
+)
+@example(edges=[("a", "a")])
+@example(edges=[("a", "b"), ("a", "b"), ("b", "a")])
+@example(edges=[("x", "a"), ("a", "b"), ("b", "a"), ("x", "c"), ("c", "d"), ("d", "c")])
+@example(edges=[("d", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "d")])
+@example(edges=[("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+def test_kahn_pass_matches_depth_first_search(edges):
+    text = "".join(f"{child}\t{parent}\n" for child, parent in edges)
+    want = reference_cycle(edges)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicate edges
+        if want is not None:
+            with pytest.raises(CyclicTaxonomy) as exc:
+                parse_taxonomy(text)
+            assert str(exc.value) == want
+            return
+        tax = parse_taxonomy(text)
+    assert sorted(tax.bottom_up) == sorted(tax.order)
+    position = {c: i for i, c in enumerate(tax.bottom_up)}
+    assert all(position[child] < position[parent] for child, parent in tax.edges)
+
+
+def test_cycle_message_names_the_first_cycle_met():
+    # b is the first concept in file order below a cycle; its first parent
+    # x is not, so the walk goes on through its second, c
+    edges = [("a", "r"), ("b", "x"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "c"), ("x", "r")]
+    text = "".join(f"{child}\t{parent}\n" for child, parent in edges)
+    with pytest.raises(CyclicTaxonomy, match="^cycle: c -> d -> e -> c$"):
+        parse_taxonomy(text)
+    assert reference_cycle(edges) == "cycle: c -> d -> e -> c"
+
