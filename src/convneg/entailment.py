@@ -9,19 +9,18 @@ above zero instead of collapsing to orthogonality.
 
 A lexicon is read-only, so it keeps the smoothed predicates built for the
 sigma last used (``Lexicon._smoothed``), each with every ``overlap_score``
-computed with it, weakly keyed by state (operators hash by identity). When
-every leaf predicate is diagonal, ``alternatives`` stacks their diagonals
-once and scores all leaves in one product with the state's main diagonal;
+computed with it, weakly keyed by state (operators hash by identity), and
+each finished ``alternatives`` ranking. When every leaf predicate is
+diagonal their diagonals are stacked once, a smoothed one then viewing its
+row, and all leaves are scored in one product with the state's main diagonal;
 ``_fsum_rows`` gives each row ``trace_product``'s correctly rounded sum, so
-scores and exact ties do not change, and each state's leaf scores are kept.
-Dense leaf predicates are scored one by one and nothing is kept.
+scores and exact ties do not change. Dense ones are scored one by one.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +43,7 @@ SUPPORT_RESIDUAL_TOL = 1e-8
 EIGH_UNSCALED = (1e-140, 1e140)
 _WIDE = np.finfo(np.longdouble).nmant == 63  # x87 80-bit: leaf scores summed wide
 _BLOCK, _CHUNK = 64, 64
+_NARROW = 32  # narrower stacks take math.fsum alone: faster than the wide sum's set-up
 
 
 def _check_sigma(sigma: float) -> float:
@@ -133,35 +133,46 @@ class _Smoothed:
 
     ``words`` maps a word to its predicate and its overlaps by state.
     ``diags`` stacks the leaves' predicate diagonals, once all are diagonal,
-    and ``scores`` keeps each state's leaf scores against them.
+    and ``rankings`` keeps each negated state's ranked leaf names and scores.
     """
 
-    __slots__ = ("words", "diags", "scores")
+    __slots__ = ("words", "diags", "rankings")
 
     def __init__(self) -> None:
         self.words: dict[str, tuple] = {}
         self.diags: np.ndarray | None = None
-        self.scores = weakref.WeakKeyDictionary()
+        self.rankings = weakref.WeakKeyDictionary()
 
 
 def _memo(lex: Lexicon, sigma: float) -> _Smoothed:
-    """The lexicon's table for ``sigma``; one for another sigma replaces it."""
+    """The lexicon's table for ``sigma``, checked when new; one for another sigma replaces it."""
     memo = lex._smoothed
     table = memo.get(sigma)
     if table is None:
+        _check_sigma(sigma)
         memo.clear()
         table = memo[sigma] = _Smoothed()
     return table
 
 
-def _record(word: str, lex: Lexicon, sigma: float, table: _Smoothed) -> tuple:
-    """The word's entry in ``table``, built if it has none."""
+def _record(
+    word: str, lex: Lexicon, sigma: float, table: _Smoothed, row: np.ndarray | None = None
+) -> tuple:
+    """The word's entry in ``table``, built if it has none. A diagonal
+    predicate is copied into the stack ``row``, if one is given, and a
+    smoothed one (sigma > 0) is then held as a view of that row."""
     hit = table.words.get(word)
     if hit is None:
         pred = p = lex.word_operator(word)
         if sigma:
             pred = normalize(mix([(1.0, p), (sigma, lex.worldly_context(word))]), "sup")
         hit = table.words[word] = (pred, weakref.WeakKeyDictionary())
+    if row is not None and hit[0]._diag is not None:
+        row[:] = hit[0]._diag
+        if sigma:
+            view = Operator.__new__(Operator)
+            view._init(row, None, hit[0].labels)
+            hit = table.words[word] = (view, hit[1])
     return hit
 
 
@@ -172,7 +183,6 @@ def smoothed_predicate(word: str, lex: Lexicon, sigma: float = SIGMA_DEFAULT) ->
     P_word + sigma * wc_word is sup-normalized back to a predicate. It is
     built once per lexicon for the sigma last used, and then returned as is.
     """
-    _check_sigma(sigma)
     return _record(word, lex, sigma, _memo(lex, sigma))[0]
 
 
@@ -193,9 +203,9 @@ def _fsum_rows(diags: np.ndarray, v: np.ndarray) -> list[float]:
     fsum's partial sums finite. A row with S = 0 holds only signed zeros,
     which fsum sums to +0.0, as d + 0.0 is. Other rows (a zero, negative or
     non-finite d fails the test by itself) and all rows on other long
-    doubles take fsum.
+    doubles take fsum, as do stacks narrower than ``_NARROW`` columns.
     """
-    if not _WIDE:
+    if not _WIDE or diags.shape[1] < _NARROW:
         return [math.fsum(row) for row in (diags * v).tolist()]
     starts = np.arange(0, diags.shape[1], _CHUNK)
     margin = np.longdouble(2 * (min(diags.shape[1], _CHUNK) + len(starts) - 2)) * 2.0**-64
@@ -213,18 +223,17 @@ def _fsum_rows(diags: np.ndarray, v: np.ndarray) -> list[float]:
     return sums
 
 
-def _leaf_scores(a: Operator, lex: Lexicon, sigma: float) -> Sequence[float]:
+def _leaf_scores(a: Operator, lex: Lexicon, sigma: float) -> list[float]:
     """``overlap_score(a, leaf, lex, sigma)`` for each leaf of ``lex``.
 
-    Once every leaf predicate is diagonal their diagonals are stacked, and
-    ``_fsum_rows`` sums each row of the stack times ``a``'s main diagonal as
-    ``trace_product`` would; the scores are kept by state and read after the
-    checks. Otherwise each leaf goes through ``trace_product``.
+    The leaf predicates are written into one stack as they are built; once
+    all are diagonal the stack is kept, and ``_fsum_rows`` sums each row of
+    it times ``a``'s main diagonal as ``trace_product`` would. Otherwise each
+    leaf goes through ``trace_product``.
     """
     t = a.trace()
     if t <= ZERO_TRACE_TOL:
         raise ZeroOperator("overlap score needs a nonzero state")
-    _check_sigma(sigma)
     table = _memo(lex, sigma)
     if table.diags is None:  # a stack's leaves are words: none raises UnknownWord
         if not any(map(lex.__contains__, lex.leaves)):
@@ -233,18 +242,16 @@ def _leaf_scores(a: Operator, lex: Lexicon, sigma: float) -> Sequence[float]:
                 f"no leaf of {where} is a word: its leaves are bare basis labels, "
                 "so there are no alternatives to rank"
             )
-        preds = [_record(leaf, lex, sigma, table)[0] for leaf in lex.leaves]
+        stack = np.empty((lex.dim, lex.dim))
+        preds = [_record(leaf, lex, sigma, table, row)[0] for leaf, row in zip(lex.leaves, stack)]
     if a.dim != lex.dim:
         raise DimMismatch(f"state dim {a.dim} vs predicate dim {lex.dim}")
     if table.diags is None:
         if not all(p._diag is not None for p in preds):
             return [_clamp01(trace_product(a, p) / t) for p in preds]
-        table.diags = np.array([p._diag for p in preds])
-        table.diags.setflags(write=False)
-    kept = table.scores
-    if a not in kept:
-        kept[a] = tuple([_clamp01(s / t) for s in _fsum_rows(table.diags, _main_diagonal(a))])
-    return kept[a]
+        stack.setflags(write=False)
+        table.diags = stack
+    return [_clamp01(s / t) for s in _fsum_rows(table.diags, _main_diagonal(a))]
 
 
 def overlap_score(
@@ -263,7 +270,6 @@ def overlap_score(
     t = a.trace()
     if t <= ZERO_TRACE_TOL:
         raise ZeroOperator("overlap score needs a nonzero state")
-    _check_sigma(sigma)
     pred, kept = _record(word, lex, sigma, _memo(lex, sigma))
     if a.dim != lex.dim:
         raise DimMismatch(f"state dim {a.dim} vs predicate dim {lex.dim}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .entailment import SIGMA_DEFAULT, _check_sigma, _leaf_scores
+from .entailment import SIGMA_DEFAULT, _check_sigma, _leaf_scores, _memo
 from .errors import ZeroNegation, ZeroOperator
 from .lexicon import Lexicon, _check_decay
 from .operators import (
@@ -116,13 +116,19 @@ def alternatives(
     """Leaf concepts a speaker plausibly meant instead of ``word``.
 
     Every leaf except the word itself, ranked by overlap with cn_word(word);
-    ties broken by leaf order. top_k=None returns the full ranking.
+    ties keep leaf order. Kept per (word, config); top_k=None returns all.
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     state = cn_word(word, lex, cfg)
-    scores = _leaf_scores(state, lex, cfg.sigma)
-    # a stable sort, so equal scores keep leaf order under reverse=True too
-    order, leaves = sorted(range(len(scores)), key=scores.__getitem__, reverse=True), lex.leaves
-    ranked = [(leaves[i], scores[i]) for i in order if leaves[i] != word]
-    return ranked if top_k is None else ranked[:top_k]
+    kept = _memo(lex, cfg.sigma).rankings
+    ranking = kept.get(state)
+    if ranking is None:
+        scores, leaves = _leaf_scores(state, lex, cfg.sigma), lex.leaves
+        # a stable sort, so equal scores keep leaf order under reverse=True too
+        order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+        order = [i for i in order if leaves[i] != word]
+        # tuples from lists: tuple() grows a tuple from a generator by resizes
+        names, scores = tuple([leaves[i] for i in order]), tuple([scores[i] for i in order])
+        ranking = kept[state] = names, scores
+    return list(zip(ranking[0][:top_k], ranking[1][:top_k]))

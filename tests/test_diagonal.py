@@ -12,7 +12,7 @@ in stores that repeat blocks or rows, and the shared worldly contexts against
 a per-concept mixture. The O(n) pseudoinverse, conjugate update and
 support projector are checked bit for bit against the eigendecomposition, and
 ``alternatives``/``overlap_score``, with their memoized smoothed predicates
-and kept leaf scores, against a per-leaf reference that rebuilds each
+and kept rankings, against a per-leaf reference that rebuilds each
 predicate, the long double leaf-score sums against ``math.fsum`` row by row,
 and ``loewner_k`` on diagonals against its dense path.
 """
@@ -53,6 +53,7 @@ from convneg.negation import (
 )
 from convneg.entailment import (
     SUPPORT_RESIDUAL_TOL,
+    _NARROW,
     _WIDE,
     _fsum_rows,
     _leaf_scores,
@@ -1255,6 +1256,30 @@ class TestSmoothedPredicateMemo:
                 alternatives("hamster", self.fig1(), cfg)
             )
 
+    def test_leaf_predicates_view_their_stack_rows(self):
+        lex = self.fig1()
+        a = diagonal([0.4, 0.3, 0.2, 0.1])
+        for sigma in (0.5, 0.0, 2.0):
+            # a record built before the stack keeps its overlaps after it
+            before = overlap_score(a, "dog", lex, sigma)
+            alternatives("hamster", lex, NegationConfig(sigma=sigma))
+            stack = lex._smoothed[sigma].diags
+            assert not stack.flags.writeable
+            for i, leaf in enumerate(lex.leaves):
+                pred = smoothed_predicate(leaf, lex, sigma)
+                assert kept(pred) == kept(reference_predicate(leaf, lex, sigma))
+                assert stack[i].tobytes() == pred._diag.tobytes()
+                if sigma:
+                    # one copy of each diagonal: the record's is its stack row
+                    assert pred._diag.base is stack and np.shares_memory(pred._diag, stack[i])
+                    assert not pred._diag.flags.writeable
+                else:
+                    assert pred is lex.word_ops[leaf]
+                assert float.hex(overlap_score(a, leaf, lex, sigma)) == float.hex(
+                    reference_overlap(a, leaf, lex, sigma)
+                )
+            assert overlap_score(a, "dog", lex, sigma) is before
+
     def test_memo_is_private_and_bounded(self):
         lex = self.fig1()
         blank, twin = pickle.dumps(lex), dataclasses.replace(lex)
@@ -1494,9 +1519,9 @@ class TestNegationMemo:
         assert not dataclasses.replace(lex)._negations
 
 
-def leaf_scores_kept(lex, sigma):
-    """The leaf scores the lexicon keeps by state at ``sigma``."""
-    return lex._smoothed[sigma].scores
+def rankings_kept(lex, sigma):
+    """The finished rankings the lexicon keeps by negated state at ``sigma``."""
+    return lex._smoothed[sigma].rankings
 
 
 def leaf_scores(state, lex, sigma):
@@ -1504,9 +1529,9 @@ def leaf_scores(state, lex, sigma):
 
 
 class TestLeafScoreMemo:
-    """Each state's leaf scores are kept beside the leaves' stacked
-    predicates, weakly keyed by state: a repeated alternatives call ranks
-    the kept scores."""
+    """Each (word, config)'s finished ranking is kept beside the leaves'
+    stacked predicates, weakly keyed by the negated state: a repeated
+    alternatives call copies the kept ranking out."""
 
     def fig1(self):
         return build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv"))
@@ -1531,16 +1556,61 @@ class TestLeafScoreMemo:
                 state = cn_word(word, lex, cfg)
             except ZeroNegation:
                 continue
-            got = leaf_scores(state, lex, sigma)
-            fresh = self.fig1()
-            want = leaf_scores(cn_word(word, fresh, cfg), fresh, sigma)
-            assert list(map(float.hex, got)) == list(map(float.hex, want))
+            got = alternatives(word, lex, cfg)
+            want = alternatives(word, self.fig1(), cfg)
+            assert repr(got) == repr(want) == repr(reference_alternatives(word, lex, cfg))
+            # the scorer keeps nothing and gives the per-leaf reference's bits
             ref = [reference_overlap(state, leaf, lex, sigma) for leaf in lex.leaves]
-            assert list(map(float.hex, got)) == list(map(float.hex, ref))
-            # a repeated call returns the very scores computed before
-            assert leaf_scores(state, lex, sigma) is got
-            assert leaf_scores_kept(lex, sigma)[state] is got
-            assert repr(alternatives(word, lex, cfg)) == repr(reference_alternatives(word, lex, cfg))
+            assert list(map(float.hex, leaf_scores(state, lex, sigma))) == list(map(float.hex, ref))
+            # a repeated call returns a new list of the very scores kept before
+            names, scores = rankings_kept(lex, sigma)[state]
+            again = alternatives(word, lex, cfg)
+            assert again == got and again is not got
+            assert [leaf for leaf, _ in again] == list(names)
+            assert all(score is k for (_, score), k in zip(again, scores, strict=True))
+
+    def test_every_config_sigma_and_top_k(self):
+        for sigma in (0.0, 0.25, 0.5):
+            lex = self.fig1()
+            for cfg in EVERY_CONFIG:
+                for decay in (None, 0.3):
+                    cfg = dataclasses.replace(cfg, sigma=sigma, decay=decay)
+                    for word in FIG1_WORDS:
+                        for top_k in (None, 1, 2, 3, 4):
+                            fresh = exact_outcome(alternatives, word, self.fig1(), cfg, top_k)
+                            got, want = ranked_outcome(word, lex, cfg, top_k)
+                            assert got == fresh == want, (cfg, word, top_k)
+            # one ranking per (word, config) that negates to a nonzero state
+            assert len(rankings_kept(lex, sigma)) == sum(map(len, lex._negations.values()))
+
+    def test_returned_list_is_the_callers(self):
+        lex = self.fig1()
+        for cfg in (NegationConfig(), NegationConfig("pinv", "conjugate", sigma=0.0)):
+            for top_k in (None, 2):
+                want = repr(reference_alternatives("hamster", lex, cfg)[:top_k])
+                for _ in range(3):
+                    got = alternatives("hamster", lex, cfg, top_k)
+                    assert repr(got) == want
+                    got[0] = ("planet", 1.0)
+                    got.append(("hamster", 0.5))
+                    got.reverse()
+                    del got[1:]
+
+    def test_dense_predicates_keep_their_ranking(self, tmp_path):
+        lex = self.fig1()
+        turned = rotated(lex, random_orthogonal(5, 4))
+        save_lexicon(turned, tmp_path / "turned.lex")
+        for other in (turned, load_lexicon(tmp_path / "turned.lex")):
+            for cfg in (NegationConfig(), NegationConfig("pinv", "conjugate", sigma=0.0)):
+                first = alternatives("dog", other, cfg)
+                state = cn_word("dog", other, cfg)
+                assert other._smoothed[cfg.sigma].diags is None
+                assert list(zip(*rankings_kept(other, cfg.sigma)[state])) == first
+                # the second call scores nothing and matches the reference
+                with mock.patch.object(convneg.negation, "_leaf_scores") as scorer:
+                    again = alternatives("dog", other, cfg)
+                assert not scorer.called
+                assert repr(again) == repr(first) == repr(reference_alternatives("dog", other, cfg))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1554,7 +1624,7 @@ class TestLeafScoreMemo:
     )
     def test_rankings_unchanged(self, tax, picks, sigma):
         lex = build_lexicon(tax)
-        # each query twice: the second ranks the kept scores
+        # each query twice: the second copies the kept ranking
         for pick, c in picks * 2:
             word = tax.order[pick % len(tax.order)]
             cfg = dataclasses.replace(EVERY_CONFIG[c], sigma=sigma)
@@ -1574,42 +1644,54 @@ class TestLeafScoreMemo:
         after = alternatives("dog", changed, cfg)
         assert repr(after) == repr(reference_alternatives("dog", changed, cfg))
         assert after != before
-        assert list(leaf_scores_kept(changed, sigma)) == [cn_word("dog", changed, cfg)]
-        # the old lexicon keeps its stack, its scores and its ranking
-        assert list(leaf_scores_kept(lex, sigma)) == [state]
+        assert list(rankings_kept(changed, sigma)) == [cn_word("dog", changed, cfg)]
+        # the old lexicon keeps its stack and its ranking
+        assert list(rankings_kept(lex, sigma)) == [state]
+        assert list(zip(*rankings_kept(lex, sigma)[state])) == before
         assert repr(alternatives("dog", lex, cfg)) == repr(before)
 
     def test_zero_state_raises_on_every_call_and_is_never_kept(self):
         lex = self.fig1()
         alternatives("dog", lex)
         state, zero = cn_word("dog", lex), diagonal([0.0] * 4)
+        bad_sigma = NegationConfig()
+        object.__setattr__(bad_sigma, "sigma", -1.0)
         for _ in range(3):
             with pytest.raises(ZeroOperator, match="nonzero state"):
                 leaf_scores(zero, lex, 0.5)
-            # the checks run before a kept score is read
             with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
                 leaf_scores(state, lex, -1.0)
-        assert zero not in leaf_scores_kept(lex, 0.5)
-        assert list(leaf_scores_kept(lex, 0.5)) == [state]
+            with pytest.raises(ZeroNegation, match="'entity'"):
+                alternatives("entity", lex)
+            # the checks run before a kept ranking is read: top_k, the word, sigma
+            with pytest.raises(ValueError, match="top_k must be >= 1"):
+                alternatives("dog", lex, top_k=0)
+            with pytest.raises(UnknownWord, match="'flubber'"):
+                alternatives("flubber", lex)
+            with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+                alternatives("dog", lex, bad_sigma)
+        assert zero not in rankings_kept(lex, 0.5)
+        assert list(rankings_kept(lex, 0.5)) == [state]
 
     def test_a_state_nothing_else_holds_drops_out(self):
         lex = self.fig1()
-        a = normalize(diagonal([0.4, 0.3, 0.2, 0.1]), "trace")
-        b = normalize(diagonal([0.1, 0.2, 0.3, 0.4]), "trace")
-        leaf_scores(a, lex, 0.5)
-        leaf_scores(b, lex, 0.5)
-        kept_scores = leaf_scores_kept(lex, 0.5)
-        assert len(kept_scores) == 2
-        del a
+        alternatives("hamster", lex)
+        alternatives("dog", lex)
+        kept_rankings = rankings_kept(lex, 0.5)
+        assert len(kept_rankings) == 2
+        # the negations table holds each state; once it lets one go, so does the memo
+        negations = lex._negations[("complement", "hadamard", "trace", None)]
+        b = negations["dog"]
+        del negations["hamster"]
         gc.collect()
-        assert list(kept_scores) == [b]
+        assert list(kept_rankings) == [b]
 
     def test_kept_scores_are_private(self):
         lex = self.fig1()
         blank, twin = pickle.dumps(lex), dataclasses.replace(lex)
         for word in ("hamster", "dog", "rodent"):
             alternatives(word, lex)
-        assert len(leaf_scores_kept(lex, 0.5)) == 3
+        assert len(rankings_kept(lex, 0.5)) == 3
         # not pickled, compared, shown, replaced or copied
         assert pickle.dumps(lex) == blank
         assert lex == twin and repr(lex) == repr(twin)
@@ -1756,6 +1838,26 @@ class TestCertifiedRowSums:
         with pytest.raises(OverflowError):
             _fsum_rows(row[None], np.ones(40))
 
+    @pytest.mark.parametrize("n", [_NARROW - 1, _NARROW])
+    def test_narrow_stacks_take_fsum(self, n):
+        rng = np.random.default_rng(n)
+        for kind in ROW_KINDS:
+            x = np.array([hard_row(rng, kind, n) for _ in range(n)])
+            v = np.ones(n) if kind == "overflow" else rng.random(n) + 0.5
+            with mock.patch("math.fsum", wraps=math.fsum) as fsum:
+                got = fsum_rows_or_error(x, v)
+            assert got == reference_rows_or_error(x, v), kind
+            if n < _NARROW or not _WIDE:
+                assert fsum.call_count == n or got is OverflowError, kind
+        x, v = rng.random((n, n)), rng.random(n)
+        with mock.patch("math.fsum", wraps=math.fsum) as fsum:
+            got = fsum_rows_or_error(x, v)
+        assert got == reference_rows_or_error(x, v)
+        if n < _NARROW or not _WIDE:
+            assert fsum.call_count == n
+        else:  # the wide sum certifies most rows
+            assert fsum.call_count < n // 4
+
     def tree_states(self, lex):
         words = (lex.leaves[5], lex.leaves[700], "r.0", "r.1.2", "r.3.3.1")
         for word in words:
@@ -1790,7 +1892,8 @@ class TestCertifiedRowSums:
         lex = build_lexicon(kary_taxonomy(1024))
         alternatives(lex.leaves[0], lex, NegationConfig(sigma=0.0))
         diags = lex._smoothed[0.0].diags
-        rows = [(np.array([[-0.0, 0.0], [-0.0, -0.0]]), np.ones(2))]
+        # a stack narrower than _NARROW columns takes math.fsum outright
+        rows = [(np.array([[-0.0, 0.0], [-0.0, -0.0]]).repeat(_NARROW // 2, axis=1), np.ones(_NARROW))]
         for state in self.tree_states(lex):
             rows.append((diags[~(diags * state._diag).any(axis=1)], state._diag))
         assert sum(len(x) for x, _ in rows) > len(rows)
@@ -1945,7 +2048,7 @@ class TestLeafStackCheck:
             for _ in range(2):
                 with pytest.raises(DimMismatch, match=f"state dim {a.dim} vs predicate dim 4"):
                     leaf_scores(a, lex, 0.5)
-        assert list(leaf_scores_kept(lex, 0.5)) == [state]
+        assert list(rankings_kept(lex, 0.5)) == [state]
 
     def test_dense_state_against_diagonal_predicates_uses_the_stack(self):
         lex = self.fig1()
@@ -1953,10 +2056,14 @@ class TestLeafStackCheck:
         m = q @ np.diag([0.4, 0.3, 0.2, 0.1]) @ q.T
         a = Operator((m + m.T) / 2.0)
         for sigma in (0.0, 0.5):
-            got = leaf_scores(a, lex, sigma)
+            with mock.patch.object(convneg.entailment, "_fsum_rows", wraps=_fsum_rows) as rows, \
+                    mock.patch.object(convneg.entailment, "trace_product") as per_leaf:
+                got = leaf_scores(a, lex, sigma)
             want = [reference_overlap(a, leaf, lex, sigma) for leaf in lex.leaves]
             assert list(map(float.hex, got)) == list(map(float.hex, want))
-            assert leaf_scores_kept(lex, sigma)[a] is got
+            # one product with the stack, no leaf scored on its own
+            assert rows.call_count == 1 and not per_leaf.called
+            assert rows.call_args.args[0] is lex._smoothed[sigma].diags
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_dense_predicates_take_the_per_pair_path(self, sigma, tmp_path):
@@ -1971,20 +2078,25 @@ class TestLeafStackCheck:
         )
         for other in (turned, load_lexicon(tmp_path / "turned.lex"), half):
             # with any dense leaf predicate, a diagonal state and a dense one
-            # both go leaf by leaf, and nothing is stacked or kept
+            # both go leaf by leaf and nothing is stacked; rankings are kept
             a = diagonal([0.4, 0.3, 0.2, 0.1])
             for _ in range(2):
                 got = leaf_scores(a, other, sigma)
                 want = [reference_overlap(a, leaf, other, sigma) for leaf in other.leaves]
                 assert list(map(float.hex, got)) == list(map(float.hex, want))
+            states = set()
             for cfg in EVERY_CONFIG:
                 cfg = dataclasses.replace(cfg, sigma=sigma)
                 for word in ("dog", "rodent"):
                     for _ in range(2):
                         got, want = ranked_outcome(word, other, cfg)
                         assert got == want
+                    try:
+                        states.add(cn_word(word, other, cfg))
+                    except ZeroNegation:
+                        pass
             table = other._smoothed[sigma]
-            assert table.diags is None and not table.scores
+            assert table.diags is None and set(table.rankings) == states
 
     def test_sigma_switch_rebuilds_the_stack(self):
         lex = self.fig1()
@@ -1993,7 +2105,7 @@ class TestLeafStackCheck:
             got, want = ranked_outcome("hamster", lex, cfg)
             assert got == want
             assert list(lex._smoothed) == [sigma]
-            assert list(lex._smoothed[sigma].scores) == [cn_word("hamster", lex, cfg)]
+            assert list(lex._smoothed[sigma].rankings) == [cn_word("hamster", lex, cfg)]
 
     @pytest.mark.parametrize("top_k", [None, 1, 2, 4])
     def test_exact_ties_keep_leaf_order(self, top_k):

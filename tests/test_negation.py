@@ -276,7 +276,7 @@ class TestGoldenRankings:
         assert sorted(stores) == sorted(GOLDEN_RANKINGS)
         for name, lex in stores.items():
             first = golden_rankings(lex)
-            # the second pass ranks the kept negations and leaf scores
+            # the second pass copies out the kept rankings
             assert golden_rankings(lex) == first, name
             digest = hashlib.sha256(first.encode()).hexdigest()
             assert digest == GOLDEN_RANKINGS[name], name
