@@ -6,14 +6,7 @@ weight each subset of positions receives.
 
 from pathlib import Path
 
-from convneg import (
-    WordString,
-    best_interpretation,
-    build_lexicon,
-    cn_string,
-    derive_weights,
-    load_taxonomy,
-)
+from convneg import WordString, build_lexicon, cn_string, load_taxonomy, score_string
 
 ROOT = Path(__file__).resolve().parents[1]
 FOLLOW_UPS = ["white wine", "red beer", "white beer"]
@@ -30,9 +23,9 @@ def main() -> None:
     for follow in FOLLOW_UPS:
         fu = WordString.resolve(follow.split(), lexes)
         for lam in LAMBDAS:
-            weights = derive_weights(target, fu, lambda_size=lam)
-            mixture = cn_string(target, weights)
-            subset, score = best_interpretation(target, fu, lambda_size=lam)
+            scored = score_string(target, fu, lambda_size=lam)
+            mixture = cn_string(target, scored.weights)
+            subset, score = scored.best
             cells = "  ".join(
                 "{%s} %.4f" % (",".join(target.words[i] for i in ss), w)
                 for ss, w in zip(mixture.subsets, mixture.weights)

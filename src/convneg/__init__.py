@@ -93,12 +93,14 @@ _EXPORTS = {
         "strings": (
             "MixtureTerm",
             "NegationMixture",
+            "StringScores",
             "WordString",
             "best_interpretation",
             "cn_string",
             "derive_weights",
             "enumerate_negation_sets",
             "interpretation_scores",
+            "score_string",
         ),
         "taxonomy": ("Taxonomy", "load_taxonomy", "parse_taxonomy"),
     }.items()

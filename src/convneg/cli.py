@@ -118,28 +118,19 @@ def _cmd_negate_word(args, out: IO[str]) -> int:
 
 
 def _cmd_negate_string(args, out: IO[str]) -> int:
-    from .strings import (
-        WordString,
-        _best_from_scores,
-        _weights_from_scores,
-        enumerate_negation_sets,
-        interpretation_scores,
-    )
+    from .strings import WordString, score_string
 
     lexes = _load_many(args.taxonomies)
     s = WordString.resolve(args.string.split(), lexes)
     follow = WordString.resolve(args.follow_up.split(), lexes)
-    cfg = NegationConfig(sigma=args.sigma)
-    # derive_weights and best_interpretation, sharing one scoring pass
-    raw = interpretation_scores(s, follow, args.lambda_size, cfg)
-    weights = _weights_from_scores(raw, len(s), args.lambda_size)
+    scored = score_string(s, follow, args.lambda_size, NegationConfig(sigma=args.sigma))
     labels = s.words
     rows = [
         (_subset_label(subset, labels), _fmt(w), _fmt(r))
-        for subset, w, r in zip(enumerate_negation_sets(len(s)), weights, raw)
+        for subset, w, r in zip(scored.subsets, scored.weights, scored.scores)
     ]
     _emit(("subset", "weight", "score"), rows, args.format, out)
-    subset, score = _best_from_scores(raw, len(s))
+    subset, score = scored.best
     print(f"best {_subset_label(subset, labels)} {_fmt(score)}", file=out)
     return 0
 

@@ -75,6 +75,11 @@ class Lexicon:
                     raise DimMismatch(
                         f"{table} operator for {word!r} has dim {op.dim}, leaf space has {self.dim}"
                     )
+                if op.labels not in ((), self.leaves):  # O(1) when `is` the leaves, as built
+                    raise DimMismatch(
+                        f"{table} operator for {word!r} has labels ({', '.join(op.labels)}), "
+                        f"leaf space is ({', '.join(self.leaves)})"
+                    )
 
     def __getstate__(self) -> dict:
         state = {k: v for k, v in self.__dict__.items() if k not in ("_smoothed", "_negations")}

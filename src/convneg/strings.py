@@ -5,10 +5,10 @@ negation is a weighted mixture over every non-empty negation set: subsets of
 positions whose words are replaced by their single-word negation while the
 rest stay put. A NegationMixture is fixed by each position's kept and negated
 operator plus one weight per set, so it stores those and builds a term's
-states only when ``terms`` is read. Weights come from a follow-up sentence
-(entailment product, word by word) shaped by a size prior that favors
-negating few words. The overlaps are smoothed by the same sigma as
-single-word alternatives: the one in NegationConfig.
+states only when ``terms`` is read. Weights come from a follow-up sentence:
+score_string's StringScores holds each position's overlap with it, kept and
+negated, and every set's product of them under a size prior that favors
+negating few words, smoothed by NegationConfig's sigma, as alternatives are.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .entailment import overlap_score
 from .errors import AlignmentError, TooManyWords, ZeroNegation
@@ -89,7 +89,7 @@ class NegationMixture:
 
     @property
     def subsets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(enumerate_negation_sets(len(self.kept)))
+        return tuple(_negation_sets(len(self.kept)))
 
     @property
     def terms(self) -> tuple[MixtureTerm, ...]:
@@ -106,13 +106,15 @@ def _count_negation_sets(n: int) -> int:
     return 2**n - 1
 
 
+def _negation_sets(n: int) -> Iterator[tuple[int, ...]]:
+    """Non-empty subsets of range(n), smallest first, lexicographic within size."""
+    return chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
+
+
 def enumerate_negation_sets(n: int) -> list[tuple[int, ...]]:
-    """All non-empty position subsets, smallest first, lexicographic within size."""
+    """All non-empty position subsets, in canonical order."""
     _count_negation_sets(n)
-    out: list[tuple[int, ...]] = []
-    for size in range(1, n + 1):
-        out.extend(combinations(range(n), size))
-    return out
+    return list(_negation_sets(n))
 
 
 def _check_lambda(lambda_size: float) -> None:
@@ -130,11 +132,8 @@ def size_prior(n: int, lambda_size: float = LAMBDA_DEFAULT) -> tuple[float, ...]
 
 
 def _negations(s: WordString, cfg: NegationConfig) -> tuple[Operator, ...]:
-    """cn_word at every position.
-
-    A failed negation is reported against the first negation set that needs
-    it: the singleton of the lowest failing position.
-    """
+    """cn_word at every position. A failed negation is reported against the
+    first negation set that needs it: the singleton of the lowest failing one."""
     out = []
     for i, slot in enumerate(s.positions):
         try:
@@ -165,92 +164,82 @@ def cn_string(
         raise ValueError("subset weights sum past the float range") from None
     if total <= 0:
         raise ValueError("subset weights must not all vanish")
-    return NegationMixture(
-        s.originals(), _negations(s, cfg), tuple(w / total for w in ws)
-    )
+    return NegationMixture(s.originals(), _negations(s, cfg), tuple(w / total for w in ws))
 
 
-def _check_alignment(n: int, target: WordString, spaces: Sequence[tuple[str, ...]]) -> None:
-    if n != len(target):
-        raise AlignmentError(f"length mismatch: {n} positions vs {len(target)}")
-    for i, slot in enumerate(target.positions):
-        if slot.lex.leaves != spaces[i]:
+def _check_alignment(s: WordString, target: WordString) -> None:
+    if len(s) != len(target):
+        raise AlignmentError(f"length mismatch: {len(s)} positions vs {len(target)}")
+    for i, (slot, other) in enumerate(zip(s.positions, target.positions)):
+        if slot.lex.leaves != other.lex.leaves:
             raise AlignmentError(
                 f"position {i}: slot spaces differ "
-                f"({', '.join(spaces[i])}) vs ({', '.join(slot.lex.leaves)})"
+                f"({', '.join(slot.lex.leaves)}) vs ({', '.join(other.lex.leaves)})"
             )
 
 
-def _overlaps(states: Sequence[Operator], target: WordString, sigma: float) -> list[float]:
+def _overlaps(ops: Sequence[Operator], target: WordString, sigma: float) -> tuple[float, ...]:
     """Per-position overlap of each state with the target word there."""
-    if len(states) != len(target):
-        raise AlignmentError(f"length mismatch: {len(states)} states vs {len(target)}")
-    out = []
-    for i, (op, slot) in enumerate(zip(states, target.positions)):
-        if op.dim != slot.lex.dim:
-            raise AlignmentError(
-                f"position {i}: state dim {op.dim} vs slot space dim {slot.lex.dim}"
-            )
-        if op.labels and tuple(op.labels) != slot.lex.leaves:
-            raise AlignmentError(
-                f"position {i}: state space ({', '.join(op.labels)}) "
-                f"vs slot space ({', '.join(slot.lex.leaves)})"
-            )
-        out.append(overlap_score(op, slot.word, slot.lex, sigma))
-    return out
+    return tuple(overlap_score(op, t.word, t.lex, sigma) for op, t in zip(ops, target.positions))
 
 
-def derive_weights(
+@dataclass(frozen=True)
+class StringScores:
+    """A string scored against a follow-up. Position i overlaps the
+    follow-up's word there by ``negated[i]`` (a_i) when negated and by
+    ``kept[i]`` (b_i) when kept; ``scores`` holds, in canonical subset order,
+    lambda_size^(|S|-1) times a_i for i in S and b_i elsewhere."""
+
+    kept: tuple[float, ...]
+    negated: tuple[float, ...]
+    lambda_size: float
+    scores: tuple[float, ...]
+
+    @property
+    def subsets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_negation_sets(len(self.kept)))
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        """The scores normalized; the size prior alone when the follow-up
+        rules out every interpretation."""
+        total = sum(self.scores)
+        if total <= 0:
+            return size_prior(len(self.kept), self.lambda_size)
+        return tuple(r / total for r in self.scores)
+
+    @property
+    def best(self) -> tuple[tuple[int, ...], float]:
+        """The top-scoring negation set and its score. Ties (the all-zero case
+        too) go to the earliest set, so an uninformative target gives (0,)."""
+        k = self.scores.index(max(self.scores))
+        return next(islice(_negation_sets(len(self.kept)), k, None)), self.scores[k]
+
+
+def score_string(
     s: WordString,
     context: WordString,
     lambda_size: float = LAMBDA_DEFAULT,
     cfg: NegationConfig = DEFAULTS,
-) -> tuple[float, ...]:
-    """Subset weights from a follow-up sentence.
-
-    weight(S') is proportional to lambda_size^(|S'|-1) times the word-by-word
-    overlap (smoothed by cfg.sigma) of the S'-interpretation with the
-    follow-up. When the follow-up rules out every interpretation, the size
-    prior alone decides.
-    """
-    raw = interpretation_scores(s, context, lambda_size, cfg)
-    return _weights_from_scores(raw, len(s), lambda_size)
-
-
-def _weights_from_scores(
-    raw: Sequence[float], n: int, lambda_size: float
-) -> tuple[float, ...]:
-    """derive_weights for an n-word string from its interpretation_scores."""
-    total = sum(raw)
-    if total <= 0:
-        return size_prior(n, lambda_size)
-    return tuple(r / total for r in raw)
-
-
-def interpretation_scores(
-    s: WordString,
-    context: WordString,
-    lambda_size: float = LAMBDA_DEFAULT,
-    cfg: NegationConfig = DEFAULTS,
-) -> list[float]:
-    """Size-weighted match of every interpretation against ``context``, in
-    canonical subset order (the unnormalized quantity behind derive_weights
-    and best_interpretation).
-
-    The string score factors per position, so each position's overlap is
-    computed once for its original word and once for its negation, and
-    _product_tree multiplies them into every subset's score.
-    """
+) -> StringScores:
+    """Every interpretation of ``s`` scored against ``context``, overlaps
+    smoothed by cfg.sigma. Each position's overlap is computed once kept and
+    once negated, and _product_tree multiplies them into every set's score.
+    The spaces match: _check_alignment checks the slots, and each lexicon
+    its operators' labels."""
     _check_lambda(lambda_size)
-    _check_alignment(len(s), context, tuple(slot.lex.leaves for slot in s.positions))
+    _check_alignment(s, context)
     _count_negation_sets(len(s))
     negations = _negations(s, cfg)  # first: a zero word operator fails here, by name
     kept = _overlaps(s.originals(), context, cfg.sigma)
     negated = _overlaps(negations, context, cfg.sigma)
-    return _product_tree(kept, negated, lambda_size)
+    scores = tuple(_product_tree(kept, negated, lambda_size))
+    return StringScores(kept, negated, lambda_size, scores)
 
 
-def _product_tree(kept: list[float], negated: list[float], lambda_size: float) -> list[float]:
+def _product_tree(
+    kept: Sequence[float], negated: Sequence[float], lambda_size: float
+) -> list[float]:
     """lambda_size^(|S|-1) times negated[i] for i in S and kept[i] elsewhere,
     for every negation set S in canonical order. Each tree node multiplies its
     parent by position i's negated factor, then by its kept one, so a leaf is
@@ -268,22 +257,33 @@ def _product_tree(kept: list[float], negated: list[float], lambda_size: float) -
     return [prior[t.bit_count()] * leaves[t] for t in order]
 
 
+def derive_weights(
+    s: WordString,
+    context: WordString,
+    lambda_size: float = LAMBDA_DEFAULT,
+    cfg: NegationConfig = DEFAULTS,
+) -> tuple[float, ...]:
+    """Subset weights from a follow-up sentence: score_string's ``weights``."""
+    return score_string(s, context, lambda_size, cfg).weights
+
+
+def interpretation_scores(
+    s: WordString,
+    context: WordString,
+    lambda_size: float = LAMBDA_DEFAULT,
+    cfg: NegationConfig = DEFAULTS,
+) -> list[float]:
+    """Size-weighted match of every interpretation against ``context``:
+    score_string's ``scores``, as a list."""
+    return list(score_string(s, context, lambda_size, cfg).scores)
+
+
 def best_interpretation(
     s: WordString,
     target: WordString,
     lambda_size: float = LAMBDA_DEFAULT,
     cfg: NegationConfig = DEFAULTS,
 ) -> tuple[tuple[int, ...], float]:
-    """The negation set whose interpretation best matches ``target``.
-
-    Ties (including the all-zero case) go to the earliest subset in canonical
-    order, so a fully uninformative target yields the first singleton.
-    """
-    return _best_from_scores(interpretation_scores(s, target, lambda_size, cfg), len(s))
-
-
-def _best_from_scores(raw: Sequence[float], n: int) -> tuple[tuple[int, ...], float]:
-    """best_interpretation for an n-word string from its interpretation_scores."""
-    best = raw.index(max(raw))
-    sets = chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
-    return next(islice(sets, best, None)), raw[best]
+    """The negation set whose interpretation best matches ``target``, and its
+    score: score_string's ``best``."""
+    return score_string(s, target, lambda_size, cfg).best

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import convneg
+import convneg.cli
 import convneg.strings
 from conftest import FIXTURES, without_blocks
 from convneg.cli import run
@@ -33,6 +36,32 @@ def readme_output(command: str) -> str:
         i += 1
     end = next(k for k in range(i + 1, len(lines)) if not lines[k] or lines[k] == "```")
     return "\n".join(lines[i + 1 : end]) + "\n"
+
+
+def readme_commands() -> list[tuple[str, list[str]]]:
+    """Each ``$ convneg`` example in README's CLI section: its first line, as
+    readme_output finds it, and its arguments, continuation lines joined."""
+    lines = (FIXTURES.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("## CLI")
+    end = next(k for k in range(start + 1, len(lines)) if lines[k].startswith("## "))
+    out, section = [], iter(lines[start:end])
+    for line in section:
+        if line.startswith("$ convneg "):
+            first = line.removeprefix("$ convneg ").removesuffix("\\").rstrip()
+            words = [line]
+            while words[-1].endswith("\\"):
+                words[-1] = words[-1].removesuffix("\\")
+                words.append(next(section))
+            out.append((first, shlex.split(" ".join(words))[2:]))
+    assert out, "README's CLI section shows no $ convneg example"
+    return out
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("first, argv", [pytest.param(*c, id=c[0]) for c in readme_commands()])
+    def test_stdout_is_byte_identical(self, monkeypatch, first, argv):
+        monkeypatch.chdir(FIXTURES.parent)
+        assert invoke(*argv) == (0, readme_output(first), "")
 
 
 class TestNegateWord:
@@ -552,8 +581,8 @@ EAGER_EXPORTS = {
         "save_lexicon",
     ],
     "negation": [
-        "DEFAULTS", "NegationConfig", "alternatives", "cn_word", "logical_not_complement",
-        "logical_not_pinv",
+        "DEFAULTS", "LAMBDA_DEFAULT", "NegationConfig", "alternatives", "cn_word",
+        "logical_not_complement", "logical_not_pinv",
     ],
     "operators": [
         "Operator", "conjugate_update", "diagonal", "hadamard", "identity", "mix",
@@ -561,12 +590,26 @@ EAGER_EXPORTS = {
         "tensor", "validate",
     ],
     "strings": [
-        "LAMBDA_DEFAULT", "MixtureTerm", "NegationMixture", "WordString",
+        "MixtureTerm", "NegationMixture", "StringScores", "WordString",
         "best_interpretation", "cn_string", "derive_weights", "enumerate_negation_sets",
-        "interpretation_scores",
+        "interpretation_scores", "score_string",
     ],
     "taxonomy": ["Taxonomy", "load_taxonomy", "parse_taxonomy"],
 }
+
+
+class TestCliImports:
+    def test_cli_imports_no_private_name_from_the_package(self):
+        tree = ast.parse(Path(convneg.cli.__file__).read_text(encoding="utf-8"))
+        private = [
+            f"{'.' * node.level}{node.module or ''}: {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "convneg")
+            for alias in node.names
+            if any(part.startswith("_") for part in [*(node.module or "").split("."), alias.name])
+        ]
+        assert private == []
 
 
 class TestLazyImports:

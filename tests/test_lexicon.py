@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import re
 import tracemalloc
 from types import MappingProxyType
 from unittest import mock
@@ -169,6 +170,25 @@ class TestReadOnlyLexicon:
         ops = {**getattr(fig1_lex, table), "dog": diagonal([1.0, 0.0])}
         message = f"{table} operator for 'dog' has dim 2, leaf space has 4"
         refused(fig1_lex, table, ops, DimMismatch, message)
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_mislabelled_operator_is_refused(self, fig1_lex, table):
+        # so a string's overlaps need no label check: every operator is
+        # unlabelled or labelled by the leaves, in their order
+        swapped = ("planet", "dog", "guinea_pig", "hamster")
+        ops = {**getattr(fig1_lex, table), "dog": Operator(np.diag([0.0, 0.0, 1.0, 0.0]), swapped)}
+        message = re.escape(
+            f"{table} operator for 'dog' has labels (planet, dog, guinea_pig, hamster), "
+            "leaf space is (hamster, guinea_pig, dog, planet)"
+        )
+        refused(fig1_lex, table, ops, DimMismatch, message)
+        # unlabelled, or labelled by an equal tuple that is not the leaves itself
+        for labels in ((), tuple(list(fig1_lex.leaves))):
+            op = Operator(np.diag([0.0, 0.0, 1.0, 0.0]), labels)
+            lex = dataclasses.replace(fig1_lex, **{table: {**getattr(fig1_lex, table), "dog": op}})
+            assert getattr(lex, table)["dog"] is op
+        # a built lexicon's operators hold the leaves tuple itself, so the check is O(1)
+        assert all(op.labels is fig1_lex.leaves for op in getattr(fig1_lex, table).values())
 
     @pytest.mark.parametrize("table", TABLES)
     def test_maps_cannot_be_changed(self, fig1_lex, table):

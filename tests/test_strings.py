@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COLORS_TSV, DRINKS_TSV, FIG1_TSV
-from convneg.entailment import SIGMA_DEFAULT
+from convneg.entailment import SIGMA_DEFAULT, overlap_score
 from convneg.errors import (
     AlignmentError,
     AmbiguousWord,
@@ -23,8 +23,8 @@ from convneg.strings import (
     MixtureTerm,
     NegationMixture,
     Slot,
+    StringScores,
     WordString,
-    _best_from_scores,
     _choose,
     _overlaps,
     _product_tree,
@@ -33,6 +33,7 @@ from convneg.strings import (
     derive_weights,
     enumerate_negation_sets,
     interpretation_scores,
+    score_string,
     size_prior,
 )
 from convneg.taxonomy import parse_taxonomy
@@ -219,21 +220,29 @@ class TestStringScore:
     def test_string_vs_itself(self, red_wine):
         assert string_score(red_wine.originals(), red_wine, sigma=0) == 1.0
 
+    # a string is checked against its follow-up once, by score_string; the
+    # Lexicon constructor checks each operator's dim and labels
     def test_length_mismatch(self, red_wine, colors):
         follow = WordString.resolve(["white"], [colors])
-        with pytest.raises(AlignmentError, match="length"):
-            string_score(red_wine.originals(), follow)
+        with pytest.raises(AlignmentError, match="length mismatch: 2 positions vs 1"):
+            score_string(red_wine, follow)
 
     def test_dim_mismatch(self, colors, fig1):
+        s = WordString.resolve(["red"], [colors])
         follow = WordString.resolve(["dog"], [fig1])
-        with pytest.raises(AlignmentError, match="dim"):
-            string_score((colors.word_operator("red"),), follow)
+        with pytest.raises(
+            AlignmentError,
+            match=r"position 0: slot spaces differ \(red, white, rosé\) "
+            r"vs \(hamster, guinea_pig, dog, planet\)",
+        ):
+            score_string(s, follow)
 
     def test_same_dim_wrong_space(self, colors, drinks):
-        # colors and drinks are both 3-dimensional; labels catch the swap
+        # colors and drinks are both 3-dimensional; the leaves catch the swap
+        s = WordString.resolve(["red"], [colors])
         follow = WordString.resolve(["wine"], [drinks])
-        with pytest.raises(AlignmentError, match="space"):
-            string_score((colors.word_operator("red"),), follow)
+        with pytest.raises(AlignmentError, match="slot spaces differ"):
+            score_string(s, follow)
 
 
 class TestDeriveWeights:
@@ -428,17 +437,32 @@ class TestFactoredScoresMatchExhaustive:
         failing = [i for i, slot in enumerate(s.positions) if _negation_fails(slot, cfg)]
         if failing:
             # roots negate to zero; the first singleton that needs one is named
-            with pytest.raises(ZeroNegation, match=rf"negation set \{{{failing[0]}\}}"):
-                interpretation_scores(s, target, lam, cfg)
+            for score in (interpretation_scores, score_string):
+                with pytest.raises(ZeroNegation, match=rf"negation set \{{{failing[0]}\}}"):
+                    score(s, target, lam, cfg)
             return
         want = exhaustive_scores(s, target, lam, cfg)
         got = interpretation_scores(s, target, lam, cfg)
         assert hexes(got) == hexes(want)
-        k = want.index(max(want))
-        assert best_interpretation(s, target, lam, cfg) == (
-            enumerate_negation_sets(len(s))[k],
-            want[k],
-        )
+        scored = score_string(s, target, lam, cfg)
+        assert hexes(scored.scores) == hexes(want)
+        assert scored.lambda_size == lam
+        assert scored.subsets == tuple(enumerate_negation_sets(len(s)))
+        # each position's overlap with the follow-up, kept (b_i) and negated (a_i)
+        pairs = list(zip(s.positions, target.positions))
+        kept = [overlap_score(p.lex.word_operator(p.word), t.word, t.lex, sigma) for p, t in pairs]
+        negations = [cn_word(p.word, p.lex, cfg) for p, _ in pairs]
+        negated = [overlap_score(op, t.word, t.lex, sigma) for op, (_, t) in zip(negations, pairs)]
+        assert (hexes(scored.kept), hexes(scored.negated)) == (hexes(kept), hexes(negated))
+        # weights: a plain sum and r / total, or the size prior when all vanish
+        total = sum(want)
+        weights = [r / total for r in want] if total > 0 else size_prior(len(s), lam)
+        assert hexes(scored.weights) == hexes(weights)
+        assert hexes(derive_weights(s, target, lam, cfg)) == hexes(weights)
+        # best: the canonical argmax, the earliest set among equal scores
+        k = max(range(len(want)), key=lambda i: (want[i], -i))
+        for subset, score in (scored.best, best_interpretation(s, target, lam, cfg)):
+            assert (subset, score.hex()) == (enumerate_negation_sets(len(s))[k], want[k].hex())
 
     def test_all_zero_and_tied_targets_covered(self, colors, drinks):
         s = WordString.resolve(["red", "wine", "white"], [colors, drinks])
@@ -481,12 +505,18 @@ class TestProductTreeMatchesExhaustive:
         got = _product_tree(kept, negated, lam)
         assert hexes(got) == hexes(want)
         k = max(range(len(want)), key=lambda i: (want[i], -i))
-        assert _best_from_scores(got, n) == (enumerate_negation_sets(n)[k], want[k])
+        best = StringScores(tuple(kept), tuple(negated), lam, tuple(got)).best
+        assert best == (enumerate_negation_sets(n)[k], want[k])
 
     def test_signed_zeros_kept(self):
         got = _product_tree([-0.0, 0.5], [0.25, -0.0], 1.0)
         assert hexes(got) == hexes(reference_tree([-0.0, 0.5], [0.25, -0.0], 1.0))
-        assert _best_from_scores([0.0, -0.0, 0.0], 2) == ((0,), 0.0)
+        # {0} scores 0.0 * 1.0, {1} -0.0 * 1.0 and {0,1} 0.0 * 1.0: the first wins
+        kept, negated = (-0.0, 1.0), (0.0, 1.0)
+        scored = StringScores(kept, negated, 1.0, tuple(_product_tree(kept, negated, 1.0)))
+        assert hexes(scored.scores) == hexes([0.0, -0.0, 0.0])
+        subset, score = scored.best
+        assert (subset, score.hex()) == ((0,), (0.0).hex())
 
     @pytest.mark.parametrize("lam", [0.25, 0.3, 0.75, 1.0])
     def test_size_prior_matches_subset_listing(self, lam):
