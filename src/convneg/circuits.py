@@ -59,7 +59,6 @@ class UnaryGate:
     actor: str
     word: str
     lex: Lexicon
-    position: int
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,6 @@ class BinaryGate:
     verb: str
     lex: Lexicon
     object: str
-    position: int
 
 
 Gate = UnaryGate | BinaryGate
@@ -92,28 +90,22 @@ class TextCircuit:
 
 
 @dataclass(frozen=True)
-class ViewSlot:
-    """One update on a wire; gate=None marks the name slot."""
-
-    gate: Gate | None
-    word: str
-    lex: Lexicon
-
-
-@dataclass(frozen=True)
 class ActorView:
+    """An actor's own words: its name, then its attribute gates in text
+    order. Verbs are left out; they belong to a link, not to one actor."""
+
     actor: Actor
-    slots: tuple[ViewSlot, ...]
+    gates: tuple[UnaryGate, ...]
 
     def unary_string(self) -> WordString:
-        """Name + attribute words as a word string (verb slots dropped)."""
-        return WordString(
-            tuple(
-                Slot(s.word, s.lex)
-                for s in self.slots
-                if not isinstance(s.gate, BinaryGate)
-            )
-        )
+        """The name word, then each attribute word, as one word string."""
+        a = self.actor
+        return WordString((Slot(a.word, a.lex), *(Slot(g.word, g.lex) for g in self.gates)))
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Display labels: the name as written, then each attribute word."""
+        return (self.actor.name, *(g.word for g in self.gates))
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +169,12 @@ def parse_script(text: str, lexicons: Sequence[Lexicon]) -> TextCircuit:
                 raise ParseError(f"cannot parse attribute line {line!r}", line=lineno)
             actor = reference(tokens[0], lineno)
             lex = _resolve(rest[0], lexicons, lineno)
-            gates.append(UnaryGate(actor.name, rest[0], lex, len(gates)))
+            gates.append(UnaryGate(actor.name, rest[0], lex))
         elif len(tokens) == 3:
             subject = reference(tokens[0], lineno)
             obj = reference(tokens[2], lineno)
             lex = _resolve(tokens[1], lexicons, lineno)
-            gates.append(BinaryGate(subject.name, tokens[1], lex, obj.name, len(gates)))
+            gates.append(BinaryGate(subject.name, tokens[1], lex, obj.name))
             if subject.name != obj.name:
                 links.add(frozenset((subject.name, obj.name)))
         else:
@@ -201,13 +193,7 @@ def load_script(path, lexicons: Sequence[Lexicon]) -> TextCircuit:
 
 def actor_view(c: TextCircuit, name: str) -> ActorView:
     a = c.actor(name)
-    slots = [ViewSlot(None, a.word, a.lex)]
-    for g in c.gates:
-        if isinstance(g, UnaryGate) and g.actor == a.name:
-            slots.append(ViewSlot(g, g.word, g.lex))
-        elif isinstance(g, BinaryGate) and a.name in (g.subject, g.object):
-            slots.append(ViewSlot(g, g.verb, g.lex))
-    return ActorView(a, tuple(slots))
+    return ActorView(a, tuple(g for g in c.gates if isinstance(g, UnaryGate) and g.actor == a.name))
 
 
 def _link_closure(c: TextCircuit, name: str) -> set[str]:
@@ -377,7 +363,8 @@ def rank_alternatives(
     with overlaps smoothed by cfg.sigma.
 
     Actors must be structurally parallel (same slot count, same spaces per
-    position); the negated actor must not be linked.
+    position), else the AlignmentError names the rival; the negated actor
+    must not be linked.
     """
     negated = c.actor(name)
     if any(negated.name in pair for pair in c.links):
@@ -390,7 +377,10 @@ def rank_alternatives(
         if other.name == negated.name:
             continue
         target = actor_view(c, other.name).unary_string()
-        subset, score = best_interpretation(s, target, lambda_size, cfg)
+        try:
+            subset, score = best_interpretation(s, target, lambda_size, cfg)
+        except AlignmentError as exc:
+            raise AlignmentError(f"actor {other.name!r} against {negated.name!r}: {exc}") from exc
         rows.append((other, subset, score))
     # a stable sort, so equal scores keep declaration order under reverse=True too
     return sorted(rows, key=lambda r: r[2], reverse=True)

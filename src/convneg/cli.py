@@ -161,8 +161,7 @@ def _cmd_negate_actor(args, out: IO[str]) -> int:
     circuit = load_script(args.script, lexes)
     cfg = NegationConfig(sigma=args.sigma)
     if args.rank:
-        # the positions rank_alternatives scores: name and attributes, no verbs
-        labels = (args.actor, *actor_view(circuit, args.actor).unary_string().words[1:])
+        labels = actor_view(circuit, args.actor).labels
         rows = [
             (str(i), actor.name, _subset_label(subset, labels), _fmt(score))
             for i, (actor, subset, score) in enumerate(

@@ -49,7 +49,6 @@ from .errors import (
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
-EQ_TOL = 1e-9
 ZERO_TRACE_TOL = 1e-12
 PINV_TOL = 1e-10
 # complement accepts a predicate whose top eigenvalue exceeds 1 by this much

@@ -51,23 +51,6 @@ class Taxonomy:
         if concept not in self.parents:
             raise UnknownWord(f"unknown concept {concept!r}")
 
-    def descendants(self, concept: str) -> set[str]:
-        """``concept`` and every concept reachable downward from it."""
-        self.require(concept)
-        seen = {concept}
-        stack = [concept]
-        while stack:
-            for child in self.children[stack.pop()]:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return seen
-
-    def descendant_leaves(self, concept: str) -> tuple[str, ...]:
-        """Leaves reachable downward from ``concept`` (itself, if a leaf), in leaf order."""
-        seen = self.descendants(concept)
-        return tuple(leaf for leaf in self.leaves if leaf in seen)
-
     def hypernyms(self, concept: str) -> tuple[tuple[str, int], ...]:
         """Strict ancestors with shortest edge-distance, sorted by (depth, name)."""
         self.require(concept)

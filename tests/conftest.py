@@ -12,6 +12,28 @@ from convneg.taxonomy import load_taxonomy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
+# absolute tolerance for float results checked against a dense or numpy reference
+EQ_TOL = 1e-9
+
+
+def descendants(tax, concept):
+    """``concept`` and every concept reachable downward from it in ``tax``."""
+    tax.require(concept)
+    seen = {concept}
+    stack = [concept]
+    while stack:
+        for child in tax.children[stack.pop()]:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
+
+
+def descendant_leaves(tax, concept):
+    """Leaves reachable downward from ``concept`` (itself, if a leaf), in leaf order."""
+    seen = descendants(tax, concept)
+    return tuple(leaf for leaf in tax.leaves if leaf in seen)
+
 
 def story_lexicons():
     """The names/kinds/roles triple backing the 8-line story fixture."""

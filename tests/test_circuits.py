@@ -144,27 +144,35 @@ class TestParseScript:
 class TestActorView:
     def test_story_alice(self, story):
         view = actor_view(story, "Alice")
-        assert [s.word for s in view.slots] == ["alice", "human", "archaeologist"]
-        assert view.slots[0].gate is None
-        assert [s.word for s in view.unary_string().positions] == [
-            "alice",
-            "human",
-            "archaeologist",
+        assert view.actor is story.actor("Alice")
+        assert len(view.gates) == 2
+        assert all(g is s for g, s in zip(view.gates, story.gates[:2]))
+        assert view.unary_string().words == ("alice", "human", "archaeologist")
+        assert view.labels == ("Alice", "human", "archaeologist")
+        assert [s.lex for s in view.unary_string().positions] == [
+            view.actor.lex, *(g.lex for g in view.gates)
         ]
 
     def test_gateless_actor(self, lexes):
         c = parse_script("actor Dave\n", lexes)
         view = actor_view(c, "Dave")
-        assert [s.word for s in view.slots] == ["dave"]
+        assert view.gates == ()
+        assert view.unary_string().words == ("dave",)
+        assert view.labels == ("Dave",)
 
-    def test_love_script_includes_verb_slot(self, love):
-        assert [s.word for s in actor_view(love, "Alice").slots] == [
-            "alice",
-            "evil",
-            "loves",
-        ]
-        # the verb slot is dropped from the alignment string
-        assert actor_view(love, "Alice").unary_string().words == ("alice", "evil")
+    def test_love_script_leaves_out_the_verb(self, love):
+        # Alice loves Bob is a link, not one of Alice's own words
+        for name, attribute in (("Alice", "evil"), ("Bob", "old")):
+            view = actor_view(love, name)
+            assert [g.word for g in view.gates] == [attribute]
+            assert view.unary_string().words == (name.lower(), attribute)
+            assert view.labels == (name, attribute)
+
+    def test_lowercase_declared_actor(self, lexes):
+        c = parse_script("actor bob\nbob is a human.\nbob is a biologist.\n", lexes)
+        view = actor_view(c, "bob")
+        assert view.unary_string().words == ("bob", "human", "biologist")
+        assert view.labels == ("bob", "human", "biologist")
 
     def test_unknown_actor(self, story):
         with pytest.raises(UnknownActor):
@@ -444,8 +452,16 @@ class TestRankAlternatives:
             rank_alternatives(love, "Alice")
 
     def test_misaligned_slots_rejected(self, lexes):
-        c = parse_script("Alice is a human.\nBob is a human.\nBob is a biologist.\n", lexes)
-        with pytest.raises(AlignmentError):
+        # Bob lines up with Alice; Claire's extra attribute does not, and the
+        # error names her and the negated actor
+        c = parse_script(
+            "Alice is a human.\nBob is a human.\nClaire is a human.\nClaire is a pianist.\n",
+            lexes,
+        )
+        with pytest.raises(
+            AlignmentError,
+            match=r"^actor 'Claire' against 'Alice': length mismatch: 2 positions vs 3$",
+        ):
             rank_alternatives(c, "Alice")
 
     def test_unknown_actor(self, story):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import os
 import shlex
@@ -500,8 +501,8 @@ class TestNegateActor:
         assert top[0] == "{Alice}"
 
     def test_rank_labels_skip_the_actors_verb_slots(self, tmp_path):
-        # a verb gate on Alice herself sits among her slots, but ranking
-        # scores only her name and attributes
+        # a verb gate on Alice herself is not one of her own words: ranking
+        # scores and labels only her name and attributes
         script = tmp_path / "story.txt"
         story = Path(STORY).read_text(encoding="utf-8")
         script.write_text("Alice loves Alice.\n" + story, encoding="utf-8")
@@ -535,6 +536,93 @@ class TestNegateActor:
         )
         assert code == 1
         assert "UnknownActor" in err
+
+    def test_misaligned_rival_is_named(self, tmp_path):
+        script = tmp_path / "story.txt"
+        script.write_text(
+            "Alice is a human.\nBob is a human.\nClaire is a human.\nClaire is a pianist.\n",
+            encoding="utf-8",
+        )
+        code, out, err = invoke(
+            "text", "negate-actor", str(script), "Alice", "--taxonomies", F3, "--rank"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: AlignmentError: actor 'Claire' against 'Alice': "
+            "length mismatch: 2 positions vs 3\n"
+        )
+
+
+class TestNegateActorDigests:
+    """Every negate-actor output, its stdout pinned by SHA-256."""
+
+    CASES = {
+        "mixture": ([], "55ae8e8a5fc6b825368eb3960418721a787241d7ab4e40bae9d2f55f040f676f"),
+        "mixture-context": (
+            ["--context", "bob human biologist"],
+            "7422c93694ccc3f28a6f71987735fb4a76c4de66d631801c6e59a9fd8136c915",
+        ),
+        "rank-sigma-0": (
+            ["--rank", "--sigma", "0"],
+            "32bbdb30113b5aab252af138b505489c5beb06ed073e162bc4226c170bc219eb",
+        ),
+        "rank-sigma-0.5": (
+            ["--rank", "--sigma", "0.5"],
+            "a8d305d78eb922e4d46218f68f7596c6e41b9e2c6462915a8cd0fde347fe39f6",
+        ),
+        "mixture-tsv": (
+            ["--format", "tsv"],
+            "15fc0a5dd541536beecc5064d5763e62c4cb58de12c142266d7078aa3122bd18",
+        ),
+        "rank-tsv": (
+            ["--rank", "--format", "tsv"],
+            "f505ab835fc5f52f8d00aacc088f9e0c5433f020a539d45a169371d9ad584c98",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_story_alice(self, case):
+        flags, digest = self.CASES[case]
+        code, out, err = invoke("text", "negate-actor", STORY, "Alice", "--taxonomies", F3, *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_lone_actor_ranks_nobody(self, tmp_path):
+        script = tmp_path / "lone.txt"
+        script.write_text("Alice is a human.\n", encoding="utf-8")
+        code, out, err = invoke(
+            "text", "negate-actor", str(script), "Alice", "--taxonomies", F3, "--rank"
+        )
+        assert (code, out, err) == (0, "rank  actor  subset  score\n", "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "37b57cf99ea250dc41fb2d26da0b1577035996b8271a369d47b38f15821a28b9"
+        )
+
+
+class TestDemoScripts:
+    """Each scripts/*.py demo, run under -W error, its stdout pinned by SHA-256."""
+
+    DIGESTS = {
+        "actor_ranking_demo.py": "edcd838c1d0eb1976d5b9beaebdb7c5122e73d33b1ebc9f86a0522e3f81ad32e",
+        "follow_up_weights_demo.py": "e8123d3c7fed381fc43349dad9d3de5ee38228f29174e859f463d5eaba337bf4",
+        "word_alternatives_demo.py": "c939a98b08c5f98c5ad53c3fd51c6f2ca962adf009eab416fc60202bd0903f35",
+    }
+
+    def test_every_demo_is_pinned(self):
+        assert sorted(p.name for p in (FIXTURES.parent / "scripts").glob("*.py")) == sorted(
+            self.DIGESTS
+        )
+
+    @pytest.mark.parametrize("demo", DIGESTS)
+    def test_stdout_digest(self, demo):
+        src = str(Path(convneg.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", str(FIXTURES.parent / "scripts" / demo)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert hashlib.sha256(done.stdout).hexdigest() == self.DIGESTS[demo]
 
 
 class TestDeterminism:

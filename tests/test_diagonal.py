@@ -64,7 +64,6 @@ from convneg.entailment import (
 )
 from convneg.operators import (
     COMPLEMENT_TOL,
-    EQ_TOL,
     MAX_ENTRY,
     PINV_TOL,
     PSD_TOL,
@@ -88,7 +87,7 @@ from convneg.operators import (
 )
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
-from conftest import FIXTURES
+from conftest import EQ_TOL, FIXTURES, descendant_leaves
 
 CONFIGS = [
     (logical, composition)
@@ -132,7 +131,7 @@ class DenseLexicon:
         self.leaves = tax.leaves
 
     def indicator(self, word):
-        member = set(self.tax.descendant_leaves(word))
+        member = set(descendant_leaves(self.tax, word))
         return np.diag([1.0 if leaf in member else 0.0 for leaf in self.leaves])
 
     def context(self, word, decay=None):
@@ -525,7 +524,7 @@ class TestRotatedLexiconMatches:
 
 def reference_indicator(tax, word, leaves):
     """The per-leaf indicator: filter every leaf by descendant membership."""
-    member = set(tax.descendant_leaves(word))
+    member = set(descendant_leaves(tax, word))
     return diagonal([1.0 if leaf in member else 0.0 for leaf in leaves], leaves)
 
 

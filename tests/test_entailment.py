@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COLORS_TSV, FIG1_TSV, FIXTURES, psd_operators, rand_full_rank_psd, rand_psd
+from conftest import (
+    COLORS_TSV,
+    EQ_TOL,
+    FIG1_TSV,
+    FIXTURES,
+    psd_operators,
+    rand_full_rank_psd,
+    rand_psd,
+)
 from convneg.entailment import (
     SUPPORT_RESIDUAL_TOL,
     loewner_k,
@@ -14,7 +22,6 @@ from convneg.entailment import (
 from convneg.errors import DimMismatch, UnknownWord, ZeroOperator
 from convneg.lexicon import build_lexicon
 from convneg.operators import (
-    EQ_TOL,
     Operator,
     diagonal,
     hadamard,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from convneg.errors import CyclicTaxonomy, ParseError, UnknownWord
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
-from conftest import FIG1_TSV, FIXTURES
+from conftest import FIG1_TSV, FIXTURES, descendant_leaves, descendants
 
 
 @pytest.fixture(scope="module")
@@ -94,19 +94,19 @@ def test_hypernyms_shortest_path_in_dag():
 
 
 def test_descendant_leaves(fig1):
-    assert fig1.descendant_leaves("rodent") == ("hamster", "guinea_pig")
-    assert fig1.descendant_leaves("entity") == ("hamster", "guinea_pig", "dog", "planet")
-    assert fig1.descendant_leaves("hamster") == ("hamster",)
-    assert fig1.descendants("rodent") == {"rodent", "hamster", "guinea_pig"}
+    assert descendant_leaves(fig1, "rodent") == ("hamster", "guinea_pig")
+    assert descendant_leaves(fig1, "entity") == ("hamster", "guinea_pig", "dog", "planet")
+    assert descendant_leaves(fig1, "hamster") == ("hamster",)
+    assert descendants(fig1, "rodent") == {"rodent", "hamster", "guinea_pig"}
 
 
 def test_unknown_concept(fig1):
     with pytest.raises(UnknownWord):
         fig1.hypernyms("flubber")
     with pytest.raises(UnknownWord):
-        fig1.descendant_leaves("flubber")
+        descendant_leaves(fig1, "flubber")
     with pytest.raises(UnknownWord):
-        fig1.descendants("flubber")
+        descendants(fig1, "flubber")
 
 
 # ---------------------------------------------------------------------------
