@@ -119,6 +119,12 @@ def _resolve(word: str, lexicons: Sequence[Lexicon], lineno: int) -> Lexicon:
         raise ParseError(str(exc), line=lineno) from exc
 
 
+def name_word(token: str, lexicons: Sequence[Lexicon]) -> str | None:
+    """The word a name token stands for: the token as written when a lexicon
+    holds it, else lower-cased when one holds that, else None."""
+    return next((w for w in (token, token.lower()) if any(w in lx for lx in lexicons)), None)
+
+
 def parse_script(text: str, lexicons: Sequence[Lexicon]) -> TextCircuit:
     """Line grammar: ``actor <Name>``, ``<Name> is [a|an] <word>``,
     ``<Name> <verb> <Name>``; ``#`` comments; trailing punctuation ignored.
@@ -132,13 +138,13 @@ def parse_script(text: str, lexicons: Sequence[Lexicon]) -> TextCircuit:
     links: set[frozenset[str]] = set()
 
     def declare(token: str, lineno: int) -> Actor:
-        for cand in (token, token.lower()):
-            if any(cand in lx for lx in lexicons):
-                a = Actor(token, cand, _resolve(cand, lexicons, lineno))
-                actors[token] = a
-                order.append(a)
-                return a
-        raise ParseError(f"actor name {token!r} not found in any lexicon", line=lineno)
+        word = name_word(token, lexicons)
+        if word is None:
+            raise ParseError(f"actor name {token!r} not found in any lexicon", line=lineno)
+        a = Actor(token, word, _resolve(word, lexicons, lineno))
+        actors[token] = a
+        order.append(a)
+        return a
 
     def reference(token: str, lineno: int) -> Actor:
         if token in actors:

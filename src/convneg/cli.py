@@ -55,6 +55,13 @@ def _emit(header: Sequence[str], rows: list[tuple[str, ...]], fmt: str, out: IO[
         print(line.rstrip(), file=out)
 
 
+def _words(text: str, what: str) -> list[str]:
+    """The words of a string argument, naming the argument when it has none."""
+    if not text.split():
+        raise ValueError(f"{what} is empty: a word string needs at least one position")
+    return text.split()
+
+
 def _load_one(path: str) -> Lexicon:
     p = Path(path)
     with open(p, "rb") as fh:
@@ -121,8 +128,8 @@ def _cmd_negate_string(args, out: IO[str]) -> int:
     from .strings import WordString, score_string
 
     lexes = _load_many(args.taxonomies)
-    s = WordString.resolve(args.string.split(), lexes)
-    follow = WordString.resolve(args.follow_up.split(), lexes)
+    s = WordString.resolve(_words(args.string, "the string"), lexes)
+    follow = WordString.resolve(_words(args.follow_up, "--follow-up"), lexes)
     scored = score_string(s, follow, args.lambda_size, NegationConfig(sigma=args.sigma))
     labels = s.words
     rows = [
@@ -153,6 +160,7 @@ def _cmd_negate_actor(args, out: IO[str]) -> int:
         cn_actor,
         contribution_string,
         load_script,
+        name_word,
         rank_alternatives,
     )
     from .strings import WordString
@@ -172,8 +180,9 @@ def _cmd_negate_actor(args, out: IO[str]) -> int:
         _emit(("rank", "actor", "subset", "score"), rows, args.format, out)
         return 0
     context = None
-    if args.context:
-        context = WordString.resolve(args.context.split(), lexes)
+    if args.context is not None:
+        words = [name_word(w, lexes) or w for w in _words(args.context, "--context")]
+        context = WordString.resolve(words, lexes)
     mix = cn_actor(circuit, args.actor, cfg, context=context, lambda_size=args.lambda_size)
     _, labels = contribution_string(circuit, args.actor)
     rows = [(_subset_label(s, labels), _fmt(w)) for s, w in zip(mix.subsets, mix.weights)]

@@ -14,9 +14,11 @@ negating few words, smoothed by NegationConfig's sigma, as alternatives are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .entailment import overlap_score
 from .errors import AlignmentError, TooManyWords, ZeroNegation
@@ -42,10 +44,19 @@ class Slot:
 @dataclass(frozen=True)
 class WordString:
     positions: tuple[Slot, ...]
+    # score_string's last result, with the context, lambda_size and cfg it
+    # answers: not compared, shown, carried over by replace, copied or pickled
+    _scored: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.positions:
             raise ValueError("a word string needs at least one position")
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_scored"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _scored=None)
 
     @classmethod
     def resolve(cls, words: Sequence[str], lexicons: Sequence[Lexicon]) -> "WordString":
@@ -123,12 +134,13 @@ def _check_lambda(lambda_size: float) -> None:
 
 
 def size_prior(n: int, lambda_size: float = LAMBDA_DEFAULT) -> tuple[float, ...]:
-    """Normalized lambda_size^(|S|-1) over the negation sets, in canonical order."""
+    """Normalized lambda_size^(|S|-1) over the negation sets, in canonical order:
+    each size's quotient once, repeated; the sum over every set, in order."""
     _check_lambda(lambda_size)
     _count_negation_sets(n)
-    prior = [w for k in range(1, n + 1) for w in [lambda_size ** (k - 1)] * math.comb(n, k)]
-    total = sum(prior)
-    return tuple(p / total for p in prior)
+    sizes = [(lambda_size ** (k - 1), math.comb(n, k)) for k in range(1, n + 1)]
+    total = sum(chain.from_iterable([p] * count for p, count in sizes))
+    return tuple(chain.from_iterable([p / total] * count for p, count in sizes))
 
 
 def _negations(s: WordString, cfg: NegationConfig) -> tuple[Operator, ...]:
@@ -151,12 +163,14 @@ def _choose(subset: tuple[int, ...], kept: Sequence, negated: Sequence) -> tuple
 def cn_string(
     s: WordString, weights: Sequence[float], cfg: NegationConfig = DEFAULTS
 ) -> NegationMixture:
-    """The mixture over negation sets with the given per-subset weights."""
+    """The mixture over negation sets with the given per-subset weights, as
+    floats divided by their math.fsum (over an array: the same IEEE quotients)."""
     count = _count_negation_sets(len(s))
     if len(weights) != count:
         raise ValueError(f"need {count} weights, got {len(weights)}")
-    ws = [float(w) for w in weights]
-    if not all(0.0 <= w < math.inf for w in ws):
+    ws = list(map(float, weights))
+    arr = np.array(ws, dtype=np.float64)
+    if not ((arr >= 0.0) & (arr < math.inf)).all():
         raise ValueError("subset weights must be finite and nonnegative")
     try:
         total = math.fsum(ws)
@@ -164,7 +178,7 @@ def cn_string(
         raise ValueError("subset weights sum past the float range") from None
     if total <= 0:
         raise ValueError("subset weights must not all vanish")
-    return NegationMixture(s.originals(), _negations(s, cfg), tuple(w / total for w in ws))
+    return NegationMixture(s.originals(), _negations(s, cfg), tuple((arr / total).tolist()))
 
 
 def _check_alignment(s: WordString, target: WordString) -> None:
@@ -226,7 +240,12 @@ def score_string(
     smoothed by cfg.sigma. Each position's overlap is computed once kept and
     once negated, and _product_tree multiplies them into every set's score.
     The spaces match: _check_alignment checks the slots, and each lexicon
-    its operators' labels."""
+    its operators' labels. ``s`` keeps its last result (never an error) for
+    the very same ``context`` object and an equal lambda_size and cfg."""
+    key = (type(lambda_size), lambda_size, cfg)
+    last = s._scored
+    if last is not None and last[0] is context and last[1] == key:
+        return last[2]
     _check_lambda(lambda_size)
     _check_alignment(s, context)
     _count_negation_sets(len(s))
@@ -234,7 +253,9 @@ def score_string(
     kept = _overlaps(s.originals(), context, cfg.sigma)
     negated = _overlaps(negations, context, cfg.sigma)
     scores = tuple(_product_tree(kept, negated, lambda_size))
-    return StringScores(kept, negated, lambda_size, scores)
+    scored = StringScores(kept, negated, lambda_size, scores)
+    object.__setattr__(s, "_scored", (context, key, scored))
+    return scored
 
 
 def _product_tree(

@@ -235,8 +235,18 @@ class TestRejectedArguments:
               "--lambda", "2"), "lambda_size must lie in (0, 1], got 2.0"),
             (("negate-string", "red", "--follow-up", "white", "--taxonomies", ","),
              "no taxonomy files given"),
+            # an empty word string is named by its argument
+            (("negate-string", "", "--follow-up", "white wine", "--taxonomies", F2),
+             "the string is empty: a word string needs at least one position"),
+            (("negate-string", "red wine", "--follow-up", " ", "--taxonomies", F2),
+             "--follow-up is empty: a word string needs at least one position"),
+            (("text", "negate-actor", STORY, "Alice", "--taxonomies", F3, "--context", " "),
+             "--context is empty: a word string needs at least one position"),
+            (("text", "negate-actor", STORY, "Alice", "--taxonomies", F3, "--context", ""),
+             "--context is empty: a word string needs at least one position"),
         ],
-        ids=["prior-2", "prior-0", "prior-negative", "prior-nan", "rank-2", "string-2", "no-taxonomies"],
+        ids=["prior-2", "prior-0", "prior-negative", "prior-nan", "rank-2", "string-2",
+             "no-taxonomies", "empty-string", "empty-follow-up", "blank-context", "empty-context"],
     )
     def test_error_line(self, argv, message):
         code, out, err = invoke(*argv)
@@ -499,6 +509,16 @@ class TestNegateActor:
         rows = {l.split()[0]: float(l.split()[1]) for l in out.splitlines()[1:]}
         assert max(rows, key=rows.get) == "{Alice,archaeologist}"
         assert top[0] == "{Alice}"
+
+    def test_context_reads_names_as_the_script_does(self):
+        # the script and the labels say "Bob"; the names lexicon holds "bob"
+        argv = ("text", "negate-actor", STORY, "Alice", "--taxonomies", F3, "--context")
+        code, out, err = invoke(*argv, "Bob human biologist")
+        assert (code, err) == (0, "")
+        assert (code, out, err) == invoke(*argv, "bob human biologist")
+        assert invoke(*argv, "Flubber human biologist") == (
+            1, "", "error: UnknownWord: word 'Flubber' not found in any loaded lexicon\n"
+        )
 
     def test_rank_labels_skip_the_actors_verb_slots(self, tmp_path):
         # a verb gate on Alice herself is not one of her own words: ranking

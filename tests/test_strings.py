@@ -1,5 +1,10 @@
+import copy
+import dataclasses
 import math
+import pickle
 import re
+from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,6 +167,39 @@ class TestCnString:
     def test_bad_weights(self, red_wine, weights):
         with pytest.raises(ValueError):
             cn_string(red_wine, weights)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([math.nan, 1, 1], "subset weights must be finite and nonnegative"),
+            ([1, math.inf, 1], "subset weights must be finite and nonnegative"),
+            ([1, 1, -math.inf], "subset weights must be finite and nonnegative"),
+            ([1, -1, 1], "subset weights must be finite and nonnegative"),
+            ([0, 0, 0], "subset weights must not all vanish"),
+            ([1e308, 1e308, 1], "subset weights sum past the float range"),
+            # a bad weight is named before a sum that would overflow
+            ([math.nan, 1e308, 1e308], "subset weights must be finite and nonnegative"),
+            ([-1, 1e308, 1e308], "subset weights must be finite and nonnegative"),
+            # and the count before any weight
+            ([math.nan], "need 3 weights, got 1"),
+        ],
+        ids=["nan", "inf", "-inf", "negative", "zeros", "overflow", "nan-overflow",
+             "negative-overflow", "count"],
+    )
+    def test_bad_weight_messages(self, red_wine, weights, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cn_string(red_wine, weights)
+
+    def test_weights_convert_by_float(self, red_wine):
+        raw = [3, np.float64(0.1), Fraction(1, 3)]
+        floats = [float(w) for w in raw]
+        got = cn_string(red_wine, raw).weights
+        assert hexes(got) == hexes(cn_string(red_wine, floats).weights)
+        assert hexes(got) == hexes([w / math.fsum(floats) for w in floats])
+        assert {type(w) for w in got} == {float}
+
+    def test_signed_zero_weight_is_kept(self, red_wine):
+        assert hexes(cn_string(red_wine, [-0.0, 2.0, 0.0]).weights) == hexes([-0.0, 1.0, 0.0])
 
     def test_zero_negation_names_the_subset(self, fig1):
         s = WordString.resolve(["entity"], [fig1])
@@ -518,12 +556,136 @@ class TestProductTreeMatchesExhaustive:
         subset, score = scored.best
         assert (subset, score.hex()) == ((0,), (0.0).hex())
 
-    @pytest.mark.parametrize("lam", [0.25, 0.3, 0.75, 1.0])
-    def test_size_prior_matches_subset_listing(self, lam):
-        for n in range(1, 13):
-            raw = [lam ** (len(subset) - 1) for subset in enumerate_negation_sets(n)]
+    @pytest.mark.parametrize("lam", [0.25, 0.3, 0.75, 1.0, 1e-3, 1 / 3, 0.123456789])
+    def test_size_prior_matches_subset_listing(self, lam, subset_sizes):
+        for n, sizes in subset_sizes.items():
+            raw = [lam ** (k - 1) for k in sizes]
             total = sum(raw)
-            assert hexes(size_prior(n, lam)) == hexes([r / total for r in raw])
+            assert bits(size_prior(n, lam)) == bits([r / total for r in raw]), n
+
+    @pytest.mark.parametrize("lam", [0.3, 0.75, 1.0, 1 / 3, 0.123456789])
+    def test_prior_mixture_divides_by_fsum(self, colors, drinks, lam):
+        for n in range(1, 17):
+            s = WordString.resolve([LONG_POOL[i % 6] for i in range(n)], [colors, drinks])
+            prior = size_prior(n, lam)
+            total = math.fsum(prior)
+            assert bits(cn_string(s, prior).weights) == bits([w / total for w in prior]), n
+
+
+@pytest.fixture(scope="module")
+def subset_sizes():
+    """Each negation set's size, in canonical order, for every n up to the guard."""
+    return {
+        n: [len(subset) for subset in enumerate_negation_sets(n)]
+        for n in range(1, MAX_STRING_WORDS + 1)
+    }
+
+
+def bits(xs):
+    """The float64 bytes of ``xs``: a bitwise comparison at C speed."""
+    return array("d", xs).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a string keeps its last scored result
+
+
+def counting(monkeypatch, *names):
+    """Count calls of the named strings-module functions."""
+    import convneg.strings
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(convneg.strings, name)
+
+        def wrapper(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(convneg.strings, name, wrapper)
+    return calls
+
+
+class TestKeptScores:
+    @pytest.fixture
+    def pair(self, colors, drinks):
+        """A fresh string and follow-up, so nothing is kept from other tests."""
+        return (
+            WordString.resolve(["red", "wine"], [colors, drinks]),
+            WordString.resolve(["white", "wine"], [colors, drinks]),
+        )
+
+    def test_repeat_returns_the_kept_object(self, pair, monkeypatch):
+        s, follow = pair
+        calls = counting(monkeypatch, "overlap_score", "cn_word")
+        first = score_string(s, follow, 0.75, NegationConfig(sigma=0.5))
+        assert score_string(s, follow, 0.75, NegationConfig(sigma=0.5)) is first
+        assert derive_weights(s, follow, 0.75, NegationConfig(sigma=0.5)) == first.weights
+        assert interpretation_scores(s, follow, 0.75, NegationConfig(sigma=0.5)) == list(first.scores)
+        assert best_interpretation(s, follow, 0.75, NegationConfig(sigma=0.5)) == first.best
+        assert calls == {"overlap_score": 4, "cn_word": 2}  # one scoring: 2n and n
+
+    def test_other_keys_recompute(self, pair, colors, drinks):
+        s, follow = pair
+        first = score_string(s, follow)
+        twin = WordString(follow.positions)  # equal content, another object
+        assert twin == follow
+        for args in [(twin,), (follow, 0.5), (follow, 0.75, NegationConfig(sigma=0))]:
+            base = score_string(s, follow)
+            got = score_string(s, *args)
+            assert got is not base
+            assert got is score_string(s, *args)
+        assert score_string(s, twin) == first
+        # an equal lambda of another type is another key: the field keeps the type
+        assert type(score_string(s, follow, 1).lambda_size) is int
+        assert type(score_string(s, follow, 1.0).lambda_size) is float
+
+    def test_only_the_last_result_is_kept(self, pair, colors, drinks):
+        s, follow = pair
+        other = WordString.resolve(["red", "beer"], [colors, drinks])
+        first = score_string(s, follow)
+        second = score_string(s, other)
+        assert score_string(s, other) is second
+        again = score_string(s, follow)
+        assert again is not first and again == first
+        assert score_string(s, other) is not second
+
+    def test_errors_raise_on_every_call(self, pair, colors, drinks, fig1):
+        s, follow = pair
+        kept = score_string(s, follow)
+        short = WordString.resolve(["red"], [colors])
+        long = WordString.resolve([LONG_POOL[i % 6] for i in range(21)], [colors, drinks])
+        entity = WordString.resolve(["entity"], [fig1])
+        for _ in range(2):
+            with pytest.raises(AlignmentError, match="length mismatch"):
+                score_string(s, short)
+            with pytest.raises(TooManyWords, match="got 21"):
+                score_string(long, long)
+            with pytest.raises(ZeroNegation, match=r"negation set \{0\}"):
+                score_string(entity, entity)
+            with pytest.raises(ValueError, match="lambda_size"):
+                score_string(s, follow, 2.0)
+        assert score_string(s, follow) is kept
+
+    def test_copies_start_empty(self, pair):
+        s, follow = pair
+        kept = score_string(s, follow)
+        twins = [
+            pickle.loads(pickle.dumps(s)),
+            copy.copy(s),
+            copy.deepcopy(s),
+            dataclasses.replace(s),
+        ]
+        for twin in twins:
+            assert twin.words == s.words and repr(twin) == repr(s)
+            assert twin._scored is None
+        # a shallow copy shares the lexicons, so it compares equal
+        assert twins[1] == s and twins[3] == s
+        assert score_string(twins[1], follow) is not kept
+        # nor does a pickle carry the kept scores
+        assert pickle.dumps(s) == pickle.dumps(WordString(s.positions))
+        assert score_string(twins[3], follow) == kept
+        assert "_scored" not in repr(s)
 
 
 # ---------------------------------------------------------------------------
