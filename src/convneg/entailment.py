@@ -170,9 +170,7 @@ def _record(
     if row is not None and hit[0]._diag is not None:
         row[:] = hit[0]._diag
         if sigma:
-            view = Operator.__new__(Operator)
-            view._init(row, None, hit[0].labels)
-            hit = table.words[word] = (view, hit[1])
+            hit = table.words[word] = (Operator._of(row, None, hit[0].labels), hit[1])
     return hit
 
 

@@ -55,6 +55,7 @@ class Lexicon:
     decay: float
     taxonomy: Taxonomy | None = field(default=None, repr=False)
     name: str = ""
+    __hash__ = None  # its maps are unhashable, so hash() names the class
     # memos built on demand, entailment's smoothed predicates and cn_word's
     # negations: not compared, shown, carried over by replace, copied or pickled
     _smoothed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -144,10 +145,9 @@ def _indicators(taxonomy: Taxonomy, leaves: tuple[str, ...]) -> dict[str, Operat
     for c in taxonomy.bottom_up:
         if c not in below:
             below[c] = set().union(*map(below.get, taxonomy.children[c]))
-    ops = {c: Operator.__new__(Operator) for c in taxonomy.order}
-    for c, op in ops.items():  # as ``diagonal`` does: a 0/1 row needs no check
-        op._init(np.bincount(list(below[c]), minlength=len(leaves)) * 1.0, None, leaves)
-    return ops
+    # as ``diagonal`` makes them, but a 0/1 row needs no check
+    bits = {c: np.bincount(list(below[c]), minlength=len(leaves)) * 1.0 for c in taxonomy.order}
+    return {c: Operator._of(row, None, leaves) for c, row in bits.items()}
 
 
 def _context(
@@ -231,19 +231,9 @@ def save_lexicon(lex: Lexicon, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _split_lines(text: str) -> list[str]:
-    """``text.splitlines()``, by ``str.split`` if every line break is LF."""
-    if not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"):
-        return text.splitlines()
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
 def load_lexicon(path: str | Path, name: str = "") -> Lexicon:
     """Load a lexicon store; re-validates every operator's invariants."""
-    reader = LineReader(_split_lines(_read_text(path)))
+    reader = LineReader(_read_text(path).splitlines())
 
     if reader.require("lexicon file") != "LEXICON v1":
         raise ParseError("expected header 'LEXICON v1'", reader.lineno)

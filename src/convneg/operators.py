@@ -10,9 +10,9 @@ leaves and mixtures of them. Validation, the spectrum, the trace, ``mix``,
 diagonal state by a diagonal effect) and the text format's writer and reader
 then cost O(n), and the dense ``matrix`` is built afresh on each read and not
 kept. Any other matrix, such as a store-injected or rotated operator, is kept
-dense and validated by its eigenvalues; those three, ``tensor`` and
-``partial_trace`` compute densely on it and their result is stored by the
-same rule. Both kinds accept and reject the same matrices, since a diagonal
+dense and checked by ``validate``, the one dense check; those three,
+``tensor`` and ``partial_trace`` compute densely on it and their result is
+stored by the same rule. Both kinds accept and reject the same matrices, since a diagonal
 matrix's eigenvalues are its entries, and give the same entries and text;
 callers see no difference but speed. (One exception: LAPACK rescales a
 matrix whose largest entry lies below about 1e-146 or above about 1e145,
@@ -105,17 +105,14 @@ def _checked_diagonal(d: np.ndarray) -> np.ndarray:
 
 
 def _checked_dense(a: np.ndarray) -> np.ndarray:
-    """Symmetry and PSD check by eigenvalues; returns the symmetrized matrix,
-    entries unchanged."""
-    defect = float(np.max(np.abs(a - a.T)))
-    if defect > SYMMETRY_TOL:
-        raise InvalidOperator(f"matrix is not symmetric (defect {defect:.3e})")
-    a = (a + a.T) / 2.0
-    lam = np.linalg.eigvalsh(a)
-    lam_min = float(lam[0])
-    if lam_min < psd_floor(float(lam[-1])):
-        raise InvalidOperator(f"matrix is not PSD (min eigenvalue {lam_min:.3e})")
-    return a
+    """The symmetry and PSD check of ``validate``, raised from its report;
+    returns the symmetrized matrix, entries unchanged."""
+    report = validate(a)
+    if report.symmetry_defect > SYMMETRY_TOL:
+        raise InvalidOperator(f"matrix is not symmetric (defect {report.symmetry_defect:.3e})")
+    if not report.passed:
+        raise InvalidOperator(f"matrix is not PSD (min eigenvalue {report.min_eigenvalue:.3e})")
+    return (a + a.T) / 2.0
 
 
 def _checked_labels(labels: Sequence[str], dim: int) -> tuple[str, ...]:
@@ -151,13 +148,20 @@ class Operator:
             checked, dense = None, _checked_dense(a)
         self._init(checked, dense, _checked_labels(labels, a.shape[0]))
 
-    def _init(self, diag: np.ndarray | None, matrix: np.ndarray | None, labels) -> None:
+    def _init(self, diag: np.ndarray | None, matrix: np.ndarray | None, labels) -> Operator:
         for arr in (diag, matrix):
             if arr is not None:
                 arr.setflags(write=False)
         object.__setattr__(self, "_diag", diag)
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "labels", labels)
+        return self
+
+    @classmethod
+    def _of(cls, diag: np.ndarray | None, matrix: np.ndarray | None, labels) -> Operator:
+        """The operator of an already-checked ``diag`` or ``matrix`` (the
+        other None) and labels, taking the array itself, made read-only."""
+        return cls.__new__(cls)._init(diag, matrix, labels)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Operator is immutable (cannot set {name!r})")
@@ -223,9 +227,7 @@ def _from_entries(x: np.ndarray, labels: tuple[str, ...]) -> Operator:
     already fit the size."""
     if x.ndim == 2:
         return Operator(x, labels)
-    op = Operator.__new__(Operator)
-    op._init(_checked_diagonal(x), None, labels)
-    return op
+    return Operator._of(_checked_diagonal(x), None, labels)
 
 
 @dataclass(frozen=True)
@@ -269,9 +271,7 @@ def diagonal(entries: Sequence[float], labels: Sequence[str] = ()) -> Operator:
     if d.ndim != 1 or d.size == 0:
         raise InvalidOperator(f"expected a nonempty vector of entries, got shape {d.shape}")
     # entries before labels, the order in which Operator checks diag(d)
-    op = Operator.__new__(Operator)
-    op._init(_checked_diagonal(d), None, _checked_labels(labels, d.size))
-    return op
+    return Operator._of(_checked_diagonal(d), None, _checked_labels(labels, d.size))
 
 
 def mix(terms: Sequence[tuple[float, Operator]]) -> Operator:
@@ -342,7 +342,7 @@ def complement(p: Operator) -> Operator:
 
     A top eigenvalue up to COMPLEMENT_TOL above 1 is accepted as rounding.
     A diagonal I - P sets the negative entries it causes to 0; a dense one
-    is projected onto the PSD cone only if they fall below ``psd_floor``.
+    is projected onto the PSD cone only if ``validate`` fails it.
     """
     top = p.max_eigenvalue()
     if top > 1.0 + COMPLEMENT_TOL:
@@ -350,10 +350,9 @@ def complement(p: Operator) -> Operator:
     if p._diag is not None:
         return _from_entries(np.maximum(1.0 - p._diag, 0.0), p.labels)
     m = np.eye(p.dim) - p.matrix
-    lam = np.linalg.eigvalsh(m)
-    if lam[0] < psd_floor(float(lam[-1])):
-        m = _spectral(m, lambda lam: np.clip(lam, 0.0, None))
-    return Operator(m, p.labels)
+    if validate(m).passed:  # symmetric bit for bit, so already checked
+        return Operator._of(None, m, p.labels)
+    return Operator(_spectral(m, lambda lam: np.clip(lam, 0.0, None)), p.labels)
 
 
 def trace_product(a: Operator, b: Operator) -> float:
@@ -504,7 +503,8 @@ class LineReader:
     ``lineno`` is the 1-based number of the last line consumed, for error
     messages. Iteration ends quietly at end of input; ``require`` raises
     ParseError there instead. ``operator_from_lines`` keeps on the reader
-    what it has read from it (see the text format above).
+    what it has read from it (see the text format above) and checks a
+    dense block by ``validate``.
     """
 
     def __init__(self, lines: Iterable[str]):

@@ -31,6 +31,7 @@ class Taxonomy:
     # every concept, each after all its children: the reverse of a
     # topological order of the edges
     bottom_up: tuple[str, ...] = field(compare=False, repr=False)
+    __hash__ = None  # its dicts are unhashable, so hash() names the class
 
     @property
     def concepts(self) -> frozenset[str]:

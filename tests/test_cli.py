@@ -719,6 +719,19 @@ class TestCliImports:
         ]
         assert private == []
 
+    def test_only_operators_makes_an_operator_without_init(self):
+        # Operator._of is the one way to wrap already-checked arrays
+        package = Path(convneg.__file__).parent
+        uses = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "operators.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and (node.attr == "_init" or (node.attr == "__new__" and ast.unparse(node.value) == "Operator"))
+        ]
+        assert uses == []
+
 
 class TestLazyImports:
     def test_public_names_resolve_to_the_same_objects(self):

@@ -6,7 +6,6 @@ import pickle
 import re
 import tracemalloc
 from types import MappingProxyType
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convneg.lexicon
+from convneg.circuits import Actor, UnaryGate
 from convneg.errors import ConvnegError, AmbiguousWord, DimMismatch, ParseError, UnknownWord
 from convneg.lexicon import (
     Lexicon,
-    _split_lines,
     build_lexicon,
     load_lexicon,
     resolve_word,
@@ -32,6 +31,7 @@ from convneg.operators import (
     operator_from_lines,
     operator_to_lines,
 )
+from convneg.strings import Slot, WordString
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
 from conftest import COLORS_TSV, FIG1_TSV, FIXTURES, golden_stores, without_blocks
@@ -227,6 +227,25 @@ class TestReadOnlyLexicon:
             assert twin.wc_ops["hamster"] is twin.wc_ops["guinea_pig"]
             assert not twin._smoothed and not twin._negations
         assert copy.copy(lex) == lex
+
+    def test_unhashable_by_name(self, fig1_lex):
+        # a lexicon's maps and a taxonomy's dicts are unhashable, so each
+        # class says so itself; what holds one names it
+        taxonomy = fig1_lex.taxonomy
+        for value, name in [
+            (fig1_lex, "Lexicon"),
+            (taxonomy, "Taxonomy"),
+            (Slot("dog", fig1_lex), "Lexicon"),
+            (WordString((Slot("dog", fig1_lex),)), "Lexicon"),
+            (Actor("Dog", "dog", fig1_lex), "Lexicon"),
+            (UnaryGate("Dog", "dog", fig1_lex), "Lexicon"),
+        ]:
+            with pytest.raises(TypeError, match=f"^unhashable type: '{name}'$"):
+                hash(value)
+            with pytest.raises(TypeError, match=f"^unhashable type: '{name}'$"):
+                hash(copy.copy(value))
+        assert fig1_lex == dataclasses.replace(fig1_lex)
+        assert taxonomy == dataclasses.replace(taxonomy)
 
 
 def rotation(rng, n):
@@ -511,9 +530,6 @@ class TestStore:
 
 # every line boundary str.splitlines knows
 LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
-TEXTS = st.lists(
-    st.one_of(st.sampled_from(LINE_BREAKS), st.text("ab \té", max_size=3)), max_size=12
-).map("".join)
 
 
 def load_outcome(path):
@@ -528,36 +544,30 @@ def load_outcome(path):
 
 
 class TestSplitLines:
-    """The store reader splits an ASCII text that breaks lines only at LF
-    with one ``str.split``; lines and line numbers match ``splitlines``."""
+    """A store's lines are split by ``str.splitlines``: any of its line
+    breaks, mixed freely, reads as LF, and error line numbers count them."""
 
-    @settings(max_examples=300)
-    @given(text=TEXTS)
-    def test_same_lines_as_splitlines(self, text):
-        assert _split_lines(text) == text.splitlines()
-        assert _split_lines(text + "\n") == (text + "\n").splitlines()
+    @pytest.mark.parametrize("breaks", [("\r\n",), ("\r",), LINE_BREAKS], ids=["crlf", "cr", "mixed"])
+    def test_any_line_break_reads_as_lf(self, breaks, tmp_path):
+        save_lexicon(build_lexicon(parse_taxonomy(FIG1_TSV)), tmp_path / "lf.lex")
+        lf = (tmp_path / "lf.lex").read_bytes()
+        lines = lf.decode().split("\n")[:-1]
 
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), uniform=st.booleans(), final=st.booleans())
-    def test_store_reads_as_with_splitlines(self, data, uniform, final, tmp_path_factory):
-        folder = tmp_path_factory.mktemp("split")
-        save_lexicon(build_lexicon(parse_taxonomy(FIG1_TSV)), folder / "fig1.lex")
-        lines = (folder / "fig1.lex").read_text(encoding="utf-8").split("\n")[:-1]
-        # damage: a line replaced, blanked or cut, or the store truncated
-        i = data.draw(st.integers(0, len(lines) - 1))
-        damage = data.draw(st.sampled_from(["none", "blank", "junk", "rosé", "cut"]))
-        if damage == "cut":
-            lines = lines[:i]
-        elif damage != "none":
-            lines[i] = {"blank": "", "junk": "WORD", "rosé": lines[i] + " rosé"}[damage]
-        kinds = ["\n"] if uniform else sorted(data.draw(st.sets(st.sampled_from(LINE_BREAKS), min_size=1)))
-        breaks = data.draw(st.lists(st.sampled_from(kinds), min_size=len(lines), max_size=len(lines)))
-        text = "".join(line + br for line, br in zip(lines, breaks))
-        path = folder / "store.lex"
-        path.write_bytes((text if final else text[: -len(breaks[-1])] if breaks else text).encode())
-        got = load_outcome(path)
-        with mock.patch.object(convneg.lexicon, "_split_lines", str.splitlines):
-            assert got == load_outcome(path)
+        def store(lines, name, final=True):
+            text = "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+            (tmp_path / name).write_bytes(text.encode() if final else text.rstrip("".join(breaks)).encode())
+            return tmp_path / name
+
+        for final in (True, False):
+            assert load_outcome(store(lines, "any.lex", final)) == load_outcome(tmp_path / "lf.lex")
+        save_lexicon(load_lexicon(tmp_path / "any.lex"), tmp_path / "again.lex")
+        assert (tmp_path / "again.lex").read_bytes() == lf
+        for k in range(1, len(lines) + 1):
+            damaged = lines[: k - 1] + ["junk"] + lines[k:]
+            outcome = load_outcome(store(damaged, "bad.lex"))
+            assert outcome[1] == k
+            (tmp_path / "bad-lf.lex").write_text("\n".join(damaged) + "\n", encoding="utf-8")
+            assert outcome == load_outcome(tmp_path / "bad-lf.lex")
 
     def test_empty_store(self, tmp_path):
         (tmp_path / "empty.lex").write_bytes(b"")

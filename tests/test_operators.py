@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convneg.errors import (
+    ConvnegError,
     DimMismatch,
     EmptyMixture,
     InvalidIndex,
     InvalidOperator,
+    NotSubnormalized,
     ParseError,
     ZeroOperator,
 )
 from convneg.operators import (
+    COMPLEMENT_TOL,
+    SYMMETRY_TOL,
     LineReader,
     Operator,
+    _spectral,
+    complement,
     conjugate_update,
     diagonal,
     hadamard,
@@ -368,6 +375,77 @@ class TestValidate:
         diag = validate(np.array([[1.0, 0.1], [0.0, 1.0]]))
         assert diag.symmetry_defect == pytest.approx(0.1)
         assert not diag.passed
+
+
+def old_complement(p: Operator) -> Operator:
+    """``complement`` as it was before it checked I - P by ``validate``: its
+    own eigenvalue test against ``psd_floor``."""
+    top = p.max_eigenvalue()
+    if top > 1.0 + COMPLEMENT_TOL:
+        raise NotSubnormalized(f"complement needs max eigenvalue <= 1, got {top!r}")
+    if p._diag is not None:
+        return diagonal(np.maximum(1.0 - p._diag, 0.0), p.labels)
+    m = np.eye(p.dim) - p.matrix
+    lam = np.linalg.eigvalsh(m)
+    if lam[0] < psd_floor(float(lam[-1])):
+        m = _spectral(m, lambda lam: np.clip(lam, 0.0, None))
+    return Operator(m, p.labels)
+
+
+def outcome(f, *args) -> tuple:
+    """The result's entries and labels, or the error's type and message."""
+    try:
+        out = f(*args)
+    except ConvnegError as exc:
+        return type(exc), str(exc)
+    return out.matrix.tobytes(), out.labels
+
+
+@st.composite
+def near_floor_matrices(draw, max_dim: int = 5):
+    """Q·diag(lam)·Qᵀ for a random rotation Q, symmetrized, whose smallest
+    eigenvalue sits on either side of ``psd_floor`` of the largest, at 0 or
+    far below it, plus an asymmetry in one entry pair below, at or above
+    SYMMETRY_TOL."""
+    dim = draw(st.integers(2, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    top = draw(st.sampled_from([1.0, 1e-3, 40.0, 1e6]))
+    floor = psd_floor(top)
+    low = draw(st.sampled_from([0.0, 0.5, floor * 0.99, floor * 1.01, floor * 2, -0.3 * top]))
+    lam = np.concatenate([[low], rng.uniform(0, top, dim - 2), [top]])
+    m = q @ np.diag(lam) @ q.T
+    m = (m + m.T) / 2.0
+    skew = draw(st.sampled_from([0.0, 0.4, 1.0, 3.0, 1e6])) * SYMMETRY_TOL
+    m[0, 1] += skew
+    return m
+
+
+class TestOnePsdRule:
+    """``validate`` is the dense check: ``Operator`` raises exactly when its
+    report fails, naming symmetry first, and dense ``complement`` projects
+    I - P exactly when the report on it fails."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(m=near_floor_matrices())
+    def test_operator_raises_iff_validate_fails(self, m):
+        report = validate(m)
+        kind, message = outcome(Operator, m)
+        assert (kind is InvalidOperator) == (not report.passed)
+        if report.symmetry_defect > SYMMETRY_TOL:
+            assert message == f"matrix is not symmetric (defect {report.symmetry_defect:.3e})"
+        elif not report.passed:
+            assert message == f"matrix is not PSD (min eigenvalue {report.min_eigenvalue:.3e})"
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=near_floor_matrices(), over=st.sampled_from([0.0, 2e-11, 1e-10, 5e-10, 2e-9]))
+    def test_dense_complement_as_before(self, m, over):
+        # a predicate whose top eigenvalue lies up to COMPLEMENT_TOL above 1
+        # (or past it), so I - P lands near, above and below the floor
+        square = m @ m.T
+        p = Operator((square + square.T) / 2.0)
+        p = Operator(p.matrix / p.max_eigenvalue() * (1.0 + over), tuple("abcde"[: p.dim]))
+        assert outcome(complement, p) == outcome(old_complement, p)
 
 
 def operator_to_text(a: Operator) -> str:
