@@ -10,9 +10,10 @@ leaves and mixtures of them. Validation, the spectrum, the trace, ``mix``,
 diagonal state by a diagonal effect) and the text format's writer and reader
 then cost O(n), and the dense ``matrix`` is built afresh on each read and not
 kept. Any other matrix, such as a store-injected or rotated operator, is kept
-dense and checked by ``validate``, the one dense check; those three,
-``tensor`` and ``partial_trace`` compute densely on it and their result is
-stored by the same rule. Both kinds accept and reject the same matrices, since a diagonal
+dense with the eigenvalues of the one dense check (``validate`` reports it),
+which symmetrizes it and runs ``eigvalsh`` once; those three, ``tensor`` and
+``partial_trace`` compute densely on it, their result stored by the same
+rule. Both kinds accept and reject the same matrices, since a diagonal
 matrix's eigenvalues are its entries, and give the same entries and text;
 callers see no difference but speed. (One exception: LAPACK rescales a
 matrix whose largest entry lies below about 1e-146 or above about 1e145,
@@ -31,8 +32,10 @@ dimensions this package targets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,6 +60,7 @@ COMPLEMENT_TOL = 1e-9
 # largest magnitude of a finite entry the text format reads: a sum of up to
 # 1e8 of them (a trace, a mixture, a symmetrization) stays below 1.8e308
 MAX_ENTRY = 1e300
+_upper = functools.lru_cache(maxsize=16)(np.triu_indices)  # by dim, for the text format
 
 
 def psd_floor(lam_max: float) -> float:
@@ -104,15 +108,25 @@ def _checked_diagonal(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _checked_dense(a: np.ndarray) -> np.ndarray:
-    """The symmetry and PSD check of ``validate``, raised from its report;
-    returns the symmetrized matrix, entries unchanged."""
-    report = validate(a)
-    if report.symmetry_defect > SYMMETRY_TOL:
-        raise InvalidOperator(f"matrix is not symmetric (defect {report.symmetry_defect:.3e})")
-    if not report.passed:
-        raise InvalidOperator(f"matrix is not PSD (min eigenvalue {report.min_eigenvalue:.3e})")
-    return (a + a.T) / 2.0
+def _dense_check(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Symmetry defect, sym = (a + a.T) / 2 and sym's ascending eigenvalues of a
+    square ``a``, each computed once; the eigenvalues NaN, unwarned, if sym overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect, sym = float(np.max(np.abs(a - a.T))), (a + a.T) / 2.0
+    lam = np.linalg.eigvalsh(sym) if np.isfinite(sym).all() else np.full(len(a), math.nan)
+    return defect, sym, lam
+
+
+def _checked_dense(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_dense_check`` raised for a finite ``a``: returns sym and its eigenvalues."""
+    defect, sym, lam = _dense_check(a)
+    if defect > SYMMETRY_TOL:
+        raise InvalidOperator(f"matrix is not symmetric (defect {defect:.3e})")
+    if math.isnan(lam[0]):
+        raise InvalidOperator(f"entry magnitude {np.abs(a).max():.3e} overflows (a + a.T) / 2")
+    if lam[0] < psd_floor(lam[-1]):
+        raise InvalidOperator(f"matrix is not PSD (min eigenvalue {lam[0]:.3e})")
+    return sym, lam
 
 
 def _checked_labels(labels: Sequence[str], dim: int) -> tuple[str, ...]:
@@ -143,17 +157,18 @@ class Operator:
         diag = np.diagonal(a)
         if np.count_nonzero(a) == np.count_nonzero(diag):
             # a copy, so the n x n array is not kept alive as its base
-            checked, dense = _checked_diagonal(diag.copy()), None
+            checked, dense, lam = _checked_diagonal(diag.copy()), None, None
         else:
-            checked, dense = None, _checked_dense(a)
-        self._init(checked, dense, _checked_labels(labels, a.shape[0]))
+            checked, (dense, lam) = None, _checked_dense(a)
+        self._init(checked, dense, _checked_labels(labels, a.shape[0]), lam)
 
-    def _init(self, diag: np.ndarray | None, matrix: np.ndarray | None, labels) -> Operator:
-        for arr in (diag, matrix):
+    def _init(self, diag: np.ndarray | None, matrix: np.ndarray | None, labels, spectrum=None):
+        for arr in (diag, matrix, spectrum):
             if arr is not None:
                 arr.setflags(write=False)
         object.__setattr__(self, "_diag", diag)
         object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_spectrum", spectrum)
         object.__setattr__(self, "labels", labels)
         return self
 
@@ -189,17 +204,22 @@ class Operator:
             return float(self._diag.sum())
         return float(np.trace(self._matrix))
 
+    def _dense_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues, read-only: the check's, or computed on first use and kept."""
+        if self._spectrum is None:
+            object.__setattr__(self, "_spectrum", np.linalg.eigvalsh(self._matrix))
+            self._spectrum.setflags(write=False)
+        return self._spectrum
+
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues."""
-        if self._diag is not None:
-            return np.sort(self._diag)
-        return np.linalg.eigvalsh(self._matrix)
+        """Ascending eigenvalues, a fresh array."""
+        return np.sort(self._diag) if self._diag is not None else self._dense_spectrum().copy()
 
     def max_eigenvalue(self) -> float:
-        return float(self._diag.max() if self._diag is not None else self.eigenvalues()[-1])
+        return float(self._diag.max() if self._diag is not None else self._dense_spectrum()[-1])
 
     def min_eigenvalue(self) -> float:
-        return float(self._diag.min() if self._diag is not None else self.eigenvalues()[0])
+        return float(self._diag.min() if self._diag is not None else self._dense_spectrum()[0])
 
     def is_zero(self) -> bool:
         return self.trace() <= ZERO_TRACE_TOL
@@ -342,7 +362,7 @@ def complement(p: Operator) -> Operator:
 
     A top eigenvalue up to COMPLEMENT_TOL above 1 is accepted as rounding.
     A diagonal I - P sets the negative entries it causes to 0; a dense one
-    is projected onto the PSD cone only if ``validate`` fails it.
+    is projected onto the PSD cone only if the dense check fails it.
     """
     top = p.max_eigenvalue()
     if top > 1.0 + COMPLEMENT_TOL:
@@ -350,9 +370,10 @@ def complement(p: Operator) -> Operator:
     if p._diag is not None:
         return _from_entries(np.maximum(1.0 - p._diag, 0.0), p.labels)
     m = np.eye(p.dim) - p.matrix
-    if validate(m).passed:  # symmetric bit for bit, so already checked
-        return Operator._of(None, m, p.labels)
-    return Operator(_spectral(m, lambda lam: np.clip(lam, 0.0, None)), p.labels)
+    try:
+        return Operator(m, p.labels)  # dense, and symmetric bit for bit: kept as it is
+    except InvalidOperator:
+        return Operator(_spectral(m, lambda lam: np.clip(lam, 0.0, None)), p.labels)
 
 
 def trace_product(a: Operator, b: Operator) -> float:
@@ -439,15 +460,11 @@ def validate(a: Operator | np.ndarray) -> OperatorDiagnostics:
         return OperatorDiagnostics(
             0, float("inf"), float("-inf"), float("nan"), False, float("nan")
         )
-    defect = float(np.max(np.abs(m - m.T)))
-    sym = (m + m.T) / 2.0
-    lam = np.linalg.eigvalsh(sym)
-    labels_ok = not labels or (
-        len(labels) == m.shape[0] and len(set(labels)) == len(labels)
-    )
-    return OperatorDiagnostics(
-        m.shape[0], defect, float(lam[0]), float(np.trace(m)), labels_ok, float(lam[-1])
-    )
+    defect, _, lam = _dense_check(m)
+    labels_ok = not labels or (len(labels) == m.shape[0] and len(set(labels)) == len(labels))
+    with np.errstate(over="ignore"):
+        trace = float(np.trace(m))
+    return OperatorDiagnostics(m.shape[0], defect, float(lam[0]), trace, labels_ok, float(lam[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +474,10 @@ def validate(a: Operator | np.ndarray) -> OperatorDiagnostics:
 # "0.0 " * i and " 0.0" * (n-1-i), zeros cut once per dim for all the blocks
 # one writer (one store) formats. A block whose every row reads that way is
 # read by parsing each row's one token: O(n) number work per block, not n^2.
-# Any other block is split and parsed from its first row. A dense matrix is
-# exactly symmetric: its upper triangle is formatted once and mirrored, and a
-# row whose first i tokens equal, as text, the i-th tokens of the rows above
-# takes those values and parses the rest. A finite entry above MAX_ENTRY in
+# Any other block has each row split once. A dense matrix is exactly
+# symmetric: its upper triangle is formatted once and mirrored, and a block
+# whose tokens equal their transpose is read from its upper triangle, mirrored;
+# any other has every token parsed, row by row. A finite entry above MAX_ENTRY in
 # magnitude is refused, naming the first row with one, before the block is
 # validated. One LineReader (one store) reads each distinct thing once: a
 # block whose dim, LABELS line and rows repeat an earlier one is that block's
@@ -504,7 +521,7 @@ class LineReader:
     messages. Iteration ends quietly at end of input; ``require`` raises
     ParseError there instead. ``operator_from_lines`` keeps on the reader
     what it has read from it (see the text format above) and checks a
-    dense block by ``validate``.
+    dense block by the dense check.
     """
 
     def __init__(self, lines: Iterable[str]):
@@ -563,27 +580,29 @@ def _diagonal_rows(reader: LineReader, dim: int, text: list[str]) -> list[float]
     return diag
 
 
-def _dense_rows(reader: LineReader, dim: int, text: list[str], first: int) -> list[list[float]]:
-    """All rows of a block: ``text`` (line ``first`` on) split and parsed, a
-    row whose first i entries repeat the rows above taking their values; a
-    row missing at the end of input raises."""
-    rows: list[list[float]] = []
-    tokens: list[list[str]] = []  # entries as text
-    for i in range(dim):
-        row_line = text[i] if i < len(text) else reader.require("operator block")
-        fields = row_line.split()
+def _dense_entries(reader: LineReader, dim: int, text: list[str], first: int) -> np.ndarray:
+    """The matrix of a block's rows ``text`` (line ``first`` on), by the text format's rule;
+    raises at the first faulty row, or at the end of input for a missing one."""
+    table = [row_line.split() for row_line in text]
+    if len(table) == dim and table == list(map(list, zip(*table))):
+        tokens = chain.from_iterable(row[i:] for i, row in enumerate(table))
+        entries, iu = np.empty((dim, dim)), _upper(dim)
+        try:
+            entries[iu] = entries.T[iu] = np.fromiter(map(float, tokens), np.float64)
+            return entries
+        except ValueError:
+            pass  # a bad token, reported from its first row below
+    rows = []
+    for i, (row_line, fields) in enumerate(zip(text, table)):
         if len(fields) != dim:
             raise ParseError(f"expected {dim} entries, got {len(fields)}", first + i)
         try:
-            if fields[:i] == [above[i] for above in tokens]:
-                # the same text parses to the same float
-                rows.append([above[i] for above in rows] + [float(x) for x in fields[i:]])
-            else:
-                rows.append([float(x) for x in fields])
+            rows.append(list(map(float, fields)))
         except ValueError:
             raise ParseError(f"bad matrix entry in {row_line!r}", first + i) from None
-        tokens.append(fields)
-    return rows
+    if len(rows) < dim:  # the input ended inside the block: raises
+        reader.require("operator block")
+    return np.array(rows)
 
 
 def operator_from_lines(reader: LineReader) -> Operator:
@@ -612,7 +631,7 @@ def operator_from_lines(reader: LineReader) -> Operator:
         return op
     diag = _diagonal_rows(reader, dim, text) if len(text) == dim else None
     if diag is None:  # raises at the first faulty row or at the end of input
-        entries = np.array(_dense_rows(reader, dim, text, first))
+        entries = _dense_entries(reader, dim, text, first)
         low, high = entries.min(), entries.max()
     else:
         entries, low, high = diag, min(diag), max(diag)

@@ -43,6 +43,26 @@ def story_lexicons():
     )
 
 
+def random_orthogonal(seed: int, n: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def rotated(lex, q):
+    """Every operator conjugated by ``q``: dense, non-diagonal store entries."""
+
+    def rotate(op):
+        m = q @ op.matrix @ q.T
+        return Operator((m + m.T) / 2.0, lex.leaves)
+
+    return dataclasses.replace(
+        lex,
+        word_ops={c: rotate(op) for c, op in lex.word_ops.items()},
+        wc_ops={c: rotate(op) for c, op in lex.wc_ops.items()},
+    )
+
+
 HADAMARD4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 
 

@@ -14,7 +14,8 @@ support projector are checked bit for bit against the eigendecomposition, and
 ``alternatives``/``overlap_score``, with their memoized smoothed predicates
 and kept rankings, against a per-leaf reference that rebuilds each
 predicate, the long double leaf-score sums against ``math.fsum`` row by row,
-and ``loewner_k`` on diagonals against its dense path.
+and ``loewner_k`` on diagonals against its dense path. A dense operator's kept
+spectrum is checked against ``eigvalsh`` of its matrix, whatever made it.
 """
 
 import copy
@@ -26,12 +27,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import convneg.entailment
 import convneg.lexicon
 import convneg.negation
+import convneg.operators
 from convneg.errors import (
     ConvnegError,
     DimMismatch,
@@ -67,6 +69,7 @@ from convneg.operators import (
     MAX_ENTRY,
     PINV_TOL,
     PSD_TOL,
+    SYMMETRY_TOL,
     ZERO_TRACE_TOL,
     LineReader,
     Operator,
@@ -79,15 +82,17 @@ from convneg.operators import (
     normalize,
     operator_from_lines,
     operator_to_lines,
+    partial_trace,
     pseudoinverse,
     psd_floor,
     support_projector,
+    tensor,
     trace_product,
     validate,
 )
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
-from conftest import EQ_TOL, FIXTURES, descendant_leaves
+from conftest import EQ_TOL, FIXTURES, descendant_leaves, random_orthogonal, rotated
 
 CONFIGS = [
     (logical, composition)
@@ -197,26 +202,6 @@ def taxonomies(draw, max_concepts=9):
     if len(tax.leaves) < 2:
         tax = parse_taxonomy("\n".join(lines + [f"c{n}\tc0"]) + "\n")
     return tax
-
-
-def random_orthogonal(seed: int, n: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
-
-
-def rotated(lex, q):
-    """Every operator conjugated by ``q``: dense, non-diagonal store entries."""
-
-    def rotate(op):
-        m = q @ op.matrix @ q.T
-        return Operator((m + m.T) / 2.0, lex.leaves)
-
-    return dataclasses.replace(
-        lex,
-        word_ops={c: rotate(op) for c, op in lex.word_ops.items()},
-        wc_ops={c: rotate(op) for c, op in lex.wc_ops.items()},
-    )
 
 
 def outcome(fn, *args):
@@ -590,14 +575,14 @@ def read_outcome(read, lines):
 
 
 @st.composite
-def stored_operators(draw, n=None):
+def stored_operators(draw, n=None, kind=None):
     """Operators a store can hold: diagonal, diagonal with entries in the
     clamp window, dense PSD, dense PSD blocks on the diagonal (exact zeros,
     and -0.0 where a masked entry was negative), and rotated indicators; dim
-    ``n`` or 1-6, with or without labels."""
+    ``n`` or 1-6, of ``kind`` or any, with or without labels."""
     n = n or draw(st.integers(1, 6))
     labels = tuple(f"x{i}" for i in range(n)) if draw(st.booleans()) else ()
-    kind = draw(st.sampled_from(["diagonal", "clamped", "dense", "blocks", "rotated"]))
+    kind = kind or draw(st.sampled_from(["diagonal", "clamped", "dense", "blocks", "rotated"]))
     if kind in ("diagonal", "clamped"):
         low = -PSD_TOL if kind == "clamped" else 0.0
         entries = st.one_of(
@@ -625,9 +610,10 @@ def stores(draw):
     word and context operators drawn from up to four distinct ones. One of
     those may be another's entries without labels, with -0.0 made 0.0, or
     with a changed last diagonal entry (another block with the same first
-    row)."""
-    n = draw(st.integers(1, 6))
-    distinct = draw(st.lists(stored_operators(n), min_size=1, max_size=3))
+    row). Dim 1-6, or 32 with a rotated first block."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 32]))
+    first = stored_operators(n, "rotated" if n == 32 else None)
+    distinct = [draw(first)] + draw(st.lists(stored_operators(n), max_size=2))
     variant = draw(st.sampled_from(["none", "unlabelled", "unsigned-zeros", "last-entry"]))
     if variant == "unlabelled":
         distinct.append(Operator(distinct[0].matrix))
@@ -703,11 +689,21 @@ CORRUPTIONS = [
     "oversized-diagonal",
     "oversized-off-diagonal",
     "bound-diagonal",
+    # dense-block variants: tokens no longer their own transpose as text,
+    # or a bad token in a mirrored pair, or two faulty rows
+    "respelled-lower-triangle",
+    "nudged-within-tolerance",
+    "nudged-beyond-tolerance",
+    "bad-lower-entry",
+    "bad-mirrored-pair",
+    "bad-entry-then-count",
+    "count-then-bad-entry",
 ]
 
 
 def corrupt(lines, kind, r, c, late_fallback=False):
-    """``lines`` (one operator block) with one corruption in row ``r``;
+    """``lines`` (one operator block) with one corruption in row ``r`` (and
+    its mirror or a second row, for some kinds);
     ``c`` picks a column (an off-diagonal one where there is one), or for
     truncation the number of lines kept. ``late_fallback`` also writes an
     off-diagonal "-0.0" into the last row, so a reader that took the rows
@@ -761,6 +757,30 @@ def corrupt(lines, kind, r, c, late_fallback=False):
         # mirror in value, not in text
         j = c % r if r else off
         rows[r][j] = respelled(rows[r][j])
+    elif kind == "respelled-lower-triangle":
+        # every entry below the diagonal the same number in other text:
+        # "0.5" -> "5.00000000000000000e-01", "0.0" <-> "-0.0"
+        for i in range(n):
+            for j in range(i):
+                x = rows[i][j]
+                rows[i][j] = {"0.0": "-0.0", "-0.0": "0.0"}.get(x, f"{float(x):.17e}")
+    elif kind in ("nudged-within-tolerance", "nudged-beyond-tolerance"):
+        # one off-diagonal entry (below the diagonal where there is one)
+        # moved by half or four times SYMMETRY_TOL
+        i, j = max(r, off), min(r, off)
+        step = 0.5 if kind == "nudged-within-tolerance" else 4.0
+        rows[i][j] = repr(float(rows[i][j]) + step * SYMMETRY_TOL)
+    elif kind == "bad-lower-entry":
+        rows[max(r, off)][min(r, off)] = "x"
+    elif kind == "bad-mirrored-pair":
+        # still its own transpose as text: the first of the two rows is named
+        rows[r][off] = rows[off][r] = "1.0.0"
+    elif kind in ("bad-entry-then-count", "count-then-bad-entry"):
+        # a bad token in one row and a wrong-count row in another, either first
+        first, second = sorted((r, (r + 1 + c) % n))
+        bad, short = (first, second) if kind == "bad-entry-then-count" else (second, first)
+        rows[bad][0] = "x"
+        rows[short].append("0.0")
     elif kind == "sign-flipped-zero":
         # the first off-diagonal zero, if any: "0.0" <-> "-0.0"
         zeros = [j for j, x in enumerate(rows[r]) if j != r and x in ("0.0", "-0.0")]
@@ -950,6 +970,100 @@ class TestStoreBlocksMatchReference:
         loaded = load_lexicon(tmp_path / "fig1.lex")
         assert loaded.wc_ops["hamster"] is loaded.wc_ops["guinea_pig"]
         assert loaded.wc_ops["rodent"] is not loaded.wc_ops["hamster"]
+
+
+def hexes(values) -> list[str]:
+    return [float.hex(float(x)) for x in np.ravel(values)]
+
+
+class TestKeptSpectrum:
+    """A dense operator keeps the eigenvalues of its one check, or of its
+    first use, and reads its spectrum from them: bit for bit what eigvalsh
+    gives on its matrix, whichever function made it."""
+
+    @staticmethod
+    def sources(op, other):
+        """Dense and diagonal operators made from ``op`` and ``other`` (same
+        dim) by each function that returns one; refusals are skipped."""
+        n, sup = op.dim, normalize(op, "sup") if not op.is_zero() else op
+        made = {
+            "Operator": lambda: Operator(op.matrix, op.labels),
+            "mix": lambda: mix([(0.5, op), (0.25, other)]),
+            "normalize-trace": lambda: normalize(op, "trace"),
+            "normalize-sup": lambda: normalize(op, "sup"),
+            # I - P passes the dense check as it is, or is projected onto the
+            # PSD cone when P's top eigenvalue lies past the floor above 1
+            "complement-kept": lambda: complement(sup),
+            "complement-projected": lambda: complement(
+                Operator(sup.matrix * (1.0 + 5 * PSD_TOL), sup.labels)
+            ),
+            "conjugate_update": lambda: conjugate_update(op, normalize(other, "sup")),
+            "pseudoinverse": lambda: pseudoinverse(op),
+            "support_projector": lambda: support_projector(op),
+            "tensor": lambda: tensor(op, other),
+            "partial_trace": lambda: partial_trace(tensor(op, other), (n, n), 1),
+            "store": lambda: operator_from_lines(LineReader(operator_to_lines(op))),
+            "_of": lambda: Operator._of(None, op.matrix, op.labels) if op._diag is None else op,
+        }
+        for name, make in made.items():
+            try:
+                yield name, make()
+            except ConvnegError:
+                pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(op=st.integers(1, 6).flatmap(lambda n: st.tuples(stored_operators(n), stored_operators(n))))
+    def test_spectrum_is_eigvalsh_of_the_matrix(self, op):
+        op, other = op
+        # products of two operators (tensor, conjugate_update) overflow past this
+        assume(max(np.abs(op.matrix).max(), np.abs(other.matrix).max()) <= 1e100)
+        for name, made in self.sources(op, other):
+            if made._diag is not None:
+                continue
+            want = np.linalg.eigvalsh(made.matrix)
+            got = made.eigenvalues()
+            assert hexes(got) == hexes(want), name
+            assert float.hex(made.max_eigenvalue()) == float.hex(float(want[-1])), name
+            assert float.hex(made.min_eigenvalue()) == float.hex(float(want[0])), name
+            # the array returned is the caller's: writing it changes nothing
+            got[:] = 7.0
+            assert hexes(made.eigenvalues()) == hexes(want), name
+            assert made._spectrum is not None and not made._spectrum.flags.writeable
+
+    def test_every_source_makes_a_dense_operator(self):
+        # the property above is not vacuous: each source has a dense result
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 3))
+        op = Operator(x @ x.T + np.eye(3))
+        names = [name for name, made in self.sources(op, op) if made._diag is None]
+        assert names == [
+            "Operator", "mix", "normalize-trace", "normalize-sup", "complement-kept",
+            "complement-projected", "conjugate_update", "pseudoinverse", "support_projector",
+            "tensor", "partial_trace", "store", "_of",
+        ]
+
+    def test_complement_branches(self):
+        # the two complement sources take the two branches
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 3))
+        sup = normalize(Operator(x @ x.T), "sup")
+        with mock.patch.object(convneg.operators, "_spectral", wraps=convneg.operators._spectral) as spy:
+            complement(sup)
+            assert spy.call_count == 0
+            complement(Operator(sup.matrix * (1.0 + 5 * PSD_TOL)))
+            assert spy.call_count == 1
+
+    def test_made_by_of_computes_once(self):
+        x = np.random.default_rng(2).standard_normal((4, 4))
+        dense = Operator(x @ x.T)
+        lazy = Operator._of(None, dense.matrix, ())
+        assert lazy._spectrum is None
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+            first = lazy.max_eigenvalue()
+            assert lazy.max_eigenvalue() == first and spy.call_count == 1
+            dense.eigenvalues(), dense.min_eigenvalue()
+            assert spy.call_count == 1
+        assert hexes(lazy.eigenvalues()) == hexes(dense.eigenvalues())
 
 
 class TestIndicatorsMatchReference:

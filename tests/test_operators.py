@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -375,6 +378,19 @@ class TestValidate:
         diag = validate(np.array([[1.0, 0.1], [0.0, 1.0]]))
         assert diag.symmetry_defect == pytest.approx(0.1)
         assert not diag.passed
+
+    def test_overflowing_symmetrization(self):
+        # every entry is finite, but (m + m.T) / 2 overflows: Operator names
+        # the entry magnitude and validate reports a failure; neither warns
+        m = np.array([[1e308, 1e308], [1e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidOperator, match=r"^entry magnitude 1\.000e\+308 overflows"):
+                Operator(m)
+            report = validate(m)
+        assert not report.passed
+        assert report.symmetry_defect == 0.0
+        assert math.isnan(report.min_eigenvalue) and math.isnan(report.max_eigenvalue)
 
 
 def old_complement(p: Operator) -> Operator:
