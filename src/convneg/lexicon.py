@@ -1,4 +1,5 @@
-"""Lexicons: word operators and worldly contexts over a taxonomy's leaf space.
+"""Lexicons: word operators and worldly contexts over a taxonomy's leaf space,
+and the text store that saves and loads them.
 
 The builder produces diagonal predicates in the leaf basis: a word's operator
 is the indicator over its descendant leaves (sup-normalized by construction;
@@ -11,14 +12,22 @@ eigendecomposition. Externally trained (non-diagonal) operators can be
 injected through the store format, or through ``dataclasses.replace``; they
 are kept dense and every function here works on them unchanged. A lexicon's
 maps are read-only copies, checked once when it is built.
+
+This module alone reads and writes store text (``save_lexicon``,
+``load_lexicon``; the format is described above ``MAX_ENTRY``). Every block
+of a store is read against its one ``LEAVES`` line, so a loaded operator's
+labels are the lexicon's leaves tuple itself.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,19 +35,12 @@ from .errors import (
     AmbiguousWord,
     ConvnegError,
     DimMismatch,
+    InvalidOperator,
     ParseError,
     UnknownWord,
     _read_text,
 )
-from .operators import (
-    LineReader,
-    Operator,
-    _entries,
-    identity,
-    mix,
-    operator_from_lines,
-    operator_to_lines,
-)
+from .operators import Operator, _entries, _from_entries, identity, mix
 from .taxonomy import Taxonomy
 
 DEFAULT_DECAY = 0.5
@@ -76,7 +78,8 @@ class Lexicon:
                     raise DimMismatch(
                         f"{table} operator for {word!r} has dim {op.dim}, leaf space has {self.dim}"
                     )
-                if op.labels not in ((), self.leaves):  # O(1) when `is` the leaves, as built
+                # O(1) when `is` the leaves, as built and loaded
+                if op.labels not in ((), self.leaves):
                     raise DimMismatch(
                         f"{table} operator for {word!r} has labels ({', '.join(op.labels)}), "
                         f"leaf space is ({', '.join(self.leaves)})"
@@ -207,19 +210,61 @@ def resolve_word(word: str, lexicons: Sequence[Lexicon]) -> Lexicon:
 
 # ---------------------------------------------------------------------------
 # Store format: "LEXICON v1", "DECAY <real>", "LEAVES <comma list>", then one
-# "WORD <name>" + operator block and one "WC <name>" + operator block per
-# concept. Decimal entries use full round-trip precision. A block's LABELS
-# line reads "-" or the LEAVES list, so its basis is the store's leaf basis.
+# "WORD <name>" and one "WC <name>" operator block per concept. A block is
+# "OPERATOR <dim>", "LABELS <- or the LEAVES list>", then dim rows of dim
+# space-separated entries at full (round-trip) precision. Every block is in
+# the store's leaf basis, so it is read against the LEAVES line: its dim must
+# be the number of leaves, checked at its OPERATOR line, and its LABELS text,
+# stripped, must be "-" or the LEAVES text, checked after its entries; a
+# labelled block's operator holds the store's leaves tuple itself.
+# A diagonal operator is written in the same n rows: row i is repr(d_i) between
+# "0.0 " * i and " 0.0" * (n-1-i), zeros cut once per store. A block whose
+# every row reads that way is read by parsing each row's one token: O(n)
+# number work per block, not n^2. Any other block has each row split once. A
+# dense matrix is exactly symmetric: its upper triangle is formatted once and
+# mirrored, and a block whose tokens equal their transpose is read from its
+# upper triangle, mirrored; any other has every token parsed, row by row. A
+# finite entry above MAX_ENTRY in magnitude is refused, naming the first row
+# with one, before the block is validated. One LineReader (one store) reads
+# each distinct thing once: a block whose LABELS line and rows repeat an
+# earlier one is that block's operator, neither parsed nor validated again;
+# a diagonal row read before at the same position is its entry, not matched
+# again.
 # ---------------------------------------------------------------------------
+
+# largest magnitude of a finite entry a store holds: a sum of up to 1e8 of
+# them (a trace, a mixture, a symmetrization) stays below 1.8e308
+MAX_ENTRY = 1e300
+_upper = functools.lru_cache(maxsize=16)(np.triu_indices)  # by dim
+
+
+def row_frames(n: int) -> tuple[list[str], list[str]]:
+    """The zeros before and after each diagonal row's entry at dim ``n``."""
+    zeros = "0.0 " * n
+    return [zeros[: 4 * i] for i in range(n)], [zeros[4 * i + 3 : 4 * n - 1] for i in range(n)]
+
+
+def operator_to_lines(a: Operator, frames: tuple[list[str], list[str]]) -> list[str]:
+    """The block's text lines; ``frames`` are ``row_frames`` of its dim."""
+    lines = [f"OPERATOR {a.dim}", "LABELS " + (",".join(a.labels) if a.labels else "-")]
+    if a._diag is None:
+        # (m + m.T) / 2 is symmetric bit for bit: row i starts with column i
+        rows: list[list[str]] = []
+        for i, row in enumerate(a._matrix.tolist()):
+            rows.append([above[i] for above in rows] + list(map(repr, row[i:])))
+        lines.extend(map(" ".join, rows))
+    else:
+        before, after = frames
+        lines.extend(map("".join, zip(before, map(repr, a._diag.tolist()), after)))
+    return lines
 
 
 def save_lexicon(lex: Lexicon, path: str | Path) -> None:
     lines = ["LEXICON v1", f"DECAY {lex.decay!r}", "LEAVES " + ",".join(lex.leaves)]
     # sibling leaves share their hypernyms, so their contexts are equal
-    # operators: each distinct one is formatted once, all from one set of
-    # diagonal row frames
+    # operators: each distinct one is formatted once, all from one cut of frames
+    frames = row_frames(lex.dim)
     blocks: dict[tuple, list[str]] = {}
-    frames: dict = {}
     for concept in lex.concepts:
         for kind, op in (("WORD", lex.word_ops[concept]), ("WC", lex.wc_ops[concept])):
             entries = _entries(op)
@@ -229,6 +274,142 @@ def save_lexicon(lex: Lexicon, path: str | Path) -> None:
             lines.append(f"{kind} {concept}")
             lines.extend(blocks[key])
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class LineReader:
+    """Reader over a store's lines, as ``str.splitlines`` gives them, that
+    counts what it has consumed.
+
+    ``lineno`` is the 1-based number of the last line consumed, for error
+    messages. Iteration ends quietly at end of input; ``require`` raises
+    ParseError there instead. ``operator_from_lines`` keeps on the reader
+    what it has read from it (see the store format above).
+    """
+
+    def __init__(self, lines: Iterable[str]):
+        self._lines = list(lines)
+        self.lineno = 0
+        # operator_from_lines: each distinct block's operator by its text,
+        # and per position each diagonal row's entry by the row's text
+        self._blocks: dict[tuple[str, ...], Operator] = {}
+        self._rows: list[dict[str, float]] = []
+
+    def __iter__(self) -> "LineReader":
+        return self
+
+    def __next__(self) -> str:
+        if self.lineno == len(self._lines):
+            raise StopIteration
+        self.lineno += 1
+        return self._lines[self.lineno - 1]
+
+    def take(self, count: int) -> list[str]:
+        """The next ``count`` lines, fewer at the end of input."""
+        lines = self._lines[self.lineno : self.lineno + count]
+        self.lineno += len(lines)
+        return lines
+
+    def require(self, what: str) -> str:
+        """The next line; ParseError("unexpected end of <what>") if none."""
+        if self.lineno == len(self._lines):
+            raise ParseError(f"unexpected end of {what}", self.lineno)
+        return next(self)
+
+
+def _diagonal_rows(reader: LineReader, text: list[str]) -> list[float] | None:
+    """The entries of a full block whose every row reads as diagonal, each
+    row read before at its position taken from the reader's memo; None at
+    the first row that does not."""
+    dim = len(text)
+    seen = reader._rows = reader._rows or [{} for _ in text]  # made at the first full block
+    diag = list(map(dict.get, seen, text))  # None where not read before
+    if None in diag:
+        # O(dim) text, not frames: the rows of a corrupt block need not be long
+        zeros = "0.0 " * dim
+        for i in [i for i, x in enumerate(diag) if x is None]:
+            row_line, tail = text[i], zeros[4 * i + 3 : 4 * dim - 1]
+            if not (row_line.startswith(zeros[: 4 * i]) and row_line.endswith(tail)):
+                return None
+            try:
+                # float() takes no inner whitespace, so a row it accepts
+                # here splits into i zeros, this entry and n-1-i zeros
+                diag[i] = seen[i][row_line] = float(row_line[4 * i : len(row_line) - len(tail)])
+            except ValueError:
+                return None  # the general path reports it
+    return diag
+
+
+def _dense_entries(reader: LineReader, dim: int, text: list[str], first: int) -> np.ndarray:
+    """The matrix of a block's rows ``text`` (line ``first`` on), by the store format's rule;
+    raises at the first faulty row, or at the end of input for a missing one."""
+    table = [row_line.split() for row_line in text]
+    if len(table) == dim and table == list(map(list, zip(*table))):
+        tokens = chain.from_iterable(row[i:] for i, row in enumerate(table))
+        entries, iu = np.empty((dim, dim)), _upper(dim)
+        try:
+            entries[iu] = entries.T[iu] = np.fromiter(map(float, tokens), np.float64)
+            return entries
+        except ValueError:
+            pass  # a bad token, reported from its first row below
+    rows = []
+    for i, (row_line, fields) in enumerate(zip(text, table)):
+        if len(fields) != dim:
+            raise ParseError(f"expected {dim} entries, got {len(fields)}", first + i)
+        try:
+            rows.append(list(map(float, fields)))
+        except ValueError:
+            raise ParseError(f"bad matrix entry in {row_line!r}", first + i) from None
+    if len(rows) < dim:  # the input ended inside the block: raises
+        reader.require("operator block")
+    return np.array(rows)
+
+
+def operator_from_lines(reader: LineReader, concept: str, leaves: tuple[str, ...]) -> Operator:
+    """The operator of ``concept``'s block, read from ``reader`` against the
+    store's ``leaves``; errors name the reader's line."""
+    header = reader.require("operator block")
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "OPERATOR":
+        raise ParseError(f"expected 'OPERATOR <dim>', got {header!r}", reader.lineno)
+    try:
+        dim = int(parts[1])
+    except ValueError:
+        raise ParseError(f"bad operator dimension {parts[1]!r}", reader.lineno) from None
+    if dim != len(leaves):
+        raise ParseError(
+            f"operator for {concept!r} has dim {dim}, leaf space has {len(leaves)}", reader.lineno
+        )
+    label_line = reader.require("operator block")
+    if not label_line.startswith("LABELS "):
+        raise ParseError(f"expected 'LABELS ...', got {label_line!r}", reader.lineno)
+    text = reader.take(dim)
+    first = reader.lineno - len(text) + 1
+    key = (label_line, *text)
+    op = reader._blocks.get(key)
+    if op is not None:
+        return op
+    diag = _diagonal_rows(reader, text) if len(text) == dim else None
+    if diag is None:  # raises at the first faulty row or at the end of input
+        entries = _dense_entries(reader, dim, text, first)
+        low, high = entries.min(), entries.max()
+    else:
+        entries, low, high = diag, min(diag), max(diag)
+    # an extreme that is NaN fails this test too; the search skips non-finite entries
+    if not (-MAX_ENTRY <= low and high <= MAX_ENTRY):
+        magnitude = np.abs(entries).reshape(dim, -1)
+        oversized = np.flatnonzero(((magnitude > MAX_ENTRY) & (magnitude < math.inf)).any(axis=1))
+        if oversized.size:
+            raise ParseError(f"entry magnitude above {MAX_ENTRY:g}", first + int(oversized[0]))
+    raw = label_line[len("LABELS ") :].strip()
+    try:
+        op = _from_entries(np.asarray(entries), () if raw == "-" else leaves)
+    except InvalidOperator as exc:
+        raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc
+    # checked after the entries, so a bad row or matrix is reported first
+    if raw != "-" and raw != ",".join(leaves):
+        raise ParseError("LABELS must be '-' or the LEAVES list", first - 1)
+    reader._blocks[key] = op
+    return op
 
 
 def load_lexicon(path: str | Path, name: str = "") -> Lexicon:
@@ -262,15 +443,7 @@ def load_lexicon(path: str | Path, name: str = "") -> Lexicon:
             raise ParseError(
                 f"expected 'WORD <name>' or 'WC <name>', got {line!r}", reader.lineno
             )
-        labels_line = reader.lineno + 2  # this line, OPERATOR, then LABELS
-        op = operator_from_lines(reader)
-        if op.dim != len(leaves):
-            raise ParseError(
-                f"operator for {concept!r} has dim {op.dim}, leaf space has {len(leaves)}",
-                reader.lineno,
-            )
-        if op.labels and op.labels != leaves:
-            raise ParseError("LABELS must be '-' or the LEAVES list", labels_line)
+        op = operator_from_lines(reader, concept, leaves)
         target = word_ops if kind == "WORD" else wc_ops
         if concept in target:
             raise ParseError(f"duplicate {kind} block for {concept!r}", reader.lineno)

@@ -6,22 +6,21 @@ diagonal alone, whether it was given as a vector or as a matrix. Every
 operator a taxonomy-built lexicon holds is one: indicators over descendant
 leaves and mixtures of them. Validation, the spectrum, the trace, ``mix``,
 ``hadamard``, ``normalize``, ``complement``, ``trace_product``,
-``pseudoinverse``, ``support_projector``, ``conjugate_update`` (of a
-diagonal state by a diagonal effect) and the text format's writer and reader
-then cost O(n), and the dense ``matrix`` is built afresh on each read and not
-kept. Any other matrix, such as a store-injected or rotated operator, is kept
-dense with the eigenvalues of the one dense check (``validate`` reports it),
-which symmetrizes it and runs ``eigvalsh`` once; those three, ``tensor`` and
-``partial_trace`` compute densely on it, their result stored by the same
-rule. Both kinds accept and reject the same matrices, since a diagonal
-matrix's eigenvalues are its entries, and give the same entries and text;
-callers see no difference but speed. (One exception: LAPACK rescales a
-matrix whose largest entry lies below about 1e-146 or above about 1e145,
-which rounds its eigenvalues, while the O(n) forms stay exact.) A dense
-matrix's text is formatted and parsed from its upper triangle, and each
-distinct block of a store is read and validated once. Validation keeps a
-dense matrix's entries, so every store re-saves byte for byte; only a
-diagonal's entries between ``psd_floor`` and 0 become exactly 0.
+``pseudoinverse``, ``support_projector`` and ``conjugate_update`` (of a
+diagonal state by a diagonal effect) then cost O(n), and the dense
+``matrix`` is built afresh on each read and not kept. Any other matrix, such
+as a store-injected or rotated operator, is kept dense with the eigenvalues
+of the one dense check (``validate`` reports it), which symmetrizes it and
+runs ``eigvalsh`` once; those three, ``tensor`` and ``partial_trace``
+compute densely on it, their result stored by the same rule. Both kinds
+accept and reject the same matrices, since a diagonal matrix's eigenvalues
+are its entries, and give the same entries; callers see no difference but
+speed. (One exception: LAPACK rescales a matrix whose largest entry lies
+below about 1e-146 or above about 1e145, which rounds its eigenvalues, while
+the O(n) forms stay exact.) Validation keeps a dense matrix's entries; only
+a diagonal's entries between ``psd_floor`` and 0 become exactly 0. This
+module holds the algebra alone: the text of a lexicon store is read and
+written by ``lexicon``.
 
 Operators are immutable values: each function returns a fresh instance and the
 underlying arrays are marked read-only, so they can be shared freely across
@@ -32,11 +31,9 @@ dimensions this package targets.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +43,6 @@ from .errors import (
     InvalidIndex,
     InvalidOperator,
     NotSubnormalized,
-    ParseError,
     ZeroOperator,
 )
 
@@ -57,10 +53,6 @@ PINV_TOL = 1e-10
 # complement accepts a predicate whose top eigenvalue exceeds 1 by this much
 # (rounding in sup-normalization), and clamps what it causes below psd_floor
 COMPLEMENT_TOL = 1e-9
-# largest magnitude of a finite entry the text format reads: a sum of up to
-# 1e8 of them (a trace, a mixture, a symmetrization) stays below 1.8e308
-MAX_ENTRY = 1e300
-_upper = functools.lru_cache(maxsize=16)(np.triu_indices)  # by dim, for the text format
 
 
 def psd_floor(lam_max: float) -> float:
@@ -465,193 +457,3 @@ def validate(a: Operator | np.ndarray) -> OperatorDiagnostics:
     with np.errstate(over="ignore"):
         trace = float(np.trace(m))
     return OperatorDiagnostics(m.shape[0], defect, float(lam[0]), trace, labels_ok, float(lam[-1]))
-
-
-# ---------------------------------------------------------------------------
-# Text format: line 1 "OPERATOR <dim>", line 2 "LABELS <comma list or ->",
-# then dim rows of dim space-separated entries at full (round-trip) precision.
-# A diagonal operator is written in the same n rows: row i is repr(d_i) between
-# "0.0 " * i and " 0.0" * (n-1-i), zeros cut once per dim for all the blocks
-# one writer (one store) formats. A block whose every row reads that way is
-# read by parsing each row's one token: O(n) number work per block, not n^2.
-# Any other block has each row split once. A dense matrix is exactly
-# symmetric: its upper triangle is formatted once and mirrored, and a block
-# whose tokens equal their transpose is read from its upper triangle, mirrored;
-# any other has every token parsed, row by row. A finite entry above MAX_ENTRY in
-# magnitude is refused, naming the first row with one, before the block is
-# validated. One LineReader (one store) reads each distinct thing once: a
-# block whose dim, LABELS line and rows repeat an earlier one is that block's
-# operator, neither parsed nor validated again; a diagonal row read before at
-# the same position of a block of the same dim is its entry, not matched
-# again; a LABELS line is parsed and checked once per dim.
-# ---------------------------------------------------------------------------
-
-
-def operator_to_lines(a: Operator, frames: dict | None = None) -> list[str]:
-    """The block's text lines. ``frames`` keeps the zeros before and after
-    each diagonal row's entry, by dim; a writer of many blocks passes the
-    same dict to each, so they are cut once. They are O(n^2) text, so none
-    is kept between calls without one."""
-    lines = [f"OPERATOR {a.dim}"]
-    lines.append("LABELS " + (",".join(a.labels) if a.labels else "-"))
-    if a._diag is None:
-        # (m + m.T) / 2 is symmetric bit for bit: row i starts with column i
-        rows: list[list[str]] = []
-        for i, row in enumerate(a._matrix.tolist()):
-            rows.append([above[i] for above in rows] + list(map(repr, row[i:])))
-        lines.extend(map(" ".join, rows))
-    else:
-        n, frames = a.dim, {} if frames is None else frames
-        if n not in frames:
-            zeros = "0.0 " * n
-            frames[n] = (
-                [zeros[: 4 * i] for i in range(n)],
-                [zeros[4 * i + 3 : 4 * n - 1] for i in range(n)],
-            )
-        before, after = frames[n]
-        lines.extend(map("".join, zip(before, map(repr, a._diag.tolist()), after)))
-    return lines
-
-
-class LineReader:
-    """Reader over a text's lines, as ``str.splitlines`` gives them, that
-    counts what it has consumed.
-
-    ``lineno`` is the 1-based number of the last line consumed, for error
-    messages. Iteration ends quietly at end of input; ``require`` raises
-    ParseError there instead. ``operator_from_lines`` keeps on the reader
-    what it has read from it (see the text format above) and checks a
-    dense block by the dense check.
-    """
-
-    def __init__(self, lines: Iterable[str]):
-        self._lines = list(lines)
-        self.lineno = 0
-        # operator_from_lines: each distinct block's operator by its text,
-        # each LABELS line's checked labels by (line, dim), and per dim and
-        # position each diagonal row's entry by the row's text
-        self._blocks: dict[tuple[str, ...], Operator] = {}
-        self._labels: dict[tuple[str, int], tuple[str, ...]] = {}
-        self._rows: dict[int, list[dict[str, float]]] = {}
-
-    def __iter__(self) -> "LineReader":
-        return self
-
-    def __next__(self) -> str:
-        if self.lineno == len(self._lines):
-            raise StopIteration
-        self.lineno += 1
-        return self._lines[self.lineno - 1]
-
-    def take(self, count: int) -> list[str]:
-        """The next ``count`` lines, fewer at the end of input."""
-        lines = self._lines[self.lineno : self.lineno + count]
-        self.lineno += len(lines)
-        return lines
-
-    def require(self, what: str) -> str:
-        """The next line; ParseError("unexpected end of <what>") if none."""
-        if self.lineno == len(self._lines):
-            raise ParseError(f"unexpected end of {what}", self.lineno)
-        return next(self)
-
-
-def _diagonal_rows(reader: LineReader, dim: int, text: list[str]) -> list[float] | None:
-    """The entries of a full block whose every row reads as diagonal, each
-    row read before at its position taken from the reader's memo; None at
-    the first row that does not."""
-    seen = reader._rows.get(dim)
-    if seen is None:
-        seen = reader._rows[dim] = [{} for _ in text]
-    diag = list(map(dict.get, seen, text))  # None where not read before
-    if None in diag:
-        # O(dim) text, not frames: the rows of a corrupt block need not be long
-        zeros = "0.0 " * dim
-        for i in [i for i, x in enumerate(diag) if x is None]:
-            row_line, tail = text[i], zeros[4 * i + 3 : 4 * dim - 1]
-            if not (row_line.startswith(zeros[: 4 * i]) and row_line.endswith(tail)):
-                return None
-            try:
-                # float() takes no inner whitespace, so a row it accepts
-                # here splits into i zeros, this entry and n-1-i zeros
-                diag[i] = seen[i][row_line] = float(row_line[4 * i : len(row_line) - len(tail)])
-            except ValueError:
-                return None  # the general path reports it
-    return diag
-
-
-def _dense_entries(reader: LineReader, dim: int, text: list[str], first: int) -> np.ndarray:
-    """The matrix of a block's rows ``text`` (line ``first`` on), by the text format's rule;
-    raises at the first faulty row, or at the end of input for a missing one."""
-    table = [row_line.split() for row_line in text]
-    if len(table) == dim and table == list(map(list, zip(*table))):
-        tokens = chain.from_iterable(row[i:] for i, row in enumerate(table))
-        entries, iu = np.empty((dim, dim)), _upper(dim)
-        try:
-            entries[iu] = entries.T[iu] = np.fromiter(map(float, tokens), np.float64)
-            return entries
-        except ValueError:
-            pass  # a bad token, reported from its first row below
-    rows = []
-    for i, (row_line, fields) in enumerate(zip(text, table)):
-        if len(fields) != dim:
-            raise ParseError(f"expected {dim} entries, got {len(fields)}", first + i)
-        try:
-            rows.append(list(map(float, fields)))
-        except ValueError:
-            raise ParseError(f"bad matrix entry in {row_line!r}", first + i) from None
-    if len(rows) < dim:  # the input ended inside the block: raises
-        reader.require("operator block")
-    return np.array(rows)
-
-
-def operator_from_lines(reader: LineReader) -> Operator:
-    """Parse one operator block from ``reader``; errors name the reader's line.
-
-    The loader re-validates all invariants.
-    """
-    header = reader.require("operator block")
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "OPERATOR":
-        raise ParseError(f"expected 'OPERATOR <dim>', got {header!r}", reader.lineno)
-    try:
-        dim = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad operator dimension {parts[1]!r}", reader.lineno) from None
-    if dim < 1:
-        raise ParseError(f"operator dimension must be positive, got {dim}", reader.lineno)
-    label_line = reader.require("operator block")
-    if not label_line.startswith("LABELS "):
-        raise ParseError(f"expected 'LABELS ...', got {label_line!r}", reader.lineno)
-    text = reader.take(dim)
-    first = reader.lineno - len(text) + 1
-    key = (dim, label_line, *text)
-    op = reader._blocks.get(key)
-    if op is not None:
-        return op
-    diag = _diagonal_rows(reader, dim, text) if len(text) == dim else None
-    if diag is None:  # raises at the first faulty row or at the end of input
-        entries = _dense_entries(reader, dim, text, first)
-        low, high = entries.min(), entries.max()
-    else:
-        entries, low, high = diag, min(diag), max(diag)
-    # an extreme that is NaN fails this test too; the search skips non-finite entries
-    if not (-MAX_ENTRY <= low and high <= MAX_ENTRY):
-        magnitude = np.abs(entries).reshape(dim, -1)
-        oversized = np.flatnonzero(((magnitude > MAX_ENTRY) & (magnitude < math.inf)).any(axis=1))
-        if oversized.size:
-            raise ParseError(f"entry magnitude above {MAX_ENTRY:g}", first + int(oversized[0]))
-    labels = reader._labels.get((label_line, dim))
-    try:
-        if labels is not None:
-            op = _from_entries(np.asarray(entries), labels)
-        else:
-            # a new LABELS line: checked after the entries, as Operator checks them
-            raw = label_line[len("LABELS ") :].strip()
-            raw_labels = () if raw == "-" else raw.split(",")
-            op = Operator(entries, raw_labels) if diag is None else diagonal(entries, raw_labels)
-            reader._labels[label_line, dim] = op.labels
-    except InvalidOperator as exc:
-        raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc
-    reader._blocks[key] = op
-    return op

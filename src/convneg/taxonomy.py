@@ -45,9 +45,6 @@ class Taxonomy:
     def roots(self) -> tuple[str, ...]:
         return tuple(c for c in self.order if not self.parents[c])
 
-    def __contains__(self, concept: str) -> bool:
-        return concept in self.parents
-
     def require(self, concept: str) -> None:
         if concept not in self.parents:
             raise UnknownWord(f"unknown concept {concept!r}")

@@ -264,6 +264,12 @@ class TestComposedState:
         c = parse_script("Alice is a human.\nAlice is a human.\n", lexes)
         out = composed_factors(c, "Alice")
         assert list(out) == ["names", "kinds"]  # not names, kinds, kinds@2
+        # a second lexicon named kinds is a factor of its own, keyed by position
+        sizes = build_lexicon(parse_taxonomy("tall\tsize\nshort\tsize\n"), name="kinds")
+        c = parse_script("Alice is a human.\nAlice is tall.\n", (*lexes, sizes))
+        out = composed_factors(c, "Alice")
+        assert list(out) == ["names", "kinds", "kinds@2"]
+        np.testing.assert_array_equal(out["kinds@2"].matrix, np.diag([1.0, 0.0]))
 
     def test_contradictory_updates_collapse(self, lexes):
         c = parse_script("Alice is a human.\nAlice is a dog.\n", lexes)

@@ -719,6 +719,28 @@ class TestCliImports:
         ]
         assert private == []
 
+    def test_lexicon_alone_reads_and_writes_store_text(self):
+        # operators.py holds the algebra alone and raises no ParseError; no
+        # module but lexicon.py spells a store line's keyword (cli.py sniffs a
+        # file's first bytes for b"LEXICON" only to pick the loader)
+        package = Path(convneg.__file__).parent
+        trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+        imported = [
+            alias.name
+            for node in ast.walk(trees["operators.py"])
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ]
+        assert "ParseError" not in imported
+        keywords = ("LEXICON v1", "DECAY ", "LEAVES ", "WORD ", "WC ", "OPERATOR ", "LABELS ")
+        spelled = {
+            name
+            for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith(keywords)
+        }
+        assert spelled == {"lexicon.py"}
+
     def test_only_operators_makes_an_operator_without_init(self):
         # Operator._of is the one way to wrap already-checked arrays
         package = Path(convneg.__file__).parent

@@ -44,7 +44,17 @@ from convneg.errors import (
     ZeroNegation,
     ZeroOperator,
 )
-from convneg.lexicon import Lexicon, build_lexicon, load_lexicon, save_lexicon
+from convneg.lexicon import (
+    MAX_ENTRY,
+    LineReader,
+    Lexicon,
+    build_lexicon,
+    load_lexicon,
+    operator_from_lines,
+    operator_to_lines,
+    row_frames,
+    save_lexicon,
+)
 from convneg.negation import (
     COMPOSITION_CHOICES,
     LOGICAL_CHOICES,
@@ -57,6 +67,7 @@ from convneg.entailment import (
     SUPPORT_RESIDUAL_TOL,
     _NARROW,
     _WIDE,
+    _diagonal_k,
     _fsum_rows,
     _leaf_scores,
     loewner_k,
@@ -66,12 +77,10 @@ from convneg.entailment import (
 )
 from convneg.operators import (
     COMPLEMENT_TOL,
-    MAX_ENTRY,
     PINV_TOL,
     PSD_TOL,
     SYMMETRY_TOL,
     ZERO_TRACE_TOL,
-    LineReader,
     Operator,
     complement,
     conjugate_update,
@@ -80,8 +89,6 @@ from convneg.operators import (
     identity,
     mix,
     normalize,
-    operator_from_lines,
-    operator_to_lines,
     partial_trace,
     pseudoinverse,
     psd_floor,
@@ -321,6 +328,8 @@ class TestDiagonalOperator:
         op = diagonal([1.0, 2.0])
         with pytest.raises(AttributeError):
             op.labels = ("x", "y")
+        with pytest.raises(AttributeError, match="cannot delete 'labels'"):
+            del op.labels
 
     def test_pickle_and_copy(self):
         dense = Operator(np.array([[1.0, 0.5], [0.5, 1.0]]), ("a", "b"))
@@ -521,8 +530,9 @@ def reference_to_lines(a):
     return lines
 
 
-def reference_from_lines(reader):
-    """Reader that splits and parses every row into a dense matrix."""
+def reference_from_lines(reader, concept, leaves):
+    """Reader that splits and parses every row of ``concept``'s block into a
+    dense matrix, then checks its LABELS text against the store's ``leaves``."""
     header = reader.require("operator block")
     parts = header.split()
     if len(parts) != 2 or parts[0] != "OPERATOR":
@@ -531,13 +541,15 @@ def reference_from_lines(reader):
         dim = int(parts[1])
     except ValueError:
         raise ParseError(f"bad operator dimension {parts[1]!r}", reader.lineno) from None
-    if dim < 1:
-        raise ParseError(f"operator dimension must be positive, got {dim}", reader.lineno)
+    if dim != len(leaves):
+        raise ParseError(
+            f"operator for {concept!r} has dim {dim}, leaf space has {len(leaves)}", reader.lineno
+        )
     label_line = reader.require("operator block")
     if not label_line.startswith("LABELS "):
         raise ParseError(f"expected 'LABELS ...', got {label_line!r}", reader.lineno)
+    labels_lineno = reader.lineno
     raw = label_line[len("LABELS ") :].strip()
-    labels = () if raw == "-" else tuple(raw.split(","))
     rows = []
     for _ in range(dim):
         row_line = reader.require("operator block")
@@ -552,9 +564,12 @@ def reference_from_lines(reader):
         if any(MAX_ENTRY < abs(x) < math.inf for x in row):
             raise ParseError(f"entry magnitude above {MAX_ENTRY:g}", reader.lineno - dim + 1 + i)
     try:
-        return Operator(np.array(rows), labels)
+        op = Operator(np.array(rows), () if raw == "-" else leaves)
     except InvalidOperator as exc:
         raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc
+    if raw not in ("-", ",".join(leaves)):
+        raise ParseError("LABELS must be '-' or the LEAVES list", labels_lineno)
+    return op
 
 
 def kept(op):
@@ -563,12 +578,13 @@ def kept(op):
     return (op.labels, op._diag is None, entries.shape, entries.tobytes())
 
 
-def read_outcome(read, lines):
-    """What a block reader makes of ``lines``: the error it raises, or the
-    operator (``kept``) and how many lines it consumed."""
+def read_outcome(read, lines, leaves):
+    """What a block reader makes of ``lines`` as a block of a store over
+    ``leaves``: the error it raises, or the operator (``kept``) and how many
+    lines it consumed."""
     reader = LineReader(lines)
     try:
-        op = read(reader)
+        op = read(reader, "c", leaves)
     except ParseError as exc:
         return ("error", str(exc), exc.line)
     return ("ok", reader.lineno, *kept(op))
@@ -684,6 +700,9 @@ CORRUPTIONS = [
     "padded-row",
     "label-count",
     "label-count-and-negative-diagonal",
+    "label-order",
+    "padded-labels",
+    "dim-claim",
     "respelled-entry",
     "sign-flipped-zero",
     "oversized-diagonal",
@@ -752,6 +771,14 @@ def corrupt(lines, kind, r, c, late_fallback=False):
         rows[r][r] = "\x1f" + rows[r][r]
     elif kind == "label-count":
         head[1] = "LABELS " + ",".join(f"y{i}" for i in range(n + 1))
+    elif kind == "label-order":
+        # the store's leaves x0, x1, ... in reverse: another basis where n > 1
+        head[1] = "LABELS " + ",".join(f"x{i}" for i in reversed(range(n)))
+    elif kind == "padded-labels":
+        head[1] = "LABELS  " + head[1][len("LABELS ") :] + " \t"
+    elif kind == "dim-claim":
+        # a header dim from 0 to 2n, so the store's own dim among others
+        head[0] = f"OPERATOR {c % (2 * n + 1)}"
     elif kind == "respelled-entry":
         # an entry below the diagonal where there is one: equal to its
         # mirror in value, not in text
@@ -806,13 +833,14 @@ class TestStoreBlocksMatchReference:
         late_fallback=st.booleans(),
     )
     def test_written_and_read_like_reference(self, op, kind, r, c, late_fallback):
-        lines = operator_to_lines(op)
-        assert lines == reference_to_lines(op)
         n = op.dim
+        lines = operator_to_lines(op, row_frames(n))
+        assert lines == reference_to_lines(op)
         # a following block's first line: neither reader may consume it
         block = corrupt(lines, kind, r % n, c, late_fallback) + ["WC next"]
-        got = read_outcome(operator_from_lines, block)
-        assert got == read_outcome(reference_from_lines, block)
+        leaves = tuple(f"x{i}" for i in range(n))
+        got = read_outcome(operator_from_lines, block, leaves)
+        assert got == read_outcome(reference_from_lines, block, leaves)
         if kind == "none" and not late_fallback:
             # the block reads back as the operator written
             assert got[2:4] == (op.labels, op._diag is None)
@@ -956,13 +984,12 @@ class TestStoreBlocksMatchReference:
                 assert kept(getattr(loaded, ops_of)[concept]) == kept(getattr(lex, ops_of)[concept])
         reader = LineReader(lines[3:])
         for _ in range(4):
-            next(reader)
-            operator_from_lines(reader)
+            concept = next(reader).split()[1]  # the block's WORD or WC line
+            operator_from_lines(reader, concept, lex.leaves)
         zero = "0.0 0.0 0.0"
-        assert [zero in memo for memo in reader._rows[n]] == [True] * n
-        assert reader._rows[n][0]["1.0 0.0 0.0"] == 1.0
-        assert math.copysign(1.0, reader._rows[n][1]["0.0 -0.0 0.0"]) == -1.0
-        assert list(reader._labels) == [("LABELS -", n)]
+        assert [zero in memo for memo in reader._rows] == [True] * n
+        assert reader._rows[0]["1.0 0.0 0.0"] == 1.0
+        assert math.copysign(1.0, reader._rows[1]["0.0 -0.0 0.0"]) == -1.0
 
     def test_repeated_blocks_load_as_one_operator(self, tmp_path):
         # sibling leaves share their hypernyms, hence their context block
@@ -970,6 +997,9 @@ class TestStoreBlocksMatchReference:
         loaded = load_lexicon(tmp_path / "fig1.lex")
         assert loaded.wc_ops["hamster"] is loaded.wc_ops["guinea_pig"]
         assert loaded.wc_ops["rodent"] is not loaded.wc_ops["hamster"]
+        # every labelled block holds the store's leaves tuple itself
+        for op in (*loaded.word_ops.values(), *loaded.wc_ops.values()):
+            assert op.labels is loaded.leaves
 
 
 def hexes(values) -> list[str]:
@@ -1002,7 +1032,11 @@ class TestKeptSpectrum:
             "support_projector": lambda: support_projector(op),
             "tensor": lambda: tensor(op, other),
             "partial_trace": lambda: partial_trace(tensor(op, other), (n, n), 1),
-            "store": lambda: operator_from_lines(LineReader(operator_to_lines(op))),
+            "store": lambda: operator_from_lines(
+                LineReader(operator_to_lines(op, row_frames(n))),
+                "c",
+                op.labels or tuple(f"x{i}" for i in range(n)),
+            ),
             "_of": lambda: Operator._of(None, op.matrix, op.labels) if op._diag is None else op,
         }
         for name, make in made.items():
@@ -2354,10 +2388,18 @@ class TestLoewnerDiagonalMatchesDense:
             assert_k_matches_dense(zero, one)
         with pytest.raises(DimMismatch):
             loewner_k_raw(one, diagonal([1.0, 1.0]))
+
         # B full rank: nothing lies off its support
         full = diagonal([4.0, 4.0, 4.0])
         assert loewner_k_raw(one, full) == 4.0 and loewner_k(one, full) == 1.0
         assert_k_matches_dense(one, full)
+
+    def test_whitened_ratio_past_the_unscaled_range(self):
+        # both tops lie inside EIGH_UNSCALED but a/b on B's support does not:
+        # the O(n) form declines, and the dense path answers
+        a, b = np.array([1e135, 1.0]), np.array([1e-9, 1.0])
+        assert _diagonal_k(a, b) is None
+        assert_k_matches_dense(diagonal(a), diagonal(b))
 
     def test_no_eigendecomposition_inside_the_unscaled_range(self, monkeypatch):
         a, b = diagonal([0.5, 0.25, 0.0, 1e-9]), diagonal([1.0, 0.5, 1e-11, 0.0])

@@ -16,21 +16,16 @@ import convneg.lexicon
 from convneg.circuits import Actor, UnaryGate
 from convneg.errors import ConvnegError, AmbiguousWord, DimMismatch, ParseError, UnknownWord
 from convneg.lexicon import (
+    MAX_ENTRY,
     Lexicon,
     build_lexicon,
     load_lexicon,
+    operator_to_lines,
     resolve_word,
+    row_frames,
     save_lexicon,
 )
-from convneg.operators import (
-    MAX_ENTRY,
-    LineReader,
-    Operator,
-    _entries,
-    diagonal,
-    operator_from_lines,
-    operator_to_lines,
-)
+from convneg.operators import Operator, _entries, diagonal
 from convneg.strings import Slot, WordString
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
@@ -318,12 +313,12 @@ class TestStore:
             assert again.read_bytes() == path.read_bytes()
 
     def test_writer_matches_per_entry_formatter(self, tmp_path, monkeypatch):
-        """The writer puts each diagonal entry between zeros cut once per dim
+        """The writer puts each diagonal entry between zeros cut once per store
         and formats dense rows whole; its bytes equal the per-entry formatter
         (kept here) on each fixture's diagonal store and on a rotated, dense
         one."""
 
-        def per_entry_lines(a, frames=None):
+        def per_entry_lines(a, frames):
             lines = [f"OPERATOR {a.dim}"]
             lines.append("LABELS " + (",".join(a.labels) if a.labels else "-"))
             for row in a.matrix:
@@ -334,8 +329,9 @@ class TestStore:
         for fixture in ("colors", "drinks", "fig1", "kinds", "names", "roles"):
             lex = build_lexicon(load_taxonomy(FIXTURES / f"{fixture}.tsv"))
             for store in (lex, rotated(lex, rotation(rng, lex.dim))):
+                frames = row_frames(store.dim)
                 for op in [*store.word_ops.values(), *store.wc_ops.values()]:
-                    assert operator_to_lines(op) == per_entry_lines(op)
+                    assert operator_to_lines(op, frames) == per_entry_lines(op, frames)
                 new, old = tmp_path / "new.lex", tmp_path / "old.lex"
                 save_lexicon(store, new)
                 with monkeypatch.context() as m:
@@ -374,15 +370,18 @@ class TestStore:
             (put(24, "WX rodent"), 25, "expected 'WORD <name>' or 'WC <name>', got 'WX rodent'"),
             (put(24, "WC"), 25, "expected 'WORD <name>' or 'WC <name>', got 'WC'"),
             (put(25, "OPERATOR four"), 26, "bad operator dimension 'four'"),
-            (put(25, "OPERATOR 0"), 26, "operator dimension must be positive, got 0"),
+            # a block's dim is checked against the leaves at its header, before its rows
+            (put(25, "OPERATOR 0"), 26, "operator for 'rodent' has dim 0, leaf space has 4"),
             (
                 lambda ls: ls[:25] + ["OPERATOR 1", "LABELS -", "1.0"] + ls[31:],
-                28,
+                26,
                 "operator for 'rodent' has dim 1, leaf space has 4",
             ),
             # the leaves in another order: a block in another basis
             (put(26, "LABELS planet,dog,guinea_pig,hamster"), 27, "LABELS must be '-' or the LEAVES"),
             (put(26, "LABELS hamster,guinea_pig,dog,pluto"), 27, "LABELS must be '-' or the LEAVES"),
+            (put(26, "LABELS hamster,guinea_pig,dog"), 27, "LABELS must be '-' or the LEAVES"),
+            (put(26, "LABELS hamster,guinea_pig,dog,dog"), 27, "LABELS must be '-' or the LEAVES"),
             (put(24, "WC hamster"), 31, "duplicate WC block for 'hamster'"),
             (lambda ls: ls[:3], None, "lexicon store has no WORD blocks"),
             (lambda ls: ls + ["WC pluto", *ls[25:31]], None, "WC block without WORD block for: pluto"),
@@ -393,8 +392,8 @@ class TestStore:
             "bad-entry", "blank-row", "truncated", "header", "decay-line", "decay-value",
             "decay-range", "leaves-line", "empty-leaf", "duplicate-leaf", "block-kind",
             "block-name", "dimension-value", "dimension-range", "dimension-vs-leaves",
-            "labels-order", "labels-names", "duplicate-block", "no-words", "orphan-wc",
-            "blank-lines",
+            "labels-order", "labels-names", "labels-count", "labels-repeated", "duplicate-block",
+            "no-words", "orphan-wc", "blank-lines",
         ],
     )
     def test_error_names_the_line(self, fig1_lex, tmp_path, damage, line, message):
@@ -407,38 +406,42 @@ class TestStore:
             load_lexicon(path)
         assert exc.value.line == line
 
-    def test_claimed_dim_allocates_nothing_before_its_rows(self):
-        # a header claiming 2,000,000 rows over two: the first row's entry
-        # count is refused, and nothing sized by the claim is allocated
-        reader = LineReader(["OPERATOR 2000000", "LABELS -", "1.0 0.0", "0.0 1.0"])
+    def test_claimed_dim_allocates_nothing_before_its_rows(self, tmp_path):
+        # a header claiming 2,000,000 rows in a store of two leaves: the claim
+        # is refused at its line, and nothing sized by it is allocated
+        path = tmp_path / "claim.lex"
+        rows = ["1.0 0.0", "0.0 1.0"]
+        path.write_text(
+            "\n".join(["LEXICON v1", "DECAY 0.5", "LEAVES l0,l1", "WORD a", "OPERATOR 2000000"])
+            + "\n".join(["", "LABELS -", *rows, "WC a", "OPERATOR 2", "LABELS -", *rows, ""])
+        )
         tracemalloc.start()
         try:
-            with pytest.raises(ParseError, match="expected 2000000 entries, got 2") as exc:
-                operator_from_lines(reader)
+            with pytest.raises(ParseError, match="'a' has dim 2000000, leaf space has 2") as exc:
+                load_lexicon(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert exc.value.line == 3
+        assert exc.value.line == 5
         assert peak < 1 << 20
-        assert reader._rows == {}
 
     def test_truncated_block_is_not_an_earlier_block(self, tmp_path):
-        # the last block claims dim 5 but ends after the three rows of an
-        # earlier dim-3 block: it is short, not that block again
+        # the last block ends after the first two rows of an earlier block of
+        # the same dim and LABELS line: it is short, not that block again
         rows = ["1.0 0.0 0.0", "0.0 0.0 0.0", "0.0 0.0 0.0"]
         path = tmp_path / "short.lex"
         path.write_text(
             "\n".join(
                 ["LEXICON v1", "DECAY 0.5", "LEAVES l0,l1,l2", "WORD a", "OPERATOR 3", "LABELS -"]
                 + rows
-                + ["WC a", "OPERATOR 5", "LABELS -"]
-                + rows
+                + ["WC a", "OPERATOR 3", "LABELS -"]
+                + rows[:2]
             )
             + "\n"
         )
-        with pytest.raises(ParseError, match="expected 5 entries, got 3") as exc:
+        with pytest.raises(ParseError, match="unexpected end of operator block") as exc:
             load_lexicon(path)
-        assert exc.value.line == 13
+        assert exc.value.line == 14
 
     def test_entry_magnitude_is_bounded(self, fig1_lex, tmp_path):
         # hamster's WORD block holds diag(1, 0, 0, 0) on lines 7-10

@@ -16,10 +16,10 @@ from convneg.errors import (
     ParseError,
     ZeroOperator,
 )
+from convneg.lexicon import LineReader, operator_from_lines, operator_to_lines, row_frames
 from convneg.operators import (
     COMPLEMENT_TOL,
     SYMMETRY_TOL,
-    LineReader,
     Operator,
     _spectral,
     complement,
@@ -29,14 +29,13 @@ from convneg.operators import (
     identity,
     mix,
     normalize,
-    operator_from_lines,
-    operator_to_lines,
     partial_trace,
     psd_floor,
     pseudoinverse,
     pure,
     support_projector,
     tensor,
+    trace_product,
     validate,
 )
 
@@ -76,6 +75,11 @@ class TestConstruction:
     def test_rejects_indefinite(self):
         with pytest.raises(InvalidOperator):
             Operator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_rejects_non_square(self):
+        for m in (np.ones((2, 3)), np.ones(2), np.ones((0, 0))):
+            with pytest.raises(InvalidOperator, match="nonempty square matrix"):
+                Operator(m)
 
     def test_clamps_tiny_negative_eigenvalue(self):
         m = np.diag([1.0, -5e-11])
@@ -250,6 +254,8 @@ class TestHadamard:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             hadamard(identity(2), identity(3))
+        with pytest.raises(DimMismatch, match="trace product of dims 2 and 3"):
+            trace_product(identity(2), identity(3))
 
 
 class TestConjugateUpdate:
@@ -374,6 +380,12 @@ class TestValidate:
         assert not validate(np.diag([1e8, -5e-2])).passed
         assert not validate(np.diag([1.0, -5e-10])).passed
 
+    def test_non_square_fails_without_raising(self):
+        for m in (np.ones((2, 3)), np.ones(2), np.ones((0, 0))):
+            report = validate(m)
+            assert not report.passed
+            assert (report.dim, report.labels_ok) == (0, False)
+
     def test_reports_symmetry_defect(self):
         diag = validate(np.array([[1.0, 0.1], [0.0, 1.0]]))
         assert diag.symmetry_defect == pytest.approx(0.1)
@@ -465,39 +477,40 @@ class TestOnePsdRule:
 
 
 def operator_to_text(a: Operator) -> str:
-    return "\n".join(operator_to_lines(a)) + "\n"
+    return "\n".join(operator_to_lines(a, row_frames(a.dim))) + "\n"
 
 
-def operator_from_text(text: str) -> Operator:
-    return operator_from_lines(LineReader(text.splitlines()))
+def operator_from_text(text: str, leaves: tuple[str, ...]) -> Operator:
+    """The block ``text`` read as a block of a store over ``leaves``."""
+    return operator_from_lines(LineReader(text.splitlines()), "c", leaves)
 
 
 class TestTextFormat:
     def test_round_trip_exact(self, rng):
         a = rand_psd(rng, 4)
-        b = operator_from_text(operator_to_text(a))
+        b = operator_from_text(operator_to_text(a), tuple("abcd"))
         assert np.array_equal(a.matrix, b.matrix)
         assert a.labels == b.labels
 
     def test_round_trip_with_labels(self):
         a = diagonal([1, 0.5], ("x", "y"))
-        b = operator_from_text(operator_to_text(a))
+        b = operator_from_text(operator_to_text(a), ("x", "y"))
         assert b.labels == ("x", "y")
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_truncated_block(self):
         text = "OPERATOR 3\nLABELS -\n1 0 0\n"
-        with pytest.raises(ParseError):
-            operator_from_text(text)
+        with pytest.raises(ParseError, match="unexpected end of operator block"):
+            operator_from_text(text, tuple("abc"))
 
     def test_bad_header(self):
-        with pytest.raises(ParseError):
-            operator_from_text("MATRIX 2\nLABELS -\n1 0\n0 1\n")
+        with pytest.raises(ParseError, match="expected 'OPERATOR <dim>'"):
+            operator_from_text("MATRIX 2\nLABELS -\n1 0\n0 1\n", tuple("ab"))
 
     def test_invalid_entries_rejected(self):
         text = "OPERATOR 2\nLABELS -\n1 2\n2 1\n"
-        with pytest.raises(ParseError):
-            operator_from_text(text)
+        with pytest.raises(ParseError, match="not PSD"):
+            operator_from_text(text, tuple("ab"))
 
 
 @settings(max_examples=150, deadline=None)
