@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     UnknownActor,
     UnknownWord,
+    ZeroOperator,
     _read_text,
 )
 from .lexicon import Lexicon, resolve_word
@@ -278,7 +279,12 @@ def _evolve(c: TextCircuit, name: str, effects: Effects | None) -> list[_Factor]
     for a in c.actors:
         name_state = a.lex.word_operator(a.word)
         if a.name in closure or name_state.is_zero():  # outside: only to raise, else kept raw
-            name_state = normalize(name_state, "trace")
+            try:
+                name_state = normalize(name_state, "trace")
+            except ZeroOperator:
+                raise ZeroOperator(
+                    f"name word {a.word!r} of actor {a.name} has the zero operator"
+                ) from None
         groups[a.name] = [(a.name, a.lex, name_state)]
     for g in c.gates:
         if isinstance(g, UnaryGate):

@@ -111,26 +111,24 @@ class Lexicon:
         self.require(word)
         return self.word_ops[word]
 
-    def hypernyms(self, word: str) -> tuple[tuple[str, int], ...]:
-        self.require(word)
+    def _taxonomy(self, what: str) -> Taxonomy:
         if self.taxonomy is None:
             raise ConvnegError(
-                "hypernym listing needs a taxonomy-backed lexicon "
-                "(this one was loaded from an operator store)"
+                f"{what} needs a taxonomy-backed lexicon (this one was loaded from an operator store)"
             )
-        return self.taxonomy.hypernyms(word)
+        return self.taxonomy
+
+    def hypernyms(self, word: str) -> tuple[tuple[str, int], ...]:
+        self.require(word)
+        return self._taxonomy("hypernym listing").hypernyms(word)
 
     def worldly_context(self, word: str, decay: float | None = None) -> Operator:
         """Worldly context of ``word``; optionally recomputed at another decay."""
         self.require(word)
         if decay is None or decay == self.decay:
             return self.wc_ops[word]
-        if self.taxonomy is None:
-            raise ConvnegError(
-                "decay override needs a taxonomy-backed lexicon "
-                "(this one was loaded from an operator store)"
-            )
-        return _context(self.taxonomy.hypernyms(word), self.word_ops, decay, self.leaves)
+        hyps = self._taxonomy("decay override").hypernyms(word)
+        return _context(hyps, self.word_ops, decay, self.leaves)
 
 
 def _check_decay(decay: float) -> float:
@@ -259,7 +257,24 @@ def operator_to_lines(a: Operator, frames: tuple[list[str], list[str]]) -> list[
     return lines
 
 
+def _check_names(lex: Lexicon) -> None:
+    """ValueError naming the first leaf or concept a store cannot carry: an
+    empty name, one with a line break (where ``str.splitlines`` breaks), or
+    a leaf that repeats, holds a comma or has leading or trailing whitespace."""
+    names = [*lex.leaves, *lex.concepts]
+    # one pass over the joined names: each is a line, up to the first with a break
+    lines = ("\n".join(names) + "\n").splitlines()
+    seen: set[str] = set()
+    for i, (name, line) in enumerate(zip(names, lines)):
+        leaf = i < len(lex.leaves)
+        if name != line or not name or leaf and (name in seen or "," in name or name != name.strip()):
+            kind = "leaf" if leaf else "concept"
+            raise ValueError(f"{kind} name {name!r} cannot be written to a lexicon store")
+        seen.add(name)
+
+
 def save_lexicon(lex: Lexicon, path: str | Path) -> None:
+    _check_names(lex)
     lines = ["LEXICON v1", f"DECAY {lex.decay!r}", "LEAVES " + ",".join(lex.leaves)]
     # sibling leaves share their hypernyms, so their contexts are equal
     # operators: each distinct one is formatted once, all from one cut of frames
@@ -412,8 +427,9 @@ def operator_from_lines(reader: LineReader, concept: str, leaves: tuple[str, ...
     return op
 
 
-def load_lexicon(path: str | Path, name: str = "") -> Lexicon:
-    """Load a lexicon store; re-validates every operator's invariants."""
+def load_lexicon(path: str | Path) -> Lexicon:
+    """Load a lexicon store, named by the file's stem; re-validates every
+    operator's invariants. ``dataclasses.replace(lex, name=...)`` renames it."""
     reader = LineReader(_read_text(path).splitlines())
 
     if reader.require("lexicon file") != "LEXICON v1":
@@ -470,5 +486,5 @@ def load_lexicon(path: str | Path, name: str = "") -> Lexicon:
         wc_ops=wc_ops,
         decay=decay,
         taxonomy=None,
-        name=name or Path(path).stem,
+        name=Path(path).stem,
     )

@@ -24,7 +24,6 @@ from .operators import (
     pseudoinverse,
 )
 
-VIEW_CHOICES = ("trace", "sup")
 # size prior of string and actor negation: lambda^(|S'|-1) for a negation set S'
 LAMBDA_DEFAULT = 0.75
 
@@ -40,12 +39,12 @@ class NegationConfig:
     cfg.decay but smooth at the lexicon's decay.
     sigma is the predicate smoothing used when scoring alternatives, string
     interpretations and actors; it is the only source of sigma for them.
+    cn_word's states are unit-trace; ``normalize(state, "sup")`` is the predicate view.
     """
 
     logical: str = "complement"
     composition: str = "hadamard"
     decay: float | None = None
-    view: str = "trace"
     sigma: float = SIGMA_DEFAULT
 
     def __post_init__(self) -> None:
@@ -55,8 +54,6 @@ class NegationConfig:
             raise ValueError(
                 f"composition must be one of {COMPOSITION_CHOICES}, got {self.composition!r}"
             )
-        if self.view not in VIEW_CHOICES:
-            raise ValueError(f"view must be one of {VIEW_CHOICES}, got {self.view!r}")
         if self.decay is not None:
             _check_decay(self.decay)
         _check_sigma(self.sigma)
@@ -84,11 +81,11 @@ DEFAULTS = NegationConfig()
 
 def cn_word(word: str, lex: Lexicon, cfg: NegationConfig = DEFAULTS) -> Operator:
     """Conversational negation of ``word``: logical negation, then worldly
-    context, normalized per cfg.view. Kept per lexicon in one table per
-    (logical, composition, view, decay), the lexicon's decay keyed as None,
-    of at most one operator per concept; a ZeroNegation is never kept."""
+    context, as a unit-trace state. Kept per lexicon in one table per
+    (logical, composition, decay), the lexicon's decay keyed as None, of at
+    most one operator per concept; a ZeroNegation is never kept."""
     decay = None if cfg.decay == lex.decay else cfg.decay
-    table = lex._negations.setdefault((cfg.logical, cfg.composition, cfg.view, decay), {})
+    table = lex._negations.setdefault((cfg.logical, cfg.composition, decay), {})
     if word in table:
         return table[word]
     p = lex.word_operator(word)
@@ -103,7 +100,7 @@ def cn_word(word: str, lex: Lexicon, cfg: NegationConfig = DEFAULTS) -> Operator
             f"negation of {word!r} is the zero operator "
             f"(logical={cfg.logical}, composition={cfg.composition})"
         )
-    out = table[word] = normalize(composed, cfg.view)
+    out = table[word] = normalize(composed, "trace")
     return out
 
 

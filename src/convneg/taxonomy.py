@@ -34,10 +34,6 @@ class Taxonomy:
     __hash__ = None  # its dicts are unhashable, so hash() names the class
 
     @property
-    def concepts(self) -> frozenset[str]:
-        return frozenset(self.order)
-
-    @property
     def leaves(self) -> tuple[str, ...]:
         return tuple(c for c in self.order if not self.children[c])
 

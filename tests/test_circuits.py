@@ -276,6 +276,18 @@ class TestComposedState:
         with pytest.raises(ZeroOperator):
             composed_factors(c, "Alice")
 
+    def test_zero_name_operator_names_the_actor(self, lexes):
+        names = lexes[0]
+        ops = {**names.word_ops, "alice": diagonal(np.zeros(names.dim), names.leaves)}
+        zeroed = (dataclasses.replace(names, word_ops=ops), *lexes[1:])
+        c = parse_script("Alice is a human.\nBob is a human.\n", zeroed)
+        # Alice lies outside Bob's closure, yet her name is checked all the same
+        for target in ("Alice", "Bob"):
+            with pytest.raises(
+                ZeroOperator, match="^name word 'alice' of actor Alice has the zero operator$"
+            ):
+                composed_factors(c, target)
+
     def test_entangled_partner_traced_out(self, love):
         factors = composed_factors(love, "Alice", effects=None)
         assert set(factors) == {"names", "traits"}  # Bob's wires are gone
@@ -790,7 +802,11 @@ def full_evolve(c, effects):
 
     groups = {}
     for a in c.actors:
-        groups[a.name] = [(a.name, a.lex, normalize(a.lex.word_operator(a.word), "trace"))]
+        try:
+            state = normalize(a.lex.word_operator(a.word), "trace")
+        except ZeroOperator:
+            raise ZeroOperator(f"name word {a.word!r} of actor {a.name} has the zero operator") from None
+        groups[a.name] = [(a.name, a.lex, state)]
     for g in c.gates:
         if isinstance(g, UnaryGate):
             update(groups[g.actor], g.actor, g.lex, g.lex.word_operator(g.word))

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -58,11 +59,34 @@ def readme_commands() -> list[tuple[str, list[str]]]:
     return out
 
 
+def readme_python() -> str:
+    """The ``python`` code block of README's Python API section."""
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    start = text.index("```python\n", text.index("## Python API")) + len("```python\n")
+    return text[start : text.index("```", start)]
+
+
 class TestReadmeExamples:
     @pytest.mark.parametrize("first, argv", [pytest.param(*c, id=c[0]) for c in readme_commands()])
     def test_stdout_is_byte_identical(self, monkeypatch, first, argv):
         monkeypatch.chdir(FIXTURES.parent)
         assert invoke(*argv) == (0, readme_output(first), "")
+
+    def test_python_api_block_runs_as_written(self, monkeypatch):
+        # from the repo root; an expression's value must read as the comment
+        # line under it, each "..." standing for more digits
+        monkeypatch.chdir(FIXTURES.parent)
+        block = readme_python()
+        lines, namespace, checked = block.splitlines(), {}, 0
+        for node in ast.parse(block).body:
+            if not isinstance(node, ast.Expr):
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+                continue
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            comment = lines[node.end_lineno].removeprefix("# ")
+            assert re.fullmatch(re.escape(comment).replace(re.escape("..."), r"\d*"), repr(value))
+            checked += 1
+        assert checked == 1
 
 
 class TestNegateWord:

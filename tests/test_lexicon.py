@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import inspect
 import math
 import pickle
 import re
@@ -530,6 +531,26 @@ class TestStore:
             atol=0,
         )
 
+    def test_store_loaded_lexicon_names_what_needs_a_taxonomy(self, fig1_lex, tmp_path):
+        save_lexicon(fig1_lex, tmp_path / "fig1.lex")
+        loaded = load_lexicon(tmp_path / "fig1.lex")
+        tail = " needs a taxonomy-backed lexicon (this one was loaded from an operator store)"
+        for what, call in (
+            ("hypernym listing", lambda: loaded.hypernyms("hamster")),
+            ("decay override", lambda: loaded.worldly_context("hamster", decay=0.3)),
+        ):
+            with pytest.raises(ConvnegError) as exc:
+                call()
+            assert str(exc.value) == what + tail
+
+    def test_loaded_lexicon_is_named_by_its_file_stem(self, fig1_lex, tmp_path):
+        assert list(inspect.signature(load_lexicon).parameters) == ["path"]
+        save_lexicon(fig1_lex, tmp_path / "rodents.lex")
+        loaded = load_lexicon(tmp_path / "rodents.lex")
+        assert loaded.name == "rodents"
+        assert dataclasses.replace(loaded, name="pets").name == "pets"
+
+
 
 # every line boundary str.splitlines knows
 LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
@@ -575,3 +596,53 @@ class TestSplitLines:
     def test_empty_store(self, tmp_path):
         (tmp_path / "empty.lex").write_bytes(b"")
         assert load_outcome(tmp_path / "empty.lex") == ("line 0: unexpected end of lexicon file", 0)
+
+
+def two_leaf_lexicon(leaves, concepts=("a",), labelled=True):
+    """A lexicon over ``leaves``, each of ``concepts`` the first leaf's
+    indicator with the identity context, its operators labelled or not."""
+    labels = leaves if labelled else ()
+    return Lexicon(
+        concepts=concepts,
+        leaves=leaves,
+        word_ops={c: diagonal([1.0, 0.0], labels) for c in concepts},
+        wc_ops={c: diagonal([1.0, 1.0], labels) for c in concepts},
+        decay=0.5,
+    )
+
+
+class TestUnstorableNames:
+    """save_lexicon refuses a leaf or concept name its store could not carry,
+    naming it, before it writes a byte: each of these once saved a store
+    that failed to load, or loaded other names."""
+
+    @pytest.mark.parametrize(
+        "leaf",
+        # "b ": LABELS is read stripped, LEAVES is not; "b,c": splits into
+        # three leaves; "b\nc": breaks the LEAVES line
+        ["b ", "b,c", "b\nc", " b", "", "a", *(f"b{br}c" for br in LINE_BREAKS)],
+        ids=["trailing-space", "comma", "newline", "leading-space", "empty", "repeated",
+             *(f"break-{ord(br[0]):x}-{len(br)}" for br in LINE_BREAKS)],
+    )
+    def test_leaf_is_refused(self, leaf, tmp_path):
+        # repeated names cannot label an operator's basis
+        lex = two_leaf_lexicon(("a", leaf), labelled=leaf != "a")
+        path = tmp_path / "bad.lex"
+        with pytest.raises(ValueError, match=f"^leaf name {re.escape(repr(leaf))} cannot be written"):
+            save_lexicon(lex, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("concept", ["", *(f"x{br}y" for br in LINE_BREAKS)])
+    def test_concept_is_refused(self, concept, tmp_path):
+        lex = two_leaf_lexicon(("a", "b"), concepts=("a", "b", concept))
+        path = tmp_path / "bad.lex"
+        with pytest.raises(ValueError, match=f"^concept name {re.escape(repr(concept))} cannot be written"):
+            save_lexicon(lex, path)
+        assert not path.exists()
+
+    def test_names_the_store_can_carry_round_trip(self, tmp_path):
+        # inner whitespace in a leaf, edge whitespace and commas in a concept
+        lex = two_leaf_lexicon(("a", "b c"), concepts=("a", "b c", " x, y "))
+        save_lexicon(lex, tmp_path / "ok.lex")
+        loaded = load_lexicon(tmp_path / "ok.lex")
+        assert (loaded.leaves, loaded.concepts) == (lex.leaves, lex.concepts)

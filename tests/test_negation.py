@@ -12,7 +12,6 @@ from convneg.negation import (
     COMPOSITION_CHOICES,
     DEFAULTS,
     LOGICAL_CHOICES,
-    VIEW_CHOICES,
     NegationConfig,
     alternatives,
     cn_word,
@@ -41,14 +40,16 @@ def two_leaf():
 
 class TestNegationConfig:
     def test_defaults(self):
-        assert DEFAULTS == NegationConfig("complement", "hadamard", None, "trace", 0.5)
+        assert DEFAULTS == NegationConfig("complement", "hadamard", None, 0.5)
+        assert repr(DEFAULTS) == (
+            "NegationConfig(logical='complement', composition='hadamard', decay=None, sigma=0.5)"
+        )
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"logical": "not"},
             {"composition": "tensor"},
-            {"view": "both"},
             {"decay": 0.0},
             {"decay": 1.0},
             {"sigma": -0.5},
@@ -110,8 +111,7 @@ class TestLogicalNotPinv:
 
 class TestCnWord:
     def test_hamster_sup_view(self, fig1):
-        cfg = NegationConfig(view="sup")
-        out = cn_word("hamster", fig1, cfg)
+        out = normalize(cn_word("hamster", fig1), "sup")
         np.testing.assert_allclose(out.matrix, np.diag([0, 1, 3 / 7, 1 / 7]), atol=1e-12)
         assert out.labels == ("hamster", "guinea_pig", "dog", "planet")
 
@@ -233,11 +233,10 @@ class TestAlternatives:
 
 
 GOLDEN_CONFIGS = [
-    NegationConfig(logical, composition, decay=decay, view=view, sigma=sigma)
+    NegationConfig(logical, composition, decay=decay, sigma=sigma)
     for sigma in (0.0, 0.25, 0.5)
     for logical in LOGICAL_CHOICES
     for composition in COMPOSITION_CHOICES
-    for view in VIEW_CHOICES
     for decay in (None, 0.3)
 ]
 # SHA-256 of ``golden_rankings`` per lexicon of ``golden_stores``, recorded
@@ -246,13 +245,13 @@ GOLDEN_CONFIGS = [
 # operators, whose pseudoinverse and conjugate update take LAPACK's
 # eigensolver: its digest is tied to the numpy/BLAS build (CI prints it).
 GOLDEN_RANKINGS = {
-    "colors": "70225269818999e146552ee8a1b3277ef35e6d57454e832b167b4319c75ec472",
-    "drinks": "84dfede7ec81344f8a235eec5c8cde917864af84c3f4cca223853be90a7f13cc",
-    "fig1": "05afdc58e88bf8710121e0ce23fa1fa26ea3fd6e4597ad4efba55c6181dfa7e5",
-    "fig1-turned": "6f91c2cfa0f13bc073fa371bf019cbaa295ac22fd895556116a3b32c2e9c6dc8",
-    "kinds": "ea254999ca5fc6d8dac9a9ccaf1a8d937c7be818851283505b0c9b7668634dcd",
-    "names": "35b158e1cca0dfaefa158bea4b8a1e527fb2740c3827b979be15d05cfe2d1969",
-    "roles": "d034cc61201501fbe94ffaa5096aaafebef277f990f36102b94e9d0124ea80b2",
+    "colors": "61a2683a64fb43a6446ad5183ff9ff7eba2901f366c6b0c2295cf2efbcd6e999",
+    "drinks": "0ad6f063d485f442031000ba5eae773516b6093982ee11907c46d4a51e8fa7fd",
+    "fig1": "9c0dba00e42aca2635bb23311fbb5c6cdde8145d502421a0f14a7da35aea9e76",
+    "fig1-turned": "358888890df3b2383cf46adf365953c88928cce66938bd99c47c0c3df2ed0355",
+    "kinds": "df2e30bc9a68918161428067a4f8028f6af77c1d9e96abf2d31e5c6e6b65f76e",
+    "names": "33099f18b66d4f44c18470637c48b693ff33944586c56e22df16fab39be183e1",
+    "roles": "bf537725d2e73777618689b82c2284b8dd2ef7506fb7674edf78f2bd05ab413a",
 }
 
 

@@ -19,7 +19,7 @@ def test_fig1_leaves_and_dim(fig1):
     assert fig1.leaves == ("hamster", "guinea_pig", "dog", "planet")
     assert len(fig1.leaves) == 4
     assert fig1.roots == ("entity",)
-    assert fig1.concepts == {
+    assert set(fig1.order) == {
         "hamster", "guinea_pig", "rodent", "dog", "animal", "entity", "planet",
     }
 
