@@ -85,7 +85,6 @@ _EXPORTS = {
             "normalize",
             "partial_trace",
             "pseudoinverse",
-            "pure",
             "support_projector",
             "tensor",
             "validate",

@@ -29,8 +29,8 @@ from .lexicon import Lexicon
 from .operators import (
     Operator,
     PINV_TOL,
-    ZERO_TRACE_TOL,
     _main_diagonal,
+    _zero_trace,
     mix,
     normalize,
     trace_product,
@@ -170,7 +170,7 @@ def _record(
     if row is not None and hit[0]._diag is not None:
         row[:] = hit[0]._diag
         if sigma:
-            hit = table.words[word] = (Operator._of(row, None, hit[0].labels), hit[1])
+            hit = table.words[word] = (Operator._of(row, hit[0].labels), hit[1])
     return hit
 
 
@@ -221,6 +221,13 @@ def _fsum_rows(diags: np.ndarray, v: np.ndarray) -> list[float]:
     return sums
 
 
+def _state_trace(a: Operator) -> float:
+    """The trace of the state ``a`` to score; ZeroOperator if ``a.is_zero()``."""
+    if _zero_trace(t := a.trace()):
+        raise ZeroOperator("overlap score needs a nonzero state")
+    return t
+
+
 def _leaf_scores(a: Operator, lex: Lexicon, sigma: float) -> list[float]:
     """``overlap_score(a, leaf, lex, sigma)`` for each leaf of ``lex``.
 
@@ -229,9 +236,7 @@ def _leaf_scores(a: Operator, lex: Lexicon, sigma: float) -> list[float]:
     it times ``a``'s main diagonal as ``trace_product`` would. Otherwise each
     leaf goes through ``trace_product``.
     """
-    t = a.trace()
-    if t <= ZERO_TRACE_TOL:
-        raise ZeroOperator("overlap score needs a nonzero state")
+    t = _state_trace(a)
     table = _memo(lex, sigma)
     if table.diags is None:  # a stack's leaves are words: none raises UnknownWord
         if not any(map(lex.__contains__, lex.leaves)):
@@ -265,9 +270,7 @@ def overlap_score(
     hit = table and table.words.get(word)
     if hit and a in hit[1]:  # a zero state is never kept
         return hit[1][a]
-    t = a.trace()
-    if t <= ZERO_TRACE_TOL:
-        raise ZeroOperator("overlap score needs a nonzero state")
+    t = _state_trace(a)
     pred, kept = _record(word, lex, sigma, _memo(lex, sigma))
     if a.dim != lex.dim:
         raise DimMismatch(f"state dim {a.dim} vs predicate dim {lex.dim}")

@@ -128,7 +128,7 @@ class Lexicon:
         if decay is None or decay == self.decay:
             return self.wc_ops[word]
         hyps = self._taxonomy("decay override").hypernyms(word)
-        return _context(hyps, self.word_ops, decay, self.leaves)
+        return _context(hyps, self.word_ops, _check_decay(decay), self.leaves)
 
 
 def _check_decay(decay: float) -> float:
@@ -148,7 +148,7 @@ def _indicators(taxonomy: Taxonomy, leaves: tuple[str, ...]) -> dict[str, Operat
             below[c] = set().union(*map(below.get, taxonomy.children[c]))
     # as ``diagonal`` makes them, but a 0/1 row needs no check
     bits = {c: np.bincount(list(below[c]), minlength=len(leaves)) * 1.0 for c in taxonomy.order}
-    return {c: Operator._of(row, None, leaves) for c, row in bits.items()}
+    return {c: Operator._of(row, leaves) for c, row in bits.items()}
 
 
 def _context(
@@ -257,10 +257,16 @@ def operator_to_lines(a: Operator, frames: tuple[list[str], list[str]]) -> list[
     return lines
 
 
+def _unworded(leaves: tuple[str, ...], words: Mapping[str, Operator]) -> list[str]:
+    """The leaves not in ``words`` if some are: a store's are all words or all bare labels."""
+    unnamed = [leaf for leaf in leaves if leaf not in words]
+    return unnamed if len(unnamed) < len(leaves) else []
+
+
 def _check_names(lex: Lexicon) -> None:
     """ValueError naming the first leaf or concept a store cannot carry: an
     empty name, one with a line break (where ``str.splitlines`` breaks), or
-    a leaf that repeats, holds a comma or has leading or trailing whitespace."""
+    a leaf that repeats, holds a comma or edge whitespace; then ``_unworded``'s leaves."""
     names = [*lex.leaves, *lex.concepts]
     # one pass over the joined names: each is a line, up to the first with a break
     lines = ("\n".join(names) + "\n").splitlines()
@@ -271,6 +277,8 @@ def _check_names(lex: Lexicon) -> None:
             kind = "leaf" if leaf else "concept"
             raise ValueError(f"{kind} name {name!r} cannot be written to a lexicon store")
         seen.add(name)
+    if unnamed := _unworded(lex.leaves, lex.word_ops):
+        raise ValueError(f"leaf without a WORD block cannot be saved: {', '.join(unnamed)}")
 
 
 def save_lexicon(lex: Lexicon, path: str | Path) -> None:
@@ -475,8 +483,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     orphans = [c for c in wc_ops if c not in word_ops]
     if orphans:
         raise ParseError(f"WC block without WORD block for: {', '.join(orphans)}")
-    unnamed = [leaf for leaf in leaves if leaf not in word_ops]
-    if 0 < len(unnamed) < len(leaves):
+    if unnamed := _unworded(leaves, word_ops):
         raise ParseError(f"leaf without a WORD block: {', '.join(unnamed)}", leaves_lineno)
 
     return Lexicon(

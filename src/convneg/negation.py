@@ -16,7 +16,6 @@ from .errors import ZeroNegation, ZeroOperator
 from .lexicon import Lexicon, _check_decay
 from .operators import (
     Operator,
-    ZERO_TRACE_TOL,
     complement,
     conjugate_update,
     hadamard,
@@ -95,12 +94,13 @@ def cn_word(word: str, lex: Lexicon, cfg: NegationConfig = DEFAULTS) -> Operator
     except ZeroOperator:
         raise ZeroOperator(f"word {word!r} has the zero operator") from None
     composed = _COMPOSITION[cfg.composition](_LOGICAL[cfg.logical](pred), wc)
-    if composed.trace() <= ZERO_TRACE_TOL:
+    try:
+        out = table[word] = normalize(composed, "trace")
+    except ZeroOperator:
         raise ZeroNegation(
             f"negation of {word!r} is the zero operator "
             f"(logical={cfg.logical}, composition={cfg.composition})"
-        )
-    out = table[word] = normalize(composed, "trace")
+        ) from None
     return out
 
 

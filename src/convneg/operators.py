@@ -121,6 +121,11 @@ def _checked_dense(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sym, lam
 
 
+def _zero_trace(t: float) -> bool:
+    """The one zero rule, for a trace the caller already holds (``Operator.is_zero``)."""
+    return t <= ZERO_TRACE_TOL
+
+
 def _checked_labels(labels: Sequence[str], dim: int) -> tuple[str, ...]:
     labels = tuple(labels)
     if labels:
@@ -154,7 +159,7 @@ class Operator:
             checked, (dense, lam) = None, _checked_dense(a)
         self._init(checked, dense, _checked_labels(labels, a.shape[0]), lam)
 
-    def _init(self, diag: np.ndarray | None, matrix: np.ndarray | None, labels, spectrum=None):
+    def _init(self, diag: np.ndarray | None, matrix: np.ndarray | None, labels, spectrum):
         for arr in (diag, matrix, spectrum):
             if arr is not None:
                 arr.setflags(write=False)
@@ -165,10 +170,10 @@ class Operator:
         return self
 
     @classmethod
-    def _of(cls, diag: np.ndarray | None, matrix: np.ndarray | None, labels) -> Operator:
-        """The operator of an already-checked ``diag`` or ``matrix`` (the
-        other None) and labels, taking the array itself, made read-only."""
-        return cls.__new__(cls)._init(diag, matrix, labels)
+    def _of(cls, diag: np.ndarray, labels) -> Operator:
+        """The diagonal operator of an already-checked ``diag`` and labels, taking the
+        array itself, made read-only; a dense one comes only from the constructor."""
+        return cls.__new__(cls)._init(diag, None, labels, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Operator is immutable (cannot set {name!r})")
@@ -196,25 +201,19 @@ class Operator:
             return float(self._diag.sum())
         return float(np.trace(self._matrix))
 
-    def _dense_spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues, read-only: the check's, or computed on first use and kept."""
-        if self._spectrum is None:
-            object.__setattr__(self, "_spectrum", np.linalg.eigvalsh(self._matrix))
-            self._spectrum.setflags(write=False)
-        return self._spectrum
-
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues, a fresh array."""
-        return np.sort(self._diag) if self._diag is not None else self._dense_spectrum().copy()
+        return np.sort(self._diag) if self._diag is not None else self._spectrum.copy()
 
     def max_eigenvalue(self) -> float:
-        return float(self._diag.max() if self._diag is not None else self._dense_spectrum()[-1])
+        return float(self._diag.max() if self._diag is not None else self._spectrum[-1])
 
     def min_eigenvalue(self) -> float:
-        return float(self._diag.min() if self._diag is not None else self._dense_spectrum()[0])
+        return float(self._diag.min() if self._diag is not None else self._spectrum[0])
 
     def is_zero(self) -> bool:
-        return self.trace() <= ZERO_TRACE_TOL
+        """Trace at most ZERO_TRACE_TOL: the zero every function here refuses."""
+        return _zero_trace(self.trace())
 
     def diagonal(self) -> np.ndarray:
         return _main_diagonal(self).copy()
@@ -239,7 +238,7 @@ def _from_entries(x: np.ndarray, labels: tuple[str, ...]) -> Operator:
     already fit the size."""
     if x.ndim == 2:
         return Operator(x, labels)
-    return Operator._of(_checked_diagonal(x), None, labels)
+    return Operator._of(_checked_diagonal(x), labels)
 
 
 @dataclass(frozen=True)
@@ -262,17 +261,6 @@ class OperatorDiagnostics:
         )
 
 
-def pure(index: int, dim: int) -> Operator:
-    """Rank-1 projector onto basis vector ``index`` of a ``dim``-dimensional space."""
-    if dim < 1:
-        raise InvalidIndex(f"dimension must be positive, got {dim}")
-    if not 0 <= index < dim:
-        raise InvalidIndex(f"index {index} out of range for dimension {dim}")
-    d = np.zeros(dim)
-    d[index] = 1.0
-    return diagonal(d)
-
-
 def identity(dim: int, labels: Sequence[str] = ()) -> Operator:
     return diagonal(np.ones(dim), labels)
 
@@ -283,7 +271,7 @@ def diagonal(entries: Sequence[float], labels: Sequence[str] = ()) -> Operator:
     if d.ndim != 1 or d.size == 0:
         raise InvalidOperator(f"expected a nonempty vector of entries, got shape {d.shape}")
     # entries before labels, the order in which Operator checks diag(d)
-    return Operator._of(_checked_diagonal(d), None, _checked_labels(labels, d.size))
+    return Operator._of(_checked_diagonal(d), _checked_labels(labels, d.size))
 
 
 def mix(terms: Sequence[tuple[float, Operator]]) -> Operator:
@@ -401,18 +389,18 @@ def conjugate_update(state: Operator, effect: Operator) -> Operator:
 
 
 def normalize(a: Operator, mode: str = "trace") -> Operator:
-    """Scale to unit trace (state view) or unit max eigenvalue (predicate view)."""
+    """Scale to unit trace (state view) or unit max eigenvalue (predicate
+    view); either refuses exactly the operators ``is_zero`` calls zero."""
     if mode == "trace":
-        t = a.trace()
-        if t <= ZERO_TRACE_TOL:
-            raise ZeroOperator("cannot trace-normalize the zero operator")
-        return _from_entries(_entries(a) / t, a.labels)
-    if mode == "sup":
-        top = a.max_eigenvalue()
-        if top <= ZERO_TRACE_TOL:
-            raise ZeroOperator("cannot sup-normalize the zero operator")
-        return _from_entries(_entries(a) / top, a.labels)
-    raise ValueError(f"unknown normalization mode {mode!r}")
+        t = scale = a.trace()
+    elif mode == "sup":
+        with np.errstate(over="ignore"):  # read only to test: an overflowing trace is not zero
+            t, scale = a.trace(), a.max_eigenvalue()
+    else:
+        raise ValueError(f"unknown normalization mode {mode!r}")
+    if _zero_trace(t):
+        raise ZeroOperator(f"cannot {mode}-normalize the zero operator")
+    return _from_entries(_entries(a) / scale, a.labels)
 
 
 def pseudoinverse(a: Operator) -> Operator:

@@ -718,7 +718,7 @@ EAGER_EXPORTS = {
     ],
     "operators": [
         "Operator", "conjugate_update", "diagonal", "hadamard", "identity", "mix",
-        "normalize", "partial_trace", "pseudoinverse", "pure", "support_projector",
+        "normalize", "partial_trace", "pseudoinverse", "support_projector",
         "tensor", "validate",
     ],
     "strings": [
@@ -766,17 +766,43 @@ class TestCliImports:
         assert spelled == {"lexicon.py"}
 
     def test_only_operators_makes_an_operator_without_init(self):
-        # Operator._of is the one way to wrap already-checked arrays
+        # Operator._of is the one way to wrap already-checked arrays, and it
+        # takes a diagonal and labels only: a dense operator comes from the
+        # constructor's check. ZERO_TRACE_TOL is compared once
+        # (operators._zero_trace, which Operator.is_zero applies), and the
+        # modules that test a state for zero do not import it
         package = Path(convneg.__file__).parent
+        trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+        nodes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)]
         uses = [
-            f"{path.name}:{node.lineno}"
-            for path in sorted(package.glob("*.py"))
-            if path.name != "operators.py"
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.Attribute)
+            f"{name}:{node.lineno}"
+            for name, node in nodes
+            if name != "operators.py"
+            and isinstance(node, ast.Attribute)
             and (node.attr == "_init" or (node.attr == "__new__" and ast.unparse(node.value) == "Operator"))
         ]
         assert uses == []
+        calls = [
+            (f"{name}:{node.lineno}", len(node.args), len(node.keywords))
+            for name, node in nodes
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_of"
+        ]
+        assert len(calls) == 4 and all(call[1:] == (2, 0) for call in calls), calls
+        compares = [
+            f"{name}:{node.lineno}"
+            for name, node in nodes
+            if isinstance(node, ast.Compare)
+            and any(isinstance(n, ast.Name) and n.id == "ZERO_TRACE_TOL" for n in ast.walk(node))
+        ]
+        assert len(compares) == 1 and compares[0].startswith("operators.py:"), compares
+        for name in ("entailment.py", "negation.py"):
+            imported = [
+                alias.name
+                for node in ast.walk(trees[name])
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            ]
+            assert "ZERO_TRACE_TOL" not in imported, name
 
 
 class TestLazyImports:

@@ -392,7 +392,7 @@ class TestDiagonalOperator:
             float(np.sum(dense.matrix * db)), abs=EQ_TOL
         )
         assert trace_product(A, B) == pytest.approx(float(np.sum(da * db)), abs=EQ_TOL)
-        if A.max_eigenvalue() > ZERO_TRACE_TOL:
+        if not A.is_zero():
             np.testing.assert_allclose(
                 normalize(A, "trace").matrix, da / np.trace(da), rtol=0, atol=EQ_TOL
             )
@@ -1006,9 +1006,9 @@ def hexes(values) -> list[str]:
 
 
 class TestKeptSpectrum:
-    """A dense operator keeps the eigenvalues of its one check, or of its
-    first use, and reads its spectrum from them: bit for bit what eigvalsh
-    gives on its matrix, whichever function made it."""
+    """A dense operator keeps the eigenvalues of its one check and reads its
+    spectrum from them: bit for bit what eigvalsh gives on its matrix,
+    whichever function made it."""
 
     @staticmethod
     def sources(op, other):
@@ -1016,7 +1016,7 @@ class TestKeptSpectrum:
         dim) by each function that returns one; refusals are skipped."""
         try:
             sup = normalize(op, "sup")
-        except ZeroOperator:  # a top eigenvalue at or below ZERO_TRACE_TOL
+        except ZeroOperator:  # op.is_zero()
             sup = op
         n = op.dim
         made = {
@@ -1040,7 +1040,6 @@ class TestKeptSpectrum:
                 "c",
                 op.labels or tuple(f"x{i}" for i in range(n)),
             ),
-            "_of": lambda: Operator._of(None, op.matrix, op.labels) if op._diag is None else op,
         }
         for name, make in made.items():
             try:
@@ -1050,7 +1049,7 @@ class TestKeptSpectrum:
 
     @settings(max_examples=150, deadline=None)
     @given(op=st.integers(1, 6).flatmap(lambda n: st.tuples(stored_operators(n), stored_operators(n))))
-    # a trace above ZERO_TRACE_TOL whose top eigenvalue is not: sup-normalizing refuses it
+    # a trace above ZERO_TRACE_TOL whose top eigenvalue is not: not zero, so it sup-normalizes
     @example(op=(diagonal([1e-12, 1e-12, 0.0]), Operator(np.eye(3))))
     def test_spectrum_is_eigvalsh_of_the_matrix(self, op):
         op, other = op
@@ -1078,7 +1077,7 @@ class TestKeptSpectrum:
         assert names == [
             "Operator", "mix", "normalize-trace", "normalize-sup", "complement-kept",
             "complement-projected", "conjugate_update", "pseudoinverse", "support_projector",
-            "tensor", "partial_trace", "store", "_of",
+            "tensor", "partial_trace", "store",
         ]
 
     def test_complement_branches(self):
@@ -1091,18 +1090,6 @@ class TestKeptSpectrum:
             assert spy.call_count == 0
             complement(Operator(sup.matrix * (1.0 + 5 * PSD_TOL)))
             assert spy.call_count == 1
-
-    def test_made_by_of_computes_once(self):
-        x = np.random.default_rng(2).standard_normal((4, 4))
-        dense = Operator(x @ x.T)
-        lazy = Operator._of(None, dense.matrix, ())
-        assert lazy._spectrum is None
-        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
-            first = lazy.max_eigenvalue()
-            assert lazy.max_eigenvalue() == first and spy.call_count == 1
-            dense.eigenvalues(), dense.min_eigenvalue()
-            assert spy.call_count == 1
-        assert hexes(lazy.eigenvalues()) == hexes(dense.eigenvalues())
 
 
 class TestIndicatorsMatchReference:

@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 import tracemalloc
+import warnings
 from types import MappingProxyType
 
 import numpy as np
@@ -100,6 +101,14 @@ class TestWorldlyContext:
             build_lexicon(tax, decay=0.0)
         with pytest.raises(ValueError):
             build_lexicon(tax, decay=1.0)
+
+    @pytest.mark.parametrize("decay", [0.0, 1.0, 2.0, -1.0, math.nan, math.inf])
+    def test_decay_override_is_checked(self, fig1_lex, decay):
+        # 0.0 once divided by zero and -1.0 gave negative mixture weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^decay must lie in \(0, 1\), got "):
+                fig1_lex.worldly_context("hamster", decay=decay)
 
 
 class TestDiagonalNesting:
@@ -639,6 +648,28 @@ class TestUnstorableNames:
         with pytest.raises(ValueError, match=f"^concept name {re.escape(repr(concept))} cannot be written"):
             save_lexicon(lex, path)
         assert not path.exists()
+
+    def test_leaves_only_partly_words_are_refused(self, tmp_path):
+        # load refuses such a store at its LEAVES line: leaf without a WORD block
+        lex = Lexicon(
+            concepts=("b",),
+            leaves=("a", "b", "c"),
+            word_ops={"b": diagonal([0.0, 1.0, 0.0])},
+            wc_ops={"b": diagonal([1.0, 1.0, 1.0])},
+            decay=0.5,
+        )
+        path = tmp_path / "bad.lex"
+        with pytest.raises(ValueError, match="^leaf without a WORD block cannot be saved: a, c$"):
+            save_lexicon(lex, path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="^leaf without a WORD block cannot be saved: b$"):
+            save_lexicon(two_leaf_lexicon(("a", "b")), path)
+        assert not path.exists()
+
+    def test_leaves_that_are_all_bare_labels_round_trip(self, tmp_path):
+        lex = two_leaf_lexicon(("l0", "l1"), concepts=("x",))
+        save_lexicon(lex, tmp_path / "ok.lex")
+        assert load_lexicon(tmp_path / "ok.lex").leaves == lex.leaves
 
     def test_names_the_store_can_carry_round_trip(self, tmp_path):
         # inner whitespace in a leaf, edge whitespace and commas in a concept

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convneg.errors import (
@@ -32,14 +32,28 @@ from convneg.operators import (
     partial_trace,
     psd_floor,
     pseudoinverse,
-    pure,
     support_projector,
     tensor,
     trace_product,
     validate,
 )
 
-from conftest import psd_operators, rand_psd, rand_full_rank_psd
+from conftest import psd_operators, rand_psd, rand_full_rank_psd, random_orthogonal
+
+
+@st.composite
+def tiny_operators(draw):
+    """Diagonal and dense PSD operators of dim 1-5 scaled by 1e-13 to 1, so
+    their traces fall on both sides of ZERO_TRACE_TOL; a dense one is
+    Q·diag(lam)·Qᵀ for a seeded random orthogonal Q."""
+    n = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1e-13, 2e-13, 5e-13, 1e-12, 3e-12, 1e-11, 1e-6, 1.0]))
+    lam = scale * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return diagonal(lam)
+    q = random_orthogonal(draw(st.integers(0, 2**16)), n)
+    m = q @ np.diag(lam) @ q.T
+    return Operator((m + m.T) / 2.0)
 
 
 def brute_partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
@@ -117,27 +131,6 @@ class TestConstruction:
         op = identity(2)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 2.0
-
-
-class TestPure:
-    def test_first_basis_vector(self):
-        assert np.array_equal(pure(0, 2).matrix, diagonal([1, 0]).matrix)
-
-    def test_last_basis_vector(self):
-        assert np.array_equal(pure(3, 4).matrix, diagonal([0, 0, 0, 1]).matrix)
-
-    def test_trace_and_rank(self):
-        p = pure(1, 3)
-        assert p.trace() == 1.0
-        assert np.sum(p.eigenvalues() > 1e-12) == 1
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidIndex):
-            pure(2, 2)
-        with pytest.raises(InvalidIndex):
-            pure(-1, 2)
-        with pytest.raises(InvalidIndex):
-            pure(0, 0)
 
 
 class TestMix:
@@ -307,6 +300,19 @@ class TestNormalize:
             normalize(diagonal([0.0, 0.0]), "sup")
         with pytest.raises(ValueError):
             normalize(identity(2), "L2")
+
+    @settings(max_examples=300, deadline=None)
+    @given(op=tiny_operators(), mode=st.sampled_from(["trace", "sup"]))
+    # trace 2e-12 is not zero, though its top eigenvalue is at ZERO_TRACE_TOL
+    @example(op=diagonal([1e-12, 1e-12, 0.0]), mode="sup")
+    def test_refuses_exactly_the_zero_operators(self, op, mode):
+        if op.is_zero():
+            with pytest.raises(ZeroOperator, match=f"^cannot {mode}-normalize the zero operator$"):
+                normalize(op, mode)
+        else:
+            out = normalize(op, mode)
+            unit = out.trace() if mode == "trace" else out.max_eigenvalue()
+            assert unit == pytest.approx(1.0, rel=1e-12)
 
 
 class TestPseudoinverse:
