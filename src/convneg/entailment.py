@@ -24,7 +24,7 @@ import weakref
 
 import numpy as np
 
-from .errors import DimMismatch, UnknownWord, ZeroOperator
+from .errors import DimMismatch, InvalidOperator, UnknownWord, ZeroOperator
 from .lexicon import Lexicon
 from .operators import (
     Operator,
@@ -222,9 +222,11 @@ def _fsum_rows(diags: np.ndarray, v: np.ndarray) -> list[float]:
 
 
 def _state_trace(a: Operator) -> float:
-    """The trace of the state ``a`` to score; ZeroOperator if ``a.is_zero()``."""
+    """The trace of the state ``a`` to score: ZeroOperator if zero, InvalidOperator if inf."""
     if _zero_trace(t := a.trace()):
         raise ZeroOperator("overlap score needs a nonzero state")
+    if t == math.inf:
+        raise InvalidOperator("overlap score needs a state whose trace does not overflow to inf")
     return t
 
 

@@ -14,9 +14,10 @@ are kept dense and every function here works on them unchanged. A lexicon's
 maps are read-only copies, checked once when it is built.
 
 This module alone reads and writes store text (``save_lexicon``,
-``load_lexicon``; the format is described above ``MAX_ENTRY``). Every block
-of a store is read against its one ``LEAVES`` line, so a loaded operator's
-labels are the lexicon's leaves tuple itself.
+``load_lexicon``; the format is described above ``MAX_ENTRY``). A load reads
+the lines by index, every block against the one ``LEAVES`` line (a loaded
+operator's labels are the lexicon's leaves tuple itself), and makes its own
+memos of blocks and diagonal rows, which it passes to the block reader.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -223,11 +224,12 @@ def resolve_word(word: str, lexicons: Sequence[Lexicon]) -> Lexicon:
 # mirrored, and a block whose tokens equal their transpose is read from its
 # upper triangle, mirrored; any other has every token parsed, row by row. A
 # finite entry above MAX_ENTRY in magnitude is refused, naming the first row
-# with one, before the block is validated. One LineReader (one store) reads
-# each distinct thing once: a block whose LABELS line and rows repeat an
-# earlier one is that block's operator, neither parsed nor validated again;
-# a diagonal row read before at the same position is its entry, not matched
-# again.
+# with one, before the block is validated. One load reads each distinct
+# thing once, by two memos it makes per call: a block whose LABELS line and
+# rows repeat an earlier one is that block's operator, neither parsed nor
+# validated again; a diagonal row read before at the same position is its
+# entry, not matched again. Input that ends inside the header or a block is a
+# ParseError ("unexpected end of ...") naming the last line, 0 if empty.
 # ---------------------------------------------------------------------------
 
 # largest magnitude of a finite entry a store holds: a sum of up to 1e8 of
@@ -299,52 +301,18 @@ def save_lexicon(lex: Lexicon, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-class LineReader:
-    """Reader over a store's lines, as ``str.splitlines`` gives them, that
-    counts what it has consumed.
-
-    ``lineno`` is the 1-based number of the last line consumed, for error
-    messages. Iteration ends quietly at end of input; ``require`` raises
-    ParseError there instead. ``operator_from_lines`` keeps on the reader
-    what it has read from it (see the store format above).
-    """
-
-    def __init__(self, lines: Iterable[str]):
-        self._lines = list(lines)
-        self.lineno = 0
-        # operator_from_lines: each distinct block's operator by its text,
-        # and per position each diagonal row's entry by the row's text
-        self._blocks: dict[tuple[str, ...], Operator] = {}
-        self._rows: list[dict[str, float]] = []
-
-    def __iter__(self) -> "LineReader":
-        return self
-
-    def __next__(self) -> str:
-        if self.lineno == len(self._lines):
-            raise StopIteration
-        self.lineno += 1
-        return self._lines[self.lineno - 1]
-
-    def take(self, count: int) -> list[str]:
-        """The next ``count`` lines, fewer at the end of input."""
-        lines = self._lines[self.lineno : self.lineno + count]
-        self.lineno += len(lines)
-        return lines
-
-    def require(self, what: str) -> str:
-        """The next line; ParseError("unexpected end of <what>") if none."""
-        if self.lineno == len(self._lines):
-            raise ParseError(f"unexpected end of {what}", self.lineno)
-        return next(self)
+def _line(lines: list[str], i: int, what: str) -> str:
+    """``lines[i]``; ParseError("unexpected end of <what>") at the last line if there is none."""
+    if i < len(lines):
+        return lines[i]
+    raise ParseError(f"unexpected end of {what}", len(lines))
 
 
-def _diagonal_rows(reader: LineReader, text: list[str]) -> list[float] | None:
+def _diagonal_rows(seen: list[dict[str, float]], text: list[str]) -> list[float] | None:
     """The entries of a full block whose every row reads as diagonal, each
-    row read before at its position taken from the reader's memo; None at
-    the first row that does not."""
+    row read before at its position taken from the load's row memo
+    ``seen``; None at the first row that does not."""
     dim = len(text)
-    seen = reader._rows = reader._rows or [{} for _ in text]  # made at the first full block
     diag = list(map(dict.get, seen, text))  # None where not read before
     if None in diag:
         # O(dim) text, not frames: the rows of a corrupt block need not be long
@@ -362,9 +330,9 @@ def _diagonal_rows(reader: LineReader, text: list[str]) -> list[float] | None:
     return diag
 
 
-def _dense_entries(reader: LineReader, dim: int, text: list[str], first: int) -> np.ndarray:
+def _dense_entries(dim: int, text: list[str], first: int) -> np.ndarray:
     """The matrix of a block's rows ``text`` (line ``first`` on), by the store format's rule;
-    raises at the first faulty row, or at the end of input for a missing one."""
+    raises at the first faulty row, or at the last line for a missing one."""
     table = [row_line.split() for row_line in text]
     if len(table) == dim and table == list(map(list, zip(*table))):
         tokens = chain.from_iterable(row[i:] for i, row in enumerate(table))
@@ -382,38 +350,37 @@ def _dense_entries(reader: LineReader, dim: int, text: list[str], first: int) ->
             rows.append(list(map(float, fields)))
         except ValueError:
             raise ParseError(f"bad matrix entry in {row_line!r}", first + i) from None
-    if len(rows) < dim:  # the input ended inside the block: raises
-        reader.require("operator block")
+    if len(rows) < dim:  # the input ended inside the block: name its last line
+        raise ParseError("unexpected end of operator block", first + len(rows) - 1)
     return np.array(rows)
 
 
-def operator_from_lines(reader: LineReader, concept: str, leaves: tuple[str, ...]) -> Operator:
-    """The operator of ``concept``'s block, read from ``reader`` against the
-    store's ``leaves``; errors name the reader's line."""
-    header = reader.require("operator block")
+def operator_from_lines(
+    lines: list[str], at: int, concept: str, leaves: tuple[str, ...], blocks: dict, rows: list
+) -> Operator:
+    """The operator of ``concept``'s block, whose OPERATOR line is ``lines[at]``,
+    read against the store's ``leaves`` and memos ``blocks`` and ``rows``
+    (see the store format above); errors name 1-based line numbers."""
+    header = _line(lines, at, "operator block")
     parts = header.split()
     if len(parts) != 2 or parts[0] != "OPERATOR":
-        raise ParseError(f"expected 'OPERATOR <dim>', got {header!r}", reader.lineno)
+        raise ParseError(f"expected 'OPERATOR <dim>', got {header!r}", at + 1)
     try:
         dim = int(parts[1])
     except ValueError:
-        raise ParseError(f"bad operator dimension {parts[1]!r}", reader.lineno) from None
+        raise ParseError(f"bad operator dimension {parts[1]!r}", at + 1) from None
     if dim != len(leaves):
-        raise ParseError(
-            f"operator for {concept!r} has dim {dim}, leaf space has {len(leaves)}", reader.lineno
-        )
-    label_line = reader.require("operator block")
+        raise ParseError(f"operator for {concept!r} has dim {dim}, leaf space has {len(leaves)}", at + 1)
+    label_line = _line(lines, at + 1, "operator block")
     if not label_line.startswith("LABELS "):
-        raise ParseError(f"expected 'LABELS ...', got {label_line!r}", reader.lineno)
-    text = reader.take(dim)
-    first = reader.lineno - len(text) + 1
+        raise ParseError(f"expected 'LABELS ...', got {label_line!r}", at + 2)
+    text, first = lines[at + 2 : at + 2 + dim], at + 3  # the rows, and the first one's number
     key = (label_line, *text)
-    op = reader._blocks.get(key)
-    if op is not None:
+    if (op := blocks.get(key)) is not None:
         return op
-    diag = _diagonal_rows(reader, text) if len(text) == dim else None
+    diag = _diagonal_rows(rows, text) if len(text) == dim else None
     if diag is None:  # raises at the first faulty row or at the end of input
-        entries = _dense_entries(reader, dim, text, first)
+        entries = _dense_entries(dim, text, first)
         low, high = entries.min(), entries.max()
     else:
         entries, low, high = diag, min(diag), max(diag)
@@ -427,71 +394,63 @@ def operator_from_lines(reader: LineReader, concept: str, leaves: tuple[str, ...
     try:
         op = _from_entries(np.asarray(entries), () if raw == "-" else leaves)
     except InvalidOperator as exc:
-        raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc
+        raise ParseError(f"invalid operator ending at this line: {exc}", first + dim - 1) from exc
     # checked after the entries, so a bad row or matrix is reported first
     if raw != "-" and raw != ",".join(leaves):
-        raise ParseError("LABELS must be '-' or the LEAVES list", first - 1)
-    reader._blocks[key] = op
+        raise ParseError("LABELS must be '-' or the LEAVES list", at + 2)
+    blocks[key] = op
     return op
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load a lexicon store, named by the file's stem; re-validates every
     operator's invariants. ``dataclasses.replace(lex, name=...)`` renames it."""
-    reader = LineReader(_read_text(path).splitlines())
-
-    if reader.require("lexicon file") != "LEXICON v1":
-        raise ParseError("expected header 'LEXICON v1'", reader.lineno)
-    decay_line = reader.require("lexicon file")
+    lines = _read_text(path).splitlines()
+    if _line(lines, 0, "lexicon file") != "LEXICON v1":
+        raise ParseError("expected header 'LEXICON v1'", 1)
+    decay_line = _line(lines, 1, "lexicon file")
     if not decay_line.startswith("DECAY "):
-        raise ParseError("expected 'DECAY <real>'", reader.lineno)
+        raise ParseError("expected 'DECAY <real>'", 2)
     try:
         decay = _check_decay(float(decay_line.split(" ", 1)[1]))
     except ValueError as exc:
-        raise ParseError(f"bad decay: {exc}", reader.lineno) from None
-    leaves_line = reader.require("lexicon file")
+        raise ParseError(f"bad decay: {exc}", 2) from None
+    leaves_line = _line(lines, 2, "lexicon file")
     if not leaves_line.startswith("LEAVES "):
-        raise ParseError("expected 'LEAVES <comma list>'", reader.lineno)
-    leaves, leaves_lineno = tuple(leaves_line[len("LEAVES ") :].split(",")), reader.lineno
+        raise ParseError("expected 'LEAVES <comma list>'", 3)
+    leaves = tuple(leaves_line[len("LEAVES ") :].split(","))
     if len(set(leaves)) != len(leaves) or any(not leaf for leaf in leaves):
-        raise ParseError("leaf names must be nonempty and unique", leaves_lineno)
+        raise ParseError("leaf names must be nonempty and unique", 3)
 
-    concepts: list[str] = []
+    # this load's memos of blocks and of diagonal rows (see the store format)
+    blocks: dict[tuple[str, ...], Operator] = {}
+    rows: list[dict[str, float]] = [{} for _ in leaves]
     word_ops: dict[str, Operator] = {}
     wc_ops: dict[str, Operator] = {}
-    for line in reader:
+    lineno = 3  # the lines read so far
+    while lineno < len(lines):
+        line = lines[lineno]
+        lineno += 1
         if not line:
             continue
         kind, _, concept = line.partition(" ")
         if kind not in ("WORD", "WC") or not concept:
-            raise ParseError(
-                f"expected 'WORD <name>' or 'WC <name>', got {line!r}", reader.lineno
-            )
-        op = operator_from_lines(reader, concept, leaves)
+            raise ParseError(f"expected 'WORD <name>' or 'WC <name>', got {line!r}", lineno)
+        op = operator_from_lines(lines, lineno, concept, leaves, blocks, rows)
+        lineno += len(leaves) + 2
         target = word_ops if kind == "WORD" else wc_ops
         if concept in target:
-            raise ParseError(f"duplicate {kind} block for {concept!r}", reader.lineno)
+            raise ParseError(f"duplicate {kind} block for {concept!r}", lineno)
         target[concept] = op
-        if kind == "WORD":
-            concepts.append(concept)
 
-    if not concepts:
+    # duplicates are refused, so the WORD blocks' order is the concepts'
+    if not word_ops:
         raise ParseError("lexicon store has no WORD blocks")
-    missing = [c for c in concepts if c not in wc_ops]
-    if missing:
+    if missing := [c for c in word_ops if c not in wc_ops]:
         raise ParseError(f"missing WC block for: {', '.join(missing)}")
-    orphans = [c for c in wc_ops if c not in word_ops]
-    if orphans:
+    if orphans := [c for c in wc_ops if c not in word_ops]:
         raise ParseError(f"WC block without WORD block for: {', '.join(orphans)}")
     if unnamed := _unworded(leaves, word_ops):
-        raise ParseError(f"leaf without a WORD block: {', '.join(unnamed)}", leaves_lineno)
+        raise ParseError(f"leaf without a WORD block: {', '.join(unnamed)}", 3)
 
-    return Lexicon(
-        concepts=tuple(concepts),
-        leaves=leaves,
-        word_ops=word_ops,
-        wc_ops=wc_ops,
-        decay=decay,
-        taxonomy=None,
-        name=Path(path).stem,
-    )
+    return Lexicon(tuple(word_ops), leaves, word_ops, wc_ops, decay, name=Path(path).stem)

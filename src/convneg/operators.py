@@ -197,9 +197,9 @@ class Operator:
         return len(self._diag) if self._diag is not None else self._matrix.shape[0]
 
     def trace(self) -> float:
-        if self._diag is not None:
-            return float(self._diag.sum())
-        return float(np.trace(self._matrix))
+        """Sum of the main diagonal: inf, unwarned, where that overflows."""
+        with np.errstate(over="ignore"):
+            return float(self._diag.sum() if self._diag is not None else np.trace(self._matrix))
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues, a fresh array."""
@@ -390,17 +390,25 @@ def conjugate_update(state: Operator, effect: Operator) -> Operator:
 
 def normalize(a: Operator, mode: str = "trace") -> Operator:
     """Scale to unit trace (state view) or unit max eigenvalue (predicate
-    view); either refuses exactly the operators ``is_zero`` calls zero."""
+    view); either refuses exactly what ``is_zero`` calls zero, and an overflowing scale."""
     if mode == "trace":
         t = scale = a.trace()
     elif mode == "sup":
-        with np.errstate(over="ignore"):  # read only to test: an overflowing trace is not zero
-            t, scale = a.trace(), a.max_eigenvalue()
+        t, scale = a.trace(), a.max_eigenvalue()  # t for the zero rule alone
     else:
         raise ValueError(f"unknown normalization mode {mode!r}")
     if _zero_trace(t):
         raise ZeroOperator(f"cannot {mode}-normalize the zero operator")
-    return _from_entries(_entries(a) / scale, a.labels)
+    if scale == math.inf:
+        what = "trace" if mode == "trace" else "max eigenvalue"
+        raise InvalidOperator(f"cannot {mode}-normalize: its {what} overflows to inf")
+    try:
+        return _from_entries(_entries(a) / scale, a.labels)
+    except InvalidOperator as exc:  # scaled up, rounding below the absolute PSD floor
+        raise InvalidOperator(
+            f"cannot {mode}-normalize: min eigenvalue {a.min_eigenvalue():.3e} "
+            f"at trace {t:.3e} falls below the PSD floor once scaled"
+        ) from exc
 
 
 def pseudoinverse(a: Operator) -> Operator:

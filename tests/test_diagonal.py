@@ -46,7 +46,6 @@ from convneg.errors import (
 )
 from convneg.lexicon import (
     MAX_ENTRY,
-    LineReader,
     Lexicon,
     build_lexicon,
     load_lexicon,
@@ -529,45 +528,52 @@ def reference_to_lines(a):
     return lines
 
 
-def reference_from_lines(reader, concept, leaves):
-    """Reader that splits and parses every row of ``concept``'s block into a
-    dense matrix, then checks its LABELS text against the store's ``leaves``."""
-    header = reader.require("operator block")
+def reference_from_lines(lines, at, concept, leaves, blocks, rows):
+    """Reader that splits and parses every row of ``concept``'s block, whose
+    OPERATOR line is ``lines[at]``, into a dense matrix, then checks its
+    LABELS text against the store's ``leaves``; it keeps nothing in the
+    store's memos ``blocks`` and ``rows``."""
+
+    def line(i):
+        if i >= len(lines):
+            raise ParseError("unexpected end of operator block", len(lines))
+        return lines[i]
+
+    header = line(at)
     parts = header.split()
     if len(parts) != 2 or parts[0] != "OPERATOR":
-        raise ParseError(f"expected 'OPERATOR <dim>', got {header!r}", reader.lineno)
+        raise ParseError(f"expected 'OPERATOR <dim>', got {header!r}", at + 1)
     try:
         dim = int(parts[1])
     except ValueError:
-        raise ParseError(f"bad operator dimension {parts[1]!r}", reader.lineno) from None
+        raise ParseError(f"bad operator dimension {parts[1]!r}", at + 1) from None
     if dim != len(leaves):
         raise ParseError(
-            f"operator for {concept!r} has dim {dim}, leaf space has {len(leaves)}", reader.lineno
+            f"operator for {concept!r} has dim {dim}, leaf space has {len(leaves)}", at + 1
         )
-    label_line = reader.require("operator block")
+    label_line = line(at + 1)
     if not label_line.startswith("LABELS "):
-        raise ParseError(f"expected 'LABELS ...', got {label_line!r}", reader.lineno)
-    labels_lineno = reader.lineno
+        raise ParseError(f"expected 'LABELS ...', got {label_line!r}", at + 2)
     raw = label_line[len("LABELS ") :].strip()
-    rows = []
-    for _ in range(dim):
-        row_line = reader.require("operator block")
+    matrix = []
+    for k in range(dim):
+        row_line = line(at + 2 + k)
         fields = row_line.split()
         if len(fields) != dim:
-            raise ParseError(f"expected {dim} entries, got {len(fields)}", reader.lineno)
+            raise ParseError(f"expected {dim} entries, got {len(fields)}", at + 3 + k)
         try:
-            rows.append([float(x) for x in fields])
+            matrix.append([float(x) for x in fields])
         except ValueError:
-            raise ParseError(f"bad matrix entry in {row_line!r}", reader.lineno) from None
-    for i, row in enumerate(rows):
+            raise ParseError(f"bad matrix entry in {row_line!r}", at + 3 + k) from None
+    for k, row in enumerate(matrix):
         if any(MAX_ENTRY < abs(x) < math.inf for x in row):
-            raise ParseError(f"entry magnitude above {MAX_ENTRY:g}", reader.lineno - dim + 1 + i)
+            raise ParseError(f"entry magnitude above {MAX_ENTRY:g}", at + 3 + k)
     try:
-        op = Operator(np.array(rows), () if raw == "-" else leaves)
+        op = Operator(np.array(matrix), () if raw == "-" else leaves)
     except InvalidOperator as exc:
-        raise ParseError(f"invalid operator ending at this line: {exc}", reader.lineno) from exc
+        raise ParseError(f"invalid operator ending at this line: {exc}", at + 2 + dim) from exc
     if raw not in ("-", ",".join(leaves)):
-        raise ParseError("LABELS must be '-' or the LEAVES list", labels_lineno)
+        raise ParseError("LABELS must be '-' or the LEAVES list", at + 2)
     return op
 
 
@@ -578,15 +584,14 @@ def kept(op):
 
 
 def read_outcome(read, lines, leaves):
-    """What a block reader makes of ``lines`` as a block of a store over
-    ``leaves``: the error it raises, or the operator (``kept``) and how many
-    lines it consumed."""
-    reader = LineReader(lines)
+    """What a block reader makes of ``lines`` as the first block of a store
+    over ``leaves``, with fresh memos: the error it raises, or the operator
+    (``kept``)."""
     try:
-        op = read(reader, "c", leaves)
+        op = read(lines, 0, "c", leaves, {}, [{} for _ in leaves])
     except ParseError as exc:
         return ("error", str(exc), exc.line)
-    return ("ok", reader.lineno, *kept(op))
+    return ("ok", *kept(op))
 
 
 @st.composite
@@ -835,16 +840,16 @@ class TestStoreBlocksMatchReference:
         n = op.dim
         lines = operator_to_lines(op, row_frames(n))
         assert lines == reference_to_lines(op)
-        # a following block's first line: neither reader may consume it
+        # a following block's first line, which a block cut short reads as a row
         block = corrupt(lines, kind, r % n, c, late_fallback) + ["WC next"]
         leaves = tuple(f"x{i}" for i in range(n))
         got = read_outcome(operator_from_lines, block, leaves)
         assert got == read_outcome(reference_from_lines, block, leaves)
         if kind == "none" and not late_fallback:
             # the block reads back as the operator written
-            assert got[2:4] == (op.labels, op._diag is None)
+            assert got[1:3] == (op.labels, op._diag is None)
             if op._diag is not None:
-                assert got[5] == op._diag.tobytes()
+                assert got[4] == op._diag.tobytes()
 
     def test_corruptions_of_a_store_name_the_same_line(self, tmp_path):
         # the same corruptions in the middle of a whole fig1 store
@@ -981,14 +986,14 @@ class TestStoreBlocksMatchReference:
         for concept in lex.concepts:
             for ops_of in ("word_ops", "wc_ops"):
                 assert kept(getattr(loaded, ops_of)[concept]) == kept(getattr(lex, ops_of)[concept])
-        reader = LineReader(lines[3:])
-        for _ in range(4):
-            concept = next(reader).split()[1]  # the block's WORD or WC line
-            operator_from_lines(reader, concept, lex.leaves)
+        blocks, rows = {}, [{} for _ in lex.leaves]
+        for at in range(4, len(lines), n + 3):  # each block's OPERATOR line
+            concept = lines[at - 1].split()[1]  # from the block's WORD or WC line
+            operator_from_lines(lines, at, concept, lex.leaves, blocks, rows)
         zero = "0.0 0.0 0.0"
-        assert [zero in memo for memo in reader._rows] == [True] * n
-        assert reader._rows[0]["1.0 0.0 0.0"] == 1.0
-        assert math.copysign(1.0, reader._rows[1]["0.0 -0.0 0.0"]) == -1.0
+        assert [zero in memo for memo in rows] == [True] * n
+        assert rows[0]["1.0 0.0 0.0"] == 1.0
+        assert math.copysign(1.0, rows[1]["0.0 -0.0 0.0"]) == -1.0
 
     def test_repeated_blocks_load_as_one_operator(self, tmp_path):
         # sibling leaves share their hypernyms, hence their context block
@@ -1036,9 +1041,12 @@ class TestKeptSpectrum:
             "tensor": lambda: tensor(op, other),
             "partial_trace": lambda: partial_trace(tensor(op, other), (n, n), 1),
             "store": lambda: operator_from_lines(
-                LineReader(operator_to_lines(op, row_frames(n))),
+                operator_to_lines(op, row_frames(n)),
+                0,
                 "c",
                 op.labels or tuple(f"x{i}" for i in range(n)),
+                {},
+                [{} for _ in range(n)],
             ),
         }
         for name, make in made.items():

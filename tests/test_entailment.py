@@ -14,12 +14,13 @@ from conftest import (
 )
 from convneg.entailment import (
     SUPPORT_RESIDUAL_TOL,
+    _leaf_scores,
     loewner_k,
     loewner_k_raw,
     overlap_score,
     smoothed_predicate,
 )
-from convneg.errors import DimMismatch, UnknownWord, ZeroOperator
+from convneg.errors import DimMismatch, InvalidOperator, UnknownWord, ZeroOperator
 from convneg.lexicon import build_lexicon
 from convneg.operators import (
     Operator,
@@ -278,6 +279,15 @@ class TestOverlapScore:
     def test_zero_state_raises(self, fig1):
         with pytest.raises(ZeroOperator):
             overlap_score(Operator(np.zeros((4, 4))), "dog", fig1)
+
+    def test_overflowing_state_raises(self, fig1):
+        # its trace reads inf, unwarned: not zero, but no score divides by it
+        state = diagonal([1e308] * 4, fig1.leaves)
+        message = "^overlap score needs a state whose trace does not overflow to inf$"
+        with pytest.raises(InvalidOperator, match=message):
+            overlap_score(state, "dog", fig1)
+        with pytest.raises(InvalidOperator, match=message):
+            _leaf_scores(state, fig1, 0.5)
 
     def test_dim_mismatch(self, fig1, colors):
         with pytest.raises(DimMismatch):

@@ -363,6 +363,32 @@ class TestStore:
         with pytest.raises(ParseError):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("store", ["fig1", "fig1-turned"])
+    def test_every_truncation_names_its_last_line(self, store, tmp_path):
+        # the text cut after each line k: in the header, the end of the file
+        # at line k; after a WORD/WC line and before that block's last row,
+        # the end of the operator block at line k; between blocks, a store
+        # that lacks blocks but has no end error; at the end, the store itself
+        lex = golden_stores()[store]
+        path = tmp_path / "cut.lex"
+        save_lexicon(lex, path)
+        lines = path.read_text().splitlines()
+        size = lex.dim + 3  # a WORD/WC line, OPERATOR, LABELS and the rows
+        assert (len(lines) - 3) % size == 0
+        for k in range(len(lines) + 1):
+            path.write_text("".join(line + "\n" for line in lines[:k]))
+            if k == len(lines):
+                assert load_outcome(path)[:2] == (lex.concepts, lex.leaves)
+                continue
+            with pytest.raises(ParseError) as exc:
+                load_lexicon(path)
+            if k < 3:
+                assert (str(exc.value), exc.value.line) == (f"line {k}: unexpected end of lexicon file", k)
+            elif (k - 3) % size:
+                assert (str(exc.value), exc.value.line) == (f"line {k}: unexpected end of operator block", k)
+            else:
+                assert "unexpected end" not in str(exc.value)
+
     @pytest.mark.parametrize(
         "damage, line, message",
         [

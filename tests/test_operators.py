@@ -16,7 +16,7 @@ from convneg.errors import (
     ParseError,
     ZeroOperator,
 )
-from convneg.lexicon import LineReader, operator_from_lines, operator_to_lines, row_frames
+from convneg.lexicon import operator_from_lines, operator_to_lines, row_frames
 from convneg.operators import (
     COMPLEMENT_TOL,
     SYMMETRY_TOL,
@@ -314,6 +314,38 @@ class TestNormalize:
             unit = out.trace() if mode == "trace" else out.max_eigenvalue()
             assert unit == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    def test_overflowing_trace_is_refused_unwarned(self, dense):
+        # finite entries whose sum passes the largest float: the trace reads
+        # inf, which is not zero, sup-normalizes, and cannot be scaled to 1
+        op = Operator(np.diag([8e307] * 3)) if dense else diagonal([1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert op.trace() == math.inf
+            assert not op.is_zero()
+            with pytest.raises(
+                InvalidOperator, match="^cannot trace-normalize: its trace overflows to inf$"
+            ):
+                normalize(op, "trace")
+            assert normalize(op, "sup").max_eigenvalue() == 1.0
+
+    def test_tiny_dense_operator_is_refused_by_its_own_spectrum(self):
+        # eigenvalues -5e-11 and 1e-10 lie within the absolute PSD floor, but
+        # scaled to unit trace they are -1 and 2, and to unit top eigenvalue
+        # -0.5 and 1: the refusal names the operator's own figures
+        op = Operator([[2.5e-11, 7.5e-11], [7.5e-11, 2.5e-11]])
+        for mode in ("trace", "sup"):
+            with pytest.raises(InvalidOperator) as exc:
+                normalize(op, mode)
+            assert str(exc.value) == (
+                f"cannot {mode}-normalize: min eigenvalue -5.000e-11 at trace 5.000e-11 "
+                "falls below the PSD floor once scaled"
+            )
+        # a valid operator of that scale keeps its exact scaled entries
+        op = Operator([[7.5e-11, 2.5e-11], [2.5e-11, 7.5e-11]])
+        assert np.array_equal(normalize(op, "trace").matrix, op.matrix / op.trace())
+        assert np.array_equal(normalize(op, "sup").matrix, op.matrix / op.max_eigenvalue())
+
 
 class TestPseudoinverse:
     def test_diagonal_reciprocal_on_support(self):
@@ -487,8 +519,8 @@ def operator_to_text(a: Operator) -> str:
 
 
 def operator_from_text(text: str, leaves: tuple[str, ...]) -> Operator:
-    """The block ``text`` read as a block of a store over ``leaves``."""
-    return operator_from_lines(LineReader(text.splitlines()), "c", leaves)
+    """The block ``text`` read as the first block of a store over ``leaves``."""
+    return operator_from_lines(text.splitlines(), 0, "c", leaves, {}, [{} for _ in leaves])
 
 
 class TestTextFormat:
