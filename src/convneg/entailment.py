@@ -14,7 +14,9 @@ each finished ``alternatives`` ranking. When every leaf predicate is
 diagonal their diagonals are stacked once, a smoothed one then viewing its
 row, and all leaves are scored in one product with the state's main diagonal;
 ``_fsum_rows`` gives each row ``trace_product``'s correctly rounded sum, so
-scores and exact ties do not change. Dense ones are scored one by one.
+scores and exact ties do not change: one float64 pass, the same on every
+platform, proves most rows' sums and sends the rest to ``math.fsum``. Dense
+ones are scored one by one.
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ SUPPORT_RESIDUAL_TOL = 1e-8
 # LAPACK's symmetric eigensolvers (dsyevd) rescale a matrix whose largest
 # entry lies outside about [1e-146, 1e146], which rounds its eigenvalues
 EIGH_UNSCALED = (1e-140, 1e140)
-_WIDE = np.finfo(np.longdouble).nmant == 63  # x87 80-bit: leaf scores summed wide
-_BLOCK, _CHUNK = 64, 64
-_NARROW = 32  # narrower stacks take math.fsum alone: faster than the wide sum's set-up
+_BLOCK = 64
+# narrower stacks take math.fsum alone, which is faster there; square random
+# stacks, timeit minimum, one BLAS thread, 2-vCPU x86-64, pass vs fsum:
+# 32.0 vs 29.1 us at 28 columns, 33.2 vs 37.7 at 32, 36.3 vs 58.0 at 40
+_NARROW = 32
 
 
 def _check_sigma(sigma: float) -> float:
@@ -188,36 +192,70 @@ def _fsum_rows(diags: np.ndarray, v: np.ndarray) -> list[float]:
     """``[math.fsum(row) for row in (diags * v).tolist()]``, bit for bit and
     with the same errors, formed ``_BLOCK`` rows at a time.
 
-    With x87 long double (u = 2**-64) a row x is summed in it over chunks of
-    ``_CHUNK`` columns, then over the m chunk sums: each x_i meets
-    k = (min(n, _CHUNK) - 1) + (m - 1) roundings, so in any order the wide
-    sum w is within gamma_k * sum|x_i| <= 2*k*u * S of the exact sum s
-    (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2),
-    S being sum|x_i| in float64 (within gamma'_n of it, u' = 2**-53, n < 2**50)
-    and 2*k*u*S rounded down at most once. With d = w rounded to float64,
-    w - d is exact (Sterbenz), and a positive d's rounding interval reaches
-    (d - nextafter(d, 0)) / 2 both ways at least. Where |w - d| + 2*k*u*S is
-    less, d is s correctly rounded, as fsum gives it, and S < 2**1023 keeps
-    fsum's partial sums finite. A row with S = 0 holds only signed zeros,
-    which fsum sums to +0.0, as d + 0.0 is. Other rows (a zero, negative or
-    non-finite d fails the test by itself) and all rows on other long
-    doubles take fsum, as do stacks narrower than ``_NARROW`` columns.
+    A row x of n >= ``_NARROW`` entries is split in float64 (Rump, Ogita and
+    Oishi, Accurate Floating-Point Summation Part I, SIAM J. Sci. Comput.
+    31(1), 2008). With u = 2**-53, 2**k >= n + 2, max|x_j| < 2**e and
+    sigma = 2**(k + e), q_j = (x_j + sigma) - sigma is x_j rounded to a
+    multiple of u*sigma, |q_j| <= 2**e, and r_j = x_j - q_j is exact with
+    |r_j| <= u*sigma (their Lemma 3.3). Each partial sum of the q_j is a
+    multiple of u*sigma below n * 2**e < sigma, so t = sum q_j is exact in
+    any order, and the row's exact sum is s = t + sum r_j. The float64 sum
+    rho of the r_j is within gamma_{n-1} * sum|r_j| <= gamma_{n-1} * n*u*sigma
+    of theirs (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 4.2). As gamma_{n-1} * n*u < 2*(n-1)*n*u**2 <= ``bound``, a power
+    of two, B = bound * sigma bounds that error: it is exact, or below
+    2**-1074, where the error, a multiple of 2**-1074, is 0. Where sigma is
+    subnormal every step is exact. With d = t + rho and TwoSum's exact
+    c = t + rho - d, |s - d| <= |c| + B. d is returned, being s correctly
+    rounded as fsum gives it, if one of two certificates holds:
+
+    - |c| + B, as rounded, is below h, half the gap from |d| to the float
+      below it (h is a float, so the exact value is below it too). The gap
+      above is no smaller, so s lies strictly inside d's rounding interval.
+      A zero d fails (h = 0).
+    - rho is exact, so d is s rounded, exact ties to even as in fsum. Let
+      2**(f-1) <= |x_j| < 2**f for the row's smallest nonzero |x_j|. Every
+      x_j (a subnormal one too) and q_j, so every r_j and every partial sum
+      of them, is a multiple of 2**(f-53). Those sums are at most
+      n*u*sigma <= 2**(f + g) in magnitude, g = ceil(log2 n) + k + e - 53 - f,
+      so they are exact while g <= 0, that is e - f <= ``spread``. A row of
+      zeros has only zero remainders, and d = +0.0, as fsum gives.
+
+    Both need a finite sigma: max|x_j| < 2**(1023 - k), which also keeps
+    sum|x_j| below 2**1023, so fsum's partial sums stay finite. Other rows
+    (a non-finite entry fails that test) go through fsum, and so does every
+    row of a stack narrower than ``_NARROW`` columns.
     """
-    if not _WIDE or diags.shape[1] < _NARROW:
+    n = diags.shape[1]
+    if n < _NARROW:
         return [math.fsum(row) for row in (diags * v).tolist()]
-    starts = np.arange(0, diags.shape[1], _CHUNK)
-    margin = np.longdouble(2 * (min(diags.shape[1], _CHUNK) + len(starts) - 2)) * 2.0**-64
+    k = (n + 1).bit_length()
+    bound = 2.0 ** (((n - 1) * n).bit_length() - 105)
+    spread = 53 - k - (n - 1).bit_length()
+    limit = 2.0 ** (1023 - k)
     sums: list[float] = []
     for i in range(0, len(diags), _BLOCK):
-        block = diags[i : i + _BLOCK] * v
+        x = diags[i : i + _BLOCK] * v
         with np.errstate(invalid="ignore", over="ignore"):
-            wide = np.add.reduceat(block, starts, axis=1, dtype=np.longdouble).sum(axis=1)
-            d, mags = wide.astype(np.float64) + 0.0, np.abs(block).sum(axis=1)
-            half = (d - np.nextafter(d, 0)).astype(np.longdouble) / 2
-            ok = (mags < 2.0**1023) & (np.abs(wide - d) + margin * mags < half) | (mags == 0)
+            top = np.abs(x).max(axis=1)
+            e = np.frexp(top)[1]
+            sigma = np.ldexp(1.0, e + k)
+            q = x + sigma[:, None]
+            q -= sigma[:, None]
+            t = q.sum(axis=1)
+            x -= q
+            rho = x.sum(axis=1)
+            d = t + rho
+            z = d - t
+            err = np.abs((t - (d - z)) + (rho - z)) + bound * sigma
+            ok = (err < np.abs(d - np.nextafter(d, 0)) / 2) | (top == 0)
+            ok &= top < limit
         sums += d.tolist()
         for j in np.flatnonzero(~ok).tolist():
-            sums[i + j] = math.fsum(block[j].tolist())
+            row = diags[i + j] * v
+            if top[j] < limit and e[j] - np.frexp(np.abs(row[row != 0]).min())[1] <= spread:
+                continue
+            sums[i + j] = math.fsum(row.tolist())
     return sums
 
 

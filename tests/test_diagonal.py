@@ -13,9 +13,11 @@ a per-concept mixture. The O(n) pseudoinverse, conjugate update and
 support projector are checked bit for bit against the eigendecomposition, and
 ``alternatives``/``overlap_score``, with their memoized smoothed predicates
 and kept rankings, against a per-leaf reference that rebuilds each
-predicate, the long double leaf-score sums against ``math.fsum`` row by row,
-and ``loewner_k`` on diagonals against its dense path. A dense operator's kept
-spectrum is checked against ``eigvalsh`` of its matrix, whatever made it.
+predicate, the float64 leaf-score sums against ``math.fsum`` row by row (on
+hard rows and on tree stacks, whose scores are also checked against the exact
+Fraction oracle), and ``loewner_k`` on diagonals against its dense path. A
+dense operator's kept spectrum is checked against ``eigvalsh`` of its matrix,
+whatever made it.
 """
 
 import copy
@@ -23,6 +25,7 @@ import dataclasses
 import gc
 import math
 import pickle
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -64,7 +67,6 @@ from convneg.negation import (
 from convneg.entailment import (
     SUPPORT_RESIDUAL_TOL,
     _NARROW,
-    _WIDE,
     _diagonal_k,
     _fsum_rows,
     _leaf_scores,
@@ -98,6 +100,7 @@ from convneg.operators import (
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
 from conftest import EQ_TOL, FIXTURES, descendant_leaves, random_orthogonal, rotated
+from test_acceptance import DiagOracle
 
 CONFIGS = [
     (logical, composition)
@@ -1887,6 +1890,38 @@ def kary_taxonomy(n_leaves, k=4):
     return parse_taxonomy("\n".join(lines) + "\n")
 
 
+def two_level_taxonomy(groups, size):
+    """``groups`` concepts under one root, each over ``size`` leaves of its own."""
+    lines = [f"g{i}\tr" for i in range(groups)]
+    lines += [f"g{i}.{j}\tg{i}" for i in range(groups) for j in range(size)]
+    return parse_taxonomy("\n".join(lines) + "\n")
+
+
+def dag_tsv(seed, n_leaves):
+    """A seeded random DAG as taxonomy TSV text: nodes grouped 2-4 under new
+    parents, level by level up to one root, then about one node in eight
+    given a second parent from a higher level, so no cycle can form."""
+    rng = np.random.default_rng(seed)
+    level, edges, height = [f"x{i}" for i in range(n_leaves)], [], {}
+    while len(level) > 1:
+        order, level, i = rng.permutation(level).tolist(), [], 0
+        while i < len(order):
+            size = int(rng.integers(2, 5))
+            parent = f"h{len(height)}"
+            height[parent] = 1 + max(height.get(c, 0) for c in order[i : i + size])
+            edges += [(c, parent) for c in order[i : i + size]]
+            level.append(parent)
+            i += size
+    root = level[0]
+    for child in sorted({c for c, _ in edges}):
+        if rng.random() < 0.125:
+            above = [p for p in height if height[p] > height.get(child, 0) and p != root]
+            parent = str(rng.choice(above)) if above else root
+            if (child, parent) not in edges:
+                edges.append((child, parent))
+    return "".join(f"{c}\t{p}\n" for c, p in edges)
+
+
 def fsum_rows_or_error(x, v):
     try:
         return [s.hex() for s in _fsum_rows(x, v)]
@@ -1968,6 +2003,33 @@ class TestCertifiedRowSums:
             v = np.ones(n)
             assert fsum_rows_or_error(x, v) == reference_rows_or_error(x, v)
 
+    @pytest.mark.parametrize("n", [_NARROW, 64, 4096])
+    def test_sum_just_below_a_power_of_two(self, n):
+        # 2**p * (1/2 + (1/2 - 2**-54) - 2**-120) lies just below the midpoint
+        # under 2**p, so fsum rounds it down; the pass's sum lands on that
+        # midpoint and rounds to 2**p, even. Only the half gap below 2**p,
+        # not the twice wider one above, sends such a row to math.fsum
+        rng = np.random.default_rng(n)
+        x = np.zeros((40, n))
+        for row in x:
+            p, sign = int(rng.integers(-60, 60)), rng.choice([-1.0, 1.0])
+            row[rng.permutation(n)[:3]] = sign * np.ldexp([0.5, 0.5 - 2.0**-54, -(2.0**-120)], p)
+        want = reference_rows_or_error(x, np.ones(n))
+        assert fsum_rows_or_error(x, np.ones(n)) == want
+        assert {math.frexp(float.fromhex(s))[0] for s in want} <= {1 - 2.0**-53, 2.0**-53 - 1}
+
+    def test_midpoint_sums_within_the_spread(self):
+        # 1 + (2**-m + 2**-53) - 2**-m is exactly the midpoint above 1, which
+        # fsum rounds to 1.0, even; in 64 columns the remainders' float64 sum
+        # is proven exact while m <= 40 (``spread``), past that math.fsum sums
+        for m, calls in ((40, 0), (41, 1)):
+            for sign in (1.0, -1.0):
+                x = np.zeros((1, 64))
+                x[0, [0, 30, 63]] = sign, sign * (2.0**-m + 2.0**-53), -sign * 2.0**-m
+                with mock.patch("math.fsum", wraps=math.fsum) as fsum:
+                    assert _fsum_rows(x, np.ones(64)) == [sign]
+                assert fsum.call_count == calls
+
     def test_overflow_is_kept(self):
         x = np.array([[1.0, 2.0], [1e308, 1e308]])
         with pytest.raises(OverflowError):
@@ -1993,15 +2055,15 @@ class TestCertifiedRowSums:
             with mock.patch("math.fsum", wraps=math.fsum) as fsum:
                 got = fsum_rows_or_error(x, v)
             assert got == reference_rows_or_error(x, v), kind
-            if n < _NARROW or not _WIDE:
+            if n < _NARROW:
                 assert fsum.call_count == n or got is OverflowError, kind
         x, v = rng.random((n, n)), rng.random(n)
         with mock.patch("math.fsum", wraps=math.fsum) as fsum:
             got = fsum_rows_or_error(x, v)
         assert got == reference_rows_or_error(x, v)
-        if n < _NARROW or not _WIDE:
+        if n < _NARROW:
             assert fsum.call_count == n
-        else:  # the wide sum certifies most rows
+        else:  # the float64 pass certifies most rows
             assert fsum.call_count < n // 4
 
     def tree_states(self, lex):
@@ -2019,7 +2081,6 @@ class TestCertifiedRowSums:
                 v = state._diag
                 assert fsum_rows_or_error(diags, v) == reference_rows_or_error(diags, v)
 
-    @pytest.mark.skipif(not _WIDE, reason="the wide sum needs x87 80-bit long double")
     def test_few_rows_fall_back(self):
         # a sum that always fell back to math.fsum would pass every test above
         lex = build_lexicon(kary_taxonomy(1024))
@@ -2031,7 +2092,6 @@ class TestCertifiedRowSums:
                 _fsum_rows(diags, state._diag)
         assert fsum.call_count < 0.25 * len(states) * len(diags)
 
-    @pytest.mark.skipif(not _WIDE, reason="the wide sum needs x87 80-bit long double")
     def test_zero_rows_are_certified(self):
         # at sigma 0 a leaf's predicate is its word operator alone, so rows
         # outside a state's support are zero rows: +0.0 without math.fsum
@@ -2048,36 +2108,51 @@ class TestCertifiedRowSums:
         assert fsum.call_count == 0
         assert set(sums) == {"0x0.0p+0"}
 
-
-class TestFsumOnlySum:
-    """``_fsum_rows`` where numpy's long double is not x87's: math.fsum alone."""
-
-    def test_rows_match_fsum(self):
-        rng = np.random.default_rng(17)
-        with mock.patch.object(convneg.entailment, "_WIDE", False):
-            for kind in ROW_KINDS:
-                for n in (1, 63, 64, 65, 300):
-                    x = np.array([hard_row(rng, kind, n) for _ in range(5)])
-                    v = np.ones(n)
-                    assert fsum_rows_or_error(x, v) == reference_rows_or_error(x, v), kind
-
-    def rankings(self, lex, sigma):
-        out = []
-        for word in lex.concepts:
-            try:
-                ranked = alternatives(word, lex, NegationConfig(sigma=sigma))
-                out.append([(leaf, score.hex()) for leaf, score in ranked])
-            except ZeroNegation:
-                out.append("ZeroNegation")
-        return out
-
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
-    def test_alternatives_unchanged(self, sigma):
-        fixtures = [load_taxonomy(f) for f in sorted(FIXTURES.glob("*.tsv"))]
-        for tax in [kary_taxonomy(64), *fixtures]:
-            want = self.rankings(build_lexicon(tax), sigma)
-            with mock.patch.object(convneg.entailment, "_WIDE", False):
-                assert self.rankings(build_lexicon(tax), sigma) == want
+    @pytest.mark.parametrize(
+        "shape", [(2**a, 2**b) for a in (2, 3, 4) for b in (2, 3, 4)] + [64, 1024], ids=str
+    )
+    def test_tree_stacks(self, shape, sigma):
+        # two-level trees (groups x leaves per group) and 4-ary trees: fsum's
+        # bits on every row, and under 1% of the rows of a stack at least
+        # _NARROW columns wide reach math.fsum
+        tax = kary_taxonomy(shape) if isinstance(shape, int) else two_level_taxonomy(*shape)
+        lex = build_lexicon(tax)
+        alternatives(lex.leaves[0], lex, NegationConfig(sigma=sigma))
+        diags = lex._smoothed[sigma].diags
+        inner = [c for c in lex.concepts if c != "r" and c not in lex.leaves]
+        words = [*lex.leaves[:: max(1, len(lex.leaves) // 3)], *inner[:: len(inner) // 2]]
+        configs = [("complement", "hadamard"), ("pinv", "conjugate"), ("complement", "conjugate")]
+        calls = rows = 0
+        for word in words:
+            for cfg in [NegationConfig(*names, sigma=sigma) for names in configs] + [
+                NegationConfig(decay=0.25, sigma=sigma)
+            ]:
+                v = cn_word(word, lex, cfg)._diag
+                with mock.patch("math.fsum", wraps=math.fsum) as fsum:
+                    got = fsum_rows_or_error(diags, v)
+                assert got == reference_rows_or_error(diags, v), (word, cfg)
+                calls, rows = calls + fsum.call_count, rows + len(diags)
+        if lex.dim < _NARROW:
+            assert calls == rows
+        else:
+            assert calls < 0.01 * rows
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_scores_match_the_exact_model(self, seed, tmp_path):
+        # the scores of a stack of _NARROW or more columns against the
+        # Fraction oracle's exact overlaps, concept by concept
+        path = tmp_path / "dag.tsv"
+        path.write_text(dag_tsv(seed, 64), encoding="utf-8")
+        lex, oracle = build_lexicon(load_taxonomy(path)), DiagOracle(path)
+        assert lex.dim == 64 >= _NARROW
+        for sigma in (Fraction(0), Fraction(1, 2)):
+            for word in [*lex.leaves[::21], "h0", "h7", "h14"]:
+                got = dict(alternatives(word, lex, NegationConfig(sigma=float(sigma))))
+                assert set(got) == set(oracle.leaves) - {word}
+                state = oracle.cn(word)
+                for leaf, score in got.items():
+                    assert abs(score - oracle.overlap(state, leaf, sigma)) <= 1e-12, (word, leaf)
 
 
 class TestLeafStackCheck:
