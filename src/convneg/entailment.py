@@ -40,9 +40,6 @@ from .operators import (
 
 SIGMA_DEFAULT = 0.5
 SUPPORT_RESIDUAL_TOL = 1e-8
-# LAPACK's symmetric eigensolvers (dsyevd) rescale a matrix whose largest
-# entry lies outside about [1e-146, 1e146], which rounds its eigenvalues
-EIGH_UNSCALED = (1e-140, 1e140)
 _BLOCK = 64
 # narrower stacks take math.fsum alone, which is faster there; square random
 # stacks, timeit minimum, one BLAS thread, 2-vCPU x86-64, pass vs fsum:
@@ -60,44 +57,22 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
-def _diagonal_k(a: np.ndarray, b: np.ndarray) -> float | None:
-    """``loewner_k_raw`` of diag(a) below diag(b), bit for bit, in O(n); None
-    where the dense path's eigensolver would rescale (``EIGH_UNSCALED``)."""
-    lo, hi = EIGH_UNSCALED
-    top_a, top_b = float(a.max()), float(b.max())
-    keep = b > PINV_TOL * top_b
-    residual = float(a.max(where=~keep, initial=0.0))
-    if any(0.0 < x < lo or x > hi for x in (top_a, top_b, residual)):
-        return None
-    if residual > SUPPORT_RESIDUAL_TOL * top_a:
-        return 0.0
-    root, inside = np.sqrt(b[keep]), a[keep]
-    # the dense path's two solves: OpenBLAS divides one right-hand side by
-    # the pivot and multiplies several by its reciprocal
-    m = inside / root / root if root.size == 1 else inside * (1.0 / root) * (1.0 / root)
-    top = float(m.max())
-    if 0.0 < top < lo or top > hi:
-        return None
-    return 1.0 / top if top > 0.0 else 0.0
-
-
 def loewner_k_raw(a: Operator, b: Operator) -> float:
     """Unclamped max{k >= 0 : B - k*A is PSD}.
 
     Zero when the support of A escapes the support of B (projector residual
     above 1e-8, measured relative to A's largest eigenvalue); may exceed 1
     otherwise. Exposed separately so the scale law k(cA, B) = k(A, B)/c can
-    be checked before clamping. One eigendecomposition of B gives its support
-    (eigenvalues above PINV_TOL relative to the largest) and the basis that
-    restricts both operators to it; k is 1 over the top eigenvalue of A's
-    restriction whitened by the Cholesky factor of B's (two triangular
-    solves). k(A, A) is 1 only up to rounding: where B's support is one
-    direction the solves divide by its root twice, so
-    k(diag(0.3), diag(0.3)) is one ulp below 1. Two diagonals take an O(n)
-    form with the same roundings: support b_i > PINV_TOL * max(b), residual
-    max a_i off it, and on it k = 1 / max(a_i * (1/r_i) * (1/r_i)) with
-    r_i = sqrt(b_i), or 1 / max(a_i / r_i / r_i) when the support is one
-    direction.
+    be checked before clamping. B's support is its eigenvalues above
+    PINV_TOL relative to the largest. For two diagonals k is min b_i/a_i over
+    the support entries with a_i > 0, correctly rounded at every scale (each
+    quotient is, and min is monotone), inf past the float range; so
+    k(A, A) = 1. Otherwise one eigendecomposition of B gives its support and
+    the basis that restricts both operators to it; k is 1 over the top
+    eigenvalue of A's restriction whitened by the Cholesky factor of B's (two
+    triangular solves). Where the symmetrized m overflows, k is 0.0: m is
+    PSD, so |m_ij| <= max m_ii <= its top eigenvalue, which is then at least
+    2**1023, and k < 2**-1022.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"entailment between dims {a.dim} and {b.dim}")
@@ -106,9 +81,13 @@ def loewner_k_raw(a: Operator, b: Operator) -> float:
     if b.is_zero():
         return 0.0
     if a._diag is not None and b._diag is not None:
-        k = _diagonal_k(a._diag, b._diag)
-        if k is not None:
-            return k
+        x, y = a._diag, b._diag
+        keep = y > PINV_TOL * y.max()
+        if x.max(where=~keep, initial=0.0) > SUPPORT_RESIDUAL_TOL * x.max():
+            return 0.0
+        on = keep & (x > 0.0)
+        with np.errstate(over="ignore"):
+            return float((y[on] / x[on]).min())
     lam, vecs = np.linalg.eigh(b.matrix)
     keep = lam > PINV_TOL * lam[-1]
     kernel = vecs[:, ~keep]
@@ -120,8 +99,12 @@ def loewner_k_raw(a: Operator, b: Operator) -> float:
     v = vecs[:, keep]
     tb = v.T @ b.matrix @ v
     chol = np.linalg.cholesky((tb + tb.T) / 2)
-    m = np.linalg.solve(chol, np.linalg.solve(chol, v.T @ a.matrix @ v).T)
-    top = float(np.linalg.eigvalsh((m + m.T) / 2)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.linalg.solve(chol, np.linalg.solve(chol, v.T @ a.matrix @ v).T)
+        m = (m + m.T) / 2
+    if not np.isfinite(m).all():
+        return 0.0
+    top = float(np.linalg.eigvalsh(m)[-1])
     if top <= 0.0:
         return 0.0
     return 1.0 / top

@@ -15,12 +15,12 @@ runs ``eigvalsh`` once; those three, ``tensor`` and ``partial_trace``
 compute densely on it, their result stored by the same rule. Both kinds
 accept and reject the same matrices, since a diagonal matrix's eigenvalues
 are its entries, and give the same entries; callers see no difference but
-speed. (One exception: LAPACK rescales a matrix whose largest entry lies
-below about 1e-146 or above about 1e145, which rounds its eigenvalues, while
-the O(n) forms stay exact.) Validation keeps a dense matrix's entries; only
-a diagonal's entries between ``psd_floor`` and 0 become exactly 0. This
-module holds the algebra alone: the text of a lexicon store is read and
-written by ``lexicon``.
+speed. (For every diagonal form the O(n) form is the definition; the dense
+path agrees with it wherever LAPACK does not rescale, that is while the
+largest entry lies between about 1e-146 and 1e145.) Validation keeps a dense
+matrix's entries; only a diagonal's entries between ``psd_floor`` and 0
+become exactly 0. This module holds the algebra alone: the text of a lexicon
+store is read and written by ``lexicon``.
 
 Operators are immutable values: each function returns a fresh instance and the
 underlying arrays are marked read-only, so they can be shared freely across

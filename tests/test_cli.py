@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import importlib
 import os
@@ -15,8 +16,10 @@ import pytest
 import convneg
 import convneg.cli
 import convneg.strings
-from conftest import FIXTURES, without_blocks
+from conftest import FIXTURES, golden_stores, without_blocks
 from convneg.cli import run
+from convneg.lexicon import save_lexicon
+from convneg.operators import Operator
 
 F1 = str(FIXTURES / "fig1.tsv")
 F2 = f"{FIXTURES / 'colors.tsv'},{FIXTURES / 'drinks.tsv'}"
@@ -305,6 +308,46 @@ class TestEntail:
             "entail", "rodent", "hamster", "--taxonomy", F1, "--measure", "khyp"
         )
         assert out == "0.000000\n"
+
+    @pytest.mark.parametrize(
+        "edits, directions",
+        [
+            # hamster's WORD entry 1e300, rodent's two 1e-12: k is subnormal
+            ({7: "1e+300 0.0 0.0 0.0", 21: "1e-12 0.0 0.0 0.0", 22: "0.0 1e-12 0.0 0.0"}, 1),
+            ({7: "1e+200 0.0 0.0 0.0"}, 2),
+        ],
+        ids=["1e300-1e-12", "1e200"],
+    )
+    def test_khyp_on_a_scaled_diagonal_store(self, tmp_path, edits, directions):
+        # the first store printed nan, exit 0, through the dense fallback
+        store = tmp_path / "fig1.lex"
+        invoke("lexicon", "build", F1, "--out", str(store))
+        lines = store.read_text().splitlines()
+        assert (lines[3], lines[17]) == ("WORD hamster", "WORD rodent")
+        for number, line in edits.items():
+            lines[number - 1] = line
+        store.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invoke("lexicon", "check", str(store))[0] == 0
+            for a, b in (("hamster", "rodent"), ("rodent", "hamster"))[:directions]:
+                argv = ("entail", a, b, "--taxonomy", str(store), "--measure", "khyp")
+                assert invoke(*argv) == (0, "0.000000\n", "")
+
+    def test_khyp_on_a_scaled_dense_store(self, tmp_path):
+        # fig1-turned with hamster's WORD operator times 1e300 and rodent's
+        # times 1e-12: the whitened matrix overflowed, and khyp printed nan
+        lex = golden_stores()["fig1-turned"]
+        ops = dict(lex.word_ops)
+        ops["hamster"] = Operator(ops["hamster"].matrix * 1e300, lex.leaves)
+        ops["rodent"] = Operator(ops["rodent"].matrix * 1e-12, lex.leaves)
+        store = tmp_path / "turned.lex"
+        save_lexicon(dataclasses.replace(lex, word_ops=ops), store)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invoke("lexicon", "check", str(store))[0] == 0
+            argv = ("entail", "hamster", "rodent", "--taxonomy", str(store), "--measure", "khyp")
+            assert invoke(*argv) == (0, "0.000000\n", "")
 
     def test_overlap(self):
         code, out, _ = invoke(

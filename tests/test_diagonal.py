@@ -15,9 +15,9 @@ support projector are checked bit for bit against the eigendecomposition, and
 and kept rankings, against a per-leaf reference that rebuilds each
 predicate, the float64 leaf-score sums against ``math.fsum`` row by row (on
 hard rows and on tree stacks, whose scores are also checked against the exact
-Fraction oracle), and ``loewner_k`` on diagonals against its dense path. A
-dense operator's kept spectrum is checked against ``eigvalsh`` of its matrix,
-whatever made it.
+Fraction oracle), and ``loewner_k`` on diagonals against the exact value,
+with its dense path within a few ulps of it. A dense operator's kept
+spectrum is checked against ``eigvalsh`` of its matrix, whatever made it.
 """
 
 import copy
@@ -25,6 +25,7 @@ import dataclasses
 import gc
 import math
 import pickle
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -67,7 +68,6 @@ from convneg.negation import (
 from convneg.entailment import (
     SUPPORT_RESIDUAL_TOL,
     _NARROW,
-    _diagonal_k,
     _fsum_rows,
     _leaf_scores,
     loewner_k,
@@ -2357,53 +2357,62 @@ class TestLeafStackCheck:
 
 
 # ---------------------------------------------------------------------------
-# loewner_k on diagonals against the dense path
+# loewner_k on diagonals against the exact value
 
 
-def dense_loewner_k_raw(a, b):
-    """``loewner_k_raw`` as every pair ran it before the O(n) form for
-    diagonals: one eigendecomposition of B, Cholesky whitening, two solves."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"entailment between dims {a.dim} and {b.dim}")
-    if a.is_zero():
-        raise ZeroOperator("graded entailment needs a nonzero left operand")
+def exact_k(a, b):
+    """``loewner_k_raw`` of two diagonals, ``a`` nonzero, by Fractions: B's
+    support and the residual off it by the float rules, then min b_i/a_i over
+    the support entries with a_i > 0, rounded once (inf past the float range)."""
     if b.is_zero():
         return 0.0
-    lam, vecs = np.linalg.eigh(b.matrix)
-    keep = lam > PINV_TOL * lam[-1]
-    kernel = vecs[:, ~keep]
-    comp = kernel @ kernel.T
-    outside = comp @ a.matrix @ comp
-    residual = float(np.linalg.eigvalsh((outside + outside.T) / 2)[-1])
-    if residual > SUPPORT_RESIDUAL_TOL * a.max_eigenvalue():
+    x, y = a.diagonal().tolist(), b.diagonal().tolist()
+    keep = [v > PINV_TOL * max(y) for v in y]
+    if max((u for u, k in zip(x, keep) if not k), default=0.0) > SUPPORT_RESIDUAL_TOL * max(x):
         return 0.0
-    v = vecs[:, keep]
-    tb = v.T @ b.matrix @ v
-    chol = np.linalg.cholesky((tb + tb.T) / 2)
-    m = np.linalg.solve(chol, np.linalg.solve(chol, v.T @ a.matrix @ v).T)
-    top = float(np.linalg.eigvalsh((m + m.T) / 2)[-1])
-    if top <= 0.0:
-        return 0.0
-    return 1.0 / top
-
-
-def k_outcome(fn, a, b):
-    """A k as its exact float, or the error."""
+    q = min(Fraction(v) / Fraction(u) for u, v, k in zip(x, y, keep) if k and u > 0)
     try:
-        return float.hex(fn(a, b))
-    except (ConvnegError, np.linalg.LinAlgError, RuntimeWarning) as exc:
-        return (type(exc), str(exc))
+        return float(q)
+    except OverflowError:
+        return math.inf
 
 
-def assert_k_matches_dense(a, b):
-    want = k_outcome(dense_loewner_k_raw, a, b)
-    assert k_outcome(loewner_k_raw, a, b) == want
-    clamped = want if isinstance(want, tuple) else float.hex(min(1.0, float.fromhex(want)))
-    assert k_outcome(loewner_k, a, b) == clamped
+def dense_twin(a):
+    """``a``'s matrix stored dense, with the constructor's dense check, so
+    that ``loewner_k_raw`` takes its eigendecomposition path."""
+    m, lam = convneg.operators._checked_dense(a.matrix)
+    return Operator.__new__(Operator)._init(None, m, a.labels, lam)
 
 
-# LAPACK's eigensolvers rescale a matrix whose largest entry lies outside
-# about [1e-146, 1e146]; scales around both ends and up to MAX_ENTRY
+def refuse(*args, **kwargs):
+    raise AssertionError("np.linalg on the diagonal path")
+
+
+def no_linalg():
+    """np.linalg's solvers and eigensolvers, each raising AssertionError."""
+    return mock.patch.multiple(np.linalg, eigh=refuse, eigvalsh=refuse, cholesky=refuse, solve=refuse)
+
+
+def assert_k_is_exact(a, b):
+    """The diagonal k of ``a`` below ``b`` is the exact one, bit for bit and
+    without np.linalg; loewner_k clamps it."""
+    with no_linalg():
+        if a.is_zero():
+            with pytest.raises(ZeroOperator, match="nonzero left operand"):
+                loewner_k_raw(a, b)
+            return
+        got = loewner_k_raw(a, b)
+        assert float.hex(got) == float.hex(exact_k(a, b))
+        assert loewner_k(a, b) == min(1.0, got)
+
+
+# LAPACK's symmetric eigensolvers (dsyevd) rescale a matrix whose largest
+# entry lies outside about [1e-146, 1e146], which rounds its eigenvalues: the
+# dense path is checked against the exact k only inside this window, where
+# it is within DENSE_K_ULPS of it (3 seen, from Cholesky and two solves)
+EIGH_UNSCALED = (1e-140, 1e140)
+DENSE_K_ULPS = 4
+# scales around both ends of that window and up to MAX_ENTRY
 SCALES = (1e-12, 1e-8, 1e-3, 1.0, 1e3, 1e8, 1e130, 1e134, 1e138, 1e140, 1e142, 7e145, 1e146,
           1.5e146, 1e150, 1e200, MAX_ENTRY)
 
@@ -2421,36 +2430,57 @@ def loewner_diagonals(draw, n):
     return diagonal(np.minimum(d * draw(st.sampled_from(SCALES)), MAX_ENTRY))
 
 
-class TestLoewnerDiagonalMatchesDense:
-    """The O(n) form of loewner_k_raw on two diagonals, bit for bit and
-    error for error, against the dense path it replaces."""
+class TestLoewnerDiagonalIsExact:
+    """loewner_k_raw on two diagonals is min b_i/a_i over B's support,
+    correctly rounded at every scale, in O(n) and without np.linalg; the
+    dense path agrees with it within DENSE_K_ULPS where LAPACK does not
+    rescale, and returns no NaN anywhere."""
 
     @settings(max_examples=250, deadline=None)
     @given(data=st.data(), n=st.integers(1, 70))
     def test_random_diagonals(self, data, n):
         a, b = data.draw(loewner_diagonals(n)), data.draw(loewner_diagonals(n))
-        assert_k_matches_dense(a, b)
-        assert_k_matches_dense(b, a)
-        if not a.is_zero():
-            assert_k_matches_dense(a, a)
+        assert_k_is_exact(a, b)
+        assert_k_is_exact(b, a)
 
     def test_every_ordered_pair_of_fig1_concepts(self):
         lex = build_lexicon(load_taxonomy(FIXTURES / "fig1.tsv"))
         for ops in (lex.word_ops, lex.wc_ops):
             for a in ops.values():
                 for b in ops.values():
-                    assert_k_matches_dense(a, b)
+                    assert_k_is_exact(a, b)
+
+    def test_subnormal_and_infinite_k(self):
+        cases = [
+            ([1e300], [2e-12]),
+            ([1e135, 1.0], [1e-9, 1.0]),
+            ([2e-12, 0.0], [1e300, 1e300]),
+            ([MAX_ENTRY, 0.0], [2e-12, MAX_ENTRY]),
+            ([2e-12, 1e-300], [MAX_ENTRY, MAX_ENTRY]),
+        ]
+        for a, b in cases:
+            assert_k_is_exact(diagonal(a), diagonal(b))
+            assert_k_is_exact(diagonal(b), diagonal(a))
+        assert 0.0 < loewner_k_raw(diagonal([1e300]), diagonal([2e-12])) < sys.float_info.min
+        assert loewner_k_raw(diagonal([2e-12, 0.0]), diagonal([1e300, 1e300])) == math.inf
+        assert loewner_k(diagonal([2e-12, 0.0]), diagonal([1e300, 1e300])) == 1.0
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 70))
+    def test_reflexive(self, data, n):
+        a = data.draw(loewner_diagonals(n))
+        assume(not a.is_zero())
+        with no_linalg():
+            assert loewner_k_raw(a, a) == 1.0
 
     def test_one_support_direction_divides(self):
-        # one direction in B's support is divided out; several are multiplied
-        # by reciprocals, and the two round differently here
+        # one direction in B's support or several: k(A, A) is 1 either way
         for pad in (0, 1, 5):
             a = diagonal([0.3] + [0.0] * pad)
-            assert float.hex(loewner_k_raw(a, a)) == "0x1.ffffffffffffep-1"
-            assert_k_matches_dense(a, a)
+            assert float.hex(loewner_k_raw(a, a)) == float.hex(1.0)
+            assert_k_is_exact(a, a)
         twice = diagonal([0.3, 0.3, 0.0])
         assert loewner_k_raw(twice, twice) == 1.0
-        assert_k_matches_dense(twice, twice)
 
     def test_zero_operands_and_dims(self):
         one = diagonal([1.0, 0.5, 0.0])
@@ -2458,35 +2488,39 @@ class TestLoewnerDiagonalMatchesDense:
             assert loewner_k_raw(one, zero) == 0.0
             with pytest.raises(ZeroOperator, match="nonzero left operand"):
                 loewner_k_raw(zero, one)
-            assert_k_matches_dense(one, zero)
-            assert_k_matches_dense(zero, one)
+            assert_k_is_exact(one, zero)
+            assert_k_is_exact(zero, one)
         with pytest.raises(DimMismatch):
             loewner_k_raw(one, diagonal([1.0, 1.0]))
 
         # B full rank: nothing lies off its support
         full = diagonal([4.0, 4.0, 4.0])
         assert loewner_k_raw(one, full) == 4.0 and loewner_k(one, full) == 1.0
-        assert_k_matches_dense(one, full)
+        assert_k_is_exact(one, full)
 
-    def test_whitened_ratio_past_the_unscaled_range(self):
-        # both tops lie inside EIGH_UNSCALED but a/b on B's support does not:
-        # the O(n) form declines, and the dense path answers
-        a, b = np.array([1e135, 1.0]), np.array([1e-9, 1.0])
-        assert _diagonal_k(a, b) is None
-        assert_k_matches_dense(diagonal(a), diagonal(b))
-
-    def test_no_eigendecomposition_inside_the_unscaled_range(self, monkeypatch):
+    def test_no_linalg_at_any_scale(self):
         a, b = diagonal([0.5, 0.25, 0.0, 1e-9]), diagonal([1.0, 0.5, 1e-11, 0.0])
-        want = dense_loewner_k_raw(a, b)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("eigendecomposition on the diagonal path")
-
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        assert float.hex(loewner_k_raw(a, b)) == float.hex(want)
+        dense_a = dense_twin(a)
         n = 1024
         big = diagonal(np.arange(n) % 3 == 0)
-        assert loewner_k_raw(big, identity(n)) == 1.0
-        with pytest.raises(AssertionError, match="eigendecomposition"):
-            loewner_k_raw(diagonal([1e150, 0.0, 1.0]), diagonal([1e150, 1.0, 1.0]))
+        with no_linalg():
+            assert loewner_k_raw(a, b) == 2.0
+            assert loewner_k_raw(diagonal([1e150, 0.0, 1.0]), diagonal([1e150, 1.0, 1.0])) == 1.0
+            assert loewner_k_raw(diagonal([1e-3, 1e-300]), diagonal([1e200, 1e-300])) == 1e200 / 1e-3
+            assert loewner_k_raw(big, identity(n)) == 1.0
+            # the patch holds: a dense operand reaches the eigensolver
+            with pytest.raises(AssertionError, match="np.linalg"):
+                loewner_k_raw(dense_a, b)
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_dense_path_within_ulps_where_unscaled(self, data, n):
+        a, b = data.draw(loewner_diagonals(n)), data.draw(loewner_diagonals(n))
+        assume(not a.is_zero())
+        got, want = loewner_k_raw(dense_twin(a), dense_twin(b)), exact_k(a, b)
+        assert got >= 0.0  # NaN fails too
+        lo, hi = EIGH_UNSCALED
+        keep = b._diag > PINV_TOL * b.max_eigenvalue()
+        tops = (a.max_eigenvalue(), b.max_eigenvalue(), float(a._diag.max(where=~keep, initial=0.0)))
+        if all(x == 0.0 or lo < x < hi for x in tops) and (want == 0.0 or 1 / hi < want < 1 / lo):
+            assert abs(got - want) <= DENSE_K_ULPS * math.ulp(want)
