@@ -12,11 +12,13 @@ sigma last used (``Lexicon._smoothed``), each with every ``overlap_score``
 computed with it, weakly keyed by state (operators hash by identity), and
 each finished ``alternatives`` ranking. When every leaf predicate is
 diagonal their diagonals are stacked once, a smoothed one then viewing its
-row, and all leaves are scored in one product with the state's main diagonal;
-``_fsum_rows`` gives each row ``trace_product``'s correctly rounded sum, so
-scores and exact ties do not change: one float64 pass, the same on every
-platform, proves most rows' sums and sends the rest to ``math.fsum``. Dense
-ones are scored one by one.
+row, with two exponents that bound the stack's entries, and all leaves are
+scored in one product with the state's main diagonal. Each row gets
+``trace_product``'s correctly rounded sum, so scores and exact ties do not
+change: the kept bounds and two of the state's prove at once that every
+row's float64 pass is exact (``_stack_sums``), the same on every platform;
+failing that, ``_fsum_rows`` certifies row by row and sends the rest to
+``math.fsum``. Dense ones are scored one by one.
 """
 
 from __future__ import annotations
@@ -41,10 +43,12 @@ from .operators import (
 SIGMA_DEFAULT = 0.5
 SUPPORT_RESIDUAL_TOL = 1e-8
 _BLOCK = 64
-# narrower stacks take math.fsum alone, which is faster there; square random
-# stacks, timeit minimum, one BLAS thread, 2-vCPU x86-64, pass vs fsum:
-# 32.0 vs 29.1 us at 28 columns, 33.2 vs 37.7 at 32, 36.3 vs 58.0 at 40
-_NARROW = 32
+# narrower stacks take math.fsum alone, which is faster there; ragged DAG
+# stacks at sigma 0.5 against their words' negations, timeit minimum, one
+# BLAS thread, 2-vCPU x86-64, kept-bounds pass vs fsum: 12.2 vs 10.5 us at
+# 16 leaves, 12.2 vs 15.2 at 20, 12.7 vs 34.9 at 32
+_NARROW = 20
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 def _check_sigma(sigma: float) -> float:
@@ -120,14 +124,16 @@ class _Smoothed:
 
     ``words`` maps a word to its predicate and its overlaps by state.
     ``diags`` stacks the leaves' predicate diagonals, once all are diagonal,
-    and ``rankings`` keeps each negated state's ranked leaf names and scores.
+    with ``bounds``, its entries' ``_binades``; ``rankings`` keeps each
+    negated state's ranked leaf names and scores.
     """
 
-    __slots__ = ("words", "diags", "rankings")
+    __slots__ = ("words", "diags", "bounds", "rankings")
 
     def __init__(self) -> None:
         self.words: dict[str, tuple] = {}
         self.diags: np.ndarray | None = None
+        self.bounds: tuple[int, int] | None = None
         self.rankings = weakref.WeakKeyDictionary()
 
 
@@ -171,13 +177,28 @@ def smoothed_predicate(word: str, lex: Lexicon, sigma: float = SIGMA_DEFAULT) ->
     return _record(word, lex, sigma, _memo(lex, sigma))[0]
 
 
+def _binades(x: np.ndarray) -> tuple[int, int]:
+    """Exponents e and f of the entries of ``x``, all finite: every
+    |x_j| < 2**e, and every nonzero one >= 2**(f - 1). All zero: e = 0 and
+    f = 1024."""
+    m = np.abs(x)
+    return math.frexp(m.max())[1], math.frexp(m.min(where=m != 0, initial=_FLOAT_MAX))[1]
+
+
+def _spans(e: int, f: int, n: int) -> bool:
+    """Whether a row of n entries, none above 2**e in magnitude and every
+    nonzero one at least 2**(f - 1), has remainders that sum exactly when
+    split against 2**(e + k) (``_fsum_rows``' second certificate)."""
+    return e - f <= 53 - (n + 1).bit_length() - (n - 1).bit_length()
+
+
 def _fsum_rows(diags: np.ndarray, v: np.ndarray) -> list[float]:
     """``[math.fsum(row) for row in (diags * v).tolist()]``, bit for bit and
     with the same errors, formed ``_BLOCK`` rows at a time.
 
     A row x of n >= ``_NARROW`` entries is split in float64 (Rump, Ogita and
     Oishi, Accurate Floating-Point Summation Part I, SIAM J. Sci. Comput.
-    31(1), 2008). With u = 2**-53, 2**k >= n + 2, max|x_j| < 2**e and
+    31(1), 2008). With u = 2**-53, 2**k >= n + 2, max|x_j| <= 2**e and
     sigma = 2**(k + e), q_j = (x_j + sigma) - sigma is x_j rounded to a
     multiple of u*sigma, |q_j| <= 2**e, and r_j = x_j - q_j is exact with
     |r_j| <= u*sigma (their Lemma 3.3). Each partial sum of the q_j is a
@@ -197,24 +218,24 @@ def _fsum_rows(diags: np.ndarray, v: np.ndarray) -> list[float]:
       above is no smaller, so s lies strictly inside d's rounding interval.
       A zero d fails (h = 0).
     - rho is exact, so d is s rounded, exact ties to even as in fsum. Let
-      2**(f-1) <= |x_j| < 2**f for the row's smallest nonzero |x_j|. Every
-      x_j (a subnormal one too) and q_j, so every r_j and every partial sum
-      of them, is a multiple of 2**(f-53). Those sums are at most
-      n*u*sigma <= 2**(f + g) in magnitude, g = ceil(log2 n) + k + e - 53 - f,
-      so they are exact while g <= 0, that is e - f <= ``spread``. A row of
-      zeros has only zero remainders, and d = +0.0, as fsum gives.
+      2**(f-1) <= |x_j| for every nonzero x_j. Every such x_j (a subnormal
+      one too) and every q_j, so every r_j and every partial sum of them, is
+      a multiple of 2**(f-53). Those sums are at most n*u*sigma <= 2**(f + g)
+      in magnitude, g = ceil(log2 n) + k + e - 53 - f, so they are exact
+      while g <= 0 (``_spans``). A row of zeros has only zero remainders, and
+      d = +0.0, as fsum gives.
 
     Both need a finite sigma: max|x_j| < 2**(1023 - k), which also keeps
     sum|x_j| below 2**1023, so fsum's partial sums stay finite. Other rows
     (a non-finite entry fails that test) go through fsum, and so does every
-    row of a stack narrower than ``_NARROW`` columns.
+    row of a stack narrower than ``_NARROW`` columns. ``_stack_sums`` proves
+    a kept stack's rows from bounds instead.
     """
     n = diags.shape[1]
     if n < _NARROW:
         return [math.fsum(row) for row in (diags * v).tolist()]
     k = (n + 1).bit_length()
     bound = 2.0 ** (((n - 1) * n).bit_length() - 105)
-    spread = 53 - k - (n - 1).bit_length()
     limit = 2.0 ** (1023 - k)
     sums: list[float] = []
     for i in range(0, len(diags), _BLOCK):
@@ -236,10 +257,45 @@ def _fsum_rows(diags: np.ndarray, v: np.ndarray) -> list[float]:
         sums += d.tolist()
         for j in np.flatnonzero(~ok).tolist():
             row = diags[i + j] * v
-            if top[j] < limit and e[j] - np.frexp(np.abs(row[row != 0]).min())[1] <= spread:
+            if top[j] < limit and _spans(*_binades(row), n):
                 continue
             sums[i + j] = math.fsum(row.tolist())
     return sums
+
+
+def _stack_sums(diags: np.ndarray, bounds: tuple[int, int], v: np.ndarray) -> list[float]:
+    """``_fsum_rows(diags, v)``, bit for bit, every row proven at once from
+    the stack's kept ``bounds = _binades(diags)`` and the state's.
+
+    Every |D_ij| < 2**E and every nonzero one is at least 2**(F - 1); the
+    same holds for v with E_v and F_v. So each product x_ij = D_ij*v_j, as
+    rounded, has |x_ij| <= 2**e with e = E + E_v, and a nonzero one is at
+    least 2**(f - 1) with f = F + F_v - 1: rounding is monotone, and below
+    2**-1074 a nonzero float exceeds any bound. Thus, where ``_spans(e, f,
+    n)`` holds and sigma = 2**(e + k) is finite (e <= 1023 - k, so that
+    sum|x_ij| < 2**1023 and fsum raises nothing), every row meets
+    ``_fsum_rows``' second certificate split against that one sigma, and
+    t + rho is returned. (sigma underflows to 0 only where every product is
+    0.) Each sum of q_j or of r_j is then exact in any order, so a product
+    with ones sums them. Entries must be finite, as every Operator's are.
+    Otherwise, and for a stack narrower than ``_NARROW`` columns,
+    ``_fsum_rows`` sums.
+    """
+    n = diags.shape[1]
+    if n >= _NARROW:
+        ev, fv = _binades(v)
+        e, k = bounds[0] + ev, (n + 1).bit_length()
+        if e <= 1023 - k and _spans(e, bounds[1] + fv - 1, n):
+            sigma, ones = math.ldexp(1.0, e + k), np.ones(n)
+            sums: list[float] = []
+            for i in range(0, len(diags), _BLOCK):
+                x = diags[i : i + _BLOCK] * v
+                q = x + sigma
+                q -= sigma
+                x -= q
+                sums += (q @ ones + x @ ones).tolist()
+            return sums
+    return _fsum_rows(diags, v)
 
 
 def _state_trace(a: Operator) -> float:
@@ -255,9 +311,10 @@ def _leaf_scores(a: Operator, lex: Lexicon, sigma: float) -> list[float]:
     """``overlap_score(a, leaf, lex, sigma)`` for each leaf of ``lex``.
 
     The leaf predicates are written into one stack as they are built; once
-    all are diagonal the stack is kept, and ``_fsum_rows`` sums each row of
-    it times ``a``'s main diagonal as ``trace_product`` would. Otherwise each
-    leaf goes through ``trace_product``.
+    all are diagonal the stack is kept with its exponent bounds, and
+    ``_stack_sums`` sums each row of it times ``a``'s main diagonal as
+    ``trace_product`` would. Otherwise each leaf goes through
+    ``trace_product``.
     """
     t = _state_trace(a)
     table = _memo(lex, sigma)
@@ -276,8 +333,10 @@ def _leaf_scores(a: Operator, lex: Lexicon, sigma: float) -> list[float]:
         if not all(p._diag is not None for p in preds):
             return [_clamp01(trace_product(a, p) / t) for p in preds]
         stack.setflags(write=False)
+        parts = [_binades(stack[i : i + _BLOCK]) for i in range(0, lex.dim, _BLOCK)]
+        table.bounds = max(e for e, _ in parts), min(f for _, f in parts)
         table.diags = stack
-    return [_clamp01(s / t) for s in _fsum_rows(table.diags, _main_diagonal(a))]
+    return [_clamp01(s / t) for s in _stack_sums(table.diags, table.bounds, _main_diagonal(a))]
 
 
 def overlap_score(

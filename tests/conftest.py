@@ -151,3 +151,34 @@ def without_blocks(text, concept):
         if not skip:
             out.append(line)
     return "\n".join(out) + "\n"
+
+
+def dag_tsv(seed, n_leaves, ragged=False):
+    """A seeded random DAG as taxonomy TSV text: nodes grouped 2-4 under new
+    parents, level by level up to one root, then about one node in eight
+    given a second parent from a higher level, so no cycle can form.
+    ``ragged`` passes some nodes up a level ungrouped, so leaves lie at
+    uneven depths."""
+    rng = np.random.default_rng(seed)
+    level, edges, height = [f"x{i}" for i in range(n_leaves)], [], {}
+    while len(level) > 1:
+        order, level, i = rng.permutation(level).tolist(), [], 0
+        while i < len(order):
+            size = int(rng.integers(1 if ragged else 2, 5))
+            if size == 1:
+                level.append(order[i])
+                i += 1
+                continue
+            parent = f"h{len(height)}"
+            height[parent] = 1 + max(height.get(c, 0) for c in order[i : i + size])
+            edges += [(c, parent) for c in order[i : i + size]]
+            level.append(parent)
+            i += size
+    root = level[0]
+    for child in sorted({c for c, _ in edges}):
+        if rng.random() < 0.125:
+            above = [p for p in height if height[p] > height.get(child, 0) and p != root]
+            parent = str(rng.choice(above)) if above else root
+            if (child, parent) not in edges:
+                edges.append((child, parent))
+    return "".join(f"{c}\t{p}\n" for c, p in edges)

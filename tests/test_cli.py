@@ -7,19 +7,24 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convneg
 import convneg.cli
 import convneg.strings
-from conftest import FIXTURES, golden_stores, without_blocks
+from conftest import FIXTURES, dag_tsv, golden_stores, without_blocks
 from convneg.cli import run
 from convneg.lexicon import save_lexicon
 from convneg.operators import Operator
+from test_acceptance import DiagOracle
 
 F1 = str(FIXTURES / "fig1.tsv")
 F2 = f"{FIXTURES / 'colors.tsv'},{FIXTURES / 'drinks.tsv'}"
@@ -355,6 +360,50 @@ class TestEntail:
             "--measure", "overlap", "--sigma", "0",
         )
         assert (code, out) == (0, "0.000000\n")
+
+
+class TestPrintedScoresAreExact:
+    """On generated diagonal taxonomies, every score ``negate-word`` and
+    ``entail --measure overlap`` print lies within half a printed unit
+    (5e-7), plus 1e-12, of the exact Fraction model's value. Scores are
+    compared concept by concept: near-ties may order differently in floats."""
+
+    BOUND = Fraction(5, 10**7) + Fraction(1, 10**12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_leaves=st.sampled_from((3, 5, 12, 31, 40, 64)),
+        ragged=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.sampled_from(("0", "0.25", "0.5")),
+        pick=st.integers(0, 10**6),
+    )
+    def test_negate_word_and_overlap(self, n_leaves, ragged, seed, sigma, pick):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dag.tsv"
+            path.write_text(dag_tsv(seed, n_leaves, ragged), encoding="utf-8")
+            oracle, exact_sigma = DiagOracle(path), Fraction(sigma)
+            concepts = list(oracle.parents)
+            word, other = concepts[pick % len(concepts)], concepts[pick // len(concepts) % len(concepts)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                negated = invoke("negate-word", word, "--taxonomy", str(path), "--sigma", sigma, "--format", "tsv")
+                entailed = invoke("entail", word, other, "--taxonomy", str(path), "--measure", "overlap", "--sigma", sigma)
+        kept = [(1 - p) * w for p, w in zip(oracle.indicator(word), oracle.wc(word))]
+        if not any(kept):
+            assert negated[0] == 1 and negated[2].startswith("error: ZeroNegation: ")
+        else:
+            code, out, err = negated
+            assert (code, err) == (0, "")
+            printed = {concept: Fraction(score) for _, concept, score in (line.split("\t") for line in out.splitlines()[1:])}
+            assert set(printed) == set(oracle.leaves) - {word}
+            state = oracle.cn(word)
+            for leaf, score in printed.items():
+                assert abs(score - oracle.overlap(state, leaf, exact_sigma)) <= self.BOUND, (word, leaf)
+        code, out, err = entailed
+        assert (code, err) == (0, "")
+        exact = oracle.overlap(oracle.indicator(word), other, exact_sigma)
+        assert abs(Fraction(out.strip()) - exact) <= self.BOUND, (word, other)
 
 
 class TestTaxonomyAndLexicon:

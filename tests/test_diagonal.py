@@ -14,8 +14,9 @@ support projector are checked bit for bit against the eigendecomposition, and
 ``alternatives``/``overlap_score``, with their memoized smoothed predicates
 and kept rankings, against a per-leaf reference that rebuilds each
 predicate, the float64 leaf-score sums against ``math.fsum`` row by row (on
-hard rows and on tree stacks, whose scores are also checked against the exact
-Fraction oracle), and ``loewner_k`` on diagonals against the exact value,
+hard rows, on tree stacks, whose scores are also checked against the exact
+Fraction oracle, and on stacks and states whose exponent bounds sit at the
+kept-bounds proof's limit and one past it), and ``loewner_k`` on diagonals against the exact value,
 with its dense path within a few ulps of it. A dense operator's kept
 spectrum is checked against ``eigvalsh`` of its matrix, whatever made it.
 """
@@ -68,8 +69,10 @@ from convneg.negation import (
 from convneg.entailment import (
     SUPPORT_RESIDUAL_TOL,
     _NARROW,
+    _binades,
     _fsum_rows,
     _leaf_scores,
+    _stack_sums,
     loewner_k,
     loewner_k_raw,
     overlap_score,
@@ -99,7 +102,7 @@ from convneg.operators import (
 )
 from convneg.taxonomy import load_taxonomy, parse_taxonomy
 
-from conftest import EQ_TOL, FIXTURES, descendant_leaves, random_orthogonal, rotated
+from conftest import EQ_TOL, FIXTURES, dag_tsv, descendant_leaves, random_orthogonal, rotated
 from test_acceptance import DiagOracle
 
 CONFIGS = [
@@ -1897,31 +1900,6 @@ def two_level_taxonomy(groups, size):
     return parse_taxonomy("\n".join(lines) + "\n")
 
 
-def dag_tsv(seed, n_leaves):
-    """A seeded random DAG as taxonomy TSV text: nodes grouped 2-4 under new
-    parents, level by level up to one root, then about one node in eight
-    given a second parent from a higher level, so no cycle can form."""
-    rng = np.random.default_rng(seed)
-    level, edges, height = [f"x{i}" for i in range(n_leaves)], [], {}
-    while len(level) > 1:
-        order, level, i = rng.permutation(level).tolist(), [], 0
-        while i < len(order):
-            size = int(rng.integers(2, 5))
-            parent = f"h{len(height)}"
-            height[parent] = 1 + max(height.get(c, 0) for c in order[i : i + size])
-            edges += [(c, parent) for c in order[i : i + size]]
-            level.append(parent)
-            i += size
-    root = level[0]
-    for child in sorted({c for c, _ in edges}):
-        if rng.random() < 0.125:
-            above = [p for p in height if height[p] > height.get(child, 0) and p != root]
-            parent = str(rng.choice(above)) if above else root
-            if (child, parent) not in edges:
-                edges.append((child, parent))
-    return "".join(f"{c}\t{p}\n" for c, p in edges)
-
-
 def fsum_rows_or_error(x, v):
     try:
         return [s.hex() for s in _fsum_rows(x, v)]
@@ -2155,6 +2133,178 @@ class TestCertifiedRowSums:
                     assert abs(score - oracle.overlap(state, leaf, sigma)) <= 1e-12, (word, leaf)
 
 
+def stack_sums_or_error(x, v):
+    try:
+        return [s.hex() for s in _stack_sums(x, _binades(x), v)]
+    except OverflowError:
+        return OverflowError
+
+
+def span_limit(n):
+    """The widest e - f whose remainders sum exactly in n columns: 53 - k -
+    ceil(log2 n), 2**k >= n + 2."""
+    return 53 - (n + 1).bit_length() - math.ceil(math.log2(n))
+
+
+def exponent_spread(rng, shape, top, span, zeros):
+    """Entries with |x| in [2**(top - span - 1), 2**top), the largest in the
+    top binade and the smallest in the bottom one, so that max|x| < 2**top
+    and min|x| >= 2**(top - span - 1) are tight; random signs, and ``zeros``
+    of the other entries +0.0 or -0.0."""
+    x = np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(top - span, top + 1, shape))
+    flat = x.reshape(-1)
+    ends = rng.choice(flat.size, 2, replace=False)
+    flat[ends] = np.ldexp(rng.uniform(0.5, 1.0, 2), [top, top - span])
+    flat *= rng.choice([-1.0, 1.0], flat.size)
+    off = np.setdiff1d(np.flatnonzero(rng.random(flat.size) < zeros), ends)
+    flat[off] = rng.choice([0.0, -0.0], off.size)
+    return x
+
+
+class TestKeptBoundsProof:
+    """``_stack_sums`` proves a whole stack's rows from the stack's kept
+    exponent bounds and the state's alone, and leaves the rest to
+    ``_fsum_rows``: either way every row is ``math.fsum``'s, errors too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from((_NARROW, 64, 65, 300)),
+        rows=st.sampled_from((1, 3, 70)),
+        past=st.sampled_from((0, 1)),
+        split=st.floats(0.0, 1.0),
+        place=st.floats(0.0, 1.0),
+        # near the overflow edge, the subnormal range, unit scale, anywhere
+        e=st.one_of(
+            st.integers(1012, 1018), st.integers(-1150, -1000), st.integers(-60, 60), st.integers(-1950, 1018)
+        ),
+        zeros=st.sampled_from((0.0, 0.3)),
+        zero_rows=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_span_at_the_limit_and_one_past(self, n, rows, past, split, place, e, zeros, zero_rows, seed):
+        # the products' exponent bounds span span_limit(n) + past: the stack
+        # and the state span s_d + s_v binades, and products of their ends
+        # one more. Every entry is normal, so the bounds are exact.
+        rng = np.random.default_rng(seed)
+        total = span_limit(n) + past - 1
+        s_d = round(split * total)
+        s_v = total - s_d
+        low, high = max(-1021 + s_d, e - 1024), min(1024, e + 1021 - s_v)
+        assume(low <= high)
+        top_d = low + round(place * (high - low))
+        top_v = e - top_d
+        x = exponent_spread(rng, (rows, n), top_d, s_d, zeros)
+        v = exponent_spread(rng, n, top_v, s_v, zeros)
+        if zero_rows and rows > 1:
+            m = np.abs(x)  # rows holding the largest or smallest entry stay
+            ends = ((m == m.max()) | (m == m[m > 0].min())).any(axis=1)
+            blank = [i for i in range(rows) if not ends[i] and rng.random() < 0.5]
+            x[blank] = rng.choice([0.0, -0.0], (len(blank), n))
+        assert _binades(x) == (top_d, top_d - s_d) and _binades(v) == (top_v, top_v - s_v)
+        proven = past == 0 and e <= 1023 - (n + 1).bit_length()
+        with mock.patch.object(convneg.entailment, "_fsum_rows", wraps=_fsum_rows) as rows_pass, \
+                mock.patch("math.fsum", wraps=math.fsum) as fsum:
+            got = stack_sums_or_error(x, v)
+        if proven:
+            assert rows_pass.call_count == fsum.call_count == 0
+        else:
+            assert rows_pass.call_count == 1
+        assert got == reference_rows_or_error(x, v)
+
+    def test_the_proof_in_the_subnormal_range(self):
+        # products from 2**-1082 to 2**-1050: subnormals, some rounded to
+        # zero, and their sums
+        rng = np.random.default_rng(5)
+        x = exponent_spread(rng, (40, 64), -520, 20, 0.2)
+        v = exponent_spread(rng, 64, -530, 10, 0.2)
+        products = np.abs(x * v)
+        assert (products[products > 0] < 2.0**-1022).any() and (products[(x * v == 0) & (x != 0) & (v != 0)]).size
+        with mock.patch.object(convneg.entailment, "_fsum_rows") as rows_pass:
+            got = stack_sums_or_error(x, v)
+        assert not rows_pass.called
+        assert got == reference_rows_or_error(x, v)
+
+    def test_splitting_power_at_the_overflow_edge(self):
+        # sigma = 2**(e + k) = 2**1023 is proven; one binade up it would be
+        # inf, and the rows take _fsum_rows, whose partial sums may overflow
+        rng = np.random.default_rng(6)
+        k = (64 + 1).bit_length()
+        for e, calls in ((1023 - k, 0), (1024 - k, 1)):
+            x = exponent_spread(rng, (30, 64), e - 508, 4, 0.0)
+            v = exponent_spread(rng, 64, 508, 4, 0.0)
+            with mock.patch.object(convneg.entailment, "_fsum_rows", wraps=_fsum_rows) as rows_pass:
+                got = stack_sums_or_error(x, v)
+            assert rows_pass.call_count == calls
+            assert got == reference_rows_or_error(x, v)
+        x = np.zeros((2, 64))
+        x[:, :3] = 1e308, 1e308, -1e308
+        assert stack_sums_or_error(x, np.ones(64)) == reference_rows_or_error(x, np.ones(64)) == OverflowError
+
+    @pytest.mark.parametrize("n", [_NARROW, 65, 300])
+    def test_rows_of_products_all_near_the_bound(self, n):
+        # products just below 2**e = 1, all of one sign: the high parts sum
+        # to nearly n, which the splitting power 2**(e + k) keeps exact
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.97, 1.0, (20, n)) * rng.choice([-1.0, 1.0], (20, 1))
+        v = rng.uniform(0.97, 1.0, n)
+        with mock.patch.object(convneg.entailment, "_fsum_rows") as rows_pass:
+            got = stack_sums_or_error(x, v)
+        assert not rows_pass.called
+        assert got == reference_rows_or_error(x, v)
+
+    def test_dense_state_with_negative_diagonal_entries(self):
+        # a dense state's main diagonal may hold slightly negative entries,
+        # within psd_floor; their magnitudes bound the products all the same
+        lex = build_lexicon(kary_taxonomy(64))
+        alternatives(lex.leaves[0], lex)
+        table = lex._smoothed[0.5]
+        u, w = np.zeros(64), np.zeros(64)
+        u[1:] = np.linspace(0.1, 0.2, 63)
+        w[0] = 1.0
+        a = Operator(np.outer(u, u) - 1e-10 * np.outer(w, w))
+        v = np.diagonal(a.matrix)
+        assert v[0] < 0.0 < v[1:].min()
+        assert table.bounds == _binades(table.diags)
+        with mock.patch.object(convneg.entailment, "_fsum_rows") as rows_pass:
+            got = [s.hex() for s in _stack_sums(table.diags, table.bounds, v)]
+        assert not rows_pass.called
+        assert got == reference_rows_or_error(table.diags, v)
+        want = [reference_overlap(a, leaf, lex, 0.5) for leaf in lex.leaves]
+        assert list(map(float.hex, leaf_scores(a, lex, 0.5))) == list(map(float.hex, want))
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_bounds_alone_prove_every_fresh_state(self, seed, tmp_path):
+        # a ragged 64-leaf taxonomy: for every word under each configuration
+        # the word_queries workload asks, no row takes a per-row certificate
+        # or math.fsum, and every score is trace_product's
+        path = tmp_path / "ragged.tsv"
+        path.write_text(dag_tsv(seed, 64, ragged=True), encoding="utf-8")
+        lex = build_lexicon(load_taxonomy(path))
+        assert lex.dim == 64
+        configs = [NegationConfig(), NegationConfig("pinv"), NegationConfig(composition="conjugate")]
+        configs += [NegationConfig(decay=d) for d in (0.25, 0.75)]
+        for sigma in (0.0, 0.5):
+            alternatives(lex.leaves[0], lex, NegationConfig(sigma=sigma))
+            table = lex._smoothed[sigma]
+            assert table.bounds == _binades(table.diags)
+            states = 0
+            for word in lex.concepts:
+                for cfg in configs:
+                    try:
+                        state = cn_word(word, lex, dataclasses.replace(cfg, sigma=sigma))
+                    except ZeroNegation:
+                        continue
+                    with mock.patch.object(convneg.entailment, "_fsum_rows") as rows_pass, \
+                            mock.patch("math.fsum", wraps=math.fsum) as fsum:
+                        got = leaf_scores(state, lex, sigma)
+                    assert not rows_pass.called and fsum.call_count == 0, (word, cfg)
+                    t = state.trace()
+                    want = [min(1.0, max(0.0, s / t)) for s in map(math.fsum, (table.diags * state._diag).tolist())]
+                    assert got == want
+                    states += 1
+            assert states > 4 * len(lex.concepts)
+
+
 class TestLeafStackCheck:
     """Whatever the kept leaf stack serves, and every error, matches the
     per-leaf reference, on each lexicon built by ``dataclasses.replace``."""
@@ -2277,14 +2427,15 @@ class TestLeafStackCheck:
         m = q @ np.diag([0.4, 0.3, 0.2, 0.1]) @ q.T
         a = Operator((m + m.T) / 2.0)
         for sigma in (0.0, 0.5):
-            with mock.patch.object(convneg.entailment, "_fsum_rows", wraps=_fsum_rows) as rows, \
+            with mock.patch.object(convneg.entailment, "_stack_sums", wraps=_stack_sums) as rows, \
                     mock.patch.object(convneg.entailment, "trace_product") as per_leaf:
                 got = leaf_scores(a, lex, sigma)
             want = [reference_overlap(a, leaf, lex, sigma) for leaf in lex.leaves]
             assert list(map(float.hex, got)) == list(map(float.hex, want))
             # one product with the stack, no leaf scored on its own
             assert rows.call_count == 1 and not per_leaf.called
-            assert rows.call_args.args[0] is lex._smoothed[sigma].diags
+            table = lex._smoothed[sigma]
+            assert rows.call_args.args[0] is table.diags and rows.call_args.args[1] == table.bounds
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_dense_predicates_take_the_per_pair_path(self, sigma, tmp_path):
