@@ -1981,7 +1981,7 @@ class TestCertifiedRowSums:
             v = np.ones(n)
             assert fsum_rows_or_error(x, v) == reference_rows_or_error(x, v)
 
-    @pytest.mark.parametrize("n", [_NARROW, 64, 4096])
+    @pytest.mark.parametrize("n", [_NARROW, 32, 64, 4096])
     def test_sum_just_below_a_power_of_two(self, n):
         # 2**p * (1/2 + (1/2 - 2**-54) - 2**-120) lies just below the midpoint
         # under 2**p, so fsum rounds it down; the pass's sum lands on that
@@ -2024,7 +2024,8 @@ class TestCertifiedRowSums:
         with pytest.raises(OverflowError):
             _fsum_rows(row[None], np.ones(40))
 
-    @pytest.mark.parametrize("n", [_NARROW - 1, _NARROW])
+    # 31 and 32 sit just past the crossover's earlier place
+    @pytest.mark.parametrize("n", [_NARROW - 1, _NARROW, 31, 32])
     def test_narrow_stacks_take_fsum(self, n):
         rng = np.random.default_rng(n)
         for kind in ROW_KINDS:
