@@ -6,7 +6,11 @@ Every gate updates a single factor, one state per (actor, lexicon), so a
 linked group is a list of factor states, never one joint matrix, and only
 the gates of the actor's link closure run. A marginal is read off the
 factors: composed_factors scales each factor's own entries by the other
-factors' traces, so no joint or composite matrix is ever built.
+factors' traces, so no joint or composite matrix is ever built. A wire's
+opening state depends only on its lexicon and word, so each lexicon keeps it
+(``Lexicon._wires``): a name word's trace-normalized operator, an attribute
+word's update of the maximally mixed state. Only verb effects and second
+touches of a factor are computed per call, and a zero state is never kept.
 
 Reading all updates to a wire as one long word string lets the
 string-negation machinery negate an actor: every word that touched the wire,
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -252,15 +256,40 @@ Effects = Mapping[str, tuple[Operator | None, Operator | None]]
 _Factor = tuple[str, Lexicon, Operator]  # (owner, lexicon, state)
 
 
-def _update(factors: list[_Factor], owner: str, lex: Lexicon, effect: Operator) -> None:
-    """Conjugate the owner's factor on ``lex`` by ``effect``, opening the
-    factor in the maximally mixed state on first touch."""
+def _kept(lex: Lexicon, key: tuple[str, str], make: Callable[[], Operator]) -> Operator:
+    """The wire state ``lex`` keeps under ``key``: ``make()``, kept unless zero
+    (see ``Lexicon``), so an error or a zero state is made again on every call."""
+    state = lex._wires.get(key)
+    if state is None:
+        state = make()
+        if not state.is_zero():
+            lex._wires[key] = state
+    return state
+
+
+def _name_state(a: Actor) -> Operator:
+    """The actor's name word trace-normalized: the state its wire opens in."""
+    try:
+        return normalize(a.lex.word_operator(a.word), "trace")
+    except ZeroOperator:
+        raise ZeroOperator(f"name word {a.word!r} of actor {a.name} has the zero operator") from None
+
+
+def _update(
+    factors: list[_Factor], owner: str, lex: Lexicon, effect: Operator, word: str | None = None
+) -> None:
+    """Conjugate the owner's factor on ``lex`` by ``effect``, the operator of
+    the attribute ``word`` or a verb effect. A verb acts on a name's factor,
+    there from the start; an attribute word opens a missing factor in the
+    state ``lex`` keeps for it, the maximally mixed state updated by it."""
     for i, (o, flex, state) in enumerate(factors):
         if o == owner and flex is lex:
             factors[i] = (o, flex, conjugate_update(state, effect))
             return
-    fresh = diagonal(np.full(lex.dim, 1.0 / lex.dim))
-    factors.append((owner, lex, conjugate_update(fresh, effect)))
+    def opened() -> Operator:
+        return conjugate_update(diagonal(np.full(lex.dim, 1.0 / lex.dim)), effect)
+
+    factors.append((owner, lex, _kept(lex, ("opened", word), opened)))
 
 
 def _evolve(c: TextCircuit, name: str, effects: Effects | None) -> list[_Factor]:
@@ -277,25 +306,21 @@ def _evolve(c: TextCircuit, name: str, effects: Effects | None) -> list[_Factor]
     closure = _link_closure(c, name)
     groups: dict[str, list[_Factor]] = {}
     for a in c.actors:
-        name_state = a.lex.word_operator(a.word)
-        if a.name in closure or name_state.is_zero():  # outside: only to raise, else kept raw
-            try:
-                name_state = normalize(name_state, "trace")
-            except ZeroOperator:
-                raise ZeroOperator(
-                    f"name word {a.word!r} of actor {a.name} has the zero operator"
-                ) from None
-        groups[a.name] = [(a.name, a.lex, name_state)]
+        # outside the closure a name is only checked: a zero one raises here
+        if a.name in closure or a.lex.word_operator(a.word).is_zero():
+            state = _kept(a.lex, ("name", a.word), lambda: _name_state(a))
+            groups[a.name] = [(a.name, a.lex, state)]
     for g in c.gates:
         if isinstance(g, UnaryGate):
             if g.actor in closure:
-                _update(groups[g.actor], g.actor, g.lex, g.lex.word_operator(g.word))
+                _update(groups[g.actor], g.actor, g.lex, g.lex.word_operator(g.word), g.word)
             continue
-        group, other = groups[g.subject], groups[g.object]
-        if g.subject in closure and group is not other:
-            group.extend(other)
-            for owner, _, _ in other:
-                groups[owner] = group
+        if g.subject in closure:
+            group, other = groups[g.subject], groups[g.object]
+            if group is not other:
+                group.extend(other)
+                for owner, _, _ in other:
+                    groups[owner] = group
         if effects and g.verb in effects:
             for actor_name, eff in zip((g.subject, g.object), effects[g.verb]):
                 if eff is None:

@@ -34,7 +34,6 @@ from .operators import (
     Operator,
     PINV_TOL,
     _main_diagonal,
-    _zero_trace,
     mix,
     normalize,
     trace_product,
@@ -300,9 +299,9 @@ def _stack_sums(diags: np.ndarray, bounds: tuple[int, int], v: np.ndarray) -> li
 
 def _state_trace(a: Operator) -> float:
     """The trace of the state ``a`` to score: ZeroOperator if zero, InvalidOperator if inf."""
-    if _zero_trace(t := a.trace()):
+    if a.is_zero():
         raise ZeroOperator("overlap score needs a nonzero state")
-    if t == math.inf:
+    if (t := a.trace()) == math.inf:
         raise InvalidOperator("overlap score needs a state whose trace does not overflow to inf")
     return t
 
@@ -350,8 +349,9 @@ def overlap_score(
     """
     table = lex._smoothed.get(sigma)  # only a valid sigma has one
     hit = table and table.words.get(word)
-    if hit and a in hit[1]:  # a zero state is never kept
-        return hit[1][a]
+    # scores are floats, so None is a miss; a zero state is never kept
+    if hit and (score := hit[1].get(a)) is not None:
+        return score
     t = _state_trace(a)
     pred, kept = _record(word, lex, sigma, _memo(lex, sigma))
     if a.dim != lex.dim:

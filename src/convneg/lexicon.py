@@ -11,7 +11,11 @@ them over n leaves costs O(n) per operator rather than an n×n
 eigendecomposition. Externally trained (non-diagonal) operators can be
 injected through the store format, or through ``dataclasses.replace``; they
 are kept dense and every function here works on them unchanged. A lexicon's
-maps are read-only copies, checked once when it is built.
+maps are read-only copies, checked once when it is built. It keeps, in
+private memos filled on demand, entailment's smoothed predicates with their
+overlap scores and rankings, ``cn_word``'s negations, and the circuits' wire
+states: each name word's trace-normalized operator (key ``("name", word)``)
+and each attribute word's opening state (``("opened", word)``).
 
 This module alone reads and writes store text (``save_lexicon``,
 ``load_lexicon``; the format is described above ``MAX_ENTRY``). A load reads
@@ -45,6 +49,7 @@ from .operators import Operator, _entries, _from_entries, identity, mix
 from .taxonomy import Taxonomy
 
 DEFAULT_DECAY = 0.5
+_MEMOS = ("_smoothed", "_negations", "_wires")  # a Lexicon's kept, never-pickled tables
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,12 @@ class Lexicon:
     taxonomy: Taxonomy | None = field(default=None, repr=False)
     name: str = ""
     __hash__ = None  # its maps are unhashable, so hash() names the class
-    # memos built on demand, entailment's smoothed predicates and cn_word's
-    # negations: not compared, shown, carried over by replace, copied or pickled
+    # memos built on demand, entailment's smoothed predicates, cn_word's
+    # negations and the circuits' wire states (by word): not compared, shown,
+    # carried over by replace, copied or pickled
     _smoothed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _negations: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _wires: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         words = set(self.concepts)
@@ -87,11 +94,11 @@ class Lexicon:
                     )
 
     def __getstate__(self) -> dict:
-        state = {k: v for k, v in self.__dict__.items() if k not in ("_smoothed", "_negations")}
+        state = {k: v for k, v in self.__dict__.items() if k not in _MEMOS}
         return {**state, "word_ops": dict(self.word_ops), "wc_ops": dict(self.wc_ops)}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _smoothed={}, _negations={})
+        self.__dict__.update(state, **{memo: {} for memo in _MEMOS})
         for table in ("word_ops", "wc_ops"):
             self.__dict__[table] = MappingProxyType(state[table])
 

@@ -24,7 +24,8 @@ store is read and written by ``lexicon``.
 
 Operators are immutable values: each function returns a fresh instance and the
 underlying arrays are marked read-only, so they can be shared freely across
-threads. All eigendecompositions go through ``numpy.linalg.eigh`` (full
+threads. An operator keeps its trace once computed, but no pickle or copy
+carries it. All eigendecompositions go through ``numpy.linalg.eigh`` (full
 symmetric decomposition, no iterative methods) for determinism at the small
 dimensions this package targets.
 """
@@ -121,11 +122,6 @@ def _checked_dense(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sym, lam
 
 
-def _zero_trace(t: float) -> bool:
-    """The one zero rule, for a trace the caller already holds (``Operator.is_zero``)."""
-    return t <= ZERO_TRACE_TOL
-
-
 def _checked_labels(labels: Sequence[str], dim: int) -> tuple[str, ...]:
     labels = tuple(labels)
     if labels:
@@ -146,8 +142,11 @@ class Operator:
     (symmetrized as (m + m.T) / 2), so its smallest eigenvalue may stay just
     below 0. ``labels``, when non-empty, names the basis vectors and must be
     unique. A diagonal matrix is stored as its diagonal (see the module
-    docstring); ``matrix`` is always the dense, read-only matrix.
+    docstring); ``matrix`` is always the dense, read-only matrix. The trace
+    is kept once computed; pickles and copies carry none and compute it again.
     """
+
+    _trace: float | None = None  # trace(), once computed
 
     def __init__(self, matrix, labels: Sequence[str] = ()):
         a = _as_square(matrix)
@@ -181,6 +180,9 @@ class Operator:
     def __delattr__(self, name):
         raise AttributeError(f"Operator is immutable (cannot delete {name!r})")
 
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_trace"}
+
     @property
     def matrix(self) -> np.ndarray:
         """The dense matrix, read-only. A diagonal operator builds a fresh one
@@ -198,8 +200,12 @@ class Operator:
 
     def trace(self) -> float:
         """Sum of the main diagonal: inf, unwarned, where that overflows."""
-        with np.errstate(over="ignore"):
-            return float(self._diag.sum() if self._diag is not None else np.trace(self._matrix))
+        t = self._trace
+        if t is None:
+            with np.errstate(over="ignore"):
+                t = float(self._diag.sum() if self._diag is not None else np.trace(self._matrix))
+            object.__setattr__(self, "_trace", t)
+        return t
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues, a fresh array."""
@@ -213,7 +219,7 @@ class Operator:
 
     def is_zero(self) -> bool:
         """Trace at most ZERO_TRACE_TOL: the zero every function here refuses."""
-        return _zero_trace(self.trace())
+        return self.trace() <= ZERO_TRACE_TOL
 
     def diagonal(self) -> np.ndarray:
         return _main_diagonal(self).copy()
@@ -392,12 +398,12 @@ def normalize(a: Operator, mode: str = "trace") -> Operator:
     """Scale to unit trace (state view) or unit max eigenvalue (predicate
     view); either refuses exactly what ``is_zero`` calls zero, and an overflowing scale."""
     if mode == "trace":
-        t = scale = a.trace()
+        scale = a.trace()
     elif mode == "sup":
-        t, scale = a.trace(), a.max_eigenvalue()  # t for the zero rule alone
+        scale = a.max_eigenvalue()
     else:
         raise ValueError(f"unknown normalization mode {mode!r}")
-    if _zero_trace(t):
+    if a.is_zero():
         raise ZeroOperator(f"cannot {mode}-normalize the zero operator")
     if scale == math.inf:
         what = "trace" if mode == "trace" else "max eigenvalue"
@@ -407,7 +413,7 @@ def normalize(a: Operator, mode: str = "trace") -> Operator:
     except InvalidOperator as exc:  # scaled up, rounding below the absolute PSD floor
         raise InvalidOperator(
             f"cannot {mode}-normalize: min eigenvalue {a.min_eigenvalue():.3e} "
-            f"at trace {t:.3e} falls below the PSD floor once scaled"
+            f"at trace {a.trace():.3e} falls below the PSD floor once scaled"
         ) from exc
 
 

@@ -13,6 +13,7 @@ negating few words, smoothed by NegationConfig's sigma, as alternatives are.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
@@ -133,6 +134,9 @@ def _check_lambda(lambda_size: float) -> None:
         raise ValueError(f"lambda_size must lie in (0, 1], got {lambda_size}")
 
 
+# kept per (n, type(lambda_size), lambda_size): a numpy float64 lambda_size
+# gives float64 elements, a float or an int float ones; an error is not kept
+@functools.lru_cache(maxsize=8, typed=True)
 def size_prior(n: int, lambda_size: float = LAMBDA_DEFAULT) -> tuple[float, ...]:
     """Normalized lambda_size^(|S|-1) over the negation sets, in canonical order:
     each size's quotient once, repeated; the sum over every set, in order."""

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import inspect
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -874,6 +876,21 @@ _closure_line = st.one_of(
 )
 
 
+def _closure_effects(seed, sides, dim):
+    """Random effects for meets and helps on the subject, the object, both
+    or neither; a wrong-dim effect acts on the subject at dim + 1."""
+    rng = np.random.default_rng(seed)
+    effects = {}
+    for verb, side in zip(("meets", "helps"), sides):
+        if side == "none":
+            continue
+        n = dim + (side == "wrong-dim")
+        subj = None if side == "object" else _random_effect(rng, n)
+        obj = None if side in ("subject", "wrong-dim") else _random_effect(rng, n)
+        effects[verb] = (subj, obj)
+    return effects
+
+
 class TestClosureMatchesFullEvolution:
     """composed_factors evolves only the target's link closure; its bits, or
     its error, are those of a full evolution."""
@@ -925,16 +942,7 @@ class TestClosureMatchesFullEvolution:
     )
     def test_random_scripts(self, lines, target, seed, sides, broken):
         lexes = closure_lexicons()
-        names = lexes[0]
-        rng = np.random.default_rng(seed)
-        effects = {}
-        for verb, side in zip(("meets", "helps"), sides):
-            if side == "none":
-                continue
-            dim = names.dim + (side == "wrong-dim")
-            subj = None if side == "object" else _random_effect(rng, dim)
-            obj = None if side in ("subject", "wrong-dim") else _random_effect(rng, dim)
-            effects[verb] = (subj, obj)
+        effects = _closure_effects(seed, sides, lexes[0].dim)
         if broken is not None:
             word, how = broken[0].lower(), broken[1]
             i = next(i for i, x in enumerate(lexes) if word in x)
@@ -966,3 +974,156 @@ class TestClosureMatchesFullEvolution:
                 full_composed_factors(c, "Ann", effects)
             with pytest.raises(InvalidOperator, match="finite"):
                 composed_factors(c, "Ben", effects)
+
+
+def _zeroed(lexes, word):
+    """``lexes`` with ``word``'s operator replaced by the zero operator."""
+    i = next(i for i, lex in enumerate(lexes) if word in lex)
+    ops = {**lexes[i].word_ops, word: diagonal(np.zeros(lexes[i].dim))}
+    return (*lexes[:i], dataclasses.replace(lexes[i], word_ops=ops), *lexes[i + 1 :])
+
+
+def _check_kept(lexes):
+    """Checks that each wire state the lexicons keep is the nonzero state its
+    key names, bit for bit; returns the words they are kept for."""
+    words = set()
+    for lex in lexes:
+        for (kind, word), state in lex._wires.items():
+            op = lex.word_operator(word)
+            if kind == "name":
+                want = normalize(op, "trace")
+            else:
+                assert kind == "opened"
+                want = conjugate_update(diagonal(np.full(lex.dim, 1.0 / lex.dim)), op)
+            assert _bits(state) == _bits(want) and not state.is_zero()
+            words.add(word)
+    return words
+
+
+class TestKeptWireStates:
+    """Each lexicon keeps the wire states that depend only on it and a word
+    (name states and attribute words' opening states); composed_factors on
+    lexicons that keep them gives the bits, or the error, of freshly built
+    ones."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        warm=st.lists(_closure_line, min_size=0, max_size=10),
+        lines=st.lists(_closure_line, min_size=0, max_size=10),
+        target=st.sampled_from(CLOSURE_ACTORS),
+        seed=st.integers(0, 2**32 - 1),
+        sides=st.lists(st.sampled_from(("subject", "object", "both", "none")), min_size=2, max_size=2),
+        zero=st.one_of(st.none(), st.sampled_from(CLOSURE_ACTORS + CLOSURE_TRAITS)),
+    )
+    # a zero name word outside and inside the closure, a zero attribute word
+    @example(warm=["Eve is kind"], lines=["Ann is kind"], target="Ann", seed=1, sides=["none", "none"], zero="Eve")
+    @example(warm=["Ann is old"], lines=["Ann is old"], target="Ann", seed=2, sides=["none", "none"], zero="Ann")
+    @example(
+        warm=["Ben is kind", "Ann meets Ben"], lines=["Ben is kind", "Ann helps Ben"], target="Ann",
+        seed=3, sides=["both", "both"], zero="kind",
+    )
+    def test_warmed_lexicons_answer_as_fresh_ones(self, warm, lines, target, seed, sides, zero):
+        def built():
+            lexes = closure_lexicons()
+            return lexes if zero is None else _zeroed(lexes, zero.lower())
+
+        lexes, fresh = built(), built()
+        effects = _closure_effects(seed, sides, lexes[0].dim)
+        head = [f"actor {a}" for a in CLOSURE_ACTORS]
+        warming = parse_script("\n".join(head + warm), lexes)
+        for actor in CLOSURE_ACTORS:
+            _outcome(lambda: composed_factors(warming, actor, effects))
+        script = "\n".join(head + lines)
+        want = _bits(_outcome(lambda: composed_factors(parse_script(script, fresh), target, effects)))
+        c = parse_script(script, lexes)
+        for _ in range(2):
+            assert _bits(_outcome(lambda: composed_factors(c, target, effects))) == want
+        kept = _check_kept(lexes)
+        # a zero name or zero opening state is made, and raises, on every call
+        assert zero is None or zero.lower() not in kept
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lines=st.lists(_closure_line, min_size=0, max_size=10),
+        target=st.sampled_from(CLOSURE_ACTORS),
+        seed=st.integers(0, 2**32 - 1),
+        sides=st.lists(st.sampled_from(("subject", "object", "both", "none")), min_size=2, max_size=2),
+    )
+    @example(lines=["Ann is kind", "Ann is old", "Ann meets Ben"], target="Ann", seed=1, sides=["both", "none"])
+    def test_second_call_opens_unary_factors_from_the_lexicon(self, lines, target, seed, sides):
+        lexes = closure_lexicons()
+        # one attribute line per (actor, lexicon): each unary gate opens its factor
+        opened, script = set(), [f"actor {a}" for a in CLOSURE_ACTORS]
+        for line in lines:
+            actor, verb, word = line.split()
+            if verb == "is":
+                key = (actor, next(lex.name for lex in lexes if word in lex))
+                if key in opened:
+                    continue
+                opened.add(key)
+            script.append(line)
+        c = parse_script("\n".join(script), lexes)
+        effects = _closure_effects(seed, sides, lexes[0].dim)
+        calls = []
+        real = circuits.conjugate_update
+
+        def spy(state, effect):
+            # verb effects are dense: a diagonal effect is an attribute word's
+            calls.append(effect._diag is not None)
+            return real(state, effect)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(circuits, "conjugate_update", spy)
+            first = _bits(composed_factors(c, target, effects))
+            unary = [g for g in c.gates if isinstance(g, UnaryGate)]
+            closure = circuits._link_closure(c, target)
+            # one opening state per word, kept from its first gate on
+            assert calls.count(True) == len({g.word for g in unary if g.actor in closure})
+            calls.clear()
+            assert _bits(composed_factors(c, target, effects)) == first
+            assert True not in calls
+
+    def test_a_word_keeps_its_name_and_opening_states_apart(self):
+        # rex names an actor and is an attribute of another: two wire states
+        def built():
+            return (
+                build_lexicon(parse_taxonomy("ann\tperson\nben\tperson\n"), name="people"),
+                build_lexicon(parse_taxonomy("rex\tpet\ntom\tpet\nfido\tpet\n"), name="pets"),
+            )
+
+        script = "actor Ann\nactor Rex\nAnn is rex\n"
+        for order in (("Ann", "Rex"), ("Rex", "Ann")):
+            lexes = built()
+            c = parse_script(script, lexes)
+            for actor in order * 2:
+                want = composed_factors(parse_script(script, built()), actor)
+                assert _bits(composed_factors(c, actor)) == _bits(want)
+            assert _check_kept(lexes) == {"ann", "rex"}
+            assert set(lexes[1]._wires) == {("name", "rex"), ("opened", "rex")}
+
+    def test_memo_is_private(self, lexes, story):
+        blanks = [pickle.dumps(lex) for lex in story_lexicons()]
+        twins = [dataclasses.replace(lex) for lex in lexes]
+        for actor in story.actor_names:
+            composed_factors(story, actor)
+            cn_actor(story, actor)
+        rank_alternatives(story, "Alice")
+        assert all(lex._wires for lex in lexes)
+        assert lexes[0].word_ops["alice"]._trace is not None  # a name's trace is kept
+        for lex, blank, twin, fresh in zip(lexes, blanks, twins, story_lexicons()):
+            # not compared, shown or pickled, and no operator pickles its trace
+            assert lex == twin and not twin._wires and "_wires" not in repr(lex)
+            assert pickle.dumps(lex) == blank
+            for table in ("word_ops", "wc_ops"):
+                ops, fresh_ops = getattr(lex, table), getattr(fresh, table)
+                assert [pickle.dumps(op) for op in ops.values()] == [
+                    pickle.dumps(op) for op in fresh_ops.values()
+                ]
+            # not carried over by replace or copy
+            for other in (
+                pickle.loads(blank),
+                dataclasses.replace(lex),
+                copy.copy(lex),
+                copy.deepcopy(lex),
+            ):
+                assert not other._wires

@@ -861,7 +861,7 @@ class TestCliImports:
         # Operator._of is the one way to wrap already-checked arrays, and it
         # takes a diagonal and labels only: a dense operator comes from the
         # constructor's check. ZERO_TRACE_TOL is compared once
-        # (operators._zero_trace, which Operator.is_zero applies), and the
+        # (Operator.is_zero, on the operator's kept trace), and the
         # modules that test a state for zero do not import it
         package = Path(convneg.__file__).parent
         trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -131,6 +133,37 @@ class TestConstruction:
         op = identity(2)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 2.0
+
+
+class TestKeptTrace:
+    """An immutable Operator keeps its trace once computed; a pickle or copy
+    carries none and computes the same float again."""
+
+    @pytest.mark.parametrize(
+        "entries, infinite",
+        [
+            (np.array([0.25, 0.5, 0.125]), False),
+            (np.array([[1.0, 0.5], [0.5, 1.0]]), False),
+            # traces past the float range: inf, unwarned
+            (np.array([1e308, 1e308]), True),
+            (np.diag([8e307] * 3) + np.diag([1e307, 1e307], 1) + np.diag([1e307, 1e307], -1), True),
+        ],
+        ids=["diagonal", "dense", "diagonal-inf", "dense-inf"],
+    )
+    def test_copies_recompute_the_kept_trace(self, entries, infinite):
+        op = diagonal(entries) if entries.ndim == 1 else Operator(entries)
+        blank = pickle.dumps(op)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = op.trace()
+            assert math.isinf(t) == infinite
+            assert op._trace is t and op.trace() is t
+            assert pickle.dumps(op) == blank
+            twins = [pickle.loads(pickle.dumps(op, protocol)) for protocol in (0, 5)]
+            for twin in twins + [copy.copy(op), copy.deepcopy(op)]:
+                assert twin._trace is None and "_trace" not in vars(twin)
+                assert float.hex(twin.trace()) == float.hex(t)
+                assert twin._trace is not None
 
 
 class TestMix:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import re
@@ -570,6 +571,37 @@ class TestProductTreeMatchesExhaustive:
             prior = size_prior(n, lam)
             total = math.fsum(prior)
             assert bits(cn_string(s, prior).weights) == bits([w / total for w in prior]), n
+
+
+class TestKeptSizePrior:
+    """size_prior is kept per (n, type(lambda_size), lambda_size), so each
+    call returns what an uncached call returns, element types included."""
+
+    LAMBDAS = (0.75, np.float64(0.75), 1)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_each_type_gets_an_uncached_answer(self, order):
+        size_prior.cache_clear()
+        for n in (1, 3, 7):
+            for lam in (self.LAMBDAS[i] for i in order):
+                got, want = size_prior(n, lam), size_prior.__wrapped__(n, lam)
+                assert [type(x) for x in got] == [type(x) for x in want]
+                assert hexes(got) == hexes(want)
+                assert size_prior(n, lam) is got
+        # numpy's scalar type stays in the elements, an int lambda gives floats
+        assert {type(x) for x in size_prior(3, np.float64(0.75))} == {np.float64}
+        assert {type(x) for x in size_prior(3, 1)} == {float}
+
+    def test_errors_raise_on_every_call(self):
+        for _ in range(2):
+            for lam in (0.0, 2.0, math.nan, np.float64(1.5)):
+                with pytest.raises(ValueError, match="lambda_size must lie in"):
+                    size_prior(3, lam)
+            for n in (0, MAX_STRING_WORDS + 1):
+                with pytest.raises(TooManyWords, match=f"got {n}"):
+                    size_prior(n)
+                with pytest.raises(TooManyWords, match=f"got {n}"):
+                    size_prior(n, np.float64(0.75))
 
 
 @pytest.fixture(scope="module")
